@@ -51,7 +51,6 @@ from .nuisance import (
     nested_mean_b_doubleprime,
     nested_mean_b_prime,
     stabilize_probabilities,
-    stabilize_propensity,
 )
 from .estimators import (
     DEFAULT_DELTA_FOR,

@@ -229,16 +229,21 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
 # estimate command
 
 
-def _point_estimate(ds, coding, cfg: EstimateConfig, kind: str, delta_kind: str, weights=None):
+def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None):
+    """(beta, delta, effect) of each (estimator, delta estimator) pair, all from
+    one fit of the working models, and the components of that fit."""
     fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway)
     comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
-    if kind == "mr_seq":
-        beta = beta_mr_sequential(ds, cfg.working_set, coding, stabilize=cfg.stabilize,
-                                  clip=cfg.clip, weights=weights).value
-    else:
-        beta = BETA_FUNCS[kind](ds, comp, weights)
-    delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
-    return beta, delta, combine_effect(beta, delta, cfg.scale), comp
+    out = []
+    for kind, delta_kind in pairs:
+        if kind == "mr_seq":
+            beta = beta_mr_sequential(ds, cfg.working_set, coding, stabilize=cfg.stabilize,
+                                      clip=cfg.clip, weights=weights, comp=comp).value
+        else:
+            beta = BETA_FUNCS[kind](ds, comp, weights)
+        delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
+        out.append((beta, delta, combine_effect(beta, delta, cfg.scale)))
+    return out, comp
 
 
 def cmd_estimate(args) -> int:
@@ -276,11 +281,11 @@ def cmd_estimate(args) -> int:
 
     ds, coding = recode_pair(dataset, pair, allow_identity=args.identity_check)
     threads = _threads(args)
-    results: list[EstimateResult] = []
-    for kind in kinds:
-        delta_kind = args.delta or DEFAULT_DELTA_FOR[kind]
-        beta, delta, effect, comp = _point_estimate(ds, coding, cfg, kind, delta_kind)
-        result = EstimateResult(
+    pairs = [(kind, args.delta or DEFAULT_DELTA_FOR[kind]) for kind in kinds]
+    estimates, comp = _estimates(ds, coding, cfg, pairs)
+    diagnostics = weight_diagnostics(comp)
+    results = [
+        EstimateResult(
             kind=kind,
             delta_kind=delta_kind,
             scale=cfg.scale,
@@ -289,19 +294,23 @@ def cmd_estimate(args) -> int:
             delta_hat=delta,
             effect=effect,
             n_used=ds.n,
-            diagnostics=weight_diagnostics(comp),
+            diagnostics=diagnostics,
         )
-        if args.bootstrap != "none":
-            spec = BootstrapSpec(
-                kind=args.bootstrap, replicates=args.reps, seed=args.seed, ci_level=args.ci_level
-            )
+        for (kind, delta_kind), (beta, delta, effect) in zip(pairs, estimates)
+    ]
+    if args.bootstrap != "none":
+        spec = BootstrapSpec(
+            kind=args.bootstrap, replicates=args.reps, seed=args.seed, ci_level=args.ci_level
+        )
 
-            def statistic(data: Dataset, weights):
-                return _point_estimate(data, coding, cfg, kind, delta_kind, weights)[2]
+        def statistic(data: Dataset, weights):
+            return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights)[0]]
 
-            interval = bootstrap(ds, statistic, spec, threads=threads)
-            result.ci_lower, result.ci_upper, result.se = interval.lower, interval.upper, interval.se
-        results.append(result)
+        interval = bootstrap(ds, statistic, spec, threads=threads)
+        for k, result in enumerate(results):
+            result.ci_lower = float(interval.lower[k])
+            result.ci_upper = float(interval.upper[k])
+            result.se = float(interval.se[k])
 
     _print_estimates(results)
     if args.out:
@@ -447,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="print the target values by counterfactual simulation")
     orc.add_argument("--draws", type=int, required=True)
     orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--threads", type=int, default=None)
     orc.set_defaults(func=cmd_oracle)
     return parser
 

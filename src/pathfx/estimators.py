@@ -19,20 +19,14 @@ from .glm import fit_ols, predict_mean
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
-    ROLE_PROP_BASE,
-    ROLE_PROP_C1,
-    ROLE_PROP_M,
-    ROLE_PROP_BASE_IN_C1_RATIO,
-    ROLE_PROP_C1_IN_M_RATIO,
     DEFAULT_CLIP,
     NuisanceComponents,
     NuisanceError,
-    NuisanceFits,
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    c1_ratio,
-    m_ratio,
+    compute_components,
+    fit_nuisances,
 )
 
 __all__ = [
@@ -242,56 +236,34 @@ def beta_mr_sequential(
     stabilize: StabilizeFlags | None = None,
     clip: tuple[float, float] | None = DEFAULT_CLIP,
     weights: np.ndarray | None = None,
+    comp: NuisanceComponents | None = None,
 ) -> SequentialFit:
     """Refit the mean models by weighted least squares so the three weighted
     residual terms of the multiply-robust estimator vanish by construction.
 
     Requires the continuous (linear-pathway) configuration with an intercept
-    in every mean model.  Propensity models are fitted by maximum likelihood
-    first; each subsequent mean model is refitted on its arm with the weight
-    its residual term carries, which makes that term a weighted-least-squares
+    in every mean model.  The propensities and density ratios come from
+    ``comp``, the components of a maximum-likelihood fit of ``working_set``
+    on the same data and weights; when it is omitted that fit is made here.
+    Each mean model is then refitted on its arm with the weight its residual
+    term carries, which makes that term a weighted-least-squares
     orthogonality condition equal to zero.  What remains is the empirical
     mean of the fully nested prediction.
     """
-    stabilize = stabilize or StabilizeFlags.all_off()
     working_set.validate(dataset.d0, dataset.d1, "linear")
     for role in (ROLE_OUTCOME, ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, dataset.d1 + 1)]):
         if not working_set[role].design.has_intercept():
             raise EstimationError(f"{role}: sequential refitting requires an intercept term")
+    if comp is None:
+        fits = fit_nuisances(dataset, working_set, coding, weights)
+        comp = compute_components(dataset, fits, stabilize=stabilize, clip=clip, weights=weights)
 
     n = dataset.n
     w_outer = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     icomp, ibase = coding.comparison_internal, coding.baseline_internal
-    ind_comp = coding.ind_comparison(dataset.e)
-    ind_base = coding.ind_baseline(dataset.e)
-
-    if coding.is_identity:
-        p_base = np.ones(n)
-        p_comp = np.ones(n)
-        mr = np.ones(n)
-        cr = np.ones(n)
-    else:
-        from .nuisance import _predict_role_probs, _prob_of_level, _stabilize_comparison, fit_role
-
-        prop_roles = [ROLE_PROP_BASE, ROLE_PROP_C1, ROLE_PROP_M,
-                      ROLE_PROP_BASE_IN_C1_RATIO, ROLE_PROP_C1_IN_M_RATIO]
-        prop_set = WorkingModelSet({r: working_set[r] for r in prop_roles if r in working_set})
-        prop_fits = {}
-        for role in prop_set.roles():
-            spec = prop_set[role]
-            X = build_design_matrix(dataset, spec.design)
-            try:
-                prop_fits[role] = fit_role(X, dataset.e.astype(float), spec, weights)
-            except Exception as exc:
-                raise NuisanceError(f"{role}: {exc}") from exc
-        fits = NuisanceFits(fits=prop_fits, coding=coding, pathway="linear", d1=dataset.d1)
-        p_raw = _predict_role_probs(fits, fits[ROLE_PROP_BASE], dataset, ROLE_PROP_BASE, clip)
-        if stabilize.base:
-            p_raw = _stabilize_comparison(p_raw, coding, dataset.e, weights)
-        p_base = _prob_of_level(p_raw, ibase)
-        p_comp = _prob_of_level(p_raw, icomp)
-        mr = m_ratio(fits, dataset, stabilize=stabilize.m_ratio, clip=clip, weights=weights)
-        cr = c1_ratio(fits, dataset, stabilize=stabilize.c1_ratio, clip=clip, weights=weights)
+    ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
+    p_base, p_comp = comp.p_baseline, comp.p_comparison
+    mr, cr = comp.m_ratio, comp.c1_ratio
 
     base_rows = np.flatnonzero(ind_base > 0)
     comp_rows = np.flatnonzero(ind_comp > 0)

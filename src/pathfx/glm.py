@@ -109,15 +109,20 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None):
     return X, y, weights
 
 
-def _qr_solve(A: np.ndarray, b: np.ndarray, labels=None) -> np.ndarray:
-    """Least-squares solve via pivoted QR; flags the offending column on rank loss."""
-    Q, R, piv = sla.qr(A, mode="economic", pivoting=True)
+def _check_rank(R: np.ndarray, piv: np.ndarray, labels=None) -> None:
+    """Raise on rank loss in a pivoted QR factor, naming the offending column."""
     diag = np.abs(np.diag(R))
     scale = diag[0] if diag.size else 0.0
     if scale == 0.0 or np.any(diag < RANK_RTOL * scale):
         k = 0 if scale == 0.0 else int(np.argmax(diag < RANK_RTOL * scale))
         rel = 0.0 if scale == 0.0 else float(diag[k] / scale)
         raise RankDeficiencyError(int(piv[k]), rel, labels)
+
+
+def _qr_solve(A: np.ndarray, b: np.ndarray, labels=None) -> np.ndarray:
+    """Least-squares solve via pivoted QR; flags the offending column on rank loss."""
+    Q, R, piv = sla.qr(A, mode="economic", pivoting=True)
+    _check_rank(R, piv, labels)
     z = sla.solve_triangular(R, Q.T @ b)
     coef = np.empty_like(z)
     coef[piv] = z
@@ -191,8 +196,8 @@ def fit_glm_irls(
     iterations raises ``NonConvergenceError`` with the final score and
     coefficient norms, which is how separation surfaces.
     """
-    if family is Family.GAUSSIAN:
-        return fit_ols(X, y, weights, design=design)
+    if not family.is_binomial:
+        raise GlmError(f"fit_glm_irls fits binomial families only, got {family.value}; use fit_glm")
     X, y, weights = _as_matrix(X, y, weights)
     if np.any((y < 0) | (y > 1)):
         raise GlmError("binomial families require responses in [0, 1]")
@@ -218,13 +223,9 @@ def fit_glm_irls(
         ww = w_prior * fisher
         sw = np.sqrt(np.maximum(ww, 0.0))
         # Fisher step: solve (X'WX) delta = score via QR of sqrt(W) X
-        Q, R, piv = sla.qr(X * sw[:, None], mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        scale = diag[0] if diag.size else 0.0
-        if scale == 0.0 or np.any(diag < RANK_RTOL * scale):
-            k = 0 if scale == 0.0 else int(np.argmax(diag < RANK_RTOL * scale))
-            rel = 0.0 if scale == 0.0 else float(diag[k] / scale)
-            raise RankDeficiencyError(int(piv[k]), rel, labels)
+        # R alone is needed, so Q is never formed ("raw" mode)
+        _, R, piv = sla.qr(X * sw[:, None], mode="raw", pivoting=True)
+        _check_rank(R, piv, labels)
         rhs = sla.solve_triangular(R, sla.solve_triangular(R, score[piv], trans="T"))
         delta = np.empty_like(rhs)
         delta[piv] = rhs

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .core import Dataset, build_design_matrix
 from .glm import score_contributions, score_and_information
@@ -71,10 +71,12 @@ class BootstrapSpec:
 
 @dataclass
 class IntervalEstimate:
-    point: float
-    lower: float
-    upper: float
-    se: float
+    """A bootstrap interval; array fields for an array-valued statistic."""
+
+    point: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+    se: float | np.ndarray
     replicate_values: np.ndarray
     n_failed: int = 0
 
@@ -85,7 +87,7 @@ def _draw_wild_weights(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def bootstrap(
     dataset: Dataset,
-    statistic: Callable[[Dataset, np.ndarray | None], float],
+    statistic: Callable[[Dataset, np.ndarray | None], float | np.ndarray],
     spec: BootstrapSpec,
     *,
     threads: int = 1,
@@ -95,20 +97,23 @@ def bootstrap(
     The statistic must refit everything it depends on: nonparametric
     replicates call it on row-resampled data, wild replicates on the original
     rows with one i.i.d. Exp(1) weight per row applied to every fit and every
-    empirical mean.  Replicate failures are tolerated up to 10%.
+    empirical mean.  It returns a scalar or an array; replicate values have
+    shape ``(replicates,) + shape(point)``.  A replicate that raises or
+    has any NaN component fails for every component; failures are tolerated
+    up to 10%.
     """
     n = dataset.n
-    point = float(statistic(dataset, None))
+    point = np.asarray(statistic(dataset, None), dtype=float)
 
-    def one(r: int) -> float:
+    def one(r: int) -> np.ndarray:
         rng = derived_rng(spec.seed, r)
         if spec.kind == "nonparametric":
             idx = rng.integers(0, n, size=n)
-            return float(statistic(dataset.take(idx), None))
+            return statistic(dataset.take(idx), None)
         w = _draw_wild_weights(rng, n)
-        return float(statistic(dataset, w))
+        return statistic(dataset, w)
 
-    values = np.full(spec.replicates, np.nan)
+    values = np.full((spec.replicates,) + point.shape, np.nan)
     errors: list[str] = []
 
     def run(r: int):
@@ -124,21 +129,25 @@ def bootstrap(
         for r in range(spec.replicates):
             run(r)
 
-    ok = values[~np.isnan(values)]
-    n_failed = spec.replicates - ok.size
+    ok = values[~np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)]
+    n_failed = spec.replicates - ok.shape[0]
     if n_failed > 0.10 * spec.replicates:
         detail = "; ".join(errors[:5])
         raise InferenceError(
             f"{n_failed}/{spec.replicates} bootstrap replicates failed: {detail}"
         )
     alpha = 1.0 - spec.ci_level
-    lower, upper = np.quantile(ok, [alpha / 2.0, 1.0 - alpha / 2.0])
-    se = float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
+    # Reduce along a contiguous last axis, so each component sums in the
+    # same order as a scalar statistic's replicates would.
+    by_component = np.ascontiguousarray(np.moveaxis(ok, 0, -1))
+    lower, upper = np.quantile(by_component, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
+    se = np.std(by_component, axis=-1, ddof=1)
+    out = float if point.ndim == 0 else np.asarray
     return IntervalEstimate(
-        point=point,
-        lower=float(lower),
-        upper=float(upper),
-        se=se,
+        point=out(point),
+        lower=out(lower),
+        upper=out(upper),
+        se=out(se),
         replicate_values=values,
         n_failed=n_failed,
     )
@@ -248,7 +257,7 @@ def mc_t_test(values: np.ndarray, hypothesized: float, alpha: float = 0.05) -> T
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
     se = sd / math.sqrt(r)
-    critical = float(stats.t.ppf(1.0 - alpha / 2.0, r - 1))
+    critical = float(stdtrit(r - 1, 1.0 - alpha / 2.0))
     if se == 0.0:
         if mean == hypothesized:
             return TTestResult(0.0, False, critical, mean, 0.0, r - 1)

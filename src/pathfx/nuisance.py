@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import expit, logit
@@ -53,7 +53,6 @@ __all__ = [
     "StabilizeFlags",
     "fit_nuisances",
     "stabilize_probabilities",
-    "stabilize_propensity",
     "m_ratio",
     "c1_ratio",
     "nested_mean_b",
@@ -224,11 +223,15 @@ class NuisanceFits:
     def __contains__(self, role: str) -> bool:
         return role in self.fits
 
-    def prop_base_for_ratio(self) -> FittedGlm:
-        return self.fits.get(ROLE_PROP_BASE_IN_C1_RATIO) or self[ROLE_PROP_BASE]
+    def m_ratio_roles(self) -> tuple[str, str]:
+        """Numerator and denominator propensity roles of the mediator ratio."""
+        den = ROLE_PROP_C1_IN_M_RATIO if ROLE_PROP_C1_IN_M_RATIO in self.fits else ROLE_PROP_C1
+        return ROLE_PROP_M, den
 
-    def prop_c1_for_m_ratio(self) -> FittedGlm:
-        return self.fits.get(ROLE_PROP_C1_IN_M_RATIO) or self[ROLE_PROP_C1]
+    def c1_ratio_roles(self) -> tuple[str, str]:
+        """Numerator and denominator propensity roles of the post-treatment ratio."""
+        den = ROLE_PROP_BASE_IN_C1_RATIO if ROLE_PROP_BASE_IN_C1_RATIO in self.fits else ROLE_PROP_BASE
+        return ROLE_PROP_C1, den
 
 
 def _response_for(role: str, dataset: Dataset) -> np.ndarray:
@@ -338,22 +341,6 @@ def stabilize_probabilities(
     return expit(logit(p_level) + shift)
 
 
-def stabilize_propensity(
-    fit: FittedGlm,
-    dataset: Dataset,
-    level: int,
-    *,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Stabilized per-record probabilities of ``level`` under a fitted propensity."""
-    if fit.design is None:
-        raise NuisanceError("stabilize_propensity needs a fit carrying its design spec")
-    p_comparison = predict_mean(fit, build_design_matrix(dataset, fit.design))
-    p_level = _prob_of_level(np.asarray(p_comparison), level)
-    ind_level = (dataset.e == level).astype(float)
-    return stabilize_probabilities(p_level, ind_level, weights)
-
-
 @dataclass(frozen=True)
 class StabilizeFlags:
     """Which propensity roles receive the logit-shift stabilization.
@@ -376,35 +363,25 @@ class StabilizeFlags:
         return cls(base=False, m_ratio=False, c1_ratio=False)
 
 
-def _predict_role_probs(
+def _propensity_probs(
     fits: NuisanceFits,
-    fit: FittedGlm,
     dataset: Dataset,
-    role: str,
+    roles: Iterable[str],
     clip: tuple[float, float] | None,
-    diagnostics: dict | None = None,
-) -> np.ndarray:
-    X = build_design_matrix(dataset, fit.design)
-    p = np.asarray(predict_mean(fit, X), dtype=float)
-    p, n_clipped = _clip_probs(p, clip, role)
-    if diagnostics is not None and n_clipped:
-        diagnostics["clip_counts"][role] = diagnostics["clip_counts"].get(role, 0) + n_clipped
-    return p
+    clip_counts: dict | None = None,
+) -> dict[str, np.ndarray]:
+    """Clipped comparison-level probabilities of each named propensity model.
 
-
-def _ratio_from_probs(
-    p_num_model: np.ndarray,
-    p_den_model: np.ndarray,
-    coding: PairCoding,
-) -> np.ndarray:
-    """(numerator-model odds of comparison vs baseline) x (denominator-model inverse odds)."""
-    icomp, ibase = coding.comparison_internal, coding.baseline_internal
-    return (
-        _prob_of_level(p_num_model, icomp)
-        / _prob_of_level(p_num_model, ibase)
-        * _prob_of_level(p_den_model, ibase)
-        / _prob_of_level(p_den_model, icomp)
-    )
+    Each role is predicted once; its clip count is filed under that role.
+    """
+    probs = {}
+    for role in dict.fromkeys(roles):
+        fit = fits[role]
+        p = np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design)), dtype=float)
+        probs[role], n_clipped = _clip_probs(p, clip, role)
+        if clip_counts is not None and n_clipped:
+            clip_counts[role] = n_clipped
+    return probs
 
 
 def _stabilize_comparison(
@@ -421,6 +398,28 @@ def _stabilize_comparison(
     )
 
 
+def _ratio(
+    probs: Mapping[str, np.ndarray],
+    roles: tuple[str, str],
+    coding: PairCoding,
+    e: np.ndarray,
+    stabilize: bool,
+    weights: np.ndarray | None,
+) -> np.ndarray:
+    """(numerator-model odds of comparison vs baseline) x (denominator-model inverse odds)."""
+    p_num, p_den = probs[roles[0]], probs[roles[1]]
+    if stabilize and not coding.is_identity:
+        p_num = _stabilize_comparison(p_num, coding, e, weights)
+        p_den = _stabilize_comparison(p_den, coding, e, weights)
+    icomp, ibase = coding.comparison_internal, coding.baseline_internal
+    return (
+        _prob_of_level(p_num, icomp)
+        / _prob_of_level(p_num, ibase)
+        * _prob_of_level(p_den, ibase)
+        / _prob_of_level(p_den, icomp)
+    )
+
+
 def m_ratio(
     fits: NuisanceFits,
     dataset: Dataset,
@@ -434,13 +433,9 @@ def m_ratio(
     Computed through Bayes' rule from the propensity given (M, C1, C0) and the
     propensity given (C1, C0); strictly positive on valid inputs.
     """
-    coding = fits.coding
-    p_m = _predict_role_probs(fits, fits[ROLE_PROP_M], dataset, ROLE_PROP_M, clip)
-    p_c1 = _predict_role_probs(fits, fits.prop_c1_for_m_ratio(), dataset, ROLE_PROP_C1_IN_M_RATIO, clip)
-    if stabilize and not coding.is_identity:
-        p_m = _stabilize_comparison(p_m, coding, dataset.e, weights)
-        p_c1 = _stabilize_comparison(p_c1, coding, dataset.e, weights)
-    return _ratio_from_probs(p_m, p_c1, coding)
+    roles = fits.m_ratio_roles()
+    probs = _propensity_probs(fits, dataset, roles, clip)
+    return _ratio(probs, roles, fits.coding, dataset.e, stabilize, weights)
 
 
 def c1_ratio(
@@ -452,13 +447,9 @@ def c1_ratio(
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-record post-treatment covariate density ratio (comparison over baseline)."""
-    coding = fits.coding
-    p_c1 = _predict_role_probs(fits, fits[ROLE_PROP_C1], dataset, ROLE_PROP_C1, clip)
-    p_base = _predict_role_probs(fits, fits.prop_base_for_ratio(), dataset, ROLE_PROP_BASE_IN_C1_RATIO, clip)
-    if stabilize and not coding.is_identity:
-        p_c1 = _stabilize_comparison(p_c1, coding, dataset.e, weights)
-        p_base = _stabilize_comparison(p_base, coding, dataset.e, weights)
-    return _ratio_from_probs(p_c1, p_base, coding)
+    roles = fits.c1_ratio_roles()
+    probs = _propensity_probs(fits, dataset, roles, clip)
+    return _ratio(probs, roles, fits.coding, dataset.e, stabilize, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -553,21 +544,26 @@ def compute_components(
     ind_comp = coding.ind_comparison(e)
     ind_base = coding.ind_baseline(e)
 
-    if ROLE_PROP_BASE in fits:
-        p_base_raw = _predict_role_probs(fits, fits[ROLE_PROP_BASE], dataset, ROLE_PROP_BASE, clip, diagnostics)
+    # Identity-check mode fits no propensity models; its weights are all one.
+    roles = [ROLE_PROP_BASE] if ROLE_PROP_BASE in fits or not coding.is_identity else []
+    with_ratios = ROLE_PROP_M in fits or not coding.is_identity
+    if with_ratios:
+        roles += [*fits.m_ratio_roles(), *fits.c1_ratio_roles()]
+    probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"])
+
+    if ROLE_PROP_BASE in probs:
+        p_base_raw = probs[ROLE_PROP_BASE]
         if stabilize.base and not coding.is_identity:
             p_base_raw = _stabilize_comparison(p_base_raw, coding, dataset.e, weights)
         p_baseline = _prob_of_level(p_base_raw, coding.baseline_internal)
         p_comparison = _prob_of_level(p_base_raw, coding.comparison_internal)
-    elif coding.is_identity:
+    else:
         p_baseline = np.ones(dataset.n)
         p_comparison = np.ones(dataset.n)
-    else:
-        raise NuisanceError(f"{ROLE_PROP_BASE}: model was not fitted")
 
-    if ROLE_PROP_M in fits or not coding.is_identity:
-        mr = m_ratio(fits, dataset, stabilize=stabilize.m_ratio, clip=clip, weights=weights)
-        cr = c1_ratio(fits, dataset, stabilize=stabilize.c1_ratio, clip=clip, weights=weights)
+    if with_ratios:
+        mr = _ratio(probs, fits.m_ratio_roles(), coding, e, stabilize.m_ratio, weights)
+        cr = _ratio(probs, fits.c1_ratio_roles(), coding, e, stabilize.c1_ratio, weights)
     else:
         mr = np.ones(dataset.n)
         cr = np.ones(dataset.n)

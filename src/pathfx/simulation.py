@@ -495,7 +495,7 @@ def run_monte_carlo(
             for k in kinds:
                 if k == "mr_seq":
                     values[k][r] = beta_mr_sequential(
-                        ds, models.working_set, coding, stabilize=stab
+                        ds, models.working_set, coding, stabilize=stab, comp=comp
                     ).value
                 else:
                     values[k][r] = BETA_FUNCS[k](ds, comp)

@@ -160,6 +160,22 @@ class TestEstimateCommand:
         code = main(["estimate", "--data", "/nonexistent.csv", "--comparison", "1", "--baseline", "0"])
         assert code == 1
 
+    def test_one_bootstrap_matches_single_estimator_runs(self, study_csv, tmp_path, capsys):
+        kinds = ["mle", "a", "b", "mr", "mr_seq"]
+        base = ["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+                "--bootstrap", "wild_exp1", "--reps", "12", "--seed", "4"]
+
+        def rows(kind_list, out):
+            assert main(base + ["--estimator", kind_list, "--out", out]) == 0
+            with open(os.path.join(out, "estimates.csv"), newline="") as fh:
+                return fh.read().splitlines()
+
+        together = rows(",".join(kinds), str(tmp_path / "all"))
+        singles = [rows(k, str(tmp_path / k)) for k in kinds]
+        assert together[0] == singles[0][0]
+        assert together[1:] == [single[1] for single in singles]
+        capsys.readouterr()
+
 
 class TestOracleCommand:
     def test_prints_all_three_lines(self, capsys):

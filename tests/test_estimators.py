@@ -317,6 +317,21 @@ class TestSequential:
         comp = compute_components(rec, fits)
         assert seq.value == pytest.approx(beta_mle(rec, comp), abs=1e-10)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_given_components_match_the_default_fit(self, weighted):
+        ds = draw_dataset(700, 93)
+        models = working_models_for("b")
+        w = np.random.default_rng(3).exponential(1.0, ds.n) if weighted else None
+        stab = StabilizeFlags.all_on()
+        comp = compute_components(
+            ds, fit_nuisances(ds, models.working_set, CODING, w), stabilize=stab, weights=w
+        )
+        given = beta_mr_sequential(ds, models.working_set, CODING, stabilize=stab, weights=w, comp=comp)
+        default = beta_mr_sequential(ds, models.working_set, CODING, stabilize=stab, weights=w)
+        assert given.value == default.value
+        assert given.term_values == default.term_values
+        assert np.array_equal(given.b_doubleprime, default.b_doubleprime)
+
     def test_agrees_with_mr_across_replicates(self):
         diffs = []
         for r in range(120):

@@ -123,6 +123,19 @@ class TestIrls:
         b = fit_ols(X, y)
         assert np.max(np.abs(a.coef - b.coef)) < 1e-12
 
+    def test_gaussian_is_rejected(self):
+        with pytest.raises(GlmError, match="binomial"):
+            fit_glm_irls(np.ones((5, 1)), np.zeros(5), Family.GAUSSIAN)
+
+    def test_rank_deficiency_names_column(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(50)
+        X = np.column_stack([np.ones(50), x, 2.0 * x])
+        y = (rng.random(50) < 0.5).astype(float)
+        with pytest.raises(RankDeficiencyError) as err:
+            fit_glm_irls(X, y, Family.LOGIT)
+        assert err.value.column in (1, 2)
+
     def test_separation_raises_nonconvergence(self):
         # perfectly separated data has no ML solution
         x = np.concatenate([-np.ones(20), np.ones(20)])

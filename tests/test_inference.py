@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -72,6 +75,33 @@ class TestBootstrap:
         wide = bootstrap(ds, stat, BootstrapSpec(replicates=200, seed=7, ci_level=0.95))
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
+    @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
+    def test_vector_statistic_equals_scalar_bootstraps(self, kind):
+        ds = _toy_dataset(n=90, seed=8)
+        spec = BootstrapSpec(kind=kind, replicates=150, seed=12)
+        first = lambda d, w: wmean(d.y, w)
+        second = lambda d, w: wmean(d.m**2, w)
+        both = bootstrap(ds, lambda d, w: np.array([first(d, w), second(d, w)]), spec)
+        assert both.replicate_values.shape == (150, 2)
+        for k, stat in enumerate((first, second)):
+            one = bootstrap(ds, stat, spec)
+            assert isinstance(one.lower, float) and isinstance(one.se, float)
+            assert (both.point[k], both.lower[k], both.upper[k], both.se[k]) == (
+                one.point, one.lower, one.upper, one.se)
+            assert np.array_equal(both.replicate_values[:, k], one.replicate_values)
+
+    def test_nan_component_fails_the_whole_replicate(self):
+        ds = _toy_dataset()
+        calls = iter(range(1000))
+
+        def stat(d, w):
+            k = next(calls)
+            return np.array([1.0, np.nan if k == 3 else 2.0])
+
+        out = bootstrap(ds, stat, BootstrapSpec(kind="wild_exp1", replicates=20, seed=1))
+        assert out.n_failed == 1
+        assert list(out.lower) == list(out.upper) == [1.0, 2.0]
+
     def test_failures_tolerated_up_to_ten_percent(self):
         ds = _toy_dataset(n=40, seed=8)
         marker = float(ds.y[7])
@@ -135,6 +165,12 @@ class TestMcTTest:
         oracle = float(mpmath.findroot(lambda t: cdf(t) - 0.975, 1.96))
         assert out.critical == pytest.approx(oracle, abs=1e-8)
         assert out.critical == pytest.approx(1.9623, abs=5e-4)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, pathfx; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "False"
 
     def test_zero_variance_away_from_hypothesis(self):
         out = mc_t_test(np.full(30, 1.0), 0.0)

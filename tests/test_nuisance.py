@@ -35,7 +35,6 @@ from pathfx.nuisance import (
     nested_mean_b_doubleprime,
     nested_mean_b_prime,
     stabilize_probabilities,
-    stabilize_propensity,
 )
 from pathfx.simulation import (
     MEDIATOR_CORRECT,
@@ -218,16 +217,6 @@ class TestStabilization:
         with pytest.raises(NuisanceError, match="share"):
             stabilize_probabilities(p, np.array([1.0, 1.0]))
 
-    def test_fit_level_interface(self):
-        ds = draw_dataset(400, 32)
-        fits = _true_fits()
-        out1 = stabilize_propensity(fits[ROLE_PROP_BASE], ds, 1)
-        ind1 = (ds.e == 1).astype(float)
-        assert abs(np.mean(ind1 * (1 - out1) / out1) - (1 - ind1.mean())) < 1e-10
-        out0 = stabilize_propensity(fits[ROLE_PROP_BASE], ds, 0)
-        ind0 = 1 - ind1
-        assert abs(np.mean(ind0 * (1 - out0) / out0) - (1 - ind0.mean())) < 1e-10
-
 
 class TestNestedMeans:
     def test_b_equals_fitted_value_on_baseline_arm(self):
@@ -395,6 +384,16 @@ class TestComponents:
             assert np.all(np.isfinite(arr))
         assert comp.y0_marginal is not None
         assert "clip_count" in comp.diagnostics
+
+    def test_clip_count_covers_every_propensity_once(self):
+        ds = draw_dataset(2000, 3)
+        fits = fit_nuisances(ds, working_models_for("int").working_set, CODING)
+        clip = (0.05, 0.95)
+        comp = compute_components(ds, fits, clip=clip)
+        assert comp.diagnostics["clip_counts"] == {ROLE_PROP_C1: 82, ROLE_PROP_M: 437}
+        assert comp.diagnostics["clip_count"] == 519
+        assert np.array_equal(comp.m_ratio, m_ratio(fits, ds, clip=clip))
+        assert np.array_equal(comp.c1_ratio, c1_ratio(fits, ds, clip=clip))
 
     def test_missing_base_propensity_is_an_error(self):
         ds = draw_dataset(100, 61)
