@@ -306,7 +306,8 @@ def cmd_estimate(args) -> int:
         def statistic(data: Dataset, weights):
             return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights)[0]]
 
-        interval = bootstrap(ds, statistic, spec, threads=threads)
+        point = [effect for _, _, effect in estimates]
+        interval = bootstrap(ds, statistic, spec, threads=threads, point=point)
         for k, result in enumerate(results):
             result.ci_lower = float(interval.lower[k])
             result.ci_upper = float(interval.upper[k])

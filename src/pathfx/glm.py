@@ -1,9 +1,13 @@
 """In-repo regression engine: OLS plus logistic/probit fits via Fisher scoring.
 
-Solves are QR-based with column pivoting for rank diagnostics.  The probit
-link uses the standard-normal CDF computed from the complementary error
-function (Cephes via ``scipy.special``), accurate to well below 1e-14; the
-logistic mean uses ``scipy.special.expit``.
+Least squares solves by QR with column pivoting, which names the offending
+column on rank loss.  Each Fisher scoring step solves the p x p information
+system X'WX from its Cholesky factor when LAPACK's condition estimate shows
+it well conditioned, and otherwise falls back to the pivoted QR of sqrt(W) X
+with the same rank diagnostics.  The probit link uses the standard-normal
+CDF computed from the complementary error function (Cephes via
+``scipy.special``), accurate to well below 1e-14; the logistic mean uses
+``scipy.special.expit``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 from scipy.special import expit, log_ndtr, ndtr
 
 from .core import DesignSpec
@@ -36,6 +41,13 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 RANK_RTOL = 1e-10
+# A Fisher step is taken from the Cholesky factor of X'WX only when LAPACK's
+# reciprocal condition estimate exceeds this.  The pivoted-QR rank check can
+# fail only when cond(sqrt(W) X) >= 1 / RANK_RTOL, i.e. cond(X'WX) >= 1e20, so
+# every such system goes to the QR fallback with ten orders to spare; so do
+# full-rank systems whose squared condition would cost the Cholesky step more
+# than about 1e-6 of relative accuracy.
+CHOL_RCOND_MIN = 1e-10
 
 
 class Family(enum.Enum):
@@ -153,18 +165,23 @@ def _binomial_mu(family: Family, eta: np.ndarray) -> np.ndarray:
     return ndtr(eta)
 
 
-def _binomial_score_weight(family: Family, eta: np.ndarray, y: np.ndarray):
-    """Per-row score factor s (score = X' diag(w_prior) s) and Fisher weight."""
+def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Log-likelihood, per-row score factor s (score = X' diag(w) s) and
+    Fisher weight at linear predictor ``eta``, each link function evaluated once."""
     if family is Family.LOGIT:
+        ll = float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
         mu = expit(eta)
-        return y - mu, mu * (1.0 - mu)
+        return ll, y - mu, mu * (1.0 - mu)
     # probit: use log-CDF forms so the tails stay finite
+    log_cdf_pos = log_ndtr(eta)
+    log_cdf_neg = log_ndtr(-eta)
+    ll = float(np.sum(w * (y * log_cdf_pos + (1.0 - y) * log_cdf_neg)))
     log_phi = -0.5 * eta**2 - 0.5 * math.log(2.0 * math.pi)
-    mills_pos = np.exp(log_phi - log_ndtr(eta))  # phi/Phi(eta)
-    mills_neg = np.exp(log_phi - log_ndtr(-eta))  # phi/Phi(-eta)
+    mills_pos = np.exp(log_phi - log_cdf_pos)  # phi/Phi(eta)
+    mills_neg = np.exp(log_phi - log_cdf_neg)  # phi/Phi(-eta)
     s = y * mills_pos - (1.0 - y) * mills_neg
     fisher = mills_pos * mills_neg  # phi^2 / (Phi * (1-Phi))
-    return s, fisher
+    return ll, s, fisher
 
 
 def log_likelihood(family: Family, eta: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -174,9 +191,30 @@ def log_likelihood(family: Family, eta: np.ndarray, y: np.ndarray, weights: np.n
         rss = float(np.sum(w * (y - eta) ** 2))
         n = float(np.sum(w))
         return -0.5 * n * math.log(max(rss, 1e-300))
-    if family is Family.LOGIT:
-        return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
-    return float(np.sum(w * (y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta))))
+    return _binomial_terms(family, eta, y, w)[0]
+
+
+def _fisher_step(X: np.ndarray, ww: np.ndarray, score: np.ndarray, labels) -> np.ndarray:
+    """Solve (X'WX) delta = score for the Fisher weights ``ww``.
+
+    Cholesky of X'WX when it succeeds and its condition estimate passes
+    ``CHOL_RCOND_MIN``; otherwise pivoted QR of sqrt(W) X, which raises
+    ``RankDeficiencyError`` naming the offending column.
+    """
+    H = (X * ww[:, None]).T @ X
+    factor, info = dpotrf(H)
+    # potrf fails on a matrix that is not numerically positive definite;
+    # pocon and potrs report only illegal arguments
+    if info == 0 and dpocon(factor, np.abs(H).sum(axis=0).max())[0] > CHOL_RCOND_MIN:
+        return dpotrs(factor, score)[0]
+    sw = np.sqrt(np.maximum(ww, 0.0))
+    # R alone is needed, so Q is never formed ("raw" mode)
+    _, R, piv = sla.qr(X * sw[:, None], mode="raw", pivoting=True)
+    _check_rank(R, piv, labels)
+    rhs = sla.solve_triangular(R, sla.solve_triangular(R, score[piv], trans="T"))
+    delta = np.empty_like(rhs)
+    delta[piv] = rhs
+    return delta
 
 
 def fit_glm_irls(
@@ -191,8 +229,12 @@ def fit_glm_irls(
 ) -> FittedGlm:
     """Binomial fit by iteratively reweighted least squares (Fisher scoring).
 
-    Convergence requires the largest absolute score component to fall below
-    ``tol``.  Steps that lower the log-likelihood are halved; running out of
+    Each step solves the information system X'WX from its Cholesky factor
+    when LAPACK's reciprocal condition estimate exceeds ``CHOL_RCOND_MIN``,
+    and otherwise from the pivoted QR of sqrt(W) X, whose rank check raises
+    ``RankDeficiencyError`` naming the offending column.  Convergence
+    requires the largest absolute score component to fall below ``tol``.
+    Steps that lower the log-likelihood are halved; running out of
     iterations raises ``NonConvergenceError`` with the final score and
     coefficient norms, which is how separation surfaces.
     """
@@ -206,9 +248,8 @@ def fit_glm_irls(
 
     coef = np.zeros(X.shape[1])
     eta = X @ coef
-    ll = log_likelihood(family, eta, y, w_prior)
+    ll, s, fisher = _binomial_terms(family, eta, y, w_prior)
     for iteration in range(1, max_iter + 1):
-        s, fisher = _binomial_score_weight(family, eta, y)
         score = X.T @ (w_prior * s)
         if np.max(np.abs(score)) < tol:
             # Complete separation drives every fitted probability to the
@@ -220,27 +261,16 @@ def fit_glm_irls(
                     iteration - 1, float(np.max(np.abs(score))), float(np.linalg.norm(coef))
                 )
             return FittedGlm(family, coef, True, iteration - 1, design, weights)
-        ww = w_prior * fisher
-        sw = np.sqrt(np.maximum(ww, 0.0))
-        # Fisher step: solve (X'WX) delta = score via QR of sqrt(W) X
-        # R alone is needed, so Q is never formed ("raw" mode)
-        _, R, piv = sla.qr(X * sw[:, None], mode="raw", pivoting=True)
-        _check_rank(R, piv, labels)
-        rhs = sla.solve_triangular(R, sla.solve_triangular(R, score[piv], trans="T"))
-        delta = np.empty_like(rhs)
-        delta[piv] = rhs
-        step = 1.0
-        for _ in range(40):
-            trial = coef + step * delta
+        delta = _fisher_step(X, w_prior * fisher, score, labels)
+        # Halve the step up to 40 times while it lowers the likelihood; the
+        # accepted trial's terms carry into the next iteration.
+        for halvings in range(41):
+            trial = coef + 0.5**halvings * delta
             eta_trial = X @ trial
-            ll_trial = log_likelihood(family, eta_trial, y, w_prior)
-            if ll_trial >= ll - 1e-12 * abs(ll):
+            ll_trial, s, fisher = _binomial_terms(family, eta_trial, y, w_prior)
+            if halvings == 40 or ll_trial >= ll - 1e-12 * abs(ll):
                 break
-            step *= 0.5
-        coef = coef + step * delta
-        eta = X @ coef
-        ll = log_likelihood(family, eta, y, w_prior)
-    s, _ = _binomial_score_weight(family, eta, y)
+        coef, eta, ll = trial, eta_trial, ll_trial
     score = X.T @ (w_prior * s)
     raise NonConvergenceError(max_iter, float(np.max(np.abs(score))), float(np.linalg.norm(coef)))
 
@@ -290,7 +320,7 @@ def score_contributions(fit: FittedGlm, X: np.ndarray, y: np.ndarray, weights: n
         sigma2 = _gaussian_sigma2(fit, X, y, w)
         s = (y - eta) / sigma2
     else:
-        s, _ = _binomial_score_weight(fit.family, eta, y)
+        _, s, _ = _binomial_terms(fit.family, eta, y, w)
     return X * (w * s)[:, None]
 
 
@@ -308,7 +338,7 @@ def score_and_information(fit: FittedGlm, X: np.ndarray, y: np.ndarray, weights:
         score = X.T @ (w * (y - eta)) / sigma2
         info = (X * w[:, None]).T @ X / sigma2
     else:
-        s, fisher = _binomial_score_weight(fit.family, eta, y)
+        _, s, fisher = _binomial_terms(fit.family, eta, y, w)
         score = X.T @ (w * s)
         info = (X * (w * fisher)[:, None]).T @ X
     return score, info

@@ -91,6 +91,7 @@ def bootstrap(
     spec: BootstrapSpec,
     *,
     threads: int = 1,
+    point: float | list[float] | np.ndarray | None = None,
 ) -> IntervalEstimate:
     """Percentile bootstrap of ``statistic(dataset, weights)``.
 
@@ -100,10 +101,13 @@ def bootstrap(
     empirical mean.  It returns a scalar or an array; replicate values have
     shape ``(replicates,) + shape(point)``.  A replicate that raises or
     has any NaN component fails for every component; failures are tolerated
-    up to 10%.
+    up to 10%.  A caller already holding ``statistic(dataset, None)`` passes
+    it as ``point`` to spare that evaluation.
     """
     n = dataset.n
-    point = np.asarray(statistic(dataset, None), dtype=float)
+    if point is None:
+        point = statistic(dataset, None)
+    point = np.asarray(point, dtype=float)
 
     def one(r: int) -> np.ndarray:
         rng = derived_rng(spec.seed, r)

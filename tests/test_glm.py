@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy import linalg as sla
+from scipy.special import expit, log_ndtr, ndtr
 
+import pathfx.glm as glm_mod
 from pathfx.glm import (
     Family,
     GlmError,
@@ -21,15 +23,102 @@ from pathfx.glm import (
 )
 
 
-def _logistic_newton_oracle(X, y, iters=60):
+def _logistic_newton_oracle(X, y, w=None, iters=60):
     """Independent full-Newton logistic fit with the analytic Hessian."""
+    w = np.ones(X.shape[0]) if w is None else w
     beta = np.zeros(X.shape[1])
     for _ in range(iters):
         mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-        grad = X.T @ (y - mu)
-        H = X.T @ (X * (mu * (1 - mu))[:, None])
+        grad = X.T @ (w * (y - mu))
+        H = X.T @ (X * (w * mu * (1 - mu))[:, None])
         beta = beta + np.linalg.solve(H, grad)
     return beta
+
+
+def _probit_fisher_oracle(X, y, w=None, iters=60):
+    """Independent probit Fisher scoring from the normal CDF and density."""
+    w = np.ones(X.shape[0]) if w is None else w
+    beta = np.zeros(X.shape[1])
+    for _ in range(iters):
+        eta = X @ beta
+        mu = ndtr(eta)
+        dens = np.exp(-0.5 * eta**2) / math.sqrt(2.0 * math.pi)
+        var = mu * (1.0 - mu)
+        grad = X.T @ (w * (y - mu) * dens / var)
+        info = X.T @ (X * (w * dens**2 / var)[:, None])
+        beta = beta + np.linalg.solve(info, grad)
+    return beta
+
+
+def _qr_irls_reference(X, y, family, w=None, max_iter=100, tol=1e-10):
+    """IRLS taking every Fisher step from the pivoted QR of sqrt(W) X.
+
+    The reference for the Cholesky step: same likelihood, score test, step
+    halving, separation check and rank rule, with no Cholesky factor.
+    """
+    w = np.ones(X.shape[0]) if w is None else w
+
+    def terms(eta):
+        if family is Family.LOGIT:
+            mu = expit(eta)
+            return np.sum(w * (y * eta - np.logaddexp(0.0, eta))), y - mu, mu * (1.0 - mu)
+        lp, ln = log_ndtr(eta), log_ndtr(-eta)
+        log_phi = -0.5 * eta**2 - 0.5 * math.log(2.0 * math.pi)
+        pos, neg = np.exp(log_phi - lp), np.exp(log_phi - ln)
+        return np.sum(w * (y * lp + (1.0 - y) * ln)), y * pos - (1.0 - y) * neg, pos * neg
+
+    coef = np.zeros(X.shape[1])
+    ll, s, fisher = terms(X @ coef)
+    for iteration in range(max_iter):
+        score = X.T @ (w * s)
+        if np.max(np.abs(score)) < tol:
+            if np.median(np.abs(X @ coef)) > 20.0:
+                raise NonConvergenceError(iteration, 0.0, 0.0)
+            return coef
+        _, R, piv = sla.qr(X * np.sqrt(w * fisher)[:, None], mode="raw", pivoting=True)
+        diag = np.abs(np.diag(R))
+        if diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0]):
+            raise RankDeficiencyError(int(piv[np.argmax(diag < 1e-10 * diag[0])]), 0.0)
+        delta = np.empty_like(coef)
+        delta[piv] = sla.solve_triangular(R, sla.solve_triangular(R, score[piv], trans="T"))
+        for halvings in range(41):
+            trial = coef + 0.5**halvings * delta
+            ll_trial, s, fisher = terms(X @ trial)
+            if halvings == 40 or ll_trial >= ll - 1e-12 * abs(ll):
+                break
+        coef, ll = trial, ll_trial
+    raise NonConvergenceError(max_iter, 0.0, 0.0)
+
+
+def _fallback_fixtures():
+    """Adversarial IRLS fixtures: near-separation, n close to p, extreme
+    prior weights and near-collinear columns, each logit and probit."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for k in range(6):
+        n = 300
+        x = rng.standard_normal((n, 3))
+        X = np.column_stack([np.ones(n), x])
+        eta = 1.5 * x[:, 0] - 0.5
+        # near-separation: a steep index with a handful of rows on the wrong side
+        y = (eta > 0).astype(float)
+        flip = rng.choice(n, size=k + 1, replace=False)
+        y[flip] = 1.0 - y[flip]
+        out.append((f"near-separation-{k}", X, y, None))
+        # n close to p
+        m, p = 16 + 2 * k, 10 + k
+        Xs = np.column_stack([np.ones(m), rng.standard_normal((m, p - 1))])
+        out.append((f"n-near-p-{k}", Xs, (rng.random(m) < 0.5).astype(float), None))
+        # extreme prior weights, spanning two to twelve orders of magnitude
+        Xw = np.column_stack([np.ones(n), rng.standard_normal((n, 4))])
+        yw = (rng.random(n) < expit(Xw @ np.array([0.2, 0.6, -0.4, 0.3, 0.1]))).astype(float)
+        out.append((f"extreme-weights-{k}", Xw, yw, 10.0 ** rng.uniform(-k - 1, k + 1, n)))
+        # near-collinear columns, from mildly to severely ill conditioned
+        Xc = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        Xc = np.column_stack([Xc, Xc[:, 1] + 10.0 ** (-2 - 2 * k) * rng.standard_normal(n)])
+        yc = (rng.random(n) < expit(Xc[:, :4] @ np.array([0.1, 0.5, -0.5, 0.3]))).astype(float)
+        out.append((f"near-collinear-{k}", Xc, yc, rng.exponential(1.0, n)))
+    return out
 
 
 class TestOls:
@@ -95,6 +184,28 @@ class TestIrls:
         fit = fit_glm_irls(X, y, Family.LOGIT)
         assert np.max(np.abs(fit.coef - oracle)) < 1e-8
 
+    def test_probit_matches_fisher_oracle(self):
+        rng = np.random.default_rng(16)
+        n = 500
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        y = (rng.random(n) < ndtr(X @ np.array([-0.2, 0.4, 0.7, -0.3]))).astype(float)
+        fit = fit_glm_irls(X, y, Family.PROBIT)
+        assert np.max(np.abs(fit.coef - _probit_fisher_oracle(X, y))) < 1e-8
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
+    @pytest.mark.parametrize("p", [2, 6, 14])
+    def test_prior_weighted_matches_oracle(self, family, p):
+        rng = np.random.default_rng(100 + p)
+        n = 800
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        truth = rng.uniform(-0.4, 0.4, p)
+        mean = expit if family is Family.LOGIT else ndtr
+        y = (rng.random(n) < mean(X @ truth)).astype(float)
+        w = rng.exponential(1.0, n)
+        oracle = (_logistic_newton_oracle if family is Family.LOGIT else _probit_fisher_oracle)(X, y, w)
+        fit = fit_glm_irls(X, y, family, w)
+        assert np.max(np.abs(fit.coef - oracle)) < 1e-8
+
     def test_weighted_all_ones_identical(self):
         rng = np.random.default_rng(12)
         n = 200
@@ -136,6 +247,20 @@ class TestIrls:
             fit_glm_irls(X, y, Family.LOGIT)
         assert err.value.column in (1, 2)
 
+    def test_zero_weights_leave_a_column_unidentified(self):
+        # X has full rank, but the only rows where column 2 is nonzero carry
+        # zero prior weight, so X'WX is singular
+        rng = np.random.default_rng(21)
+        n = 200
+        X = np.column_stack([np.ones(n), rng.standard_normal(n), np.r_[np.zeros(190), rng.standard_normal(10)]])
+        y = (rng.random(n) < 0.5).astype(float)
+        w = np.r_[rng.exponential(1.0, 190), np.zeros(10)]
+        for family in (Family.LOGIT, Family.PROBIT):
+            with pytest.raises(RankDeficiencyError) as err:
+                fit_glm_irls(X, y, family, w)
+            assert err.value.column == 2
+            assert str(err.value) == "design matrix is rank deficient at column 2 (relative pivot magnitude 0.000e+00)"
+
     def test_separation_raises_nonconvergence(self):
         # perfectly separated data has no ML solution
         x = np.concatenate([-np.ones(20), np.ones(20)])
@@ -148,6 +273,53 @@ class TestIrls:
     def test_binary_response_required(self):
         with pytest.raises(GlmError, match=r"\[0, 1\]"):
             fit_glm_irls(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), Family.LOGIT)
+
+
+class TestFisherStep:
+    def test_ill_conditioned_information_takes_the_qr_step(self, monkeypatch):
+        # A covariate on a scale 1e7 times too small: cond(X'WX) is far above
+        # 1 / CHOL_RCOND_MIN, yet the pivoted QR of sqrt(W) X keeps full rank.
+        rng = np.random.default_rng(22)
+        n = 400
+        x, z = rng.standard_normal(n), rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x, 1e-7 * z])
+        y = (rng.random(n) < expit(0.3 + 0.8 * x - 0.5 * z)).astype(float)
+        assert np.linalg.cond(X.T @ X, 1) > 1e3 / glm_mod.CHOL_RCOND_MIN
+
+        def no_cholesky_solve(*args, **kwargs):
+            raise AssertionError("the condition guard should have sent this step to QR")
+
+        monkeypatch.setattr(glm_mod, "dpotrs", no_cholesky_solve)
+        for family in (Family.LOGIT, Family.PROBIT):
+            fit = fit_glm_irls(X, y, family)
+            reference = _qr_irls_reference(X, y, family)
+            assert fit.converged
+            assert np.max(np.abs(fit.coef - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    def test_well_conditioned_information_takes_the_cholesky_step(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n = 300
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = (rng.random(n) < 0.4).astype(float)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a well-conditioned step should not need QR")
+
+        monkeypatch.setattr(glm_mod.sla, "qr", no_qr)
+        assert fit_glm_irls(X, y, Family.LOGIT).converged
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
+    @pytest.mark.parametrize("case", _fallback_fixtures(), ids=lambda c: c[0])
+    def test_matches_the_qr_reference_or_raises_alike(self, family, case):
+        _, X, y, w = case
+        try:
+            reference = _qr_irls_reference(X, y, family, w)
+        except GlmError as exc:
+            with pytest.raises(type(exc)):
+                fit_glm_irls(X, y, family, w)
+            return
+        fit = fit_glm_irls(X, y, family, w)
+        assert np.max(np.abs(fit.coef - reference)) <= 1e-10 * max(1.0, np.max(np.abs(reference)))
 
 
 class TestPredict:

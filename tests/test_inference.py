@@ -90,6 +90,25 @@ class TestBootstrap:
                 one.point, one.lower, one.upper, one.se)
             assert np.array_equal(both.replicate_values[:, k], one.replicate_values)
 
+    @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
+    def test_given_point_spares_the_full_data_evaluation(self, kind):
+        ds = _toy_dataset(n=60, seed=9)
+        spec = BootstrapSpec(kind=kind, replicates=30, seed=13)
+        calls = []
+
+        def stat(d, w):
+            calls.append(w)
+            return np.array([wmean(d.y, w), wmean(d.m, w)])
+
+        full = bootstrap(ds, stat, spec)
+        assert len(calls) == 31
+        calls.clear()
+        given = bootstrap(ds, stat, spec, point=[wmean(ds.y, None), wmean(ds.m, None)])
+        assert len(calls) == 30
+        assert np.array_equal(given.point, full.point)
+        assert np.array_equal(given.replicate_values, full.replicate_values)
+        assert np.array_equal(given.se, full.se)
+
     def test_nan_component_fails_the_whole_replicate(self):
         ds = _toy_dataset()
         calls = iter(range(1000))
