@@ -8,16 +8,13 @@ from .core import (
     DesignSpec,
     Overrides,
     PairCoding,
-    Record,
     Term,
     TreatmentPair,
     build_design_matrix,
-    build_design_row,
     dataset_from_arrays,
     read_csv,
     recode_pair,
     restrict_to_pair,
-    validate_dataset,
     write_csv,
 )
 from .glm import (

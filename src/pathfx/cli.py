@@ -119,7 +119,7 @@ class EstimateConfig:
     working_set: WorkingModelSet
     pathway: str = "linear"
     scale: str = "mean_difference"
-    stabilize: StabilizeFlags = StabilizeFlags(base=False, m_ratio=True, c1_ratio=True)
+    stabilize: StabilizeFlags = StabilizeFlags(m_ratio=True, c1_ratio=True)
     clip: tuple[float, float] | None = DEFAULT_CLIP
 
 

@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "DataError",
-    "Record",
     "Dataset",
     "TreatmentPair",
     "PairCoding",
     "Term",
     "DesignSpec",
     "Overrides",
-    "validate_dataset",
     "dataset_from_arrays",
     "restrict_to_pair",
     "recode_pair",
-    "build_design_row",
     "build_design_matrix",
     "read_csv",
     "write_csv",
@@ -54,17 +50,6 @@ def wmean(values: np.ndarray, weights: np.ndarray | None = None) -> float:
 
 # ---------------------------------------------------------------------------
 # observations
-
-
-@dataclass(frozen=True)
-class Record:
-    """A single complete observation."""
-
-    c0: tuple[float, ...]
-    e: int
-    c1: tuple[float, ...]
-    m: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -101,18 +86,6 @@ class Dataset:
     @property
     def e_levels(self) -> frozenset[int]:
         return frozenset(int(v) for v in np.unique(self.e))
-
-    def record(self, i: int) -> Record:
-        return Record(
-            c0=tuple(float(v) for v in self.c0[i]),
-            e=int(self.e[i]),
-            c1=tuple(float(v) for v in self.c1[i]),
-            m=float(self.m[i]),
-            y=float(self.y[i]),
-        )
-
-    def records(self) -> list[Record]:
-        return [self.record(i) for i in range(self.n)]
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """New dataset holding the given rows (order and repeats preserved)."""
@@ -160,43 +133,6 @@ def dataset_from_arrays(c0, e, c1, m, y) -> Dataset:
         i = int(np.flatnonzero((ef != np.round(ef)) | (ef < 0))[0])
         raise DataError(f"row {i}: treatment level must be a non-negative integer")
     return Dataset(c0=c0.astype(float), e=ef.astype(int), c1=c1.astype(float), m=m, y=y)
-
-
-def validate_dataset(rows: Sequence, d0: int, d1: int) -> Dataset:
-    """Validate raw rows against declared dimensions and build a ``Dataset``.
-
-    Rows may be ``Record`` instances or ``(c0, e, c1, m, y)`` tuples.  Every
-    defect is reported with its row index; the first defect wins.
-    """
-    if not rows:
-        raise DataError("empty input: at least one row is required")
-    c0_rows, e_rows, c1_rows, m_rows, y_rows = [], [], [], [], []
-    for i, row in enumerate(rows):
-        if isinstance(row, Record):
-            c0_i, e_i, c1_i, m_i, y_i = row.c0, row.e, row.c1, row.m, row.y
-        else:
-            try:
-                c0_i, e_i, c1_i, m_i, y_i = row
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"row {i}: expected 5 fields (c0, e, c1, m, y)") from exc
-        for name, value in (("e", e_i), ("m", m_i), ("y", y_i)):
-            if value is None:
-                raise DataError(f"row {i}: missing field {name}")
-        c0_i = np.atleast_1d(np.asarray(c0_i, dtype=float))
-        c1_i = np.atleast_1d(np.asarray(c1_i, dtype=float))
-        if c0_i.shape != (d0,):
-            raise DataError(f"row {i}: c0 has dimension {c0_i.shape[0]}, expected {d0}")
-        if c1_i.shape != (d1,):
-            raise DataError(f"row {i}: c1 has dimension {c1_i.shape[0]}, expected {d1}")
-        c0_rows.append(c0_i)
-        e_rows.append(e_i)
-        c1_rows.append(c1_i)
-        m_rows.append(m_i)
-        y_rows.append(y_i)
-    return dataset_from_arrays(
-        np.vstack(c0_rows), np.asarray(e_rows), np.vstack(c1_rows),
-        np.asarray(m_rows, dtype=float), np.asarray(y_rows, dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +201,7 @@ def recode_pair(dataset: Dataset, pair: TreatmentPair, *, allow_identity: bool =
     else:
         coding = PairCoding(pair=pair)
         e = (restricted.e == pair.comparison).astype(int)
-    recoded = Dataset(c0=restricted.c0.copy(), e=e, c1=restricted.c1.copy(),
-                      m=restricted.m.copy(), y=restricted.y.copy())
-    return recoded, coding
+    return replace(restricted, e=e), coding
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +417,11 @@ def build_design_matrix(dataset: Dataset, spec: DesignSpec, overrides: Overrides
     return cols
 
 
-def build_design_row(record: Record, spec: DesignSpec, overrides: Overrides | None = None) -> np.ndarray:
-    """Single-record design vector (see ``build_design_matrix``)."""
-    dataset = Dataset(
-        c0=np.asarray([record.c0], dtype=float),
-        e=np.asarray([record.e], dtype=int),
-        c1=np.asarray([record.c1], dtype=float),
-        m=np.asarray([record.m], dtype=float),
-        y=np.asarray([record.y], dtype=float),
-    )
-    return build_design_matrix(dataset, spec, overrides)[0]
-
-
 # ---------------------------------------------------------------------------
 # CSV interchange
 
 _FLOAT_FORMAT = "%.17g"  # round-trips IEEE doubles exactly
+_LEVEL_PATTERN = re.compile(r"^[0-9]+$")
 
 
 def _header(d0: int, d1: int) -> list[str]:
@@ -563,21 +486,29 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
             if f"c1_{j}" not in positions:
                 raise DataError(f"{path}: c1 columns must be contiguous; missing c1_{j}")
 
-        rows = []
+        c0_at = [positions[f"c0_{j}"] for j in range(1, d0 + 1)]
+        c1_at = [positions[f"c1_{j}"] for j in range(1, d1 + 1)]
+        e_at, m_at, y_at = positions["e"], positions["m"], positions["y"]
+        c0, e, c1, m, y = [], [], [], [], []
         for i, raw in enumerate(reader):
             if not raw:
                 continue
             try:
-                c0 = tuple(float(raw[positions[f"c0_{j}"]]) for j in range(1, d0 + 1))
-                c1 = tuple(float(raw[positions[f"c1_{j}"]]) for j in range(1, d1 + 1))
-                e = raw[positions["e"]].strip()
-                m = float(raw[positions["m"]])
-                y = float(raw[positions["y"]])
+                c0_i = [float(raw[k]) for k in c0_at]
+                c1_i = [float(raw[k]) for k in c1_at]
+                e_i = raw[e_at].strip()
+                m_i = float(raw[m_at])
+                y_i = float(raw[y_at])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: row {i}: {exc}") from None
-            if not re.match(r"^[0-9]+$", e):
-                raise DataError(f"{path}: row {i}: treatment level {e!r} is not a non-negative integer")
-            rows.append((c0, int(e), c1, m, y))
-    if not rows:
+            if not _LEVEL_PATTERN.match(e_i):
+                raise DataError(f"{path}: row {i}: treatment level {e_i!r} is not a non-negative integer")
+            c0 += c0_i
+            e.append(int(e_i))
+            c1 += c1_i
+            m.append(m_i)
+            y.append(y_i)
+    n = len(e)
+    if not n:
         raise DataError(f"{path}: no data rows")
-    return validate_dataset(rows, d0, d1)
+    return dataset_from_arrays(np.reshape(c0, (n, d0)), e, np.reshape(c1, (n, d1)), m, y)

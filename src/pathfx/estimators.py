@@ -233,7 +233,7 @@ def beta_mr_sequential(
     working_set: WorkingModelSet,
     coding: PairCoding,
     *,
-    stabilize: StabilizeFlags | None = None,
+    stabilize: StabilizeFlags = StabilizeFlags(),
     clip: tuple[float, float] | None = DEFAULT_CLIP,
     weights: np.ndarray | None = None,
     comp: NuisanceComponents | None = None,

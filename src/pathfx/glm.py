@@ -35,7 +35,6 @@ __all__ = [
     "predict_mean",
     "score_and_information",
     "score_contributions",
-    "log_likelihood",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -96,7 +95,6 @@ class FittedGlm:
     converged: bool
     iterations: int
     design: DesignSpec | None = None
-    weights_used: np.ndarray | None = None
 
     def __post_init__(self):
         self.coef.setflags(write=False)
@@ -116,8 +114,8 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise GlmError(f"weights have shape {weights.shape}, expected ({n},)")
-        if np.any(weights < 0):
-            raise GlmError("weights must be non-negative")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise GlmError("weights must be finite and non-negative")
     return X, y, weights
 
 
@@ -156,7 +154,7 @@ def fit_ols(
     else:
         sw = np.sqrt(weights)
         coef = _qr_solve(X * sw[:, None], y * sw, labels)
-    return FittedGlm(Family.GAUSSIAN, coef, True, 0, design, weights)
+    return FittedGlm(Family.GAUSSIAN, coef, True, 0, design)
 
 
 def _binomial_mu(family: Family, eta: np.ndarray) -> np.ndarray:
@@ -182,16 +180,6 @@ def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarra
     s = y * mills_pos - (1.0 - y) * mills_neg
     fisher = mills_pos * mills_neg  # phi^2 / (Phi * (1-Phi))
     return ll, s, fisher
-
-
-def log_likelihood(family: Family, eta: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Log-likelihood at linear predictor ``eta`` (gaussian: profile, up to a constant)."""
-    w = np.ones_like(eta) if weights is None else weights
-    if family is Family.GAUSSIAN:
-        rss = float(np.sum(w * (y - eta) ** 2))
-        n = float(np.sum(w))
-        return -0.5 * n * math.log(max(rss, 1e-300))
-    return _binomial_terms(family, eta, y, w)[0]
 
 
 def _fisher_step(X: np.ndarray, ww: np.ndarray, score: np.ndarray, labels) -> np.ndarray:
@@ -260,7 +248,7 @@ def fit_glm_irls(
                 raise NonConvergenceError(
                     iteration - 1, float(np.max(np.abs(score))), float(np.linalg.norm(coef))
                 )
-            return FittedGlm(family, coef, True, iteration - 1, design, weights)
+            return FittedGlm(family, coef, True, iteration - 1, design)
         delta = _fisher_step(X, w_prior * fisher, score, labels)
         # Halve the step up to 40 times while it lowers the likelihood; the
         # accepted trial's terms carry into the next iteration.

@@ -347,12 +347,13 @@ class StabilizeFlags:
 
     Every enabled model is stabilized once, at the comparison level; the
     baseline-level probability is its complement.  Ratios are then formed
-    from the stabilized probabilities.
+    from the stabilized probabilities.  ``StabilizeFlags()`` stabilizes
+    nothing.
     """
 
     base: bool = False
-    m_ratio: bool = True
-    c1_ratio: bool = True
+    m_ratio: bool = False
+    c1_ratio: bool = False
 
     @classmethod
     def all_on(cls) -> "StabilizeFlags":
@@ -360,7 +361,7 @@ class StabilizeFlags:
 
     @classmethod
     def all_off(cls) -> "StabilizeFlags":
-        return cls(base=False, m_ratio=False, c1_ratio=False)
+        return cls()
 
 
 def _propensity_probs(
@@ -532,13 +533,12 @@ def compute_components(
     dataset: Dataset,
     fits: NuisanceFits,
     *,
-    stabilize: StabilizeFlags | None = None,
+    stabilize: StabilizeFlags = StabilizeFlags(),
     clip: tuple[float, float] | None = DEFAULT_CLIP,
     weights: np.ndarray | None = None,
 ) -> NuisanceComponents:
     """Evaluate ratios, propensities, and nested means for every record."""
     coding = fits.coding
-    stabilize = stabilize or StabilizeFlags.all_off()
     diagnostics: dict = {"clip_counts": {}}
     e = dataset.e
     ind_comp = coding.ind_comparison(e)

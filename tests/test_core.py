@@ -7,67 +7,49 @@ from pathfx.core import (
     DataError,
     DesignSpec,
     Overrides,
-    Record,
     Term,
     TreatmentPair,
     build_design_matrix,
-    build_design_row,
     dataset_from_arrays,
     parse_term,
     read_csv,
     recode_pair,
     restrict_to_pair,
-    validate_dataset,
     wmean,
     write_csv,
 )
 
 
-def _rec(c0, e, c1, m, y):
-    return Record(c0=tuple(np.atleast_1d(c0)), e=e, c1=tuple(np.atleast_1d(c1)), m=m, y=y)
-
-
-class TestValidateDataset:
+class TestDatasetFromArrays:
     def test_three_wellformed_rows(self):
-        rows = [
-            _rec([0.5], 0, [1.0, 2.0, 3.0], 0.1, 1.0),
-            _rec([1.5], 1, [0.0, 0.5, -1.0], -0.2, 2.0),
-            _rec([0.2], 1, [0.3, 0.1, 0.9], 0.0, -1.0),
-        ]
-        ds = validate_dataset(rows, d0=1, d1=3)
+        ds = dataset_from_arrays(
+            [[0.5], [1.5], [0.2]],
+            [0, 1, 1],
+            [[1.0, 2.0, 3.0], [0.0, 0.5, -1.0], [0.3, 0.1, 0.9]],
+            [0.1, -0.2, 0.0],
+            [1.0, 2.0, -1.0],
+        )
         assert ds.n == 3
         assert ds.d0 == 1 and ds.d1 == 3
         assert ds.e_levels == {0, 1}
 
     def test_nan_reported_with_row_and_column(self):
-        rows = [
-            _rec([0.5], 0, [1.0, 2.0, 3.0], 0.1, 1.0),
-            _rec([1.5], 1, [0.0, float("nan"), -1.0], -0.2, 2.0),
-        ]
         with pytest.raises(DataError, match=r"row 1.*c1_2"):
-            validate_dataset(rows, d0=1, d1=3)
+            dataset_from_arrays(
+                [[0.5], [1.5]], [0, 1], [[1.0, 2.0, 3.0], [0.0, float("nan"), -1.0]], [0.1, -0.2], [1.0, 2.0]
+            )
 
     def test_levels_enumerated(self):
-        rows = [_rec([0.0], lvl, [0.0], 0.0, 0.0) for lvl in (0, 1, 2, 1)]
-        ds = validate_dataset(rows, d0=1, d1=1)
+        ds = dataset_from_arrays(np.zeros((4, 1)), [0, 1, 2, 1], np.zeros((4, 1)), np.zeros(4), np.zeros(4))
         assert ds.e_levels == {0, 1, 2}
 
     def test_empty_input(self):
         with pytest.raises(DataError, match="empty"):
-            validate_dataset([], d0=1, d1=1)
-
-    def test_dimension_mismatch_names_row(self):
-        rows = [_rec([0.0, 1.0], 0, [0.0], 0.0, 0.0)]
-        with pytest.raises(DataError, match="row 0"):
-            validate_dataset(rows, d0=1, d1=1)
-
-    def test_missing_field(self):
-        with pytest.raises(DataError, match="missing field m"):
-            validate_dataset([((0.0,), 1, (0.0,), None, 1.0)], d0=1, d1=1)
+            dataset_from_arrays(np.zeros((0, 1)), [], np.zeros((0, 1)), [], [])
 
     def test_non_integer_level(self):
         with pytest.raises(DataError, match="non-negative integer"):
-            validate_dataset([((0.0,), 0.5, (0.0,), 0.0, 1.0)], d0=1, d1=1)
+            dataset_from_arrays([[0.0]], [0.5], [[0.0]], [0.0], [1.0])
 
 
 class TestRestrictToPair:
@@ -150,15 +132,15 @@ class TestDesign:
             spec.validate_dims(d0=1, d1=3)
 
     def test_example_row(self):
-        record = _rec([2.0], 1, [1.0, 1.0, 1.0], 0.5, 0.0)
+        ds = dataset_from_arrays([[2.0]], [1], [[1.0, 1.0, 1.0]], [0.5], [0.0])
         spec = DesignSpec.parse("1, c0_1, e, m, e*m")
-        assert list(build_design_row(record, spec)) == [1.0, 2.0, 1.0, 0.5, 0.5]
-        assert list(build_design_row(record, spec, Overrides(e=0))) == [1.0, 2.0, 0.0, 0.5, 0.0]
+        assert build_design_matrix(ds, spec).tolist() == [[1.0, 2.0, 1.0, 0.5, 0.5]]
+        assert build_design_matrix(ds, spec, Overrides(e=0)).tolist() == [[1.0, 2.0, 0.0, 0.5, 0.0]]
 
     def test_square_row(self):
-        record = _rec([2.0], 0, [0.0], 0.0, 0.0)
+        ds = dataset_from_arrays([[2.0]], [0], [[0.0]], [0.0], [0.0])
         spec = DesignSpec.parse("1, c0_1, c0_1^2")
-        assert list(build_design_row(record, spec)) == [1.0, 2.0, 4.0]
+        assert build_design_matrix(ds, spec).tolist() == [[1.0, 2.0, 4.0]]
 
     def test_per_record_overrides(self):
         ds = dataset_from_arrays(
@@ -227,6 +209,40 @@ class TestCsv:
         path.write_text("c0_1,e,c1_1,m,y\n0.1,-1,0.2,0.3,0.4\n")
         with pytest.raises(DataError, match="row 0"):
             read_csv(path)
+
+    HEADER = "c0_1,e,c1_1,c1_2,m,y\n"
+    GOOD = "0.1,0,0.2,0.3,0.4,0.5\n"
+
+    def _error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + body)
+        with pytest.raises(DataError) as excinfo:
+            read_csv(path)
+        return path, str(excinfo.value)
+
+    def test_ragged_row(self, tmp_path):
+        path, message = self._error(tmp_path, self.GOOD + "0.1,1\n")
+        assert message == f"{path}: row 1: list index out of range"
+
+    def test_unparsable_cell(self, tmp_path):
+        path, message = self._error(tmp_path, "0.1,0,abc,0.3,0.4,0.5\n")
+        assert message == f"{path}: row 0: could not convert string to float: 'abc'"
+
+    def test_nan_cell_names_row_and_column(self, tmp_path):
+        _, message = self._error(tmp_path, self.GOOD + "0.1,1,0.2,nan,0.4,0.5\n")
+        assert message == "row 1: non-finite value in c1_2"
+
+    def test_blank_line_counts_in_parse_errors_only(self, tmp_path):
+        # a parse error counts file rows, blank lines included; a non-finite
+        # cell counts the rows kept
+        path, message = self._error(tmp_path, self.GOOD + "\n0.1,1,0.2,x,0.4,0.5\n")
+        assert message == f"{path}: row 2: could not convert string to float: 'x'"
+        _, message = self._error(tmp_path, self.GOOD + "\n0.1,1,0.2,nan,0.4,0.5\n")
+        assert message == "row 1: non-finite value in c1_2"
+
+    def test_header_only(self, tmp_path):
+        path, message = self._error(tmp_path, "")
+        assert message == f"{path}: no data rows"
 
 
 class TestWmean:

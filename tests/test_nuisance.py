@@ -89,6 +89,16 @@ class TestFitNuisances:
         for role in models.working_set.roles():
             assert np.max(np.abs(a[role].coef - b[role].coef)) < 1e-12, role
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_names_role(self, bad):
+        ds = draw_dataset(300, 1)
+        models = working_models_for("int")
+        w = np.ones(ds.n)
+        w[5] = bad
+        first = next(iter(models.working_set.roles()))
+        with pytest.raises(NuisanceError, match=rf"^{first}: weights must be finite and non-negative$"):
+            fit_nuisances(ds, models.working_set, CODING, weights=w)
+
     def test_bad_design_names_role(self):
         ds = draw_dataset(100, 23)
         models = working_models_for("int")
