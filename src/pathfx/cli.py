@@ -308,6 +308,12 @@ def cmd_estimate(args) -> int:
 
         point = [effect for _, _, effect in estimates]
         interval = bootstrap(ds, statistic, spec, threads=threads, point=point)
+        if interval.errors:
+            print(
+                f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "
+                f"first: {interval.errors[0]}",
+                file=sys.stderr,
+            )
         for k, result in enumerate(results):
             result.ci_lower = float(interval.lower[k])
             result.ci_upper = float(interval.upper[k])

@@ -99,6 +99,9 @@ class Dataset:
         )
 
 
+_LEVEL_LIMIT = 2**53  # every integer below it is exact as a double
+
+
 def dataset_from_arrays(c0, e, c1, m, y) -> Dataset:
     """Assemble and validate a dataset from column arrays."""
     c0 = np.atleast_2d(np.asarray(c0, dtype=float))
@@ -125,13 +128,22 @@ def dataset_from_arrays(c0, e, c1, m, y) -> Dataset:
         if not np.all(np.isfinite(col)):
             i = int(np.flatnonzero(~np.isfinite(col))[0])
             raise DataError(f"row {i}: non-finite value in {name}")
-    ef = np.asarray(e, dtype=float)
+    try:
+        ef = np.asarray(e, dtype=float)
+    except OverflowError:  # Python integers beyond the double range, rejected below
+        ef = np.array([float(min(max(v, -_LEVEL_LIMIT), _LEVEL_LIMIT)) for v in e.tolist()])
     if not np.all(np.isfinite(ef)):
         i = int(np.flatnonzero(~np.isfinite(ef))[0])
         raise DataError(f"row {i}: non-finite value in e")
     if not np.all(ef == np.round(ef)) or np.any(ef < 0):
         i = int(np.flatnonzero((ef != np.round(ef)) | (ef < 0))[0])
         raise DataError(f"row {i}: treatment level must be a non-negative integer")
+    if np.any(ef >= _LEVEL_LIMIT):
+        i = int(np.flatnonzero(ef >= _LEVEL_LIMIT)[0])
+        raise DataError(
+            f"row {i}: treatment level {e[i]} is not below 2**53, "
+            "above which a double does not hold every integer exactly"
+        )
     return Dataset(c0=c0.astype(float), e=ef.astype(int), c1=c1.astype(float), m=m, y=y)
 
 

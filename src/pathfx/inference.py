@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .core import Dataset, build_design_matrix
-from .glm import score_contributions, score_and_information
+from .core import Dataset, Overrides, build_design_matrix
+from .glm import Family
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
     NuisanceFits,
     c1_mean_role,
-    nested_mean_b_doubleprime,
     _response_for,
 )
 
@@ -78,7 +77,11 @@ class IntervalEstimate:
     upper: float | np.ndarray
     se: float | np.ndarray
     replicate_values: np.ndarray
-    n_failed: int = 0
+    errors: list[str] = field(default_factory=list)  # one per failed replicate, by index
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.errors)
 
 
 def _draw_wild_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -101,8 +104,9 @@ def bootstrap(
     empirical mean.  It returns a scalar or an array; replicate values have
     shape ``(replicates,) + shape(point)``.  A replicate that raises or
     has any NaN component fails for every component; failures are tolerated
-    up to 10%.  A caller already holding ``statistic(dataset, None)`` passes
-    it as ``point`` to spare that evaluation.
+    up to 10% and reported in ``errors``, one message per failed replicate
+    in replicate order.  A caller already holding ``statistic(dataset,
+    None)`` passes it as ``point`` to spare that evaluation.
     """
     n = dataset.n
     if point is None:
@@ -118,13 +122,13 @@ def bootstrap(
         return statistic(dataset, w)
 
     values = np.full((spec.replicates,) + point.shape, np.nan)
-    errors: list[str] = []
+    raised: dict[int, str] = {}
 
     def run(r: int):
         try:
             values[r] = one(r)
         except Exception as exc:  # noqa: BLE001 - replicate failures are data
-            errors.append(f"replicate {r}: {exc}")
+            raised[r] = str(exc)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -133,12 +137,13 @@ def bootstrap(
         for r in range(spec.replicates):
             run(r)
 
-    ok = values[~np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)]
-    n_failed = spec.replicates - ok.shape[0]
-    if n_failed > 0.10 * spec.replicates:
+    failed = np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)
+    errors = [f"replicate {r}: {raised.get(r, 'NaN value')}" for r in np.flatnonzero(failed)]
+    ok = values[~failed]
+    if len(errors) > 0.10 * spec.replicates:
         detail = "; ".join(errors[:5])
         raise InferenceError(
-            f"{n_failed}/{spec.replicates} bootstrap replicates failed: {detail}"
+            f"{len(errors)}/{spec.replicates} bootstrap replicates failed: {detail}"
         )
     alpha = 1.0 - spec.ci_level
     # Reduce along a contiguous last axis, so each component sums in the
@@ -153,7 +158,7 @@ def bootstrap(
         upper=out(upper),
         se=out(se),
         replicate_values=values,
-        n_failed=n_failed,
+        errors=errors,
     )
 
 
@@ -165,71 +170,95 @@ def _nested_model_roles(d1: int) -> list[str]:
     return [ROLE_OUTCOME, ROLE_MEDIATOR] + [c1_mean_role(j) for j in range(1, d1 + 1)]
 
 
-def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits, *, fd_step: float = 1e-5) -> float:
+def _nested_mean_and_gradient(dataset: Dataset, fits: NuisanceFits) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-record b'' and its mean gradient in each nested role's coefficients.
+
+    On the linear pathway ``b'' = X_out(e=base, m=m_hat, c1=c_hat) beta_out``
+    with ``m_hat = X_med(e=comp, c1=c_hat) beta_med`` and ``c_hat_j =
+    X_c1j(e=base) gamma_j`` (the floating-point steps of
+    ``nested_mean_b_doubleprime``).  By the chain rule, per record:
+
+    - outcome block: ``X_out(e=base, m=m_hat, c1=c_hat)``;
+    - mediator block: ``db/dm * X_med(e=comp, c1=c_hat)``;
+    - c1_j block: ``(db/dc1_j + db/dm * dm_hat/dc1_j) * X_c1j(e=base)``.
+
+    The validated designs are linear in m and in every c1_j, so each partial
+    derivative is exactly the change of a prediction under a unit offset,
+    e.g. ``db/dm = X_out(m=m_hat+1) beta_out - b''``.  Blocks come back in
+    ``_nested_model_roles`` order.  Each design is dropped once used, except
+    the mediator's, which waits for ``db/dm``.
+    """
+    coding = fits.coding
+    outcome, mediator = fits[ROLE_OUTCOME], fits[ROLE_MEDIATOR]
+    c1_fits = [fits[c1_mean_role(j)] for j in range(1, fits.d1 + 1)]
+    n = dataset.n
+
+    def x_c1(fit):
+        return build_design_matrix(dataset, fit.design, Overrides(e=coding.baseline_internal))
+
+    def x_med(c1):
+        return build_design_matrix(dataset, mediator.design, Overrides(e=coding.comparison_internal, c1=c1))
+
+    def x_out(m, c1):
+        return build_design_matrix(dataset, outcome.design, Overrides(e=coding.baseline_internal, m=m, c1=c1))
+
+    c_hat = np.column_stack([x_c1(fit) @ fit.coef for fit in c1_fits])
+    X_med = x_med(c_hat)
+    m_hat = X_med @ mediator.coef
+    X_out = x_out(m_hat, c_hat)
+    g = X_out @ outcome.coef
+    grads = [X_out.mean(axis=0)]
+    del X_out
+    db_dm = x_out(m_hat + 1.0, c_hat) @ outcome.coef - g
+    grads.append(X_med.T @ db_dm / n)
+    del X_med
+    for j, fit in enumerate(c1_fits):
+        c_up = c_hat.copy()
+        c_up[:, j] += 1.0
+        db_dc = x_out(m_hat, c_up) @ outcome.coef - g
+        dm_dc = x_med(c_up) @ mediator.coef - m_hat
+        grads.append(x_c1(fit).T @ (db_dc + db_dm * dm_dc) / n)
+    return g, grads
+
+
+def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
     """Estimated variance of the nested-regression plug-in estimator.
 
-    Combines the per-record nested prediction with the delta-method
-    correction ``D' I^{-1} U`` for the estimated regression coefficients,
-    where ``D`` is the mean gradient of the prediction in the stacked
-    coefficients (central finite differences), ``U`` the per-record score
-    vectors, and ``I`` the per-observation expected information, block
-    diagonal across the three regressions.  Returns the variance of the
-    estimator itself (the large-sample variance divided by n).
+    Combines the per-record nested prediction b'' with the delta-method
+    correction for the estimated regression coefficients of the outcome,
+    mediator and post-treatment mean models.  ``D_k``, the mean gradient of
+    b'' in block k's coefficients, has a closed form on the linear pathway
+    (see ``_nested_mean_and_gradient``).  For a gaussian block with design X
+    and residuals r, the correction ``D_k' I_k^{-1} U_k`` (per-record scores
+    U_k, per-observation information I_k) is ``r X (X'X/n)^{-1} D_k``: the
+    error variance cancels, so an exactly fitted block contributes nothing.
+    Every nested fit must be identity-link gaussian.  Returns the variance of
+    the estimator itself (the large-sample variance divided by n).
     """
     if fits.pathway != "linear":
         raise InferenceError("the analytic variance is defined for the linear pathway")
     roles = _nested_model_roles(dataset.d1)
-    base_fits = {}
     for role in roles:
         fit = fits[role]
         if not fit.converged:
             raise InferenceError(f"{role}: fit did not converge")
-        base_fits[role] = fit
-    sizes = [base_fits[r].coef.shape[0] for r in roles]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    gamma_hat = np.concatenate([base_fits[r].coef for r in roles])
-
-    def g(gamma: np.ndarray) -> np.ndarray:
-        patched = dict(fits.fits)
-        for k, role in enumerate(roles):
-            coef = gamma[offsets[k] : offsets[k + 1]].copy()
-            patched[role] = replace(base_fits[role], coef=coef)
-        tmp = NuisanceFits(fits=patched, coding=fits.coding, pathway=fits.pathway, d1=fits.d1)
-        return nested_mean_b_doubleprime(tmp, dataset)
-
-    g_hat = g(gamma_hat)
-    beta_hat = float(g_hat.mean())
+        if fit.family is not Family.GAUSSIAN:
+            raise InferenceError(
+                f"{role}: the analytic variance needs an identity-link gaussian fit, "
+                f"not {fit.family.value}"
+            )
+    g_hat, grads = _nested_mean_and_gradient(dataset, fits)
     n = dataset.n
-
-    total = gamma_hat.shape[0]
-    D = np.empty(total)
-    for k in range(total):
-        h = fd_step * max(1.0, abs(gamma_hat[k]))
-        up = gamma_hat.copy()
-        up[k] += h
-        down = gamma_hat.copy()
-        down[k] -= h
-        D[k] = float((g(up) - g(down)).mean() / (2.0 * h))
-
-    correction = np.zeros(n)
-    for k, role in enumerate(roles):
-        fit = base_fits[role]
+    v = g_hat - g_hat.mean()
+    for role, D in zip(roles, grads):
+        fit = fits[role]
         X = build_design_matrix(dataset, fit.design)
-        y = _response_for(role, dataset)
-        resid = y - X @ fit.coef
-        scale = max(float(np.mean(y**2)), 1.0)
-        if float(np.mean(resid**2)) <= 1e-24 * scale:
-            # exact fit: the block's coefficients carry no estimation noise
-            continue
-        U = score_contributions(fit, X, y)
-        _, info = score_and_information(fit, X, y)
-        info_per = info / n
+        resid = _response_for(role, dataset) - X @ fit.coef
         try:
-            sol = np.linalg.solve(info_per, D[offsets[k] : offsets[k + 1]])
+            sol = np.linalg.solve(X.T @ X / n, D)
         except np.linalg.LinAlgError as exc:
             raise InferenceError(f"{role}: singular information block") from exc
-        correction += U @ sol
-    v = g_hat + correction - beta_hat
+        v += resid * (X @ sol)
     return float(np.mean(v**2) / n)
 
 

@@ -176,6 +176,41 @@ class TestEstimateCommand:
         assert together[1:] == [single[1] for single in singles]
         capsys.readouterr()
 
+    def test_failed_replicates_reported_on_stderr(self, study_csv, tmp_path, monkeypatch, capsys):
+        import pathfx.cli as cli_mod
+
+        argv = ["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+                "--estimator", "mle,mr", "--bootstrap", "wild_exp1", "--reps", "30",
+                "--seed", "6", "--threads", "1"]
+        assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+
+        real_bootstrap = cli_mod.bootstrap
+
+        def failing_bootstrap(ds, statistic, spec, **kwargs):
+            replicate = iter(range(spec.replicates))
+
+            def stat(data, weights):
+                r = next(replicate)  # one thread: replicates run in order
+                if r in (4, 17):
+                    raise ValueError(f"synthetic failure {r}")
+                return statistic(data, weights)
+
+            return real_bootstrap(ds, stat, spec, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "bootstrap", failing_bootstrap)
+        out = str(tmp_path / "failing")
+        assert main(argv + ["--out", out]) == 0
+        failing = capsys.readouterr()
+        assert failing.err == "bootstrap: 2 of 30 replicates failed; first: replicate 4: synthetic failure 4\n"
+        # stdout keeps its layout: a header and one row per estimator
+        assert [line.split()[0] for line in failing.out.splitlines()] == ["estimator", "mle", "mr"]
+        assert [line.split()[0] for line in clean.out.splitlines()] == ["estimator", "mle", "mr"]
+        with open(os.path.join(out, "estimates.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["ci_lower"] for r in rows] == [line.split()[8] for line in failing.out.splitlines()[1:]]
+
 
 class TestOracleCommand:
     def test_prints_all_three_lines(self, capsys):

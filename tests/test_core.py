@@ -51,6 +51,16 @@ class TestDatasetFromArrays:
         with pytest.raises(DataError, match="non-negative integer"):
             dataset_from_arrays([[0.0]], [0.5], [[0.0]], [0.0], [1.0])
 
+    @pytest.mark.parametrize("level", [2**53, 2**60, 99999999999999999999, 10**400, 1e20],
+                             ids=["2**53", "2**60", "1e20-int", "1e400-int", "1e20-float"])
+    def test_level_beyond_exact_doubles_is_rejected(self, level):
+        with pytest.raises(DataError, match=r"^row 2: treatment level .* is not below 2\*\*53"):
+            dataset_from_arrays(np.zeros((4, 1)), [0, 1, level, 1], np.zeros((4, 1)), np.zeros(4), np.zeros(4))
+
+    def test_largest_exact_level_is_kept(self):
+        ds = dataset_from_arrays(np.zeros((2, 1)), [0, 2**53 - 1], np.zeros((2, 1)), np.zeros(2), np.zeros(2))
+        assert ds.e_levels == {0, 2**53 - 1}
+
 
 class TestRestrictToPair:
     def _dataset(self, levels):
@@ -239,6 +249,13 @@ class TestCsv:
         assert message == f"{path}: row 2: could not convert string to float: 'x'"
         _, message = self._error(tmp_path, self.GOOD + "\n0.1,1,0.2,nan,0.4,0.5\n")
         assert message == "row 1: non-finite value in c1_2"
+
+    @pytest.mark.parametrize("level", ["9007199254740992", "99999999999999999999", "1" * 400],
+                             ids=["2**53", "1e20", "400-digits"])
+    def test_level_beyond_exact_doubles_names_row(self, tmp_path, level):
+        _, message = self._error(tmp_path, self.GOOD + f"0.1,{level},0.2,0.3,0.4,0.5\n")
+        assert message == (f"row 1: treatment level {level} is not below 2**53, "
+                           "above which a double does not hold every integer exactly")
 
     def test_header_only(self, tmp_path):
         path, message = self._error(tmp_path, "")

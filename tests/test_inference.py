@@ -2,13 +2,24 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 import pathfx.inference as inference_mod
-from pathfx.core import PairCoding, TreatmentPair, dataset_from_arrays, wmean
+import pathfx.nuisance as nuisance_mod
+from pathfx.core import (
+    DesignSpec,
+    PairCoding,
+    TreatmentPair,
+    build_design_matrix,
+    dataset_from_arrays,
+    recode_pair,
+    wmean,
+)
+from pathfx.glm import Family, score_and_information, score_contributions
 from pathfx.inference import (
     BootstrapSpec,
     InferenceError,
@@ -17,7 +28,20 @@ from pathfx.inference import (
     mc_t_test,
     mle_sandwich_variance,
 )
-from pathfx.nuisance import fit_nuisances
+from pathfx.nuisance import (
+    ROLE_MEDIATOR,
+    ROLE_OUTCOME,
+    ROLE_PROP_BASE,
+    ROLE_PROP_C1,
+    ROLE_PROP_M,
+    ModelSpec,
+    NuisanceFits,
+    WorkingModelSet,
+    _response_for,
+    c1_mean_role,
+    fit_nuisances,
+    nested_mean_b_doubleprime,
+)
 from pathfx.simulation import draw_dataset, working_models_for
 
 CODING = PairCoding(pair=TreatmentPair(1, 0))
@@ -119,7 +143,28 @@ class TestBootstrap:
 
         out = bootstrap(ds, stat, BootstrapSpec(kind="wild_exp1", replicates=20, seed=1))
         assert out.n_failed == 1
+        assert out.errors == ["replicate 2: NaN value"]  # call 0 is the point estimate
         assert list(out.lower) == list(out.upper) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failed_replicates_carry_their_messages(self, threads):
+        ds = _toy_dataset()
+        spec = BootstrapSpec(kind="wild_exp1", replicates=40, seed=2)
+        first_weight = {float(inference_mod.derived_rng(spec.seed, r).exponential(1.0, ds.n)[0]): r
+                        for r in range(spec.replicates)}
+
+        def stat(d, w):
+            r = None if w is None else first_weight[float(w[0])]
+            if r in (9, 4):
+                raise ValueError(f"synthetic failure {r}")
+            return np.nan if r == 13 else wmean(d.y, w)
+
+        out = bootstrap(ds, stat, spec, threads=threads)
+        assert out.errors == ["replicate 4: synthetic failure 4", "replicate 9: synthetic failure 9",
+                              "replicate 13: NaN value"]
+        assert out.n_failed == 3
+        clean = bootstrap(ds, lambda d, w: wmean(d.y, w), spec)
+        assert clean.errors == [] and clean.n_failed == 0
 
     def test_failures_tolerated_up_to_ten_percent(self):
         ds = _toy_dataset(n=40, seed=8)
@@ -196,25 +241,87 @@ class TestMcTTest:
         assert out.reject and out.infinite and math.isinf(out.t)
 
 
+def _nested_roles(d1):
+    return [ROLE_OUTCOME, ROLE_MEDIATOR] + [c1_mean_role(j) for j in range(1, d1 + 1)]
+
+
+def _fd_gradient(ds, fits, h=1e-5):
+    """Central differences of mean(b'') over the stacked nested coefficients."""
+    roles = _nested_roles(ds.d1)
+    sizes = [fits[r].coef.size for r in roles]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+
+    def g_mean(gamma):
+        patched = dict(fits.fits)
+        for k, role in enumerate(roles):
+            patched[role] = replace(fits[role], coef=gamma[offsets[k]:offsets[k + 1]].copy())
+        tmp = NuisanceFits(fits=patched, coding=fits.coding, pathway="linear", d1=ds.d1)
+        return float(nested_mean_b_doubleprime(tmp, ds).mean())
+
+    gamma = np.concatenate([fits[r].coef for r in roles])
+    D = np.empty(gamma.size)
+    for k in range(gamma.size):
+        step = h * max(1.0, abs(gamma[k]))
+        up, down = gamma.copy(), gamma.copy()
+        up[k] += step
+        down[k] -= step
+        D[k] = (g_mean(up) - g_mean(down)) / (2 * step)
+    return D, g_mean, gamma
+
+
+def _fd_variance(ds, fits):
+    """The delta-method variance from per-record scores, information and a
+    finite-difference gradient, without the closed forms."""
+    D, _, _ = _fd_gradient(ds, fits)
+    g = nested_mean_b_doubleprime(fits, ds)
+    v = g - g.mean()
+    start = 0
+    for role in _nested_roles(ds.d1):
+        fit = fits[role]
+        X = build_design_matrix(ds, fit.design)
+        y = _response_for(role, ds)
+        _, info = score_and_information(fit, X, y)
+        D_k = D[start:start + fit.coef.size]
+        start += fit.coef.size
+        v += score_contributions(fit, X, y) @ np.linalg.solve(info / ds.n, D_k)
+    return float(np.mean(v**2) / ds.n)
+
+
+def _one_component_case(n=1500, seed=31):
+    """A d1 = 1 dataset with its own working set."""
+    ds = draw_dataset(n, seed)
+    ds = dataset_from_arrays(ds.c0, ds.e, ds.c1[:, :1], ds.m, ds.y)
+    spec = lambda fam, text: ModelSpec(fam, DesignSpec.parse(text))
+    ws = WorkingModelSet({
+        ROLE_OUTCOME: spec(Family.GAUSSIAN, "1, c0_1, e, c1_1, m, e*m, e*c1_1"),
+        ROLE_MEDIATOR: spec(Family.GAUSSIAN, "1, c0_1, e, c1_1, e*c1_1"),
+        c1_mean_role(1): spec(Family.GAUSSIAN, "1, c0_1, e, c0_1*e"),
+        ROLE_PROP_BASE: spec(Family.LOGIT, "1, c0_1"),
+        ROLE_PROP_C1: spec(Family.LOGIT, "1, c0_1, c1_1"),
+        ROLE_PROP_M: spec(Family.LOGIT, "1, c0_1, c1_1, m"),
+    })
+    return ds, fit_nuisances(ds, ws, CODING)
+
+
+def _sandwich_case(name):
+    if name == "identity":
+        ds, coding = recode_pair(draw_dataset(1500, 32), TreatmentPair(1, 1), allow_identity=True)
+        return ds, fit_nuisances(ds, working_models_for("int").working_set, coding)
+    if name == "d1=1":
+        return _one_component_case()
+    ds = draw_dataset(1500, 30)
+    return ds, fit_nuisances(ds, working_models_for(name).working_set, CODING)
+
+
+SANDWICH_CASES = ["int", "a", "b", "c", "identity", "d1=1"]
+
+
 class TestSandwichVariance:
     def _mle_fits(self, ds):
         models = working_models_for("int")
         return fit_nuisances(ds, models.working_set, CODING)
 
     def test_zero_noise_variance_vanishes(self):
-        from pathfx.core import DesignSpec
-        from pathfx.glm import Family
-        from pathfx.nuisance import (
-            ROLE_MEDIATOR,
-            ROLE_OUTCOME,
-            ROLE_PROP_BASE,
-            ROLE_PROP_C1,
-            ROLE_PROP_M,
-            ModelSpec,
-            WorkingModelSet,
-            c1_mean_role,
-        )
-
         rng = np.random.default_rng(21)
         n = 500
         c0 = rng.uniform(0, 2, n)
@@ -235,39 +342,69 @@ class TestSandwichVariance:
         fits = fit_nuisances(ds, ws, CODING)
         assert mle_sandwich_variance(ds, fits) < 1e-8
 
+    @pytest.mark.parametrize("case", SANDWICH_CASES)
+    def test_closed_form_gradient_matches_central_differences(self, case):
+        ds, fits = _sandwich_case(case)
+        g, grads = inference_mod._nested_mean_and_gradient(ds, fits)
+        assert np.array_equal(g, nested_mean_b_doubleprime(fits, ds))
+        D = np.concatenate(grads)
+        ref, _, _ = _fd_gradient(ds, fits)
+        assert D.shape == ref.shape
+        np.testing.assert_allclose(D, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("case", SANDWICH_CASES)
+    def test_matches_finite_difference_reference(self, case):
+        ds, fits = _sandwich_case(case)
+        ref = _fd_variance(ds, fits)
+        assert mle_sandwich_variance(ds, fits) == pytest.approx(ref, rel=1e-9)
+
     def test_gradient_matches_directional_difference(self):
         ds = draw_dataset(800, 22)
         fits = self._mle_fits(ds)
-        # reuse the internals: perturb the stacked coefficients along a random
-        # direction and compare the plug-in mean against the linearization
-        from dataclasses import replace
-
-        from pathfx.nuisance import ROLE_MEDIATOR, ROLE_OUTCOME, c1_mean_role
-        from pathfx.nuisance import NuisanceFits, nested_mean_b_doubleprime
-
-        roles = [ROLE_OUTCOME, ROLE_MEDIATOR] + [c1_mean_role(j) for j in range(1, 4)]
-        sizes = [fits[r].coef.size for r in roles]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-        def g_mean(gamma):
-            patched = dict(fits.fits)
-            for k, role in enumerate(roles):
-                patched[role] = replace(fits[role], coef=gamma[offsets[k]:offsets[k + 1]].copy())
-            tmp = NuisanceFits(fits=patched, coding=fits.coding, pathway="linear", d1=3)
-            return float(nested_mean_b_doubleprime(tmp, ds).mean())
-
-        gamma = np.concatenate([fits[r].coef for r in roles])
-        rng = np.random.default_rng(3)
-        delta = 1e-4 * rng.standard_normal(gamma.size)
-        D = np.empty(gamma.size)
-        h = 1e-5
-        for k in range(gamma.size):
-            up, down = gamma.copy(), gamma.copy()
-            up[k] += h
-            down[k] -= h
-            D[k] = (g_mean(up) - g_mean(down)) / (2 * h)
+        # the plug-in mean along a small random direction of the stacked
+        # coefficients against its linearization
+        D = np.concatenate(inference_mod._nested_mean_and_gradient(ds, fits)[1])
+        _, g_mean, gamma = _fd_gradient(ds, fits)
+        delta = 1e-4 * np.random.default_rng(3).standard_normal(gamma.size)
         got = g_mean(gamma + delta) - g_mean(gamma)
         assert got == pytest.approx(float(D @ delta), abs=200.0 * float(delta @ delta))
+
+    def test_one_nested_evaluation_per_call(self, monkeypatch):
+        ds = draw_dataset(600, 24)
+        fits = self._mle_fits(ds)
+        calls = {"nested": 0, "design": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (inference_mod, nuisance_mod):
+            monkeypatch.setattr(module, "nested_mean_b_doubleprime",
+                                counting("nested", nuisance_mod.nested_mean_b_doubleprime), raising=False)
+            monkeypatch.setattr(module, "build_design_matrix",
+                                counting("design", build_design_matrix))
+        mle_sandwich_variance(ds, fits)
+        assert calls["nested"] <= 1
+        # b'' and its gradient (3 + 4 d1 builds) plus one design per nested
+        # role; a finite-difference gradient takes 5 builds per evaluation
+        assert calls["design"] <= 5 * (ds.d1 + 1)
+
+    @pytest.mark.parametrize("role", [ROLE_OUTCOME, ROLE_MEDIATOR, c1_mean_role(2)])
+    def test_non_identity_link_is_refused(self, role):
+        ds = draw_dataset(600, 25)
+        models = dict(working_models_for("int").working_set.models)
+        models[role] = replace(models[role], predict_family=Family.LOGIT)
+        fits = fit_nuisances(ds, WorkingModelSet(models), CODING)
+        with pytest.raises(InferenceError, match=f"^{role}: .*identity-link gaussian"):
+            mle_sandwich_variance(ds, fits)
+
+    def test_discrete_pathway_is_refused(self):
+        ds = draw_dataset(300, 26)
+        fits = replace(self._mle_fits(ds), pathway="discrete")
+        with pytest.raises(InferenceError, match="linear pathway"):
+            mle_sandwich_variance(ds, fits)
 
     def test_positive_on_noisy_data(self):
         ds = draw_dataset(2000, 23)
