@@ -39,11 +39,9 @@ from .nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    c1_ratio,
     components_from_functions,
     compute_components,
     fit_nuisances,
-    m_ratio,
     nested_mean_b,
     nested_mean_b_doubleprime,
     nested_mean_b_prime,

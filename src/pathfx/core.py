@@ -434,6 +434,7 @@ def build_design_matrix(dataset: Dataset, spec: DesignSpec, overrides: Overrides
 
 _FLOAT_FORMAT = "%.17g"  # round-trips IEEE doubles exactly
 _LEVEL_PATTERN = re.compile(r"^[0-9]+$")
+_ROW_ERROR = re.compile(r"row ([0-9]+): (.*)", re.DOTALL)
 
 
 def _header(d0: int, d1: int) -> list[str]:
@@ -502,6 +503,7 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
         c1_at = [positions[f"c1_{j}"] for j in range(1, d1 + 1)]
         e_at, m_at, y_at = positions["e"], positions["m"], positions["y"]
         c0, e, c1, m, y = [], [], [], [], []
+        file_rows = []  # the file row of each kept row, blank lines counted
         for i, raw in enumerate(reader):
             if not raw:
                 continue
@@ -515,6 +517,7 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
                 raise DataError(f"{path}: row {i}: {exc}") from None
             if not _LEVEL_PATTERN.match(e_i):
                 raise DataError(f"{path}: row {i}: treatment level {e_i!r} is not a non-negative integer")
+            file_rows.append(i)
             c0 += c0_i
             e.append(int(e_i))
             c1 += c1_i
@@ -523,4 +526,9 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
     n = len(e)
     if not n:
         raise DataError(f"{path}: no data rows")
-    return dataset_from_arrays(np.reshape(c0, (n, d0)), e, np.reshape(c1, (n, d1)), m, y)
+    try:
+        return dataset_from_arrays(np.reshape(c0, (n, d0)), e, np.reshape(c1, (n, d1)), m, y)
+    except DataError as exc:
+        # value checks number the kept rows; report the file row, as parse errors do
+        row = _ROW_ERROR.match(str(exc))
+        raise DataError(f"{path}: row {file_rows[int(row[1])]}: {row[2]}") from None

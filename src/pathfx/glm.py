@@ -1,11 +1,11 @@
 """In-repo regression engine: OLS plus logistic/probit fits via Fisher scoring.
 
-Least squares solves by QR with column pivoting, which names the offending
-column on rank loss.  Each Fisher scoring step solves the p x p information
-system X'WX from its Cholesky factor when LAPACK's condition estimate shows
-it well conditioned, and otherwise falls back to the pivoted QR of sqrt(W) X
-with the same rank diagnostics.  The probit link uses the standard-normal
-CDF computed from the complementary error function (Cephes via
+Every fit solves through one kernel, ``_fisher_step``: the p x p system
+X'WX is solved from its Cholesky factor when LAPACK's condition estimate
+shows it well conditioned, and otherwise from the pivoted QR of sqrt(W) X,
+which names the offending column on rank loss.  Least squares is one such
+solve; each Fisher scoring step is another.  The probit link uses the
+standard-normal CDF computed from the complementary error function (Cephes via
 ``scipy.special``), accurate to well below 1e-14; the logistic mean uses
 ``scipy.special.expit``.
 """
@@ -129,16 +129,6 @@ def _check_rank(R: np.ndarray, piv: np.ndarray, labels=None) -> None:
         raise RankDeficiencyError(int(piv[k]), rel, labels)
 
 
-def _qr_solve(A: np.ndarray, b: np.ndarray, labels=None) -> np.ndarray:
-    """Least-squares solve via pivoted QR; flags the offending column on rank loss."""
-    Q, R, piv = sla.qr(A, mode="economic", pivoting=True)
-    _check_rank(R, piv, labels)
-    z = sla.solve_triangular(R, Q.T @ b)
-    coef = np.empty_like(z)
-    coef[piv] = z
-    return coef
-
-
 def fit_ols(
     X: np.ndarray,
     y: np.ndarray,
@@ -146,14 +136,18 @@ def fit_ols(
     *,
     design: DesignSpec | None = None,
 ) -> FittedGlm:
-    """Weighted least squares; coefficients minimize the weighted RSS."""
+    """Weighted least squares; coefficients minimize the weighted RSS.
+
+    Solves the normal equations X'WX b = X'Wy with ``_fisher_step``, so rank
+    loss raises ``RankDeficiencyError`` naming the offending column.  Their
+    rounding error grows with cond(sqrt(W) X) squared, not with the
+    condition itself as in a QR solve: on near-collinear designs the
+    coefficients can move by up to about 1e-6 relative.
+    """
     X, y, weights = _as_matrix(X, y, weights)
     labels = design.labels if design is not None else None
-    if weights is None:
-        coef = _qr_solve(X, y, labels)
-    else:
-        sw = np.sqrt(weights)
-        coef = _qr_solve(X * sw[:, None], y * sw, labels)
+    w = np.ones(X.shape[0]) if weights is None else weights
+    coef = _fisher_step(X, w, X.T @ (w * y), labels)
     return FittedGlm(Family.GAUSSIAN, coef, True, 0, design)
 
 
@@ -183,7 +177,7 @@ def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarra
 
 
 def _fisher_step(X: np.ndarray, ww: np.ndarray, score: np.ndarray, labels) -> np.ndarray:
-    """Solve (X'WX) delta = score for the Fisher weights ``ww``.
+    """Solve (X'WX) delta = score for the row weights ``ww``.
 
     Cholesky of X'WX when it succeeds and its condition estimate passes
     ``CHOL_RCOND_MIN``; otherwise pivoted QR of sqrt(W) X, which raises

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .core import Dataset, Overrides, build_design_matrix
-from .glm import Family
+from .glm import Family, GlmError, _fisher_step
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -232,8 +232,11 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
     and residuals r, the correction ``D_k' I_k^{-1} U_k`` (per-record scores
     U_k, per-observation information I_k) is ``r X (X'X/n)^{-1} D_k``: the
     error variance cancels, so an exactly fitted block contributes nothing.
-    Every nested fit must be identity-link gaussian.  Returns the variance of
-    the estimator itself (the large-sample variance divided by n).
+    Each block is solved by the regression engine's ``_fisher_step``, so a
+    block that is rank deficient on ``dataset`` raises ``InferenceError``
+    naming the role and the column.  Every nested fit must be identity-link
+    gaussian.  Returns the variance of the estimator itself (the
+    large-sample variance divided by n).
     """
     if fits.pathway != "linear":
         raise InferenceError("the analytic variance is defined for the linear pathway")
@@ -255,9 +258,9 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
         X = build_design_matrix(dataset, fit.design)
         resid = _response_for(role, dataset) - X @ fit.coef
         try:
-            sol = np.linalg.solve(X.T @ X / n, D)
-        except np.linalg.LinAlgError as exc:
-            raise InferenceError(f"{role}: singular information block") from exc
+            sol = _fisher_step(X, np.full(n, 1.0 / n), D, fit.design.labels)
+        except GlmError as exc:
+            raise InferenceError(f"{role}: {exc}") from exc
         v += resid * (X @ sol)
     return float(np.mean(v**2) / n)
 

@@ -53,8 +53,6 @@ __all__ = [
     "StabilizeFlags",
     "fit_nuisances",
     "stabilize_probabilities",
-    "m_ratio",
-    "c1_ratio",
     "nested_mean_b",
     "nested_mean_b_prime",
     "nested_mean_b_doubleprime",
@@ -369,7 +367,7 @@ def _propensity_probs(
     dataset: Dataset,
     roles: Iterable[str],
     clip: tuple[float, float] | None,
-    clip_counts: dict | None = None,
+    clip_counts: dict,
 ) -> dict[str, np.ndarray]:
     """Clipped comparison-level probabilities of each named propensity model.
 
@@ -380,7 +378,7 @@ def _propensity_probs(
         fit = fits[role]
         p = np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design)), dtype=float)
         probs[role], n_clipped = _clip_probs(p, clip, role)
-        if clip_counts is not None and n_clipped:
+        if n_clipped:
             clip_counts[role] = n_clipped
     return probs
 
@@ -419,38 +417,6 @@ def _ratio(
         * _prob_of_level(p_den, ibase)
         / _prob_of_level(p_den, icomp)
     )
-
-
-def m_ratio(
-    fits: NuisanceFits,
-    dataset: Dataset,
-    *,
-    stabilize: bool = False,
-    clip: tuple[float, float] | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-record mediator density ratio between the comparison and baseline arms.
-
-    Computed through Bayes' rule from the propensity given (M, C1, C0) and the
-    propensity given (C1, C0); strictly positive on valid inputs.
-    """
-    roles = fits.m_ratio_roles()
-    probs = _propensity_probs(fits, dataset, roles, clip)
-    return _ratio(probs, roles, fits.coding, dataset.e, stabilize, weights)
-
-
-def c1_ratio(
-    fits: NuisanceFits,
-    dataset: Dataset,
-    *,
-    stabilize: bool = False,
-    clip: tuple[float, float] | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-record post-treatment covariate density ratio (comparison over baseline)."""
-    roles = fits.c1_ratio_roles()
-    probs = _propensity_probs(fits, dataset, roles, clip)
-    return _ratio(probs, roles, fits.coding, dataset.e, stabilize, weights)
 
 
 # ---------------------------------------------------------------------------

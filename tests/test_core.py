@@ -239,22 +239,23 @@ class TestCsv:
         assert message == f"{path}: row 0: could not convert string to float: 'abc'"
 
     def test_nan_cell_names_row_and_column(self, tmp_path):
-        _, message = self._error(tmp_path, self.GOOD + "0.1,1,0.2,nan,0.4,0.5\n")
-        assert message == "row 1: non-finite value in c1_2"
+        path, message = self._error(tmp_path, self.GOOD + "0.1,1,0.2,nan,0.4,0.5\n")
+        assert message == f"{path}: row 1: non-finite value in c1_2"
 
-    def test_blank_line_counts_in_parse_errors_only(self, tmp_path):
-        # a parse error counts file rows, blank lines included; a non-finite
-        # cell counts the rows kept
+    def test_blank_line_counts_in_every_row_number(self, tmp_path):
+        # parse errors and value errors alike count file rows, blank lines included
         path, message = self._error(tmp_path, self.GOOD + "\n0.1,1,0.2,x,0.4,0.5\n")
         assert message == f"{path}: row 2: could not convert string to float: 'x'"
         _, message = self._error(tmp_path, self.GOOD + "\n0.1,1,0.2,nan,0.4,0.5\n")
-        assert message == "row 1: non-finite value in c1_2"
+        assert message == f"{path}: row 2: non-finite value in c1_2"
+        _, message = self._error(tmp_path, "\n\n" + self.GOOD + "0.1,1,0.2,0.3,0.4,inf\n")
+        assert message == f"{path}: row 3: non-finite value in y"
 
     @pytest.mark.parametrize("level", ["9007199254740992", "99999999999999999999", "1" * 400],
                              ids=["2**53", "1e20", "400-digits"])
     def test_level_beyond_exact_doubles_names_row(self, tmp_path, level):
-        _, message = self._error(tmp_path, self.GOOD + f"0.1,{level},0.2,0.3,0.4,0.5\n")
-        assert message == (f"row 1: treatment level {level} is not below 2**53, "
+        path, message = self._error(tmp_path, self.GOOD + f"\n0.1,{level},0.2,0.3,0.4,0.5\n")
+        assert message == (f"{path}: row 2: treatment level {level} is not below 2**53, "
                            "above which a double does not hold every integer exactly")
 
     def test_header_only(self, tmp_path):

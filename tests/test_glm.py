@@ -247,7 +247,8 @@ class TestIrls:
             fit_glm_irls(X, y, Family.LOGIT)
         assert err.value.column in (1, 2)
 
-    def test_zero_weights_leave_a_column_unidentified(self):
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN], ids=lambda f: f.name.lower())
+    def test_zero_weights_leave_a_column_unidentified(self, family):
         # X has full rank, but the only rows where column 2 is nonzero carry
         # zero prior weight, so X'WX is singular
         rng = np.random.default_rng(21)
@@ -255,11 +256,10 @@ class TestIrls:
         X = np.column_stack([np.ones(n), rng.standard_normal(n), np.r_[np.zeros(190), rng.standard_normal(10)]])
         y = (rng.random(n) < 0.5).astype(float)
         w = np.r_[rng.exponential(1.0, 190), np.zeros(10)]
-        for family in (Family.LOGIT, Family.PROBIT):
-            with pytest.raises(RankDeficiencyError) as err:
-                fit_glm_irls(X, y, family, w)
-            assert err.value.column == 2
-            assert str(err.value) == "design matrix is rank deficient at column 2 (relative pivot magnitude 0.000e+00)"
+        with pytest.raises(RankDeficiencyError) as err:
+            fit_glm(X, y, family, w)
+        assert err.value.column == 2
+        assert str(err.value) == "design matrix is rank deficient at column 2 (relative pivot magnitude 0.000e+00)"
 
     def test_separation_raises_nonconvergence(self):
         # perfectly separated data has no ML solution
@@ -307,6 +307,49 @@ class TestFisherStep:
 
         monkeypatch.setattr(glm_mod.sla, "qr", no_qr)
         assert fit_glm_irls(X, y, Family.LOGIT).converged
+
+    def test_ill_conditioned_least_squares_takes_the_qr_step(self, monkeypatch):
+        # the same badly scaled covariate as above, on a gaussian response
+        rng = np.random.default_rng(24)
+        n = 400
+        x, z = rng.standard_normal(n), rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x, 1e-7 * z])
+        y = 0.3 + 0.8 * x - 0.5 * z + rng.standard_normal(n)
+        w = rng.exponential(1.0, n)
+        assert np.linalg.cond(X.T @ X, 1) > 1e3 / glm_mod.CHOL_RCOND_MIN
+
+        def no_cholesky_solve(*args, **kwargs):
+            raise AssertionError("the condition guard should have sent this solve to QR")
+
+        qr_calls = []
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(kwargs.get("mode"))
+            return sla_qr(*args, **kwargs)
+
+        sla_qr = glm_mod.sla.qr
+        monkeypatch.setattr(glm_mod, "dpotrs", no_cholesky_solve)
+        monkeypatch.setattr(glm_mod.sla, "qr", counted_qr)
+        for weights, sw in ((None, np.ones(n)), (w, np.sqrt(w))):
+            reference = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
+            # measured gaps are below 6e-15 of each coefficient
+            np.testing.assert_allclose(fit_ols(X, y, weights).coef, reference, rtol=1e-10)
+        assert qr_calls == ["raw", "raw"]
+
+    def test_well_conditioned_least_squares_takes_the_cholesky_step(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        n = 300
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = X @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(n)
+        w = rng.exponential(1.0, n)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a well-conditioned solve should not need QR")
+
+        monkeypatch.setattr(glm_mod.sla, "qr", no_qr)
+        for weights, sw in ((None, np.ones(n)), (w, np.sqrt(w))):
+            reference = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
+            np.testing.assert_allclose(fit_ols(X, y, weights).coef, reference, rtol=1e-10)
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
     @pytest.mark.parametrize("case", _fallback_fixtures(), ids=lambda c: c[0])

@@ -400,6 +400,16 @@ class TestSandwichVariance:
         with pytest.raises(InferenceError, match=f"^{role}: .*identity-link gaussian"):
             mle_sandwich_variance(ds, fits)
 
+    def test_rank_deficient_block_names_role_and_column(self):
+        # fitted where c0_1 varies, evaluated where it is constant: the
+        # outcome block's design loses c0_1 against the intercept
+        ds = draw_dataset(600, 27)
+        fits = self._mle_fits(ds)
+        flat = dataset_from_arrays(np.full_like(ds.c0, 0.5), ds.e, ds.c1, ds.m, ds.y)
+        with pytest.raises(InferenceError, match=r"^outcome: design matrix is rank deficient at c0_1 "
+                                                 r"\(relative pivot magnitude [0-9.e+-]+\)$"):
+            mle_sandwich_variance(flat, fits)
+
     def test_discrete_pathway_is_refused(self):
         ds = draw_dataset(300, 26)
         fits = replace(self._mle_fits(ds), pathway="discrete")

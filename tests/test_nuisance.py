@@ -27,10 +27,8 @@ from pathfx.nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    c1_ratio,
     compute_components,
     fit_nuisances,
-    m_ratio,
     nested_mean_b,
     nested_mean_b_doubleprime,
     nested_mean_b_prime,
@@ -116,6 +114,11 @@ class TestFitNuisances:
             fit_nuisances(ds, WorkingModelSet(broken), CODING)
 
 
+def _ratios(fits, ds, clip=None):
+    comp = compute_components(ds, fits, clip=clip)
+    return comp.m_ratio, comp.c1_ratio
+
+
 class TestDensityRatios:
     def test_m_ratio_cancellation_when_m_terms_zero(self):
         ds = draw_dataset(200, 25)
@@ -127,7 +130,7 @@ class TestDensityRatios:
         patched = dict(fits.fits)
         patched[ROLE_PROP_M] = replace(fits[ROLE_PROP_M], coef=coef)
         fits = replace(fits, fits=patched)
-        ratio = m_ratio(fits, ds)
+        ratio, _ = _ratios(fits, ds)
         assert np.max(np.abs(ratio - 1.0)) < 1e-12
 
     def test_c1_ratio_cancellation_when_c1_terms_zero(self):
@@ -138,35 +141,34 @@ class TestDensityRatios:
         patched = dict(fits.fits)
         patched[ROLE_PROP_C1] = replace(fits[ROLE_PROP_C1], coef=coef)
         fits = replace(fits, fits=patched)
-        ratio = c1_ratio(fits, ds)
+        _, ratio = _ratios(fits, ds)
         assert np.max(np.abs(ratio - 1.0)) < 1e-12
 
     def test_m_ratio_matches_analytic_normal_ratio(self):
         ds = draw_dataset(500, 27)
-        fits = _true_fits()
-        got = m_ratio(fits, ds)
+        got, _ = _ratios(_true_fits(), ds)
         want = truth.m_ratio(ds.m, ds.c1, ds.c0)
         assert np.max(np.abs(got / want - 1.0)) < 1e-6
 
     def test_c1_ratio_matches_analytic_normal_ratio(self):
         ds = draw_dataset(500, 28)
-        fits = _true_fits()
-        got = c1_ratio(fits, ds)
+        _, got = _ratios(_true_fits(), ds)
         want = truth.c1_ratio(ds.c1, ds.c0)
         assert np.max(np.abs(got / want - 1.0)) < 1e-6
 
     def test_ratios_strictly_positive(self):
         ds = draw_dataset(300, 29)
-        fits = _true_fits()
-        assert np.all(m_ratio(fits, ds) > 0)
-        assert np.all(c1_ratio(fits, ds) > 0)
+        mr, cr = _ratios(_true_fits(), ds)
+        assert np.all(mr > 0)
+        assert np.all(cr > 0)
 
     def test_identity_mode_ratios_are_one(self):
         ds = draw_dataset(300, 30)
         rec, id_coding = recode_pair(ds, TreatmentPair(1, 1), allow_identity=True)
         fits = replace(_true_fits(), coding=id_coding)
-        assert np.all(m_ratio(fits, rec) == 1.0)
-        assert np.all(c1_ratio(fits, rec) == 1.0)
+        mr, cr = _ratios(fits, rec)
+        assert np.all(mr == 1.0)
+        assert np.all(cr == 1.0)
 
     def test_positivity_violation_reports_record(self):
         ds = draw_dataset(50, 31)
@@ -177,8 +179,8 @@ class TestDensityRatios:
         patched[ROLE_PROP_M] = replace(fits[ROLE_PROP_M], coef=coef)
         fits = replace(fits, fits=patched)
         with pytest.raises(PositivityError, match="record 0"):
-            m_ratio(fits, ds, clip=None)
-        clipped = m_ratio(fits, ds, clip=(1e-6, 1 - 1e-6))
+            _ratios(fits, ds)
+        clipped, _ = _ratios(fits, ds, clip=(1e-6, 1 - 1e-6))
         assert np.all(np.isfinite(clipped))
 
 
@@ -402,8 +404,6 @@ class TestComponents:
         comp = compute_components(ds, fits, clip=clip)
         assert comp.diagnostics["clip_counts"] == {ROLE_PROP_C1: 82, ROLE_PROP_M: 437}
         assert comp.diagnostics["clip_count"] == 519
-        assert np.array_equal(comp.m_ratio, m_ratio(fits, ds, clip=clip))
-        assert np.array_equal(comp.c1_ratio, c1_ratio(fits, ds, clip=clip))
 
     def test_missing_base_propensity_is_an_error(self):
         ds = draw_dataset(100, 61)
