@@ -229,10 +229,10 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
 # estimate command
 
 
-def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None):
+def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None):
     """(beta, delta, effect) of each (estimator, delta estimator) pair, all from
-    one fit of the working models, and the components of that fit."""
-    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway)
+    one fit of the working models, then that fit's components and the fits."""
+    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start)
     comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
     out = []
     for kind, delta_kind in pairs:
@@ -243,7 +243,7 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None):
             beta = BETA_FUNCS[kind](ds, comp, weights)
         delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
         out.append((beta, delta, combine_effect(beta, delta, cfg.scale)))
-    return out, comp
+    return out, comp, fits
 
 
 def cmd_estimate(args) -> int:
@@ -282,7 +282,7 @@ def cmd_estimate(args) -> int:
     ds, coding = recode_pair(dataset, pair, allow_identity=args.identity_check)
     threads = _threads(args)
     pairs = [(kind, args.delta or DEFAULT_DELTA_FOR[kind]) for kind in kinds]
-    estimates, comp = _estimates(ds, coding, cfg, pairs)
+    estimates, comp, fits = _estimates(ds, coding, cfg, pairs)
     diagnostics = weight_diagnostics(comp)
     results = [
         EstimateResult(
@@ -303,8 +303,9 @@ def cmd_estimate(args) -> int:
             kind=args.bootstrap, replicates=args.reps, seed=args.seed, ci_level=args.ci_level
         )
 
+        # replicates start their binomial fits from the point fit's coefficients
         def statistic(data: Dataset, weights):
-            return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights)[0]]
+            return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights, fits)[0]]
 
         point = [effect for _, _, effect in estimates]
         interval = bootstrap(ds, statistic, spec, threads=threads, point=point)

@@ -220,10 +220,10 @@ class SequentialFit:
     b_doubleprime: np.ndarray
 
 
-def _wls_on_rows(design, dataset, rows, response, w, labels_role):
-    X = build_design_matrix(dataset, design)[rows]
+def _wls_on_rows(X, design, rows, response, w, labels_role):
+    """Weighted least squares on the ``rows`` of the full design ``X``."""
     try:
-        return fit_ols(X, response[rows], w, design=design)
+        return fit_ols(X[rows], response[rows], w, design=design)
     except Exception as exc:  # re-tag with the refit stage
         raise NuisanceError(f"{labels_role}: {exc}") from exc
 
@@ -268,18 +268,24 @@ def beta_mr_sequential(
     base_rows = np.flatnonzero(ind_base > 0)
     comp_rows = np.flatnonzero(ind_comp > 0)
 
+    # Each refit's full design serves its fit and its prediction, then is
+    # dropped so that the next build does not add to peak memory.
     # Outcome model on the baseline arm, weighted by the first residual term's weight.
     out_design = working_set[ROLE_OUTCOME].design.reduce_at_e(ibase)
     w1_full = mr / p_base * w_outer
-    out_fit = _wls_on_rows(out_design, dataset, base_rows, dataset.y, w1_full[base_rows], ROLE_OUTCOME)
-    b = np.asarray(predict_mean(out_fit, build_design_matrix(dataset, out_design)))
+    X = build_design_matrix(dataset, out_design)
+    out_fit = _wls_on_rows(X, out_design, base_rows, dataset.y, w1_full[base_rows], ROLE_OUTCOME)
+    b = np.asarray(predict_mean(out_fit, X))
+    del X
     term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)
 
     # Mediator model on the comparison arm, weighted by the second term's weight.
     med_design = working_set[ROLE_MEDIATOR].design.reduce_at_e(icomp)
     w2_full = 1.0 / cr / p_comp * w_outer
-    med_fit = _wls_on_rows(med_design, dataset, comp_rows, dataset.m, w2_full[comp_rows], ROLE_MEDIATOR)
-    m_hat = np.asarray(predict_mean(med_fit, build_design_matrix(dataset, med_design)))
+    X = build_design_matrix(dataset, med_design)
+    med_fit = _wls_on_rows(X, med_design, comp_rows, dataset.m, w2_full[comp_rows], ROLE_MEDIATOR)
+    m_hat = np.asarray(predict_mean(med_fit, X))
+    del X
     b_prime = np.asarray(predict_mean(out_fit, build_design_matrix(dataset, out_design, Overrides(m=m_hat))))
     term2 = wmean(ind_comp / p_comp / cr * (b - b_prime), w_outer)
 
@@ -288,10 +294,12 @@ def beta_mr_sequential(
     c1_hat = np.empty((n, dataset.d1))
     for j in range(1, dataset.d1 + 1):
         cj_design = working_set[c1_mean_role(j)].design.reduce_at_e(ibase)
+        X = build_design_matrix(dataset, cj_design)
         cj_fit = _wls_on_rows(
-            cj_design, dataset, base_rows, dataset.c1[:, j - 1], w3_full[base_rows], c1_mean_role(j)
+            X, cj_design, base_rows, dataset.c1[:, j - 1], w3_full[base_rows], c1_mean_role(j)
         )
-        c1_hat[:, j - 1] = np.asarray(predict_mean(cj_fit, build_design_matrix(dataset, cj_design)))
+        c1_hat[:, j - 1] = np.asarray(predict_mean(cj_fit, X))
+        del X
     m_hat_cf = np.asarray(
         predict_mean(med_fit, build_design_matrix(dataset, med_design, Overrides(c1=c1_hat)))
     )

@@ -258,7 +258,8 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
         X = build_design_matrix(dataset, fit.design)
         resid = _response_for(role, dataset) - X @ fit.coef
         try:
-            sol = _fisher_step(X, np.full(n, 1.0 / n), D, fit.design.labels)
+            # (X'X/n) sol = D, solved as X'X sol = n D without a weighted copy of X
+            sol = _fisher_step(X, None, n * D, fit.design.labels)
         except GlmError as exc:
             raise InferenceError(f"{role}: {exc}") from exc
         v += resid * (X @ sol)

@@ -252,12 +252,16 @@ def fit_nuisances(
     weights: np.ndarray | None = None,
     *,
     pathway: str = "linear",
+    start: NuisanceFits | None = None,
 ) -> NuisanceFits:
     """Fit every declared working model on a pair-coded dataset.
 
     Propensity responses are the comparison-arm indicator.  In identity-check
     mode propensity roles are skipped (the arm indicator is degenerate) and
-    treatment terms are folded out of the mean-model designs.
+    treatment terms are folded out of the mean-model designs.  With
+    ``start``, fits of the same working set and coding (a bootstrap's point
+    fit), each binomial role's scoring starts from that fit's coefficients;
+    gaussian roles are closed form and need no start.
     """
     if coding is None:
         coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -278,15 +282,17 @@ def fit_nuisances(
         try:
             X = build_design_matrix(dataset, design)
             y = _response_for(role, dataset)
-            fits[role] = fit_role(X, y, spec, weights, design=design)
+            init = start[role].coef if start is not None else None
+            fits[role] = fit_role(X, y, spec, weights, design=design, start=init)
         except GlmError as exc:
             raise NuisanceError(f"{role}: {exc}") from exc
     return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1)
 
 
-def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None) -> FittedGlm:
+def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None, start=None) -> FittedGlm:
     """Fit one working model, honoring a deliberate link swap for prediction."""
-    fit = fit_glm(X, y, spec.family, weights, design=design if design is not None else spec.design)
+    fit = fit_glm(X, y, spec.family, weights, design=design if design is not None else spec.design,
+                  start=start)
     if spec.predict_family is not None and spec.predict_family is not spec.family:
         fit = replace(fit, family=spec.predict_family)
     return fit

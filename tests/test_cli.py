@@ -1,10 +1,14 @@
 import csv
 import os
+import re
 
+import numpy as np
 import pytest
+from scipy.special import expit
 
+import pathfx.cli as cli_mod
 from pathfx.cli import main
-from pathfx.core import write_csv
+from pathfx.core import dataset_from_arrays, write_csv
 from pathfx.simulation import draw_dataset
 
 
@@ -177,8 +181,6 @@ class TestEstimateCommand:
         capsys.readouterr()
 
     def test_failed_replicates_reported_on_stderr(self, study_csv, tmp_path, monkeypatch, capsys):
-        import pathfx.cli as cli_mod
-
         argv = ["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
                 "--estimator", "mle,mr", "--bootstrap", "wild_exp1", "--reps", "30",
                 "--seed", "6", "--threads", "1"]
@@ -210,6 +212,85 @@ class TestEstimateCommand:
         with open(os.path.join(out, "estimates.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["ci_lower"] for r in rows] == [line.split()[8] for line in failing.out.splitlines()[1:]]
+
+
+PROBIT_PROPENSITIES = """[models]
+prop_base = probit: 1, c0_1
+prop_c1 = probit: 1, c0_1, c1_1, c1_2, c1_3
+prop_m = probit: 1, c0_1, c1_1, c1_2, c1_3, m
+"""
+
+
+def _bootstrap_run(argv, monkeypatch, *, cold):
+    """Run ``estimate`` and return its bootstrap interval, the ``start`` each
+    ``fit_nuisances`` call received and what each call returned; ``cold``
+    drops the start so every replicate fits from zero."""
+    intervals, starts, fitted = [], [], []
+    real_bootstrap, real_fit = cli_mod.bootstrap, cli_mod.fit_nuisances
+
+    def spy_bootstrap(ds, statistic, spec, **kwargs):
+        intervals.append(real_bootstrap(ds, statistic, spec, **kwargs))
+        return intervals[-1]
+
+    def spy_fit(*args, start=None, **kwargs):
+        starts.append(start)
+        fitted.append(real_fit(*args, start=None if cold else start, **kwargs))
+        return fitted[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "bootstrap", spy_bootstrap)
+        m.setattr(cli_mod, "fit_nuisances", spy_fit)
+        assert main(argv + ["--threads", "1"]) == 0
+    return intervals[0], starts, fitted
+
+
+class TestBootstrapWarmStart:
+    @pytest.mark.parametrize("kind", ["wild_exp1", "nonparametric"])
+    @pytest.mark.parametrize("probit", [False, True], ids=["logit", "probit"])
+    def test_replicates_match_cold_starts(self, kind, probit, study_csv, tmp_path, monkeypatch, capsys):
+        argv = ["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+                "--estimator", "mle,a,b,mr", "--bootstrap", kind, "--reps", "12", "--seed", "9"]
+        if probit:
+            config = tmp_path / "probit.ini"
+            config.write_text(PROBIT_PROPENSITIES)
+            argv += ["--config", str(config)]
+        warm, starts, fitted = _bootstrap_run(argv, monkeypatch, cold=False)
+        cold, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
+        capsys.readouterr()
+        # the point fit starts from zero, every replicate from the point fit
+        assert starts[0] is None
+        assert len(starts) == 13 and all(start is fitted[0] for start in starts[1:])
+        assert warm.errors == cold.errors == []
+        # both stop within the score tolerance of one maximum; measured <= 6.1e-13
+        np.testing.assert_allclose(warm.replicate_values, cold.replicate_values, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("kind, seed", [("nonparametric", 1), ("wild_exp1", 2)])
+    def test_near_separation_fails_the_same_replicates(self, kind, seed, tmp_path, monkeypatch, capsys):
+        # an exposure nearly determined by c0_1: a few replicates separate
+        rng = np.random.default_rng(seed)
+        ds = draw_dataset(200, seed)
+        e = (rng.random(ds.n) < expit(5.0 * ds.c0[:, 0])).astype(int)
+        path = tmp_path / "steep.csv"
+        write_csv(dataset_from_arrays(ds.c0, e, ds.c1, ds.m, ds.y), path)
+        argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
+                "--estimator", "mle,mr", "--bootstrap", kind, "--reps", "40", "--seed", "3",
+                "--clip", "none"]
+        warm, _, _ = _bootstrap_run(argv, monkeypatch, cold=False)
+        cold, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
+        capsys.readouterr()
+        assert warm.errors
+
+        def kinds(errors):
+            # a separated fit stops after fewer iterations, at other score and
+            # coefficient norms, from a warm start: compare all but the numbers
+            return [(int(text.split(":")[0].split()[1]), re.sub(r"\d+(\.\d+)?(e[-+]\d+)?", "#", text))
+                    for text in errors]
+
+        assert kinds(warm.errors) == kinds(cold.errors)
+        ok = ~np.isnan(cold.replicate_values).any(axis=1)
+        # near separation the propensities are pinned down only to the score
+        # tolerance; measured <= 3.9e-10
+        np.testing.assert_allclose(warm.replicate_values[ok], cold.replicate_values[ok], rtol=1e-8, atol=0.0)
 
 
 class TestOracleCommand:

@@ -365,6 +365,150 @@ class TestFisherStep:
         assert np.max(np.abs(fit.coef - reference)) <= 1e-10 * max(1.0, np.max(np.abs(reference)))
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
+    @pytest.mark.parametrize("case", _fallback_fixtures(), ids=lambda c: c[0])
+    def test_matches_the_cold_start_or_raises_alike(self, family, case):
+        # The start plays a bootstrap point fit: a fit on Exp(1)-reweighted
+        # rows, or small random coefficients where that fit fails.
+        _, X, y, w = case
+        n, p = X.shape
+        rng = np.random.default_rng(7)
+        prior = np.ones(n) if w is None else w
+        try:
+            start = fit_glm_irls(X, y, family, rng.exponential(1.0, n) * prior).coef
+        except GlmError:
+            start = rng.normal(0.0, 0.5, p)
+        try:
+            cold = fit_glm_irls(X, y, family, w)
+        except GlmError as exc:
+            with pytest.raises(type(exc)):
+                fit_glm_irls(X, y, family, w, start=start)
+            return
+        cold_ll = glm_mod._binomial_terms(family, X @ cold.coef, y, prior)[0]
+        if cold_ll > -1e-9:
+            # Complete separation that the median-|eta| rule misses: no
+            # maximum exists, so a warm start need only end at the boundary too.
+            try:
+                warm = fit_glm_irls(X, y, family, w, start=start)
+            except NonConvergenceError:
+                return
+            assert glm_mod._binomial_terms(family, X @ warm.coef, y, prior)[0] > -1e-9
+            return
+        warm = fit_glm_irls(X, y, family, w, start=start)
+        assert warm.converged
+        # Both fits stop within the score tolerance of one maximum, so the
+        # fitted linear predictors agree closely; coefficients along a nearly
+        # collinear direction are determined only to about cond(X) times as much.
+        # Measured: <= 1.2e-10 and <= 3.6e-9 (near-collinear-2, cond 2.1e6).
+        eta = X @ cold.coef
+        assert np.max(np.abs(X @ warm.coef - eta)) <= 1e-9 * max(1.0, np.max(np.abs(eta)))
+        assert np.max(np.abs(warm.coef - cold.coef)) <= (
+            1e-9 * max(1.0, np.max(np.abs(cold.coef))) * max(1.0, np.linalg.cond(X) / 1e3)
+        )
+
+    def test_start_at_the_maximum_takes_no_step(self):
+        rng = np.random.default_rng(31)
+        n = 400
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = (rng.random(n) < expit(X @ np.array([0.3, 0.8, -0.5]))).astype(float)
+        cold = fit_glm_irls(X, y, Family.LOGIT)
+        start = cold.coef.copy()
+        warm = fit_glm_irls(X, y, Family.LOGIT, start=start)
+        assert warm.iterations == 0
+        assert np.array_equal(warm.coef, cold.coef)
+        # the fit froze its own copy, not the caller's array
+        assert start.flags.writeable and not np.shares_memory(warm.coef, start)
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0])],
+        ids=["short", "column", "nan", "inf"],
+    )
+    def test_bad_start_raises(self, start):
+        rng = np.random.default_rng(32)
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+        y = (rng.random(50) < 0.5).astype(float)
+        for family in (Family.LOGIT, Family.PROBIT):
+            with pytest.raises(GlmError, match="start must be 3 finite coefficients"):
+                fit_glm(X, y, family, start=start)
+
+    def test_read_only_start_is_copied(self):
+        rng = np.random.default_rng(33)
+        n = 300
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = (rng.random(n) < expit(X @ np.array([-0.2, 0.5, 0.4]))).astype(float)
+        start = fit_glm_irls(X, y, Family.LOGIT, rng.exponential(1.0, n)).coef
+        assert not start.flags.writeable
+        kept = start.copy()
+        fit = fit_glm_irls(X, y, Family.LOGIT, start=start)
+        assert np.array_equal(start, kept)
+        assert not np.shares_memory(fit.coef, start)
+        writable = kept.copy()
+        fit_glm_irls(X, y, Family.PROBIT, start=writable)
+        assert np.array_equal(writable, kept)
+
+    def test_gaussian_ignores_start(self):
+        rng = np.random.default_rng(34)
+        X = np.column_stack([np.ones(60), rng.standard_normal(60)])
+        y = X @ np.array([1.0, 2.0]) + rng.standard_normal(60)
+        fit = fit_glm(X, y, Family.GAUSSIAN, start=np.array([5.0, 5.0]))
+        assert np.array_equal(fit.coef, fit_ols(X, y).coef)
+
+
+class TestSeparationRule:
+    @staticmethod
+    def _median_rule(eta):
+        return bool(np.median(np.abs(eta)) > 20.0)
+
+    def test_matches_the_median_on_random_arrays(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            eta = rng.normal(rng.uniform(-30.0, 30.0), rng.uniform(0.0, 15.0), n)
+            assert glm_mod._separated(eta) == self._median_rule(eta)
+
+    @pytest.mark.parametrize("half", [1, 2, 5, 50])
+    def test_matches_the_median_when_exactly_half_exceed(self, half):
+        # n = 2 * half and exactly half of the |eta| above 20: the median is
+        # the mean of the two middle values and can land on either side
+        for low, high in ((19.9, 20.05), (19.99, 21.0), (20.0, 20.5), (0.0, 40.0), (0.0, 39.0),
+                          (19.5, 20.5), (-20.0, -20.0 - 1e-12)):
+            eta = np.array([low] * half + [high] * half)
+            for signs in (np.ones(2 * half), np.resize([1.0, -1.0], 2 * half)):
+                assert glm_mod._separated(eta * signs) == self._median_rule(eta * signs)
+
+    def test_ordinary_fit_takes_no_median(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        n = 500
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = (rng.random(n) < expit(X @ np.array([0.1, 1.0, -1.0]))).astype(float)
+
+        def no_median(*args, **kwargs):
+            raise AssertionError("fewer than half the rows exceed 20; the count settles it")
+
+        monkeypatch.setattr(glm_mod.np, "median", no_median)
+        assert fit_glm_irls(X, y, Family.LOGIT).converged
+
+
+class TestLogitTerms:
+    def test_match_the_logaddexp_and_expit_forms(self):
+        rng = np.random.default_rng(42)
+        for scale in (0.1, 1.0, 3.0, 10.0, 40.0, 300.0):
+            n = 2000
+            eta = scale * rng.standard_normal(n)
+            eta[:4] = [0.0, -745.0, 745.0, 1e-300]
+            y = (rng.random(n) < expit(0.5 * eta)).astype(float)
+            w = rng.exponential(1.0, n)
+            ll, s, fisher = glm_mod._binomial_terms(Family.LOGIT, eta, y, w)
+            mu = expit(eta)
+            assert np.array_equal(s, y - mu)
+            assert np.array_equal(fisher, mu * (1.0 - mu))
+            reference = np.sum(w * (y * eta - np.logaddexp(0.0, eta)))
+            # measured <= 2.5e-16
+            assert abs(ll - reference) <= 1e-15 * abs(reference)
+
+
 class TestPredict:
     def test_gaussian(self):
         fit = fit_ols(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.array([1.0, 3.0, 5.0]))

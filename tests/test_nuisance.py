@@ -87,6 +87,20 @@ class TestFitNuisances:
         for role in models.working_set.roles():
             assert np.max(np.abs(a[role].coef - b[role].coef)) < 1e-12, role
 
+    @pytest.mark.parametrize("regime", ["int", "c"])
+    def test_start_from_own_fit_takes_no_step(self, regime):
+        # regime c predicts prop_base through a swapped link; its start is
+        # still the logistic coefficients it was fitted with
+        ds = draw_dataset(600, 23)
+        models = working_models_for(regime, include_marginal=True)
+        fits = fit_nuisances(ds, models.working_set, CODING)
+        again = fit_nuisances(ds, models.working_set, CODING, start=fits)
+        for role in models.working_set.roles():
+            assert again[role].family is fits[role].family, role
+            assert np.array_equal(again[role].coef, fits[role].coef), role
+            if models.working_set[role].family.is_binomial:
+                assert fits[role].iterations > 0 and again[role].iterations == 0, role
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_names_role(self, bad):
         ds = draw_dataset(300, 1)
