@@ -229,10 +229,15 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
 # estimate command
 
 
-def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None):
+def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None, frequency_weights=False):
     """(beta, delta, effect) of each (estimator, delta estimator) pair, all from
-    one fit of the working models, then that fit's components and the fits."""
-    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start)
+    one fit of the working models, then that fit's components and the fits.
+
+    ``(B, n)`` weights evaluate a batch of bootstrap replicates: every value
+    then has one entry per replicate, NaN where that replicate failed.
+    """
+    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start,
+                         frequency_weights=frequency_weights)
     comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
     out = []
     for kind, delta_kind in pairs:
@@ -307,8 +312,13 @@ def cmd_estimate(args) -> int:
         def statistic(data: Dataset, weights):
             return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights, fits)[0]]
 
+        def batch(weights):
+            out = _estimates(ds, coding, cfg, pairs, weights, fits,
+                             frequency_weights=spec.kind == "nonparametric")[0]
+            return [effect for _, _, effect in out]
+
         point = [effect for _, _, effect in estimates]
-        interval = bootstrap(ds, statistic, spec, threads=threads, point=point)
+        interval = bootstrap(ds, statistic, spec, threads=threads, point=point, batch=batch)
         if interval.errors:
             print(
                 f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "
@@ -472,6 +482,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

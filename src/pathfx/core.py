@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,16 +36,22 @@ class DataError(ValueError):
     """Raised for malformed rows, files, or unresolvable column references."""
 
 
-def wmean(values: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Weighted empirical mean, normalized by the weight total."""
+def wmean(values: np.ndarray, weights: np.ndarray | None = None) -> float | np.ndarray:
+    """Weighted empirical mean, normalized by the weight total.
+
+    Values or weights with a leading replicate axis ``(B, n)`` give one mean
+    per replicate, each summed along its own row.
+    """
     values = np.asarray(values, dtype=float)
     if weights is None:
-        return float(values.mean())
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0:
-        raise DataError("weights must have a positive sum")
-    return float((weights * values).sum() / total)
+        out = values.mean(axis=-1)
+    else:
+        weights = np.asarray(weights, dtype=float)
+        total = weights.sum(axis=-1)
+        if (total <= 0).any():
+            raise DataError("weights must have a positive sum")
+        out = (weights * values).sum(axis=-1) / total
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +294,8 @@ class DesignSpec:
     """Ordered list of terms defining a regression design matrix."""
 
     terms: tuple[Term, ...]
+    # what ``refs``, ``reduce_at_e`` and ``slopes`` derive, computed once per design
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -312,10 +320,9 @@ class DesignSpec:
         return len(self.terms)
 
     def refs(self) -> frozenset[str]:
-        out: set[str] = set()
-        for term in self.terms:
-            out.update(term.refs)
-        return frozenset(out)
+        if "refs" not in self._derived:
+            self._derived["refs"] = frozenset(ref for term in self.terms for ref in term.refs)
+        return self._derived["refs"]
 
     def validate_dims(self, d0: int, d1: int) -> None:
         for ref in sorted(self.refs()):
@@ -323,6 +330,32 @@ class DesignSpec:
                 raise DataError(f"column reference {ref} exceeds c0 dimension {d0}")
             if ref.startswith("c1_") and int(ref[3:]) > d1:
                 raise DataError(f"column reference {ref} exceeds c1 dimension {d1}")
+
+    def slopes(self, refs: tuple[str, ...], e: float | None = None) -> np.ndarray:
+        """Each column's derivative in each of ``refs`` with treatment held at
+        ``e``, one row per ref (computed once per design, read-only).
+
+        Exact for designs in which a ref enters only as a covariate or in a
+        product with treatment, the linear pathway's rule: a prediction at
+        ``ref = v`` is then the prediction at ``ref = 0`` plus ``v`` times
+        that ref's row against the coefficients.
+        """
+        key = ("slopes", refs, e)
+        if key not in self._derived:
+            out = np.zeros((len(refs), len(self.terms)))
+            for r, ref in enumerate(refs):
+                for k, term in enumerate(self.terms):
+                    if ref not in term.refs:
+                        continue
+                    if term.kind == "covariate":
+                        out[r, k] = 1.0
+                    elif term.kind == "product" and "e" in term.refs and e is not None:
+                        out[r, k] = e
+                    else:
+                        raise DataError(f"term {term.label!r} is not linear in {ref} at a fixed treatment")
+            out.setflags(write=False)
+            self._derived[key] = out
+        return self._derived[key]
 
     def has_intercept(self) -> bool:
         return any(t.kind == "intercept" for t in self.terms)
@@ -334,6 +367,12 @@ class DesignSpec:
         vanishing and duplicated columns are dropped so the reduced matrix
         stays full rank on the arm.
         """
+        key = ("reduce_at_e", e_value)
+        if key not in self._derived:
+            self._derived[key] = self._reduce_at_e(e_value)
+        return self._derived[key]
+
+    def _reduce_at_e(self, e_value: int) -> "DesignSpec":
         reduced: list[Term] = []
         seen: set[tuple] = set()
 

@@ -6,6 +6,8 @@ the mediator and post-treatment density ratios, and a multiply-robust
 estimator built from the efficient influence function.  A sequentially
 reweighted variant zeroes the influence-function residual terms by
 construction.  Three companion estimators target the all-baseline mean.
+Given ``(B, n)`` replicate weights and the matching batch components, every
+estimator returns one value per replicate.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Overrides, PairCoding, TreatmentPair, build_design_matrix, wmean
-from .glm import fit_ols, predict_mean
+from .core import Dataset, PairCoding, TreatmentPair, build_design_matrix, wmean
+from .glm import Family, fit_glm, predict_mean
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -25,6 +27,8 @@ from .nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
+    _shifted,
+    _slopes,
     compute_components,
     fit_nuisances,
 )
@@ -156,16 +160,24 @@ DELTA_FUNCS = {"gformula": delta_gformula, "ipw": delta_ipw, "aipw": delta_aipw}
 # effect scales
 
 
-def combine_effect(beta_hat: float, delta_hat: float, scale: str) -> float:
-    """Contrast the two means on the requested scale."""
+def combine_effect(beta_hat, delta_hat, scale: str):
+    """Contrast the two means on the requested scale.
+
+    Per-replicate arrays of means give per-replicate effects; a replicate
+    whose log risk ratio is undefined is NaN rather than an error.
+    """
     if scale == "mean_difference":
         return beta_hat - delta_hat
     if scale == "log_risk_ratio":
-        if beta_hat <= 0.0 or delta_hat <= 0.0:
-            raise EstimationError(
-                f"log risk ratio needs positive means, got beta={beta_hat:.6g}, delta={delta_hat:.6g}"
-            )
-        return float(np.log(beta_hat) - np.log(delta_hat))
+        undefined = (np.asarray(beta_hat) <= 0.0) | (np.asarray(delta_hat) <= 0.0)
+        if np.ndim(undefined) == 0:
+            if undefined:
+                raise EstimationError(
+                    f"log risk ratio needs positive means, got beta={beta_hat:.6g}, delta={delta_hat:.6g}"
+                )
+            return float(np.log(beta_hat) - np.log(delta_hat))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(undefined, np.nan, np.log(beta_hat) - np.log(delta_hat))
     raise EstimationError(f"unknown effect scale {scale!r}")
 
 
@@ -221,9 +233,10 @@ class SequentialFit:
 
 
 def _wls_on_rows(X, design, rows, response, w, labels_role):
-    """Weighted least squares on the ``rows`` of the full design ``X``."""
+    """Weighted least squares on the ``rows`` of the full design ``X``; one
+    fit per replicate for ``(B, len(rows))`` weights."""
     try:
-        return fit_ols(X[rows], response[rows], w, design=design)
+        return fit_glm(X[rows], response[rows], Family.GAUSSIAN, w, design=design)
     except Exception as exc:  # re-tag with the refit stage
         raise NuisanceError(f"{labels_role}: {exc}") from exc
 
@@ -248,7 +261,9 @@ def beta_mr_sequential(
     Each mean model is then refitted on its arm with the weight its residual
     term carries, which makes that term a weighted-least-squares
     orthogonality condition equal to zero.  What remains is the empirical
-    mean of the fully nested prediction.
+    mean of the fully nested prediction.  ``(B, n)`` weights (with batch
+    components) refit every replicate at once, and the value, the terms and
+    b'' gain a leading replicate axis; a replicate whose refit fails is NaN.
     """
     working_set.validate(dataset.d0, dataset.d1, "linear")
     for role in (ROLE_OUTCOME, ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, dataset.d1 + 1)]):
@@ -258,58 +273,59 @@ def beta_mr_sequential(
         fits = fit_nuisances(dataset, working_set, coding, weights)
         comp = compute_components(dataset, fits, stabilize=stabilize, clip=clip, weights=weights)
 
-    n = dataset.n
-    w_outer = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w_outer = np.ones(dataset.n) if weights is None else np.asarray(weights, dtype=float)
     icomp, ibase = coding.comparison_internal, coding.baseline_internal
     ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
     p_base, p_comp = comp.p_baseline, comp.p_comparison
     mr, cr = comp.m_ratio, comp.c1_ratio
+    refs = [f"c1_{j}" for j in range(1, dataset.d1 + 1)]
+    data = {"m": dataset.m, **{ref: dataset.c1[:, j] for j, ref in enumerate(refs)}}
 
     base_rows = np.flatnonzero(ind_base > 0)
     comp_rows = np.flatnonzero(ind_comp > 0)
 
-    # Each refit's full design serves its fit and its prediction, then is
-    # dropped so that the next build does not add to peak memory.
+    # Each refit's full design serves its fit and its prediction at the data,
+    # then is dropped so that the next build does not add to peak memory.
+    # The refitted mean models are linear in the mediator and the
+    # covariates, so their nested predictions are the predictions at the
+    # data plus slopes times shifts.
     # Outcome model on the baseline arm, weighted by the first residual term's weight.
     out_design = working_set[ROLE_OUTCOME].design.reduce_at_e(ibase)
     w1_full = mr / p_base * w_outer
     X = build_design_matrix(dataset, out_design)
-    out_fit = _wls_on_rows(X, out_design, base_rows, dataset.y, w1_full[base_rows], ROLE_OUTCOME)
+    out_fit = _wls_on_rows(X, out_design, base_rows, dataset.y, w1_full[..., base_rows], ROLE_OUTCOME)
     b = np.asarray(predict_mean(out_fit, X))
     del X
+    out_s = _slopes(out_fit, None, ["m", *refs])
     term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)
 
     # Mediator model on the comparison arm, weighted by the second term's weight.
     med_design = working_set[ROLE_MEDIATOR].design.reduce_at_e(icomp)
     w2_full = 1.0 / cr / p_comp * w_outer
     X = build_design_matrix(dataset, med_design)
-    med_fit = _wls_on_rows(X, med_design, comp_rows, dataset.m, w2_full[comp_rows], ROLE_MEDIATOR)
+    med_fit = _wls_on_rows(X, med_design, comp_rows, dataset.m, w2_full[..., comp_rows], ROLE_MEDIATOR)
     m_hat = np.asarray(predict_mean(med_fit, X))
     del X
-    b_prime = np.asarray(predict_mean(out_fit, build_design_matrix(dataset, out_design, Overrides(m=m_hat))))
+    b_prime = _shifted(b, out_s, {"m": m_hat}, data)
     term2 = wmean(ind_comp / p_comp / cr * (b - b_prime), w_outer)
 
     # Post-treatment component models on the baseline arm, third term's weight.
     w3_full = 1.0 / p_base * w_outer
-    c1_hat = np.empty((n, dataset.d1))
-    for j in range(1, dataset.d1 + 1):
+    c1_hat = {}
+    for j, ref in enumerate(refs, start=1):
         cj_design = working_set[c1_mean_role(j)].design.reduce_at_e(ibase)
         X = build_design_matrix(dataset, cj_design)
         cj_fit = _wls_on_rows(
-            X, cj_design, base_rows, dataset.c1[:, j - 1], w3_full[base_rows], c1_mean_role(j)
+            X, cj_design, base_rows, dataset.c1[:, j - 1], w3_full[..., base_rows], c1_mean_role(j)
         )
-        c1_hat[:, j - 1] = np.asarray(predict_mean(cj_fit, X))
+        c1_hat[ref] = np.asarray(predict_mean(cj_fit, X))
         del X
-    m_hat_cf = np.asarray(
-        predict_mean(med_fit, build_design_matrix(dataset, med_design, Overrides(c1=c1_hat)))
-    )
-    b_dd = np.asarray(
-        predict_mean(out_fit, build_design_matrix(dataset, out_design, Overrides(m=m_hat_cf, c1=c1_hat)))
-    )
+    m_hat_cf = _shifted(m_hat, _slopes(med_fit, None, refs), c1_hat, data)
+    b_dd = _shifted(b, out_s, {"m": m_hat_cf, **c1_hat}, data)
     term3 = wmean(ind_base / p_base * (b_prime - b_dd), w_outer)
 
     return SequentialFit(
         value=wmean(b_dd, w_outer),
-        term_values=(float(term1), float(term2), float(term3)),
+        term_values=(term1, term2, term3),
         b_doubleprime=b_dd,
     )

@@ -22,6 +22,7 @@ from .nuisance import (
     ROLE_OUTCOME,
     NuisanceFits,
     c1_mean_role,
+    _linear_nested,
     _response_for,
 )
 
@@ -88,6 +89,14 @@ def _draw_wild_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.exponential(1.0, n)
 
 
+# Replicate weights per batch chunk (replicates x rows): a chunk holds
+# CHUNK_ELEMENTS // n replicates (at least one), so each (B, n) array a batch
+# keeps live stays within 128 KB whatever the replicate count, for n up to
+# 2**14.  A batch holds about a dozen such arrays at its peak, and all of it
+# adds to the process's peak memory.
+CHUNK_ELEMENTS = 2**14
+
+
 def bootstrap(
     dataset: Dataset,
     statistic: Callable[[Dataset, np.ndarray | None], float | np.ndarray],
@@ -95,6 +104,7 @@ def bootstrap(
     *,
     threads: int = 1,
     point: float | list[float] | np.ndarray | None = None,
+    batch: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> IntervalEstimate:
     """Percentile bootstrap of ``statistic(dataset, weights)``.
 
@@ -107,19 +117,33 @@ def bootstrap(
     up to 10% and reported in ``errors``, one message per failed replicate
     in replicate order.  A caller already holding ``statistic(dataset,
     None)`` passes it as ``point`` to spare that evaluation.
+
+    ``batch(W)``, when given, evaluates the same statistic for a chunk of
+    replicates at once from their ``(B, n)`` weight matrix ``W`` on the
+    original rows: it returns what ``statistic`` returns with every scalar
+    replaced by the ``(B,)`` array of replicate values.  Wild rows are
+    the Exp(1) draws; nonparametric rows are frequency weights, the
+    ``bincount`` of the resampled indices.  Chunks hold a fixed
+    ``CHUNK_ELEMENTS // n`` replicates.  A chunk whose batch raises, and
+    every replicate whose batch value is not finite, is evaluated again by
+    ``statistic`` one replicate at a time, so failures and their messages
+    are the per-replicate ones.
     """
     n = dataset.n
     if point is None:
         point = statistic(dataset, None)
     point = np.asarray(point, dtype=float)
 
-    def one(r: int) -> np.ndarray:
+    def draw(r: int) -> np.ndarray:
         rng = derived_rng(spec.seed, r)
         if spec.kind == "nonparametric":
-            idx = rng.integers(0, n, size=n)
-            return statistic(dataset.take(idx), None)
-        w = _draw_wild_weights(rng, n)
-        return statistic(dataset, w)
+            return rng.integers(0, n, size=n)
+        return _draw_wild_weights(rng, n)
+
+    def one(r: int) -> np.ndarray:
+        if spec.kind == "nonparametric":
+            return statistic(dataset.take(draw(r)), None)
+        return statistic(dataset, draw(r))
 
     values = np.full((spec.replicates,) + point.shape, np.nan)
     raised: dict[int, str] = {}
@@ -130,12 +154,33 @@ def bootstrap(
         except Exception as exc:  # noqa: BLE001 - replicate failures are data
             raised[r] = str(exc)
 
+    def run_chunk(lo: int):
+        hi = min(lo + size, spec.replicates)
+        W = np.empty((hi - lo, n))
+        for r in range(lo, hi):
+            x = draw(r)
+            W[r - lo] = np.bincount(x, minlength=n) if spec.kind == "nonparametric" else x
+        try:
+            values[lo:hi] = np.moveaxis(np.asarray(batch(W), dtype=float), -1, 0)
+        except Exception:  # noqa: BLE001 - the replicates below say what failed
+            pass
+        del W
+        redo = ~np.isfinite(values[lo:hi].reshape(hi - lo, -1)).all(axis=1)
+        for r in lo + np.flatnonzero(redo):
+            values[r] = np.nan
+            run(int(r))
+
+    if batch is None:
+        size, task, tasks = 1, run, range(spec.replicates)
+    else:
+        size = max(1, CHUNK_ELEMENTS // n)
+        task, tasks = run_chunk, range(0, spec.replicates, size)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(spec.replicates)))
+            list(pool.map(task, tasks))
     else:
-        for r in range(spec.replicates):
-            run(r)
+        for t in tasks:
+            task(t)
 
     failed = np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)
     errors = [f"replicate {r}: {raised.get(r, 'NaN value')}" for r in np.flatnonzero(failed)]
@@ -175,49 +220,37 @@ def _nested_mean_and_gradient(dataset: Dataset, fits: NuisanceFits) -> tuple[np.
 
     On the linear pathway ``b'' = X_out(e=base, m=m_hat, c1=c_hat) beta_out``
     with ``m_hat = X_med(e=comp, c1=c_hat) beta_med`` and ``c_hat_j =
-    X_c1j(e=base) gamma_j`` (the floating-point steps of
-    ``nested_mean_b_doubleprime``).  By the chain rule, per record:
+    X_c1j(e=base) gamma_j`` (``nuisance._linear_nested`` evaluates these
+    from designs at zero plus slopes).  By the chain rule, per record:
 
     - outcome block: ``X_out(e=base, m=m_hat, c1=c_hat)``;
     - mediator block: ``db/dm * X_med(e=comp, c1=c_hat)``;
     - c1_j block: ``(db/dc1_j + db/dm * dm_hat/dc1_j) * X_c1j(e=base)``.
 
-    The validated designs are linear in m and in every c1_j, so each partial
-    derivative is exactly the change of a prediction under a unit offset,
-    e.g. ``db/dm = X_out(m=m_hat+1) beta_out - b''``.  Blocks come back in
-    ``_nested_model_roles`` order.  Each design is dropped once used, except
-    the mediator's, which waits for ``db/dm``.
+    The validated designs are linear in m and in every c1_j, and treatment
+    is held fixed, so each partial derivative is a constant: the model's
+    slope in that variable.  Blocks come back in ``_nested_model_roles``
+    order.
     """
     coding = fits.coding
     outcome, mediator = fits[ROLE_OUTCOME], fits[ROLE_MEDIATOR]
-    c1_fits = [fits[c1_mean_role(j)] for j in range(1, fits.d1 + 1)]
-    n = dataset.n
+    _, _, g, c_hat, m_hat, out_s, med_s = _linear_nested(fits, dataset)
+    c_cols = np.column_stack(list(c_hat.values()))
 
-    def x_c1(fit):
-        return build_design_matrix(dataset, fit.design, Overrides(e=coding.baseline_internal))
+    def slope(slopes, ref):
+        return float(slopes[ref][0]) if ref in slopes else 0.0
 
-    def x_med(c1):
-        return build_design_matrix(dataset, mediator.design, Overrides(e=coding.comparison_internal, c1=c1))
-
-    def x_out(m, c1):
-        return build_design_matrix(dataset, outcome.design, Overrides(e=coding.baseline_internal, m=m, c1=c1))
-
-    c_hat = np.column_stack([x_c1(fit) @ fit.coef for fit in c1_fits])
-    X_med = x_med(c_hat)
-    m_hat = X_med @ mediator.coef
-    X_out = x_out(m_hat, c_hat)
-    g = X_out @ outcome.coef
+    db_dm = slope(out_s, "m")
+    X_out = build_design_matrix(dataset, outcome.design, Overrides(e=coding.baseline_internal, m=m_hat, c1=c_cols))
     grads = [X_out.mean(axis=0)]
     del X_out
-    db_dm = x_out(m_hat + 1.0, c_hat) @ outcome.coef - g
-    grads.append(X_med.T @ db_dm / n)
+    X_med = build_design_matrix(dataset, mediator.design, Overrides(e=coding.comparison_internal, c1=c_cols))
+    grads.append(db_dm * X_med.mean(axis=0))
     del X_med
-    for j, fit in enumerate(c1_fits):
-        c_up = c_hat.copy()
-        c_up[:, j] += 1.0
-        db_dc = x_out(m_hat, c_up) @ outcome.coef - g
-        dm_dc = x_med(c_up) @ mediator.coef - m_hat
-        grads.append(x_c1(fit).T @ (db_dc + db_dm * dm_dc) / n)
+    for j, ref in enumerate(c_hat, start=1):
+        fit = fits[c1_mean_role(j)]
+        X_c1 = build_design_matrix(dataset, fit.design, Overrides(e=coding.baseline_internal))
+        grads.append((slope(out_s, ref) + db_dm * slope(med_s, ref)) * X_c1.mean(axis=0))
     return g, grads
 
 

@@ -17,12 +17,10 @@ independent given treatment and baseline covariates.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import (
     Dataset,
@@ -253,6 +251,7 @@ def fit_nuisances(
     *,
     pathway: str = "linear",
     start: NuisanceFits | None = None,
+    frequency_weights: bool = False,
 ) -> NuisanceFits:
     """Fit every declared working model on a pair-coded dataset.
 
@@ -262,6 +261,11 @@ def fit_nuisances(
     ``start``, fits of the same working set and coding (a bootstrap's point
     fit), each binomial role's scoring starts from that fit's coefficients;
     gaussian roles are closed form and need no start.
+
+    ``(B, n)`` weights fit a batch of replicates: each design is built once
+    and every role is fitted for all B weight rows (see ``glm.fit_glm``); a
+    replicate whose fit fails has NaN coefficients rather than raising.
+    ``frequency_weights`` declares the weights to be row counts.
     """
     if coding is None:
         coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -283,16 +287,18 @@ def fit_nuisances(
             X = build_design_matrix(dataset, design)
             y = _response_for(role, dataset)
             init = start[role].coef if start is not None else None
-            fits[role] = fit_role(X, y, spec, weights, design=design, start=init)
+            fits[role] = fit_role(X, y, spec, weights, design=design, start=init,
+                                  frequency_weights=frequency_weights)
         except GlmError as exc:
             raise NuisanceError(f"{role}: {exc}") from exc
     return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1)
 
 
-def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None, start=None) -> FittedGlm:
+def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None, start=None,
+             frequency_weights: bool = False) -> FittedGlm:
     """Fit one working model, honoring a deliberate link swap for prediction."""
     fit = fit_glm(X, y, spec.family, weights, design=design if design is not None else spec.design,
-                  start=start)
+                  start=start, frequency_weights=frequency_weights)
     if spec.predict_family is not None and spec.predict_family is not spec.family:
         fit = replace(fit, family=spec.predict_family)
     return fit
@@ -306,16 +312,32 @@ def _prob_of_level(p_comparison: np.ndarray, level: int) -> np.ndarray:
     return p_comparison if level == 1 else 1.0 - p_comparison
 
 
-def _clip_probs(p: np.ndarray, clip: tuple[float, float] | None, role: str) -> tuple[np.ndarray, int]:
+def _clip_probs(p: np.ndarray, clip: tuple[float, float] | None, role: str, weights=None):
+    """Clipped probabilities and the clip count (one per replicate for a batch).
+
+    Without clipping a degenerate probability raises ``PositivityError``; in
+    a batch it voids (sets to NaN) the replicates that weight its record.
+    """
     if clip is None:
-        bad = np.flatnonzero((p <= 0.0) | (p >= 1.0))
+        bad = (p <= 0.0) | (p >= 1.0)
+        if p.ndim == 2:
+            if weights is not None:
+                bad &= np.asarray(weights) > 0
+            return np.where(bad.any(axis=1)[:, None], np.nan, p), np.zeros(p.shape[0], dtype=int)
+        bad = np.flatnonzero(bad)
         if bad.size:
             i = int(bad[0])
             raise PositivityError(role, i, float(p[i]))
         return p, 0
     lo, hi = clip
-    n_clipped = int(np.count_nonzero((p < lo) | (p > hi)))
+    outside = (p < lo) | (p > hi)
+    n_clipped = np.count_nonzero(outside, axis=1) if p.ndim == 2 else int(np.count_nonzero(outside))
     return np.clip(p, lo, hi), n_clipped
+
+
+def _item(a):
+    """A Python scalar for one replicate's reduction; the array for a batch."""
+    return a.item() if np.ndim(a) == 0 else a
 
 
 def stabilize_probabilities(
@@ -329,20 +351,28 @@ def stabilize_probabilities(
     ``ind_level`` the indicator of that level.  The shifted probabilities
     satisfy ``mean(ind_level * (1 - p') / p') == 1 - mean(ind_level)``, an
     algebraic identity of the shift; as a consequence the weights
-    ``ind_level / p'`` average to exactly 1.
+    ``ind_level / p'`` average to exactly 1.  With a leading replicate axis
+    (on ``p_level`` or ``weights``) each replicate gets its own shift, and a
+    replicate that one array would reject is voided (NaN) instead.
     """
     p_level = np.asarray(p_level, dtype=float)
     ind_level = np.asarray(ind_level, dtype=float)
-    if np.any((p_level <= 0.0) | (p_level >= 1.0)):
-        raise NuisanceError("stabilization requires probabilities strictly inside (0, 1)")
+    outside = np.any((p_level <= 0.0) | (p_level >= 1.0), axis=-1)
     share = wmean(ind_level, weights)
-    if share <= 0.0 or share >= 1.0:
-        raise NuisanceError(
-            f"stabilization is degenerate: the designated level has empirical share {share}"
-        )
-    odds_sum = wmean(ind_level * (1.0 - p_level) / p_level, weights)
-    shift = -math.log(1.0 - share) + math.log(odds_sum)
-    return expit(logit(p_level) + shift)
+    degenerate = (share <= 0.0) | (share >= 1.0)
+    if p_level.ndim == 1 and np.ndim(share) == 0:
+        if outside:
+            raise NuisanceError("stabilization requires probabilities strictly inside (0, 1)")
+        if degenerate:
+            raise NuisanceError(
+                f"stabilization is degenerate: the designated level has empirical share {share}"
+            )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds_sum = wmean(ind_level * (1.0 - p_level) / p_level, weights)
+        # the shift multiplies every odds by k = odds_sum / (1 - share)
+        k = np.where(outside | degenerate, np.nan, odds_sum / (1.0 - share))[..., None]
+        pk = p_level * k
+        return pk / (1.0 - p_level + pk)
 
 
 @dataclass(frozen=True)
@@ -374,6 +404,7 @@ def _propensity_probs(
     roles: Iterable[str],
     clip: tuple[float, float] | None,
     clip_counts: dict,
+    weights: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Clipped comparison-level probabilities of each named propensity model.
 
@@ -383,8 +414,8 @@ def _propensity_probs(
     for role in dict.fromkeys(roles):
         fit = fits[role]
         p = np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design)), dtype=float)
-        probs[role], n_clipped = _clip_probs(p, clip, role)
-        if n_clipped:
+        probs[role], n_clipped = _clip_probs(p, clip, role, weights)
+        if np.count_nonzero(n_clipped):
             clip_counts[role] = n_clipped
     return probs
 
@@ -433,51 +464,116 @@ def _predict(fit: FittedGlm, dataset: Dataset, overrides: Overrides) -> np.ndarr
     return np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design, overrides)))
 
 
-def nested_mean_b(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
-    """Outcome regression evaluated at the record with treatment set to baseline."""
-    e_base = fits.coding.baseline_internal
-    return _predict(fits[ROLE_OUTCOME], dataset, Overrides(e=e_base))
+def _slopes(fit: FittedGlm, e: int | None, refs: list[str]) -> dict[str, np.ndarray]:
+    """A gaussian mean model's slope in each of ``refs`` it is linear in, with
+    treatment held at ``e``; a batch fit has one slope per replicate, on a
+    trailing axis that broadcasts against the records."""
+    D = fit.design.slopes(tuple(refs), e)
+    S = np.sum(fit.coef[..., None, :] * D, axis=-1)
+    return {ref: S[..., k, None] for k, ref in enumerate(refs) if D[k].any()}
+
+
+def _shifted(at_data: np.ndarray, slopes: Mapping[str, np.ndarray], values: Mapping[str, np.ndarray],
+             data: Mapping[str, np.ndarray]) -> np.ndarray:
+    """A linear model's prediction with each ref moved from ``data`` to
+    ``values``: its prediction at the data plus slope times shift.
+
+    One design at the data then serves any values, which is how a batch of
+    replicates, each with its own per-record mediator and covariate means,
+    is evaluated without a design per replicate.
+    """
+    out = at_data
+    for ref, slope in slopes.items():
+        if ref in values:
+            step = values[ref] - data[ref]
+            step *= slope
+            if out is at_data:
+                step += at_data
+                out = step
+            else:
+                out += step
+    return out
+
+
+def _linear_nested(fits: NuisanceFits, dataset: Dataset):
+    """The linear pathway's nested means b, b', b'' and what they are made of.
+
+    Returns ``(b, b_prime, b_doubleprime, c_hat, m_hat, out_slopes,
+    med_slopes)``: ``c_hat`` maps each ``c1_j`` to its baseline-arm mean,
+    ``m_hat`` is the comparison-arm mediator mean at ``c_hat``, and the
+    slopes are the outcome's in ``m`` and each ``c1_j`` (at baseline
+    treatment) and the mediator's in each ``c1_j`` (at comparison
+    treatment).  The working models are linear in the mediator and the
+    post-treatment covariates (the linear pathway's rule), so every nested
+    mean is a prediction at the data plus slopes times shifts: 2 + d1 design
+    builds for all three.
+    """
+    coding = fits.coding
+    outcome, mediator = fits[ROLE_OUTCOME], fits[ROLE_MEDIATOR]
+    refs = [f"c1_{j}" for j in range(1, fits.d1 + 1)]
+    data = {"m": dataset.m, **{ref: dataset.c1[:, j] for j, ref in enumerate(refs)}}
+    out_s = _slopes(outcome, coding.baseline_internal, ["m", *refs])
+    med_s = _slopes(mediator, coding.comparison_internal, refs)
+    b = _predict(outcome, dataset, Overrides(e=coding.baseline_internal))
+    m_data = _predict(mediator, dataset, Overrides(e=coding.comparison_internal))
+    b_prime = _shifted(b, out_s, {"m": m_data}, data)
+    c_hat = {
+        ref: _predict(fits[c1_mean_role(j)], dataset, Overrides(e=coding.baseline_internal))
+        for j, ref in enumerate(refs, start=1)
+    }
+    m_hat = _shifted(m_data, med_s, c_hat, data)
+    del m_data
+    b_dd = _shifted(b, out_s, {"m": m_hat, **c_hat}, data)
+    return b, b_prime, b_dd, c_hat, m_hat, out_s, med_s
 
 
 def _mediator_mixture(fits: NuisanceFits, dataset: Dataset, c1_override) -> np.ndarray:
-    """Mediator-averaged outcome regression at a (possibly overridden) C1."""
+    """Discrete pathway: the outcome regression averaged over the binary
+    mediator's comparison-arm law, at a (possibly overridden) C1."""
     coding = fits.coding
     outcome = fits[ROLE_OUTCOME]
-    mediator = fits[ROLE_MEDIATOR]
-    if fits.pathway == "linear":
-        m_hat = _predict(mediator, dataset, Overrides(e=coding.comparison_internal, c1=c1_override))
-        return _predict(outcome, dataset, Overrides(e=coding.baseline_internal, m=m_hat, c1=c1_override))
-    p_m1 = _predict(mediator, dataset, Overrides(e=coding.comparison_internal, c1=c1_override))
+    p_m1 = _predict(fits[ROLE_MEDIATOR], dataset, Overrides(e=coding.comparison_internal, c1=c1_override))
     b_at = lambda mv: _predict(
         outcome, dataset, Overrides(e=coding.baseline_internal, m=mv, c1=c1_override)
     )
     return b_at(0.0) * (1.0 - p_m1) + b_at(1.0) * p_m1
 
 
-def nested_mean_b_prime(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
-    """Outcome regression averaged over the mediator's comparison-arm law."""
-    return _mediator_mixture(fits, dataset, None)
-
-
-def _c1_means(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
-    cols = [
-        _predict(fits[c1_mean_role(j)], dataset, Overrides(e=fits.coding.baseline_internal))
+def _nested_means(fits: NuisanceFits, dataset: Dataset):
+    """(b, b', b'') on either pathway; arrays gain a leading replicate axis
+    when the fits are a batch."""
+    if fits.pathway == "linear":
+        return _linear_nested(fits, dataset)[:3]
+    coding = fits.coding
+    b = _predict(fits[ROLE_OUTCOME], dataset, Overrides(e=coding.baseline_internal))
+    b_prime = _mediator_mixture(fits, dataset, None)
+    # per-component P(C1_j = 1 | baseline, C0)
+    probs = [
+        _predict(fits[c1_mean_role(j)], dataset, Overrides(e=coding.baseline_internal))
         for j in range(1, fits.d1 + 1)
     ]
-    return np.column_stack(cols)
+    b_dd = 0.0
+    for support in itertools.product((0.0, 1.0), repeat=fits.d1):
+        weight = 1.0
+        for p, bit in zip(probs, support):
+            weight = weight * (p if bit == 1.0 else 1.0 - p)
+        b_dd = b_dd + weight * _mediator_mixture(fits, dataset, np.asarray(support))
+    return b, b_prime, b_dd
+
+
+def nested_mean_b(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
+    """Outcome regression evaluated at the record with treatment set to baseline."""
+    return _nested_means(fits, dataset)[0]
+
+
+def nested_mean_b_prime(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
+    """Outcome regression averaged over the mediator's comparison-arm law."""
+    return _nested_means(fits, dataset)[1]
 
 
 def nested_mean_b_doubleprime(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
     """Nested mean further averaged over the baseline-arm post-treatment law."""
-    if fits.pathway == "linear":
-        return _mediator_mixture(fits, dataset, _c1_means(fits, dataset))
-    probs = _c1_means(fits, dataset)  # per-component P(C1_j = 1 | baseline, C0)
-    total = np.zeros(dataset.n)
-    for support in itertools.product((0.0, 1.0), repeat=fits.d1):
-        point = np.asarray(support)
-        weight = np.prod(np.where(point == 1.0, probs, 1.0 - probs), axis=1)
-        total += weight * _mediator_mixture(fits, dataset, point)
-    return total
+    return _nested_means(fits, dataset)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +605,13 @@ def compute_components(
     clip: tuple[float, float] | None = DEFAULT_CLIP,
     weights: np.ndarray | None = None,
 ) -> NuisanceComponents:
-    """Evaluate ratios, propensities, and nested means for every record."""
+    """Evaluate ratios, propensities, and nested means for every record.
+
+    Batch fits (``fit_nuisances`` with ``(B, n)`` weights, passed here too)
+    give every per-record array and diagnostic a leading replicate axis; a
+    replicate that the single-fit path would reject (a degenerate
+    probability without clipping, a degenerate stabilization) is NaN.
+    """
     coding = fits.coding
     diagnostics: dict = {"clip_counts": {}}
     e = dataset.e
@@ -521,7 +623,7 @@ def compute_components(
     with_ratios = ROLE_PROP_M in fits or not coding.is_identity
     if with_ratios:
         roles += [*fits.m_ratio_roles(), *fits.c1_ratio_roles()]
-    probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"])
+    probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], weights)
 
     if ROLE_PROP_BASE in probs:
         p_base_raw = probs[ROLE_PROP_BASE]
@@ -539,17 +641,16 @@ def compute_components(
     else:
         mr = np.ones(dataset.n)
         cr = np.ones(dataset.n)
+    del probs  # a batch reaches its peak memory in the nested means
 
-    b = nested_mean_b(fits, dataset)
-    b_prime = nested_mean_b_prime(fits, dataset)
-    b_dd = nested_mean_b_doubleprime(fits, dataset)
+    b, b_prime, b_dd = _nested_means(fits, dataset)
     y0 = _predict(fits[ROLE_MARGINAL], dataset, Overrides(e=coding.baseline_internal)) if ROLE_MARGINAL in fits else None
 
-    diagnostics["clip_count"] = int(sum(diagnostics["clip_counts"].values()))
-    diagnostics["p_baseline_min"] = float(p_baseline.min())
-    diagnostics["p_comparison_min"] = float(p_comparison.min())
-    diagnostics["m_ratio_max"] = float(mr.max())
-    diagnostics["c1_ratio_max"] = float(cr.max())
+    diagnostics["clip_count"] = sum(diagnostics["clip_counts"].values())
+    diagnostics["p_baseline_min"] = _item(p_baseline.min(axis=-1))
+    diagnostics["p_comparison_min"] = _item(p_comparison.min(axis=-1))
+    diagnostics["m_ratio_max"] = _item(mr.max(axis=-1))
+    diagnostics["c1_ratio_max"] = _item(cr.max(axis=-1))
     return NuisanceComponents(
         ind_comparison=ind_comp,
         ind_baseline=ind_base,

@@ -7,8 +7,10 @@ import pytest
 from scipy.special import expit
 
 import pathfx.cli as cli_mod
+import pathfx.inference as inference_mod
 from pathfx.cli import main
 from pathfx.core import dataset_from_arrays, write_csv
+from pathfx.inference import derived_rng
 from pathfx.simulation import draw_dataset
 
 
@@ -45,6 +47,12 @@ class TestSimulateCommand:
         for name in ("replicates_b.csv", "summary_b.csv"):
             with open(os.path.join(out1, name)) as f1, open(os.path.join(out2, name)) as f2:
                 assert f1.read() == f2.read()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--regime", "int", "--n", "200", "--reps", "5", "--seed", "-1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_bad_regime_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -113,6 +121,14 @@ class TestEstimateCommand:
             "estimate", "--data", study_csv, "--comparison", "4", "--baseline", "0",
         ])
         assert code == 1
+
+    def test_negative_seed_exits_2(self, study_csv, capsys):
+        code = main([
+            "estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+            "--bootstrap", "wild_exp1", "--reps", "5", "--seed", "-3",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -3\n"
 
     def test_unknown_estimator_exits_2(self, study_csv):
         code = main([
@@ -190,16 +206,23 @@ class TestEstimateCommand:
 
         real_bootstrap = cli_mod.bootstrap
 
-        def failing_bootstrap(ds, statistic, spec, **kwargs):
-            replicate = iter(range(spec.replicates))
+        def failing_bootstrap(ds, statistic, spec, *, batch, **kwargs):
+            replicate_of = _replicate_of(spec, ds.n)
+
+            def chunk(weights):
+                # the batch voids replicates 4 and 17; only they are re-run alone
+                values = np.array(batch(weights), dtype=float)
+                for b, row in enumerate(weights):
+                    if replicate_of(row) in (4, 17):
+                        values[:, b] = np.nan
+                return values
 
             def stat(data, weights):
-                r = next(replicate)  # one thread: replicates run in order
-                if r in (4, 17):
-                    raise ValueError(f"synthetic failure {r}")
-                return statistic(data, weights)
+                r = replicate_of(weights)
+                assert r in (4, 17), f"replicate {r} left the batch"
+                raise ValueError(f"synthetic failure {r}")
 
-            return real_bootstrap(ds, stat, spec, **kwargs)
+            return real_bootstrap(ds, stat, spec, batch=chunk, **kwargs)
 
         monkeypatch.setattr(cli_mod, "bootstrap", failing_bootstrap)
         out = str(tmp_path / "failing")
@@ -221,19 +244,27 @@ prop_m = probit: 1, c0_1, c1_1, c1_2, c1_3, m
 """
 
 
-def _bootstrap_run(argv, monkeypatch, *, cold):
+def _replicate_of(spec, n):
+    """Map a wild replicate's weight row to its index, by its first weight."""
+    first = {float(derived_rng(spec.seed, r).exponential(1.0, n)[0]): r for r in range(spec.replicates)}
+    return lambda weights: first[float(weights[0])]
+
+
+def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
     """Run ``estimate`` and return its bootstrap interval, the ``start`` each
-    ``fit_nuisances`` call received and what each call returned; ``cold``
-    drops the start so every replicate fits from zero."""
-    intervals, starts, fitted = [], [], []
+    ``fit_nuisances`` call received, what each call returned and the weights
+    it was given; ``cold`` drops the start so every replicate fits from zero,
+    and ``batched=False`` evaluates every replicate on its own."""
+    intervals, starts, fitted, weights = [], [], [], []
     real_bootstrap, real_fit = cli_mod.bootstrap, cli_mod.fit_nuisances
 
-    def spy_bootstrap(ds, statistic, spec, **kwargs):
-        intervals.append(real_bootstrap(ds, statistic, spec, **kwargs))
+    def spy_bootstrap(ds, statistic, spec, *, batch, **kwargs):
+        intervals.append(real_bootstrap(ds, statistic, spec, batch=batch if batched else None, **kwargs))
         return intervals[-1]
 
     def spy_fit(*args, start=None, **kwargs):
         starts.append(start)
+        weights.append(kwargs.get("weights"))
         fitted.append(real_fit(*args, start=None if cold else start, **kwargs))
         return fitted[-1]
 
@@ -241,7 +272,7 @@ def _bootstrap_run(argv, monkeypatch, *, cold):
         m.setattr(cli_mod, "bootstrap", spy_bootstrap)
         m.setattr(cli_mod, "fit_nuisances", spy_fit)
         assert main(argv + ["--threads", "1"]) == 0
-    return intervals[0], starts, fitted
+    return intervals[0], starts, fitted, weights
 
 
 class TestBootstrapWarmStart:
@@ -254,12 +285,14 @@ class TestBootstrapWarmStart:
             config = tmp_path / "probit.ini"
             config.write_text(PROBIT_PROPENSITIES)
             argv += ["--config", str(config)]
-        warm, starts, fitted = _bootstrap_run(argv, monkeypatch, cold=False)
-        cold, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
+        warm, starts, fitted, weights = _bootstrap_run(argv, monkeypatch)
+        cold, _, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
         capsys.readouterr()
-        # the point fit starts from zero, every replicate from the point fit
-        assert starts[0] is None
-        assert len(starts) == 13 and all(start is fitted[0] for start in starts[1:])
+        # the point fit starts from zero; every batch chunk (10 replicates of
+        # 1,500 rows, then 2) fits all its replicates from the point fit
+        assert starts[0] is None and weights[0] is None
+        assert [w.shape for w in weights[1:]] == [(10, 1500), (2, 1500)]
+        assert all(start is fitted[0] for start in starts[1:])
         assert warm.errors == cold.errors == []
         # both stop within the score tolerance of one maximum; measured <= 6.1e-13
         np.testing.assert_allclose(warm.replicate_values, cold.replicate_values, rtol=1e-9, atol=0.0)
@@ -275,10 +308,16 @@ class TestBootstrapWarmStart:
         argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
                 "--estimator", "mle,mr", "--bootstrap", kind, "--reps", "40", "--seed", "3",
                 "--clip", "none"]
-        warm, _, _ = _bootstrap_run(argv, monkeypatch, cold=False)
-        cold, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
+        warm, _, _, weights = _bootstrap_run(argv, monkeypatch)
+        cold, _, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
+        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
         capsys.readouterr()
         assert warm.errors
+        # one chunk of all 40 replicates; only the failed ones are re-run alone
+        assert weights[1].shape == (40, ds.n)
+        assert sum(w is None or np.ndim(w) == 1 for w in weights[2:]) == len(warm.errors)
+        # the per-replicate path reports the same failures, byte for byte
+        assert warm.errors == alone.errors
 
         def kinds(errors):
             # a separated fit stops after fewer iterations, at other score and
@@ -293,6 +332,119 @@ class TestBootstrapWarmStart:
         np.testing.assert_allclose(warm.replicate_values[ok], cold.replicate_values[ok], rtol=1e-8, atol=0.0)
 
 
+DISCRETE_MODELS = """[models]
+outcome = gaussian: 1, c0_1, e, c1_1, c1_2, m, e*m
+mediator_mean = logit: 1, c0_1, e, c1_1, c1_2
+c1_mean_1 = logit: 1, c0_1, e
+c1_mean_2 = logit: 1, c0_1, e
+prop_c1 = logit: 1, c0_1, c1_1, c1_2
+prop_m = logit: 1, c0_1, c1_1, c1_2, m
+[estimate]
+pathway = discrete
+"""
+
+
+@pytest.fixture
+def binary_csv(tmp_path):
+    """A draw with a binary mediator and two binary post-treatment components."""
+    ds = draw_dataset(1500, 78)
+    c1 = (ds.c1[:, :2] > 0).astype(float)
+    m = (ds.m > np.median(ds.m)).astype(float)
+    path = tmp_path / "binary.csv"
+    write_csv(dataset_from_arrays(ds.c0, ds.e, c1, m, ds.y), path)
+    return str(path)
+
+
+# (bootstrap kind, estimate options): logit and probit propensities, both
+# pathways, mr_seq, both stabilization settings, identity check, no clipping
+BATCH_GRID = [
+    ("wild_exp1", []),
+    ("nonparametric", []),
+    ("wild_exp1", ["probit"]),
+    ("nonparametric", ["probit"]),
+    ("wild_exp1", ["discrete"]),
+    ("nonparametric", ["discrete"]),
+    ("wild_exp1", ["--estimator", "mr_seq,mr", "--stabilize", "all"]),
+    ("nonparametric", ["--estimator", "mr_seq,a", "--stabilize", "none"]),
+    ("wild_exp1", ["--comparison", "1", "--identity-check", "--estimator", "a,b,mr,mr_seq"]),
+    ("nonparametric", ["--comparison", "1", "--identity-check", "--estimator", "a,mr"]),
+    ("wild_exp1", ["--clip", "none"]),
+    ("nonparametric", ["--clip", "none", "--stabilize", "all"]),
+]
+
+
+class TestBatchedBootstrap:
+    @staticmethod
+    def _argv(data, kind, options, tmp_path, reps=12, seed=5):
+        argv = ["estimate", "--data", data, "--comparison", "1", "--baseline", "0",
+                "--estimator", "mle,a,b,mr", "--bootstrap", kind, "--reps", str(reps), "--seed", str(seed)]
+        for option in options:
+            if option in ("probit", "discrete"):
+                config = tmp_path / f"{option}.ini"
+                config.write_text(PROBIT_PROPENSITIES if option == "probit" else DISCRETE_MODELS)
+                argv += ["--config", str(config)]
+            else:
+                argv.append(option)
+        return argv
+
+    @pytest.mark.parametrize("kind, options", BATCH_GRID, ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_matches_the_per_replicate_path(self, kind, options, study_csv, binary_csv, tmp_path,
+                                            monkeypatch, capsys):
+        data = binary_csv if "discrete" in options else study_csv
+        argv = self._argv(data, kind, options, tmp_path)
+        batched, _, _, weights = _bootstrap_run(argv, monkeypatch)
+        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        capsys.readouterr()
+        assert [np.ndim(w) for w in weights] == [0, 2, 2]  # the point fit, then two chunks
+        assert batched.errors == alone.errors == []
+        # measured <= 2.2e-13 (nonparametric frequency weights against row resampling)
+        np.testing.assert_allclose(batched.replicate_values, alone.replicate_values, rtol=1e-8, atol=0.0)
+
+    def test_a_failed_replicate_leaves_its_chunk_mates_alone(self, study_csv, tmp_path, monkeypatch, capsys):
+        argv = self._argv(study_csv, "wild_exp1", [], tmp_path, reps=20)
+        clean, _, _, _ = _bootstrap_run(argv, monkeypatch)
+        ds = cli_mod.recode_pair(cli_mod.read_csv(study_csv), cli_mod.TreatmentPair(1, 0))[0]
+        spec = cli_mod.BootstrapSpec(kind="wild_exp1", replicates=20, seed=5)
+        replicate_of = _replicate_of(spec, ds.n)
+        real_draw = inference_mod._draw_wild_weights
+
+        def draw(rng, n):
+            # replicate 13 weights no comparison-arm record: its propensity fits separate
+            w = real_draw(rng, n)
+            return np.where(ds.e == 1, 0.0, w) if replicate_of(w) == 13 else w
+
+        monkeypatch.setattr(inference_mod, "_draw_wild_weights", draw)
+        failing, _, _, weights = _bootstrap_run(argv, monkeypatch)
+        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        capsys.readouterr()
+        assert len(failing.errors) == 1 and failing.errors[0].startswith("replicate 13: ")
+        assert failing.errors == alone.errors
+        # only replicate 13 is re-evaluated alone; its chunk-mates keep their batched values
+        assert [np.ndim(w) for w in weights] == [0, 2, 2, 1]
+        assert np.isnan(failing.replicate_values[13]).all()
+        kept = np.arange(20) != 13
+        assert np.array_equal(failing.replicate_values[kept], clean.replicate_values[kept])
+
+    @pytest.mark.parametrize("kind", ["wild_exp1", "nonparametric"])
+    def test_values_do_not_depend_on_the_replicate_count_or_threads(self, kind, study_csv, tmp_path,
+                                                                    monkeypatch, capsys):
+        argv = self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=40)
+        many, _, _, _ = _bootstrap_run(argv, monkeypatch)
+        few, _, _, _ = _bootstrap_run(
+            self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=7), monkeypatch)
+        capsys.readouterr()
+        assert np.array_equal(few.replicate_values, many.replicate_values[:7])
+        interval = {}
+        for threads in ("1", "2"):
+            real = cli_mod.bootstrap
+            with monkeypatch.context() as m:
+                m.setattr(cli_mod, "bootstrap", lambda *a, **k: interval.setdefault(threads, real(*a, **k)))
+                assert main(argv + ["--threads", threads]) == 0
+        capsys.readouterr()
+        assert np.array_equal(interval["1"].replicate_values, interval["2"].replicate_values)
+        assert np.array_equal(interval["1"].replicate_values, many.replicate_values)
+
+
 class TestOracleCommand:
     def test_prints_all_three_lines(self, capsys):
         code = main(["oracle", "--draws", "200000", "--seed", "1"])
@@ -301,6 +453,10 @@ class TestOracleCommand:
         assert lines[0].startswith("beta0") and lines[1].startswith("delta0") and lines[2].startswith("effect")
         beta = float(lines[0].split()[1])
         assert beta == pytest.approx(2.678, abs=0.05)
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["oracle", "--draws", "200000", "--seed", "-2"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -2\n"
 
     def test_too_few_draws_exits_2(self):
         assert main(["oracle", "--draws", "10"]) == 2
