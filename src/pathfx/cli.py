@@ -98,18 +98,6 @@ def _fmt(v: float) -> str:
     return "%.10g" % v
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("PATHFX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"PATHFX_THREADS={env!r} is not an integer") from None
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # estimate configuration
 
@@ -285,7 +273,6 @@ def cmd_estimate(args) -> int:
         return EXIT_OK
 
     ds, coding = recode_pair(dataset, pair, allow_identity=args.identity_check)
-    threads = _threads(args)
     pairs = [(kind, args.delta or DEFAULT_DELTA_FOR[kind]) for kind in kinds]
     estimates, comp, fits = _estimates(ds, coding, cfg, pairs)
     diagnostics = weight_diagnostics(comp)
@@ -318,7 +305,7 @@ def cmd_estimate(args) -> int:
             return [effect for _, _, effect in out]
 
         point = [effect for _, _, effect in estimates]
-        interval = bootstrap(ds, statistic, spec, threads=threads, point=point, batch=batch)
+        interval = bootstrap(ds, statistic, spec, point=point, batch=batch)
         if interval.errors:
             print(
                 f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "
@@ -384,12 +371,14 @@ def _write_estimates_csv(results: list[EstimateResult], path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     reps = 1000 if args.paper_scale else args.reps
     spec = SimulationSpec(regime=args.regime, n=args.n, replications=reps,
                           seed=args.seed, alpha=args.alpha)
     estimators = tuple(k.strip() for k in args.estimators.split(",") if k.strip())
     stabilize = _parse_stabilize(args.stabilize) if args.stabilize is not None else None
-    report = run_monte_carlo(spec, estimators=estimators, threads=_threads(args), stabilize=stabilize)
+    report = run_monte_carlo(spec, estimators=estimators, stabilize=stabilize)
 
     header = ["estimator", "mc_mean", "mc_se", "ci_lower", "ci_upper", "t", "reject", "n_ok"]
     rows = [
@@ -446,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stabilize", default=None,
                      help="stabilization roles (comma list of base, m_ratio, c1_ratio; or all/none)")
     sim.add_argument("--out", default=None)
-    sim.add_argument("--threads", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate the effect from a CSV file")
@@ -468,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--ignore-extra", action="store_true")
     est.add_argument("--print-models", action="store_true")
     est.add_argument("--out", default=None)
-    est.add_argument("--threads", type=int, default=None)
     est.set_defaults(func=cmd_estimate)
 
     orc = sub.add_parser("oracle", help="print the target values by counterfactual simulation")

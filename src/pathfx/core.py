@@ -63,7 +63,7 @@ class Dataset:
     """Immutable column-oriented collection of observations.
 
     Arrays are locked after construction; operations on datasets return new
-    instances, so a dataset can be shared freely across threads.
+    instances, so every fit and replicate can share one dataset uncopied.
     """
 
     c0: np.ndarray  # (n, d0)

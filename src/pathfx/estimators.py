@@ -265,7 +265,10 @@ def beta_mr_sequential(
     components) refit every replicate at once, and the value, the terms and
     b'' gain a leading replicate axis; a replicate whose refit fails is NaN.
     """
-    working_set.validate(dataset.d0, dataset.d1, "linear")
+    if comp is None:
+        working_set.validate(dataset.d0, dataset.d1, "linear")
+    else:  # the fit behind comp validated the set for its own pathway
+        working_set.validate_linear()
     for role in (ROLE_OUTCOME, ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, dataset.d1 + 1)]):
         if not working_set[role].design.has_intercept():
             raise EstimationError(f"{role}: sequential refitting requires an intercept term")

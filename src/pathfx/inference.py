@@ -2,13 +2,12 @@
 
 Bootstraps are deterministic given a seed: replicate ``r`` draws its
 randomness from a Philox counter-based generator keyed on ``(seed, r)``, so
-results are identical regardless of execution order or thread count.
+its value does not depend on the replicate count or the order of evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,8 +45,9 @@ def derived_rng(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator on an explicit (seed, stream...) key.
 
     Philox is a counter-based 64-bit generator; numpy's ``Generator`` draws
-    normals with the ziggurat method.  The key is a pure function of its
-    arguments, which is what makes parallel replication deterministic.
+    normals with the ziggurat method.  The stream is a pure function of its
+    arguments, so replicate ``r`` draws the same numbers whichever replicates
+    run before it.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
@@ -102,7 +102,6 @@ def bootstrap(
     statistic: Callable[[Dataset, np.ndarray | None], float | np.ndarray],
     spec: BootstrapSpec,
     *,
-    threads: int = 1,
     point: float | list[float] | np.ndarray | None = None,
     batch: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> IntervalEstimate:
@@ -128,6 +127,10 @@ def bootstrap(
     every replicate whose batch value is not finite, is evaluated again by
     ``statistic`` one replicate at a time, so failures and their messages
     are the per-replicate ones.
+
+    Replicates run one after another in the calling thread.  Replicate ``r``
+    draws its weights from ``derived_rng(seed, r)``, so its value depends on
+    the seed, ``r`` and the data alone, not on the replicate count.
     """
     n = dataset.n
     if point is None:
@@ -140,47 +143,38 @@ def bootstrap(
             return rng.integers(0, n, size=n)
         return _draw_wild_weights(rng, n)
 
-    def one(r: int) -> np.ndarray:
-        if spec.kind == "nonparametric":
-            return statistic(dataset.take(draw(r)), None)
-        return statistic(dataset, draw(r))
-
     values = np.full((spec.replicates,) + point.shape, np.nan)
     raised: dict[int, str] = {}
 
     def run(r: int):
         try:
-            values[r] = one(r)
+            if spec.kind == "nonparametric":
+                values[r] = statistic(dataset.take(draw(r)), None)
+            else:
+                values[r] = statistic(dataset, draw(r))
         except Exception as exc:  # noqa: BLE001 - replicate failures are data
             raised[r] = str(exc)
 
-    def run_chunk(lo: int):
-        hi = min(lo + size, spec.replicates)
-        W = np.empty((hi - lo, n))
-        for r in range(lo, hi):
-            x = draw(r)
-            W[r - lo] = np.bincount(x, minlength=n) if spec.kind == "nonparametric" else x
-        try:
-            values[lo:hi] = np.moveaxis(np.asarray(batch(W), dtype=float), -1, 0)
-        except Exception:  # noqa: BLE001 - the replicates below say what failed
-            pass
-        del W
-        redo = ~np.isfinite(values[lo:hi].reshape(hi - lo, -1)).all(axis=1)
-        for r in lo + np.flatnonzero(redo):
-            values[r] = np.nan
-            run(int(r))
-
     if batch is None:
-        size, task, tasks = 1, run, range(spec.replicates)
+        for r in range(spec.replicates):
+            run(r)
     else:
         size = max(1, CHUNK_ELEMENTS // n)
-        task, tasks = run_chunk, range(0, spec.replicates, size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, tasks))
-    else:
-        for t in tasks:
-            task(t)
+        for lo in range(0, spec.replicates, size):
+            hi = min(lo + size, spec.replicates)
+            W = np.empty((hi - lo, n))
+            for r in range(lo, hi):
+                x = draw(r)
+                W[r - lo] = np.bincount(x, minlength=n) if spec.kind == "nonparametric" else x
+            try:
+                values[lo:hi] = np.moveaxis(np.asarray(batch(W), dtype=float), -1, 0)
+            except Exception:  # noqa: BLE001 - the replicates below say what failed
+                pass
+            del W
+            redo = ~np.isfinite(values[lo:hi].reshape(hi - lo, -1)).all(axis=1)
+            for r in lo + np.flatnonzero(redo):
+                values[r] = np.nan
+                run(int(r))
 
     failed = np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)
     errors = [f"replicate {r}: {raised.get(r, 'NaN value')}" for r in np.flatnonzero(failed)]
@@ -320,6 +314,8 @@ def mc_t_test(values: np.ndarray, hypothesized: float, alpha: float = 0.05) -> T
     Zero replicate variance with a mean away from the hypothesis is reported
     as an infinite statistic with rejection flagged.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InferenceError("alpha must lie in (0, 1)")
     values = np.asarray(values, dtype=float)
     r = values.size
     if r < 2:

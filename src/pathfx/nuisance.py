@@ -163,7 +163,7 @@ class WorkingModelSet:
                 if "m" in spec.design.refs():
                     raise NuisanceError(f"{role}: design may not reference the mediator")
         if pathway == "linear":
-            self._validate_linear()
+            self.validate_linear()
         elif pathway == "discrete":
             for role in (ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, d1 + 1)]):
                 if not self.models[role].family.is_binomial:
@@ -171,7 +171,8 @@ class WorkingModelSet:
         else:
             raise NuisanceError(f"unknown pathway {pathway!r}")
 
-    def _validate_linear(self) -> None:
+    def validate_linear(self) -> None:
+        """The linear-pathway rule alone, for a set that passed ``validate``."""
         outcome = self.models[ROLE_OUTCOME]
         mediator = self.models[ROLE_MEDIATOR]
         for role, spec in ((ROLE_OUTCOME, outcome), (ROLE_MEDIATOR, mediator)):

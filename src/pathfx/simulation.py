@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,13 +467,13 @@ def run_monte_carlo(
     spec: SimulationSpec,
     *,
     estimators: tuple[str, ...] = ("mle", "a", "b", "mr"),
-    threads: int = 1,
     stabilize: StabilizeFlags | None = None,
 ) -> RegimeReport:
     """Replicate the study: draw, fit the regime's models, estimate, test.
 
     Per-replicate failures are tolerated up to 1% of the runs; failed
-    replicates are dropped from the summaries.
+    replicates are dropped from the summaries.  Replicates run in order, so
+    the failure an error quotes first is the lowest-numbered one.
     """
     models = working_models_for(spec.regime)
     stab = stabilize if stabilize is not None else models.stabilize
@@ -486,8 +485,7 @@ def run_monte_carlo(
 
     values = {k: np.full(spec.replications, np.nan) for k in kinds}
     failures: list[str] = []
-
-    def one(r: int) -> None:
+    for r in range(spec.replications):
         try:
             ds = draw_dataset(spec.n, spec.seed, rep=r + 1)
             fits = fit_nuisances(ds, models.working_set, coding)
@@ -501,13 +499,6 @@ def run_monte_carlo(
                     values[k][r] = BETA_FUNCS[k](ds, comp)
         except (GlmError, NuisanceError) as exc:
             failures.append(f"replicate {r + 1}: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(spec.replications)))
-    else:
-        for r in range(spec.replications):
-            one(r)
 
     n_failed = len(failures)
     if n_failed > 0.01 * spec.replications:

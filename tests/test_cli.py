@@ -54,6 +54,17 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("alpha", ["2", "0", "1", "-0.1", "nan"])
+    def test_alpha_outside_the_unit_interval_exits_2(self, alpha, tmp_path, monkeypatch, capsys):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", no_study)
+        code = main(["simulate", "--regime", "int", "--n", "200", "--reps", "5", "--alpha", alpha,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --alpha must lie in (0, 1), got {float(alpha)}\n"
+
     def test_bad_regime_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--regime", "z", "--reps", "5"])
@@ -199,7 +210,7 @@ class TestEstimateCommand:
     def test_failed_replicates_reported_on_stderr(self, study_csv, tmp_path, monkeypatch, capsys):
         argv = ["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
                 "--estimator", "mle,mr", "--bootstrap", "wild_exp1", "--reps", "30",
-                "--seed", "6", "--threads", "1"]
+                "--seed", "6"]
         assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
         clean = capsys.readouterr()
         assert clean.err == ""
@@ -271,7 +282,7 @@ def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
     with monkeypatch.context() as m:
         m.setattr(cli_mod, "bootstrap", spy_bootstrap)
         m.setattr(cli_mod, "fit_nuisances", spy_fit)
-        assert main(argv + ["--threads", "1"]) == 0
+        assert main(argv) == 0
     return intervals[0], starts, fitted, weights
 
 
@@ -426,23 +437,13 @@ class TestBatchedBootstrap:
         assert np.array_equal(failing.replicate_values[kept], clean.replicate_values[kept])
 
     @pytest.mark.parametrize("kind", ["wild_exp1", "nonparametric"])
-    def test_values_do_not_depend_on_the_replicate_count_or_threads(self, kind, study_csv, tmp_path,
-                                                                    monkeypatch, capsys):
+    def test_values_do_not_depend_on_the_replicate_count(self, kind, study_csv, tmp_path, monkeypatch, capsys):
         argv = self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=40)
         many, _, _, _ = _bootstrap_run(argv, monkeypatch)
         few, _, _, _ = _bootstrap_run(
             self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=7), monkeypatch)
         capsys.readouterr()
         assert np.array_equal(few.replicate_values, many.replicate_values[:7])
-        interval = {}
-        for threads in ("1", "2"):
-            real = cli_mod.bootstrap
-            with monkeypatch.context() as m:
-                m.setattr(cli_mod, "bootstrap", lambda *a, **k: interval.setdefault(threads, real(*a, **k)))
-                assert main(argv + ["--threads", threads]) == 0
-        capsys.readouterr()
-        assert np.array_equal(interval["1"].replicate_values, interval["2"].replicate_values)
-        assert np.array_equal(interval["1"].replicate_values, many.replicate_values)
 
 
 class TestOracleCommand:
@@ -469,19 +470,13 @@ class TestOracleCommand:
         assert first == second
 
 
-class TestThreadsEnv:
-    def test_env_fallback(self, study_csv, monkeypatch, capsys):
-        monkeypatch.setenv("PATHFX_THREADS", "2")
-        code = main([
-            "estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
-            "--estimator", "mle", "--bootstrap", "nonparametric", "--reps", "8", "--seed", "1",
-        ])
-        assert code == 0
-
-    def test_bad_env_exits_2(self, study_csv, monkeypatch):
-        monkeypatch.setenv("PATHFX_THREADS", "lots")
-        code = main([
-            "estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
-            "--bootstrap", "nonparametric", "--reps", "4",
-        ])
-        assert code == 2
+class TestRemovedOptions:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--regime", "int", "--reps", "5"],
+        ["estimate", "--data", "unused.csv", "--comparison", "1", "--baseline", "0"],
+    ], ids=["simulate", "estimate"])
+    def test_threads_is_not_an_option(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--threads", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err

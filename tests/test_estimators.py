@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pathfx.core import PairCoding, TreatmentPair, dataset_from_arrays, recode_pair
+from pathfx.core import DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair
 from pathfx.estimators import (
     EstimationError,
     beta_a,
@@ -19,10 +19,14 @@ from pathfx.estimators import (
     influence_values,
     weight_diagnostics,
 )
+from pathfx.glm import Family
 from pathfx.nuisance import (
+    ModelSpec,
     NuisanceComponents,
+    NuisanceError,
     NuisanceFunctions,
     StabilizeFlags,
+    WorkingModelSet,
     components_from_functions,
     compute_components,
     fit_nuisances,
@@ -331,6 +335,24 @@ class TestSequential:
         assert given.value == default.value
         assert given.term_values == default.term_values
         assert np.array_equal(given.b_doubleprime, default.b_doubleprime)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["own-fit", "given-components"])
+    def test_discrete_pathway_set_is_refused(self, given):
+        ds = draw_dataset(600, 94)
+        binary = dataset_from_arrays(ds.c0, ds.e, (ds.c1 > 0).astype(float),
+                                     (ds.m > np.median(ds.m)).astype(float), ds.y)
+        models = dict(working_models_for("int").working_set.models)
+        models["mediator_mean"] = ModelSpec(Family.LOGIT, DesignSpec.parse("1, c0_1, e, c1_1, c1_2, c1_3"))
+        for j in (1, 2, 3):
+            models[f"c1_mean_{j}"] = ModelSpec(Family.LOGIT, DesignSpec.parse("1, c0_1, e"))
+        models["prop_m"] = ModelSpec(Family.LOGIT, DesignSpec.parse("1, c0_1, c1_1, c1_2, c1_3, m"))
+        working_set = WorkingModelSet(models)
+        comp = None
+        if given:
+            comp = compute_components(binary, fit_nuisances(binary, working_set, CODING, pathway="discrete"))
+        with pytest.raises(NuisanceError) as err:
+            beta_mr_sequential(binary, working_set, CODING, comp=comp)
+        assert str(err.value) == "mediator_mean: linear pathway requires a gaussian mean model"
 
     def test_agrees_with_mr_across_replicates(self):
         diffs = []

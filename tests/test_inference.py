@@ -73,14 +73,6 @@ class TestBootstrap:
         b = bootstrap(ds, stat, spec)
         assert np.array_equal(a.replicate_values, b.replicate_values)
 
-    def test_threads_do_not_change_results(self):
-        ds = _toy_dataset()
-        spec = BootstrapSpec(kind="wild_exp1", replicates=40, seed=3)
-        stat = lambda d, w: wmean(d.y, w)
-        a = bootstrap(ds, stat, spec, threads=1)
-        b = bootstrap(ds, stat, spec, threads=4)
-        assert np.array_equal(a.replicate_values, b.replicate_values)
-
     def test_wild_weights_forced_to_one_reproduce_point(self, monkeypatch):
         ds = _toy_dataset()
         monkeypatch.setattr(inference_mod, "_draw_wild_weights", lambda rng, n: np.ones(n))
@@ -146,8 +138,7 @@ class TestBootstrap:
         assert out.errors == ["replicate 2: NaN value"]  # call 0 is the point estimate
         assert list(out.lower) == list(out.upper) == [1.0, 2.0]
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_failed_replicates_carry_their_messages(self, threads):
+    def test_failed_replicates_carry_their_messages(self):
         ds = _toy_dataset()
         spec = BootstrapSpec(kind="wild_exp1", replicates=40, seed=2)
         first_weight = {float(inference_mod.derived_rng(spec.seed, r).exponential(1.0, ds.n)[0]): r
@@ -159,7 +150,7 @@ class TestBootstrap:
                 raise ValueError(f"synthetic failure {r}")
             return np.nan if r == 13 else wmean(d.y, w)
 
-        out = bootstrap(ds, stat, spec, threads=threads)
+        out = bootstrap(ds, stat, spec)
         assert out.errors == ["replicate 4: synthetic failure 4", "replicate 9: synthetic failure 9",
                               "replicate 13: NaN value"]
         assert out.n_failed == 3
@@ -239,6 +230,11 @@ class TestMcTTest:
     def test_zero_variance_away_from_hypothesis(self):
         out = mc_t_test(np.full(30, 1.0), 0.0)
         assert out.reject and out.infinite and math.isinf(out.t)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, math.nan])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        with pytest.raises(InferenceError, match=r"^alpha must lie in \(0, 1\)$"):
+            mc_t_test(np.random.default_rng(3).standard_normal(20), 0.0, alpha)
 
 
 def _nested_roles(d1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import pathfx.simulation as simulation_mod
 from pathfx.core import DesignSpec
 from pathfx.glm import Family, fit_ols
 from pathfx.nuisance import (
@@ -15,6 +16,7 @@ from pathfx.nuisance import (
     ROLE_PROP_C1,
     ROLE_PROP_C1_IN_M_RATIO,
     ROLE_PROP_M,
+    NuisanceError,
     c1_mean_role,
 )
 from pathfx.simulation import (
@@ -191,13 +193,6 @@ class TestMonteCarloRunner:
             assert np.array_equal(a.values[k], b.values[k])
         assert a.n_failed == 0
 
-    def test_threads_do_not_change_values(self):
-        spec = SimulationSpec(regime="int", n=300, replications=16, seed=6)
-        a = run_monte_carlo(spec, threads=1)
-        b = run_monte_carlo(spec, threads=4)
-        for k in a.values:
-            assert np.array_equal(a.values[k], b.values[k])
-
     def test_sequential_estimator_supported(self):
         spec = SimulationSpec(regime="int", n=400, replications=10, seed=7)
         rep = run_monte_carlo(spec, estimators=("mr_seq",))
@@ -216,6 +211,19 @@ class TestMonteCarloRunner:
             assert 0.4 < sds[4000][kind] / sds[1000][kind] < 0.6, kind
         for kind in ("a", "b"):
             assert 0.4 < sds[4000][kind] / sds[1000][kind] < 0.6, kind
+
+    def test_failure_quoted_first_is_the_lowest_numbered(self, monkeypatch):
+        real_draw = simulation_mod.draw_dataset
+
+        def draw(n, seed, *, rep):
+            if rep in (9, 3):
+                raise NuisanceError(f"synthetic failure {rep}")
+            return real_draw(n, seed, rep=rep)
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(SimulationSpec(regime="int", n=200, replications=12, seed=1))
+        assert str(err.value) == "2/12 replicates failed; first: replicate 3: synthetic failure 3"
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(SimulationError, match="estimator"):
