@@ -240,6 +240,11 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None,
 
 
 def cmd_estimate(args) -> int:
+    if args.bootstrap != "none":
+        if args.reps < 2:
+            raise UsageError(f"--reps must be at least 2 for a bootstrap, got {args.reps}")
+        if not 0.0 < args.ci_level < 1.0:
+            raise UsageError(f"--ci-level must lie in (0, 1), got {args.ci_level}")
     dataset = read_csv(args.data, ignore_extra=args.ignore_extra)
     pair = TreatmentPair(comparison=args.comparison, baseline=args.baseline)
     if pair.is_identity and not args.identity_check:
@@ -374,6 +379,8 @@ def cmd_simulate(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     reps = 1000 if args.paper_scale else args.reps
+    if reps < 2:
+        raise UsageError(f"--reps must be at least 2 for the t test, got {reps}")
     spec = SimulationSpec(regime=args.regime, n=args.n, replications=reps,
                           seed=args.seed, alpha=args.alpha)
     estimators = tuple(k.strip() for k in args.estimators.split(",") if k.strip())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -473,6 +474,8 @@ def build_design_matrix(dataset: Dataset, spec: DesignSpec, overrides: Overrides
 
 _FLOAT_FORMAT = "%.17g"  # round-trips IEEE doubles exactly
 _LEVEL_PATTERN = re.compile(r"^[0-9]+$")
+_LEVEL_WIDTH = 16  # characters of a level cell the C pass keeps; wider cells take the row path
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")  # whitespace to numpy's float parse, not to Python's
 _ROW_ERROR = re.compile(r"row ([0-9]+): (.*)", re.DOTALL)
 
 
@@ -504,6 +507,20 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
     """Read a dataset; header must follow ``c0_1..c0_d0, e, c1_1..c1_d1, m, y``.
 
     Unknown columns are an error unless ``ignore_extra`` is set.
+
+    The header is parsed by ``csv``. The data rows of a plain study file
+    are parsed in one C pass by ``np.loadtxt``: comma-separated cells,
+    optionally quoted with ``"`` and padded with whitespace, LF, CRLF or CR
+    line ends, blank lines skipped, and every ``e`` under 16 characters.
+    All other input takes the row path, ``csv`` and one Python ``float``
+    per cell: a file the C pass refuses or whose values fail a check, a
+    file holding a byte in 0x1c-0x1f (whitespace to numpy's float parse,
+    not to Python's), and a pipe. The row path reads the rare cell only
+    ``float`` reads (``1_000``, non-ASCII digits), prints the exact level
+    in the 2**53 message, and gives every error text: file rows numbered
+    with blank lines counted, parse errors reported ahead of value errors.
+    The two paths accept the same files, return the same values bit for
+    bit, and raise the same errors.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -538,35 +555,94 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
             if f"c1_{j}" not in positions:
                 raise DataError(f"{path}: c1 columns must be contiguous; missing c1_{j}")
 
-        c0_at = [positions[f"c0_{j}"] for j in range(1, d0 + 1)]
-        c1_at = [positions[f"c1_{j}"] for j in range(1, d1 + 1)]
-        e_at, m_at, y_at = positions["e"], positions["m"], positions["y"]
-        c0, e, c1, m, y = [], [], [], [], []
-        file_rows = []  # the file row of each kept row, blank lines counted
-        for i, raw in enumerate(reader):
-            if not raw:
-                continue
-            try:
-                c0_i = [float(raw[k]) for k in c0_at]
-                c1_i = [float(raw[k]) for k in c1_at]
-                e_i = raw[e_at].strip()
-                m_i = float(raw[m_at])
-                y_i = float(raw[y_at])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {i}: {exc}") from None
-            if not _LEVEL_PATTERN.match(e_i):
-                raise DataError(f"{path}: row {i}: treatment level {e_i!r} is not a non-negative integer")
-            file_rows.append(i)
-            c0 += c0_i
-            e.append(int(e_i))
-            c1 += c1_i
-            m.append(m_i)
-            y.append(y_i)
+        at = (
+            [positions[f"c0_{j}"] for j in range(1, d0 + 1)],
+            positions["e"],
+            [positions[f"c1_{j}"] for j in range(1, d1 + 1)],
+            positions["m"],
+            positions["y"],
+        )
+        if fh.seekable() and not _holds_separators(path):
+            columns = _load_columns(fh, *at)
+            if columns is not None:
+                try:
+                    return dataset_from_arrays(*columns)
+                except DataError:
+                    pass  # the row path gives the error with its file row
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+        return _read_rows(path, reader, *at)
+
+
+def _holds_separators(path) -> bool:
+    """Whether the file holds a byte in 0x1c-0x1f, which only the row path reads as Python does."""
+    with open(path, "rb") as raw:
+        while block := raw.read(1 << 16):
+            if any(sep in block for sep in _SEPARATORS):
+                return True
+    return False
+
+
+def _load_columns(fh, c0_at, e_at, c1_at, m_at, y_at):
+    """Every data row's columns from one ``np.loadtxt`` pass, or None where it refuses the file."""
+    # e is read twice: as a string, held to the row path's pattern, and as a
+    # float, whose parse refuses the non-ASCII digits isdigit admits and the
+    # trailing NULs a string field drops
+    fields = [("level", f"U{_LEVEL_WIDTH}"), ("e", float), ("m", float), ("y", float)]
+    usecols = [e_at, e_at, m_at, y_at]
+    if c0_at:
+        fields.append(("c0", float, (len(c0_at),)))
+        usecols += c0_at
+    if c1_at:
+        fields.append(("c1", float, (len(c1_at),)))
+        usecols += c1_at
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the row path reports it
+            rows = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, quotechar='"',
+                              usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    n, levels = rows.shape[0], rows["level"]
+    # a level cell as wide as the field may have been cut short
+    if not n or np.char.str_len(levels).max() >= _LEVEL_WIDTH:
+        return None
+    if not np.char.isdigit(np.char.strip(levels)).all():
+        return None
+    c0 = rows["c0"] if c0_at else np.empty((n, 0))
+    c1 = rows["c1"] if c1_at else np.empty((n, 0))
+    return c0, rows["e"], c1, np.ascontiguousarray(rows["m"]), np.ascontiguousarray(rows["y"])
+
+
+def _read_rows(path, reader, c0_at, e_at, c1_at, m_at, y_at) -> Dataset:
+    """The row path: ``reader`` stands after the header; one Python ``float`` per cell."""
+    c0, e, c1, m, y = [], [], [], [], []
+    file_rows = []  # the file row of each kept row, blank lines counted
+    for i, raw in enumerate(reader):
+        if not raw:
+            continue
+        try:
+            c0_i = [float(raw[k]) for k in c0_at]
+            c1_i = [float(raw[k]) for k in c1_at]
+            e_i = raw[e_at].strip()
+            m_i = float(raw[m_at])
+            y_i = float(raw[y_at])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from None
+        if not _LEVEL_PATTERN.match(e_i):
+            raise DataError(f"{path}: row {i}: treatment level {e_i!r} is not a non-negative integer")
+        file_rows.append(i)
+        c0 += c0_i
+        e.append(int(e_i))
+        c1 += c1_i
+        m.append(m_i)
+        y.append(y_i)
     n = len(e)
     if not n:
         raise DataError(f"{path}: no data rows")
     try:
-        return dataset_from_arrays(np.reshape(c0, (n, d0)), e, np.reshape(c1, (n, d1)), m, y)
+        return dataset_from_arrays(np.reshape(c0, (n, len(c0_at))), e, np.reshape(c1, (n, len(c1_at))), m, y)
     except DataError as exc:
         # value checks number the kept rows; report the file row, as parse errors do
         row = _ROW_ERROR.match(str(exc))

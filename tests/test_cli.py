@@ -65,6 +65,16 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: --alpha must lie in (0, 1), got {float(alpha)}\n"
 
+    @pytest.mark.parametrize("reps", ["1", "0", "-4"])
+    def test_fewer_than_two_reps_exit_2_before_any_replicate(self, reps, tmp_path, monkeypatch, capsys):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", no_study)
+        code = main(["simulate", "--regime", "int", "--n", "200", "--reps", reps, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --reps must be at least 2 for the t test, got {reps}\n"
+
     def test_bad_regime_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--regime", "z", "--reps", "5"])
@@ -140,6 +150,32 @@ class TestEstimateCommand:
         ])
         assert code == 2
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -3\n"
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--reps", "1", "--reps must be at least 2 for a bootstrap, got 1"),
+        ("--reps", "0", "--reps must be at least 2 for a bootstrap, got 0"),
+        ("--ci-level", "1.5", "--ci-level must lie in (0, 1), got 1.5"),
+        ("--ci-level", "0", "--ci-level must lie in (0, 1), got 0.0"),
+        ("--ci-level", "1", "--ci-level must lie in (0, 1), got 1.0"),
+        ("--ci-level", "nan", "--ci-level must lie in (0, 1), got nan"),
+    ])
+    @pytest.mark.parametrize("kind", ["wild_exp1", "nonparametric"])
+    def test_bad_bootstrap_option_exits_2_before_reading_data(
+        self, kind, option, value, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(cli_mod, "read_csv", no_read)
+        code = main(["estimate", "--data", str(tmp_path / "absent.csv"), "--comparison", "1",
+                     "--baseline", "0", "--bootstrap", kind, option, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bootstrap_options_unchecked_without_a_bootstrap(self, study_csv):
+        code = main(["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+                     "--reps", "1", "--ci-level", "2"])
+        assert code == 0
 
     def test_unknown_estimator_exits_2(self, study_csv):
         code = main([

@@ -1,8 +1,13 @@
+import os
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pathfx.core as core_mod
 from pathfx.core import (
     DataError,
     DesignSpec,
@@ -18,6 +23,7 @@ from pathfx.core import (
     wmean,
     write_csv,
 )
+from pathfx.simulation import draw_dataset
 
 
 class TestDatasetFromArrays:
@@ -179,6 +185,86 @@ class TestDesign:
                 assert np.all(np.isfinite(X)), role
 
 
+def _row_path(path, **kwargs):
+    """``read_csv`` held to its row path, the reference the C pass must match."""
+    with mock.patch.object(core_mod, "_load_columns", return_value=None):
+        return read_csv(path, **kwargs)
+
+
+def _c_pass(path, **kwargs):
+    """``read_csv`` that fails if the file leaves the C pass."""
+    with mock.patch.object(core_mod, "_read_rows", side_effect=AssertionError("took the row path")):
+        return read_csv(path, **kwargs)
+
+
+def _outcome(read, path, **kwargs):
+    """The columns bit for bit with their dtypes, or the error text."""
+    try:
+        ds = read(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (ds.c0, ds.e, ds.c1, ds.m, ds.y)]
+
+
+_HEADERS = {
+    "full": "c0_1,e,c1_1,c1_2,m,y",
+    "bare": "y,m,e",
+    "noted": "c0_1,e,m,y,note",
+    "shuffled": "c1_1,y,c0_2,e,m,c0_1",
+}
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "1e5", "+.5", "2.", " 2 ", "\t3", "4\xa0", "\u20035"]),
+)
+_ODD_CELLS = st.sampled_from(["1e400", "nan", "inf", "-inf", "1_000", "1__0", "\u0661.\u0665", "0x10", "", " ", "x",
+                              "5\x1c", "\x1f6", "7\x00"])
+_PLAIN_LEVELS = st.one_of(st.integers(0, 10**15).map(str), st.sampled_from(["01", " 1 ", "\t2", "007"]))
+_ODD_LEVELS = st.one_of(
+    st.integers(10**15, 10**21).map(str),
+    st.sampled_from(["+1", "1.0", "-1", "1e0", "", "x", "\u0661", "1\x00", "1\x1c", "0000000000000001",
+                     "0000000000000001.0", "9007199254740991", "9007199254740992"]),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """A header and rows of numbers with awkward spacing, quoting and line ends; some rows odder still."""
+    key = draw(st.sampled_from(sorted(_HEADERS)))
+    names = _HEADERS[key].split(",")
+    odd = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))  # chance that a cell or row is odd
+    lines = [_HEADERS[key]]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = "row"
+        if draw(st.floats(0, 1)) < odd:
+            kind = draw(st.sampled_from(["row", "spaces", "short", "long", "trailing comma"]))
+        elif draw(st.integers(0, 9)) == 0:
+            kind = "blank"
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", '""', ","])))
+            continue
+        cells = []
+        for name in names:
+            strange = draw(st.floats(0, 1)) < odd
+            if name == "e":
+                cells.append(draw(_ODD_LEVELS if strange else _PLAIN_LEVELS))
+            else:
+                cells.append(draw(_ODD_CELLS if strange else _PLAIN_CELLS))
+        cells = [f'"{c}"' if draw(st.booleans()) else c for c in cells]
+        if kind == "short":
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif kind == "long":
+            cells.append(draw(_PLAIN_CELLS))
+        elif kind == "trailing comma":
+            cells.append("")
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, draw(st.booleans())
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -261,6 +347,106 @@ class TestCsv:
     def test_header_only(self, tmp_path):
         path, message = self._error(tmp_path, "")
         assert message == f"{path}: no data rows"
+
+    # the C pass against the row path: same columns or same error, byte for byte
+
+    def _compare(self, path, text, ignore_extra=False):
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_row_path, path, ignore_extra=ignore_extra)
+        assert _outcome(read_csv, path, ignore_extra=ignore_extra) == expected
+        return expected
+
+    @pytest.mark.parametrize("body", [
+        " 0.1 ,\t0 , 0.2,0.3 ,0.4,0.5\n",
+        '"0.1","1",0.2,"0.3",0.4,"0.5"\n',
+        '" 0.1 ",0,"0.2\n",0.3,0.4,0.5\n',
+        "0.1,0,0.2,0.3,0.4,0.5\r\n0.6,1,0.7,0.8,0.9,1.0\r\n",
+        "0.1,0,0.2,0.3,0.4,0.5\r0.6,1,0.7,0.8,0.9,1.0",
+        "\n0.1,0,0.2,0.3,0.4,0.5\n\r\n\n0.6,1,0.7,0.8,0.9,1.0\n\n",
+        "-0,0,1e5,1E-5,+.5,-2.\n",
+        "0.1\xa0,0,\u20030.2,0.3,0.4,0.5\n",
+        "0.1,01,0.2,0.3,0.4,0.5\n0.1,007,0.2,0.3,0.4,0.5\n",
+        "0.1,000000000000001,0.2,0.3,0.4,0.5\n",
+        "0.1,0,0.2,0.3,0.4,0.5,\n",
+        "0.1,0,0.2,0.3,0.4,0.5,extra,cells\n",
+    ], ids=["spaces", "quoted", "quoted-newline", "crlf", "cr", "blank-lines", "signs-exponents",
+            "unicode-spaces", "leading-zero-levels", "15-digit-level", "trailing-comma", "long-row"])
+    def test_plain_files_take_the_c_pass(self, tmp_path, body):
+        path = tmp_path / "plain.csv"
+        self._compare(path, self.HEADER + body)
+        _c_pass(path)
+
+    @pytest.mark.parametrize("body", [
+        " \n" + GOOD,
+        GOOD + "\t\n",
+        '""\n' + GOOD,
+        "nan,0,0.2,0.3,0.4,0.5\n",
+        GOOD + "0.1,0,inf,0.3,0.4,0.5\n",
+        "0.1,0,0.2,0.3,0.4,-inf\n",
+        "1_000,0,0.2,0.3,0.4,0.5\n",
+        "\u0661.\u0665,0,0.2,0.3,0.4,\u0661\n",
+        "0.1,0,0.2,0.3,0.4,0.5\x1c\n",
+        "0.1,1\x1c,0.2,0.3,0.4,0.5\n",
+        "0.1,+1,0.2,0.3,0.4,0.5\n",
+        "0.1,1.0,0.2,0.3,0.4,0.5\n",
+        "0.1,-1,0.2,0.3,0.4,0.5\n",
+        "0.1,\u0661,0.2,0.3,0.4,0.5\n",
+        "0.1,1\x00,0.2,0.3,0.4,0.5\n",
+        "0.1,,0.2,0.3,0.4,0.5\n",
+        "0.1,1000000000000000,0.2,0.3,0.4,0.5\n",
+        "0.1,0000000000000001,0.2,0.3,0.4,0.5\n",
+        "0.1,0000000000000001.0,0.2,0.3,0.4,0.5\n",
+        "0.1,9007199254740991,0.2,0.3,0.4,0.5\n",
+        "0.1,9007199254740992,0.2,0.3,0.4,0.5\n",
+        "0.1,123456789012345678,0.2,0.3,0.4,0.5\n",
+        "0.1,999999999999999999999,0.2,0.3,0.4,0.5\n",
+        GOOD + "0.1,1,0.2\n",
+        GOOD + "0.1,1,0.2,0.3,0.4,\n",
+        '"0.1"2,0,0.2,0.3,0.4,0.5\n',
+        '0"1",0,0.2,0.3,0.4,0.5\n',
+        "",
+        "\n\r\n",
+    ])
+    def test_other_files_match_the_row_path(self, tmp_path, body):
+        self._compare(tmp_path / "odd.csv", self.HEADER + body)
+
+    @pytest.mark.parametrize("ignore_extra", [False, True])
+    def test_extra_columns(self, tmp_path, ignore_extra):
+        outcome = self._compare(tmp_path / "extra.csv", "c0_1,e,note,m,y\n0.1,1,hello,0.3,0.4\n",
+                                ignore_extra=ignore_extra)
+        assert isinstance(outcome, str) != ignore_extra
+
+    @given(_csv_files())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_generated_files(self, tmp_path, file):
+        text, ignore_extra = file
+        self._compare(tmp_path / "generated.csv", text, ignore_extra=ignore_extra)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_round_trip_of_a_large_draw_is_bitwise(self, tmp_path, seed):
+        ds = draw_dataset(25000, seed)
+        path = tmp_path / "draw.csv"
+        write_csv(ds, path)
+        back = _c_pass(path)
+        for name in ("c0", "e", "c1", "m", "y"):
+            got, want = getattr(back, name), getattr(ds, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_takes_the_row_path(self, tmp_path):
+        text = self.HEADER + self.GOOD + "\n0.6,1,0.7,0.8,0.9,1.0\n"
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            piped = _outcome(read_csv, fifo)
+        finally:
+            writer.join()
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text)
+        assert piped == _outcome(_c_pass, plain)
 
 
 class TestWmean:
