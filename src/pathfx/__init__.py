@@ -42,9 +42,6 @@ from .nuisance import (
     components_from_functions,
     compute_components,
     fit_nuisances,
-    nested_mean_b,
-    nested_mean_b_doubleprime,
-    nested_mean_b_prime,
     stabilize_probabilities,
 )
 from .estimators import (

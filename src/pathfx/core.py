@@ -532,6 +532,8 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: header: {exc}") from None
         header = [h.strip() for h in header]
         known = {"e", "m", "y"}
         extras = [h for h in header if h not in known and not _REF_PATTERN.match(h)]
@@ -619,25 +621,29 @@ def _read_rows(path, reader, c0_at, e_at, c1_at, m_at, y_at) -> Dataset:
     """The row path: ``reader`` stands after the header; one Python ``float`` per cell."""
     c0, e, c1, m, y = [], [], [], [], []
     file_rows = []  # the file row of each kept row, blank lines counted
-    for i, raw in enumerate(reader):
-        if not raw:
-            continue
-        try:
-            c0_i = [float(raw[k]) for k in c0_at]
-            c1_i = [float(raw[k]) for k in c1_at]
-            e_i = raw[e_at].strip()
-            m_i = float(raw[m_at])
-            y_i = float(raw[y_at])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: row {i}: {exc}") from None
-        if not _LEVEL_PATTERN.match(e_i):
-            raise DataError(f"{path}: row {i}: treatment level {e_i!r} is not a non-negative integer")
-        file_rows.append(i)
-        c0 += c0_i
-        e.append(int(e_i))
-        c1 += c1_i
-        m.append(m_i)
-        y.append(y_i)
+    i = -1
+    try:
+        for i, raw in enumerate(reader):
+            if not raw:
+                continue
+            try:
+                c0_i = [float(raw[k]) for k in c0_at]
+                c1_i = [float(raw[k]) for k in c1_at]
+                e_i = raw[e_at].strip()
+                m_i = float(raw[m_at])
+                y_i = float(raw[y_at])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{path}: row {i}: {exc}") from None
+            if not _LEVEL_PATTERN.match(e_i):
+                raise DataError(f"{path}: row {i}: treatment level {e_i!r} is not a non-negative integer")
+            file_rows.append(i)
+            c0 += c0_i
+            e.append(int(e_i))
+            c1 += c1_i
+            m.append(m_i)
+            y.append(y_i)
+    except csv.Error as exc:  # raised by the reader on the row after the last one it gave
+        raise DataError(f"{path}: row {i + 1}: {exc}") from None
     n = len(e)
     if not n:
         raise DataError(f"{path}: no data rows")

@@ -4,23 +4,27 @@ Every fit is a batch: one design X and a ``(B, n)`` matrix of row weights,
 one coefficient vector per weight row, and one Fisher-scoring loop runs
 them all.  ``fit_ols`` and ``fit_glm_irls`` are the batch of one;
 ``fit_glm`` with ``(B, n)`` weights fits a bootstrap chunk.  Every p x p
-system X'WX goes through one kernel, ``_fisher_step``: it is solved from
-its Cholesky factor when LAPACK's condition estimate shows it well
-conditioned, and otherwise from the pivoted QR of sqrt(W) X, which names
-the offending column on rank loss.  A batch first solves all its systems
-from their inverses (``_solver``) and sends to ``_fisher_step`` only
-those whose exact condition fails the same bound.  Least squares is one
-such solve; each Fisher scoring step is another.  Every per-replicate
-product is its own BLAS call of a fixed shape (a stacked matmul), never a
-row of one (B, n) matrix product, whose rounding depends on B: a
-replicate's fit depends only on its own weights.  Scoring starts from zero
-or from caller-supplied coefficients, which is how bootstrap replicates
-start from the point fit.  The probit link uses
-the standard-normal CDF computed from the complementary error function (Cephes
-via ``scipy.special``), accurate to well below 1e-14; the logistic mean uses
-``scipy.special.expit`` (a batch forms it from the softplus's exponential),
-and the logistic log-likelihood the softplus form
-max(eta, 0) + log1p(e^-|eta|) of log(1 + e^eta).
+system X'WX is solved by one rule: from its inverse when the exact 1-norm
+reciprocal condition passes ``CHOL_RCOND_MIN`` (``_inverse_steps``, one
+2-D call for a single fit, one stacked call for a batch), and otherwise
+from a Householder QR of sqrt(W) X with column pivoting
+(``_pivoted_qr``), which names the offending column on rank loss.  Least
+squares is one such solve; each Fisher scoring step is another.  Every
+per-replicate product is its own BLAS call of a fixed shape (a stacked
+matmul), never a row of one (B, n) matrix product, whose rounding depends
+on B: a replicate's fit depends only on its own weights.  Scoring starts
+from zero or from caller-supplied coefficients, which is how bootstrap
+replicates start from the point fit.
+
+The link functions are numpy code.  The logistic mean is formed from the
+exponential of the softplus log(1 + e^eta) = max(eta, 0) + log1p(e^-|eta|),
+which the log-likelihood uses too.  The probit terms come from one scaled
+complementary error function erfcx(t) = e^(t^2) erfc(t) per element, at
+t = |eta| / sqrt(2): Cephes' rational approximations (S. L. Moshier, after
+W. J. Cody, "Rational Chebyshev approximations for the error function",
+1969).  The tail probability Phi(-|eta|) is erfcx(t) e^(-t^2) / 2, its log
+log(erfcx(t) / 2) - t^2 never underflows, and the tail's Mills ratio is
+sqrt(2 / pi) / erfcx(t) exactly.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
-from scipy.special import expit, log_ndtr, ndtr
 
 from .core import DesignSpec
 
@@ -54,12 +55,11 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 RANK_RTOL = 1e-10
 # A Fisher step is taken from the inverse of X'WX only when its exact 1-norm
-# reciprocal condition exceeds this, and from its Cholesky factor only when
-# LAPACK's estimate of the same (never below the exact value) does.  The
-# pivoted-QR rank check can fail only when cond(sqrt(W) X) >= 1 / RANK_RTOL,
-# i.e. cond(X'WX) >= 1e20, so every such system goes to the QR fallback with
-# ten orders to spare; so do full-rank systems whose squared condition would
-# cost the normal equations more than about 1e-6 of relative accuracy.
+# reciprocal condition exceeds this.  The pivoted-QR rank check can fail
+# only when cond(sqrt(W) X) >= 1 / RANK_RTOL, i.e. cond(X'WX) >= 1e20, so
+# every such system goes to the QR fallback with ten orders to spare; so do
+# full-rank systems whose squared condition would cost the normal equations
+# more than about 1e-6 of relative accuracy.
 CHOL_RCOND_MIN = 1e-10
 # Elements of the row outer products of X that one Gram block holds: 512 KB.
 GRAM_BLOCK = 2**16
@@ -197,7 +197,7 @@ def _gram_maker(X: np.ndarray):
 
 
 def _norm1(A: np.ndarray) -> np.ndarray:
-    return np.abs(A).sum(axis=-2).max(axis=-1)
+    return np.maximum.reduce(np.add.reduce(np.abs(A), axis=-2), axis=-1)
 
 
 def _inverse_or_nan(H: np.ndarray) -> np.ndarray:
@@ -207,36 +207,47 @@ def _inverse_or_nan(H: np.ndarray) -> np.ndarray:
         return np.full_like(H, np.nan)
 
 
-def _solver(X: np.ndarray, labels, batched: bool):
+def _inverse_steps(H: np.ndarray, score: np.ndarray):
+    """The steps H^-1 score of one system ``H`` (p, p) or a stack (B, p, p),
+    and whether each system passes the guard: an exact 1-norm reciprocal
+    condition above ``CHOL_RCOND_MIN`` (an exactly singular one fails)."""
+    try:
+        Hinv = np.linalg.inv(H)
+    except np.linalg.LinAlgError:  # some system is exactly singular: invert one at a time
+        Hinv = np.array([_inverse_or_nan(h) for h in H]) if H.ndim == 3 else np.full_like(H, np.nan)
+    # a cheaper bound settles most single systems: ||A||_1 <= sqrt(p) ||A||_F,
+    # so p ||H||_F ||H^-1||_F below 1 / CHOL_RCOND_MIN passes the exact test
+    if H.ndim == 2 and len(H) * math.sqrt(float(np.vdot(H, H)) * float(np.vdot(Hinv, Hinv))) < 1.0 / CHOL_RCOND_MIN:
+        return Hinv @ score, True
+    norms = _norm1(np.array((H, Hinv)))
+    with np.errstate(all="ignore"):
+        rcond = 1.0 / (norms[0] * norms[1])
+    return np.matmul(Hinv, score[..., None])[..., 0], rcond > CHOL_RCOND_MIN
+
+
+def _solver(X: np.ndarray, labels, batched: bool, XT: np.ndarray | None = None):
     """The Fisher-step solve of every fit on design X: ``solve(ww, score)``
     returns the steps delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] and
     ``{b: RankDeficiencyError}`` for the rows whose system is rank deficient
     (their steps are NaN).
 
     A single fit (``ww`` None for unit weights) takes ``_fisher_step``, which
-    raises on rank loss.  A batch solves each system from its inverse when
-    its exact 1-norm reciprocal condition exceeds ``CHOL_RCOND_MIN`` and
-    sends any other to ``_fisher_step``.
+    raises on rank loss, with ``XT``, a C-ordered copy of X.T, if given.  A
+    batch takes ``_inverse_steps`` on its stacked Grams and
+    sends each system that fails the guard to ``_qr_step``.
     """
     if not batched:
         def solve_one(ww, score):
-            return _fisher_step(X, None if ww is None else ww[0], score[0], labels)[None], {}
+            return _fisher_step(X, None if ww is None else ww[0], score[0], labels, XT)[None], {}
         return solve_one
     grams = _gram_maker(X)
 
     def solve(ww, score):
-        H = grams(ww)
-        with np.errstate(all="ignore"):
-            try:
-                Hinv = np.linalg.inv(H)
-            except np.linalg.LinAlgError:  # some system is exactly singular: invert one at a time
-                Hinv = np.array([_inverse_or_nan(h) for h in H])
-            rcond = 1.0 / (_norm1(H) * _norm1(Hinv))
-        delta = np.matmul(Hinv, score[:, :, None])[:, :, 0]
+        delta, passed = _inverse_steps(grams(ww), score)
         errors = {}
-        for b in np.flatnonzero(~(rcond > CHOL_RCOND_MIN)):
+        for b in np.flatnonzero(~passed):
             try:
-                delta[b] = _fisher_step(X, ww[b], score[b], labels)
+                delta[b] = _qr_step(X, ww[b], score[b], labels)
             except RankDeficiencyError as exc:
                 delta[b] = np.nan
                 errors[int(b)] = exc
@@ -263,11 +274,14 @@ def fit_ols(
 ) -> FittedGlm:
     """Weighted least squares; coefficients minimize the weighted RSS.
 
-    Solves the normal equations X'WX b = X'Wy with ``_fisher_step``, so rank
-    loss raises ``RankDeficiencyError`` naming the offending column.  Their
-    rounding error grows with cond(sqrt(W) X) squared, not with the
-    condition itself as in a QR solve: on near-collinear designs the
-    coefficients can move by up to about 1e-6 relative.
+    Solves the normal equations X'WX b = X'Wy with ``_fisher_step``: from
+    the inverse of X'WX when its exact 1-norm reciprocal condition exceeds
+    ``CHOL_RCOND_MIN``, and otherwise from a Householder QR of sqrt(W) X
+    with column pivoting, so rank loss raises ``RankDeficiencyError``
+    naming the offending column.  The normal equations' rounding error
+    grows with cond(sqrt(W) X) squared, not with the condition itself as in
+    a QR solve: on near-collinear designs the coefficients can move by up to
+    about 1e-6 relative.
     """
     X, y, weights = _as_matrix(X, y, weights)
     labels = design.labels if design is not None else None
@@ -275,78 +289,266 @@ def fit_ols(
     return FittedGlm(Family.GAUSSIAN, coef[0], True, 0, design)
 
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on [0, 1), erfcx(x) = P(x) / Q(x)
+# on [1, 8) and R(x) / S(x) from 8 up.  Each row pairs a numerator with its
+# denominator, highest power first, so that one Horner pass evaluates both;
+# Q, S and U are monic, and T and R are padded with a leading zero.  R / S
+# is evaluated in v = 1 / x, with the padded coefficients reversed, so that
+# no power of a large x overflows.
+_ERF_TU = np.array([
+    (0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+     7.00332514112805075473e3, 5.55923013010394962768e4),
+    (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+     2.26290000613890934246e4, 4.92673942608635921086e4),
+]).T
+_ERFCX_PQ = np.array([
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
+    (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2),
+]).T
+_ERFCX_RS = np.array([
+    (0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0),
+    (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0),
+]).T[::-1]
+# |eta| is capped here, so that eta^2 stays finite; every term is at its
+# limit long before
+_ETA_CAP = 1e154
+_LOG2 = math.log(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _rational(coef: np.ndarray, x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Numerator over denominator of the rows of ``coef`` at ``x``, into
+    ``out``; ``work`` has shape (2,) + x.shape."""
+    coef = coef.reshape(coef.shape + (1,) * x.ndim)
+    np.multiply(x, coef[0], out=work)
+    work += coef[1]
+    for c in coef[2:]:
+        work *= x
+        work += c
+    return np.divide(work[0], work[1], out=out)
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``a`` where ``mask`` (0 or 1) is 1 and ``b`` where it is 0, into ``b``;
+    both must be finite.  Each product is exact and one addend is zero, so
+    the choice is exact; ``a`` is overwritten."""
+    np.subtract(1.0, mask, out=work)
+    b *= work
+    a *= mask
+    b += a
+    return b
+
+
+def _erfcx_at(eta: np.ndarray):
+    """``(t2, g)`` at t = |eta| / sqrt(2), |eta| capped at ``_ETA_CAP``:
+    t2 = eta^2 / 2 and g = erfcx(t), so that Phi(-|eta|) = g e^(-t2) / 2.
+
+    Each range's approximation runs over every element at its argument
+    clipped into the range, where it stays finite, and the exact choice of
+    ``_select`` keeps the right one: no masked gather, and no warning for
+    any finite ``eta``.  A range that no element reaches is skipped.
+    """
+    a = np.abs(eta)
+    lo, hi = a.min(initial=np.inf), a.max(initial=0.0)
+    if hi > _ETA_CAP:
+        np.minimum(a, _ETA_CAP, out=a)
+    t2 = a * a
+    t2 *= 0.5
+    t = a
+    t *= _SQRT_HALF
+    lo, hi = lo * _SQRT_HALF, hi * _SQRT_HALF  # the bounds of t, rounded as t is
+    g, x, mask = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    work = np.empty((2,) + t.shape)
+    first = True
+    if lo < 1.0:  # e^(x^2) (1 - erf(x)) on [0, 1)
+        np.minimum(t, 1.0, out=x)
+        z = np.multiply(x, x, out=mask)
+        _rational(_ERF_TU, z, work, g)
+        g *= x
+        np.subtract(1.0, g, out=g)
+        g *= np.exp(z, out=z)
+        first = False
+    if hi >= 1.0 and lo < 8.0:
+        pq = _rational(_ERFCX_PQ, np.clip(t, 1.0, 8.0, out=x), work, g if first else work[0])
+        if not first:
+            _select(np.greater_equal(t, 1.0, out=mask), pq, g, x)
+        first = False
+    if hi >= 8.0:
+        v = np.maximum(t, 8.0, out=x)
+        np.divide(1.0, v, out=v)
+        rs = _rational(_ERFCX_RS, v, work, g if first else work[0])
+        if not first:
+            _select(np.greater_equal(t, 8.0, out=mask), rs, g, x)
+    return t2, g
+
+
+def _ndtr(eta: np.ndarray) -> np.ndarray:
+    """The standard normal CDF Phi(eta)."""
+    eta = np.asarray(eta, dtype=float)
+    flat = eta.reshape(-1)
+    t2, g = _erfcx_at(flat)
+    np.negative(t2, out=t2)
+    g *= 0.5
+    g *= np.exp(t2, out=t2)  # Phi(-|eta|)
+    return np.where(flat < 0.0, g, 1.0 - g).reshape(eta.shape)
+
+
+def _expit(eta: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + e^-eta), from e^-|eta| so that it never overflows."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def _binomial_mu(family: Family, eta: np.ndarray) -> np.ndarray:
     if family is Family.LOGIT:
-        return expit(eta)
-    return ndtr(eta)
+        return _expit(eta)
+    return _ndtr(eta)
 
 
-def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarray, batched: bool = False):
+def _probit_terms(eta: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """The probit log-likelihood, score factor and Fisher weight from one
+    erfcx per element (see ``_erfcx_at``), in a few reused buffers.
+
+    With q = Phi(-|eta|) the tail probability, log q = log(g / 2) - t^2 and
+    the tail's Mills ratio phi / q = sqrt(2 / pi) / g; the other side has
+    log(1 - q) and phi / (1 - q).  ``v``, the response on the other side (y
+    where eta >= 0, else 1 - y), and the sign of eta place them.
+    """
+    t2, g = _erfcx_at(eta)
+    e = np.negative(t2)
+    np.exp(e, out=e)  # e^(-t^2)
+    q = np.multiply(g, e)
+    q *= 0.5
+    log_q = np.log(g)
+    log_q -= t2
+    log_q -= _LOG2
+    log_other = np.negative(q, out=t2)
+    np.log1p(log_other, out=log_other)
+    sign = np.copysign(1.0, eta)
+    v = np.multiply(sign, y - 0.5)
+    v += 0.5
+    # ll = log q + v (log(1 - q) - log q)
+    log_other -= log_q
+    log_other *= v
+    log_other += log_q
+    log_other *= w
+    ll = log_other.sum(axis=-1)
+    mills_tail = np.divide(_SQRT_2_OVER_PI, g, out=g)
+    np.subtract(1.0, q, out=q)
+    mills_other = np.divide(e, q, out=e)
+    mills_other *= _INV_SQRT_2PI
+    fisher = mills_tail * mills_other
+    # s = sign (v mills_other - (1 - v) mills_tail)
+    mills_other *= v
+    np.subtract(1.0, v, out=v)
+    mills_tail *= v
+    mills_other -= mills_tail
+    mills_other *= sign
+    return ll, mills_other, fisher
+
+
+def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Log-likelihood, per-row score factor s (score = X' diag(w) s) and
     Fisher weight at linear predictor ``eta``, each link function evaluated
     once.  ``eta`` and ``w`` may carry a leading replicate axis; the
-    log-likelihood then has one entry per replicate.  A ``batched`` logit
-    takes its mean from the softplus's exponential, at a third of the cost
-    of ``expit`` and within an ulp of it."""
-    # Sums are formed in place, so that a batch holds few (B, n) temporaries.
-    if family is Family.LOGIT:
-        # softplus log(1 + e^eta), within 2 ulp of np.logaddexp(0, eta) at
-        # about a fifth of its cost; only the step-halving test reads ll
-        e = np.abs(eta)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        terms = np.log1p(e)
-        terms += np.maximum(eta, 0.0)
-        np.subtract(y * eta, terms, out=terms)
-        terms *= w
-        ll = terms.sum(axis=-1)
-        del terms
-        mu = np.where(eta >= 0.0, 1.0, e) / (1.0 + e) if batched else expit(eta)
-        del e
-        fisher = 1.0 - mu
-        fisher *= mu
-        return ll, y - mu, fisher
-    # probit: use log-CDF forms so the tails stay finite
-    log_cdf_pos = log_ndtr(eta)
-    log_cdf_neg = log_ndtr(-eta)
-    terms = y * log_cdf_pos
-    terms += (1.0 - y) * log_cdf_neg
+    log-likelihood then has one entry per replicate.  The logit mean comes
+    from the softplus's exponential, within an ulp of 1 / (1 + e^-eta)."""
+    if family is Family.PROBIT:
+        return _probit_terms(eta, y, w)
+    # softplus log(1 + e^eta), within 2 ulp of np.logaddexp(0, eta) at
+    # about a fifth of its cost; only the step-halving test reads ll.  Sums
+    # are formed in place, so that a batch holds few (B, n) temporaries.
+    e = np.abs(eta)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    terms = np.log1p(e)
+    terms += np.maximum(eta, 0.0)
+    np.subtract(y * eta, terms, out=terms)
     terms *= w
     ll = terms.sum(axis=-1)
     del terms
-    log_phi = -0.5 * eta**2 - 0.5 * math.log(2.0 * math.pi)
-    mills_pos = np.exp(log_phi - log_cdf_pos)  # phi/Phi(eta)
-    del log_cdf_pos
-    mills_neg = np.exp(log_phi - log_cdf_neg)  # phi/Phi(-eta)
-    del log_cdf_neg, log_phi
-    s = y * mills_pos
-    s -= (1.0 - y) * mills_neg
-    mills_pos *= mills_neg  # phi^2 / (Phi * (1-Phi)), the Fisher weight
-    return ll, s, mills_pos
+    mu = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+    del e
+    fisher = 1.0 - mu
+    fisher *= mu
+    return ll, y - mu, fisher
 
 
-def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
+def _pivoted_qr(A: np.ndarray):
+    """``(R, piv)`` of a Householder QR of ``A`` (n >= p) with column
+    pivoting, ``A[:, piv] = Q R``; Q is not formed.
+
+    Each step takes the column of largest remaining norm, the first on ties,
+    and downdates the other norms, recomputing one whose downdate has lost
+    half its digits: the rule of LAPACK's dgeqp3.
+    """
+    A = np.array(A, dtype=float)
+    n, p = A.shape
+    piv = np.arange(p)
+    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+    exact = norms.copy()  # each norm when last computed in full
+    tol = math.sqrt(np.finfo(float).eps)
+    for k in range(p):
+        j = k + int(np.argmax(norms[k:]))
+        if j != k:
+            A[:, [k, j]] = A[:, [j, k]]
+            piv[[k, j]] = piv[[j, k]]
+            norms[j], exact[j] = norms[k], exact[k]
+        x = A[k:, k]
+        rest = np.linalg.norm(x[1:])
+        if rest != 0.0:  # the reflector I - tau u u', u = (1, x[1:] / (x[0] - beta))
+            beta = -math.copysign(math.hypot(x[0], rest), x[0])
+            tau = (beta - x[0]) / beta
+            x[1:] /= x[0] - beta
+            x[0] = beta
+            if k + 1 < p:
+                C = A[k:, k + 1:]
+                wv = C[0] + x[1:] @ C[1:]
+                wv *= tau
+                C[0] -= wv
+                C[1:] -= np.outer(x[1:], wv)
+        for j in range(k + 1, p):
+            if norms[j] != 0.0:
+                left = max(0.0, 1.0 - (abs(A[k, j]) / norms[j]) ** 2)
+                if left * (norms[j] / exact[j]) ** 2 <= tol:
+                    norms[j] = exact[j] = np.linalg.norm(A[k + 1:, j])
+                else:
+                    norms[j] *= math.sqrt(left)
+    return np.triu(A[:p]), piv
+
+
+def _qr_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
+    """Solve (X'WX) delta = score from the pivoted QR of sqrt(W) X, raising
+    ``RankDeficiencyError`` naming the offending column on rank loss."""
+    A = X if ww is None else X * np.sqrt(np.maximum(ww, 0.0))[:, None]
+    R, piv = _pivoted_qr(A)
+    _check_rank(R, piv, labels)
+    delta = np.empty_like(score)
+    delta[piv] = np.linalg.solve(R, np.linalg.solve(R.T, score[piv]))
+    return delta
+
+
+def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels,
+                 XT: np.ndarray | None = None) -> np.ndarray:
     """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit weights).
 
-    Cholesky of X'WX when it succeeds and its condition estimate passes
-    ``CHOL_RCOND_MIN``; otherwise pivoted QR of sqrt(W) X, which raises
-    ``RankDeficiencyError`` naming the offending column.  Unit weights form
-    no weighted copy of X.
+    From the inverse of X'WX when it passes the guard of ``_inverse_steps``;
+    otherwise by ``_qr_step``, which raises ``RankDeficiencyError`` naming
+    the offending column.  Unit weights form no weighted copy of X; with
+    ``XT``, X.T as a C-ordered copy, the weighted Gram costs about a third
+    less than from the strided X.T.
     """
-    H = X.T @ X if ww is None else (X * ww[:, None]).T @ X
-    factor, info = dpotrf(H)
-    # potrf fails on a matrix that is not numerically positive definite;
-    # pocon and potrs report only illegal arguments
-    if info == 0 and dpocon(factor, np.abs(H).sum(axis=0).max())[0] > CHOL_RCOND_MIN:
-        return dpotrs(factor, score)[0]
-    # R alone is needed, so Q is never formed ("raw" mode)
-    A = X if ww is None else X * np.sqrt(np.maximum(ww, 0.0))[:, None]
-    _, R, piv = sla.qr(A, mode="raw", pivoting=True)
-    _check_rank(R, piv, labels)
-    rhs = sla.solve_triangular(R, sla.solve_triangular(R, score[piv], trans="T"))
-    delta = np.empty_like(rhs)
-    delta[piv] = rhs
-    return delta
+    H = X.T @ X if ww is None else ((X.T if XT is None else XT) * ww) @ X
+    delta, passed = _inverse_steps(H, score)
+    return delta if passed else _qr_step(X, ww, score, labels)
 
 
 def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
@@ -383,10 +585,13 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
     solve (see ``_solver``) and the products: a single fit keeps the plain
     matrix-vector ones.
     """
-    solve = _solver(X, labels, batched)
     if batched:
+        solve = _solver(X, labels, batched)
         times, times_x = _rows_times, _times_rows
     else:
+        XT = np.ascontiguousarray(X.T)
+        solve = _solver(X, labels, batched, XT)
+
         def times(X, coef):
             return (X @ coef[0])[None]
 
@@ -397,7 +602,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
     act = np.arange(coef.shape[0])  # replicates still scoring
     w = prior
     eta = times(X, coef)
-    ll, s, fisher = _binomial_terms(family, eta, y, w, batched)
+    ll, s, fisher = _binomial_terms(family, eta, y, w)
 
     def fail(rows, error):
         for k in rows:
@@ -444,7 +649,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
         base = coef if everyone else coef[act]
         trial = base + delta
         eta_t = times(X, trial)
-        ll_t, s_t, fisher_t = _binomial_terms(family, eta_t, y, w, batched)
+        ll_t, s_t, fisher_t = _binomial_terms(family, eta_t, y, w)
         floor = ll + 1e-12 * ll  # ll - 1e-12 |ll|, as a log-likelihood is never positive
         accepted = ll_t >= floor
         pending = () if accepted.all() else np.flatnonzero(~accepted)
@@ -453,7 +658,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
                 break
             t = base[pending] + 0.5**halvings * delta[pending]
             eta_h = times(X, t)
-            ll_h, s_h, fisher_h = _binomial_terms(family, eta_h, y, w[pending], batched)
+            ll_h, s_h, fisher_h = _binomial_terms(family, eta_h, y, w[pending])
             ok = (ll_h >= floor[pending]) | (halvings == 40)
             rows = pending[ok]
             trial[rows], eta_t[rows], ll_t[rows], s_t[rows], fisher_t[rows] = (
@@ -495,16 +700,19 @@ def fit_glm_irls(
 ) -> FittedGlm:
     """Binomial fit by iteratively reweighted least squares (Fisher scoring).
 
-    Each step solves the information system X'WX from its Cholesky factor
-    when LAPACK's reciprocal condition estimate exceeds ``CHOL_RCOND_MIN``,
-    and otherwise from the pivoted QR of sqrt(W) X, whose rank check raises
-    ``RankDeficiencyError`` naming the offending column.  Convergence
-    requires the largest absolute score component to fall below ``tol``.
-    Steps that lower the log-likelihood are halved; running out of
+    Each step solves the information system X'WX from its inverse when the
+    exact 1-norm reciprocal condition exceeds ``CHOL_RCOND_MIN``, and
+    otherwise from a Householder QR of sqrt(W) X with column pivoting, whose
+    rank check raises ``RankDeficiencyError`` naming the offending column.
+    Convergence requires the largest absolute score component to fall below
+    ``tol``.  Steps that lower the log-likelihood are halved; running out of
     iterations raises ``NonConvergenceError`` with the final score and
     coefficient norms, which is how separation surfaces; so does converging
-    with the median |eta| above 20.  The logit log-likelihood's log(1 + e^eta) is
-    computed as max(eta, 0) + log1p(e^-|eta|).
+    with the median |eta| above 20.  The logit log-likelihood's
+    log(1 + e^eta) is computed as max(eta, 0) + log1p(e^-|eta|), and the
+    mean from the same e^-|eta|; the probit terms come from one Cephes
+    erfcx per row (see the module docstring), with log Phi finite for
+    every finite eta.
 
     Scoring starts from ``start`` (copied, never written to) or, when it is
     None, from zero.  A bootstrap replicate started from the point fit's

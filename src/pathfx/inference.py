@@ -7,12 +7,12 @@ its value does not depend on the replicate count or the order of evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .core import Dataset, Overrides, build_design_matrix
 from .glm import Family, GlmError, _fisher_step
@@ -297,6 +297,98 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
 # Monte Carlo t test
 
 
+def _softplus(z: float) -> float:
+    """log(1 + e^z), for any finite z."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  With one argument 1/2 and the other a >= 20,
+    log Gamma(a + 1/2) - log Gamma(a) comes from the difference of
+    Stirling's series, where the large values of ``math.lgamma`` would
+    cancel."""
+    a, b = max(a, b), min(a, b)
+    if b != 0.5 or a < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def tail(z):  # Stirling's series after its first terms, to 1e-15 from z = 20
+        z2 = z * z
+        return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * z2)) / z2) / z2) / z
+
+    ratio = 0.5 * math.log(a) + a * math.log1p(0.5 / a) - 0.5 + tail(a + 0.5) - tail(a)
+    return 0.5 * math.log(math.pi) - ratio
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= 1e-16:
+            break
+    return h
+
+
+def _log_betainc(a: float, b: float, log_x: float, log_y: float) -> float:
+    """log I_x(a, b), the regularised incomplete beta function, from log x and
+    log y = log(1 - x), each given to full precision."""
+    x = math.exp(log_x)
+    front = a * log_x + b * log_y - _log_beta(a, b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front + math.log(_beta_fraction(a, b, x) / a)
+    return math.log1p(-math.exp(front) * _beta_fraction(b, a, math.exp(log_y)) / b)
+
+
+@functools.lru_cache(maxsize=256)
+def _t_critical(df: int, alpha: float) -> float:
+    """The two-sided critical value t with P(|T| > t) = ``alpha`` for
+    Student's t on ``df`` degrees of freedom: the 1 - alpha/2 quantile.
+
+    Newton's method on log t, kept inside the bracket the iterates have
+    found, solves log P(|T| > t) = log alpha (alpha <= 1/2) or log P(|T| <
+    t) = log(1 - alpha), whichever probability is the smaller, so that its
+    relative accuracy carries over to t.  P(|T| > t) is I_x(df/2, 1/2) at x =
+    df / (df + t^2).
+    """
+    a, tail = 0.5 * df, alpha <= 0.5
+    log_target = math.log(alpha if tail else 1.0 - alpha)
+    log_df, log_norm = math.log(df), _log_beta(0.5 * df, 0.5) + 0.5 * math.log(df)
+    lo, hi = -math.inf, math.inf  # log t below and above the root
+    u = 0.0
+    for _ in range(200):
+        r = 2.0 * u - log_df  # log(t^2 / df)
+        log_x, log_y = -_softplus(r), -_softplus(-r)
+        if tail:
+            g = _log_betainc(a, 0.5, log_x, log_y) - log_target
+        else:
+            g = _log_betainc(0.5, a, log_y, log_x) - log_target
+        if g == 0.0:
+            break
+        if (g > 0.0) == tail:
+            lo = u
+        else:
+            hi = u
+        # d/du log P = -/+ 2 t f(t) / P, with f the density of T
+        slope = math.exp(math.log(2.0) + u - log_norm - (a + 0.5) * _softplus(r) - g - log_target)
+        new = u + (g / slope if tail else -g / slope)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if math.isfinite(lo + hi) else u + math.copysign(8.0, new - u)
+        done = abs(new - u) <= 1e-15 * max(1.0, abs(u))
+        u = new
+        if done:
+            break
+    return math.exp(u)
+
+
 @dataclass(frozen=True)
 class TTestResult:
     t: float
@@ -323,7 +415,7 @@ def mc_t_test(values: np.ndarray, hypothesized: float, alpha: float = 0.05) -> T
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
     se = sd / math.sqrt(r)
-    critical = float(stdtrit(r - 1, 1.0 - alpha / 2.0))
+    critical = _t_critical(r - 1, float(alpha))
     if se == 0.0:
         if mean == hypothesized:
             return TTestResult(0.0, False, critical, mean, 0.0, r - 1)

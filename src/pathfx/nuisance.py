@@ -51,9 +51,6 @@ __all__ = [
     "StabilizeFlags",
     "fit_nuisances",
     "stabilize_probabilities",
-    "nested_mean_b",
-    "nested_mean_b_prime",
-    "nested_mean_b_doubleprime",
     "NuisanceComponents",
     "NuisanceFunctions",
     "compute_components",
@@ -560,21 +557,6 @@ def _nested_means(fits: NuisanceFits, dataset: Dataset):
             weight = weight * (p if bit == 1.0 else 1.0 - p)
         b_dd = b_dd + weight * _mediator_mixture(fits, dataset, np.asarray(support))
     return b, b_prime, b_dd
-
-
-def nested_mean_b(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
-    """Outcome regression evaluated at the record with treatment set to baseline."""
-    return _nested_means(fits, dataset)[0]
-
-
-def nested_mean_b_prime(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
-    """Outcome regression averaged over the mediator's comparison-arm law."""
-    return _nested_means(fits, dataset)[1]
-
-
-def nested_mean_b_doubleprime(fits: NuisanceFits, dataset: Dataset) -> np.ndarray:
-    """Nested mean further averaged over the baseline-arm post-treatment law."""
-    return _nested_means(fits, dataset)[2]
 
 
 # ---------------------------------------------------------------------------

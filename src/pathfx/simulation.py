@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Dataset, DesignSpec, PairCoding, TreatmentPair
 from .estimators import BETA_FUNCS, beta_mr_sequential
-from .glm import Family, GlmError
+from .glm import Family, GlmError, _expit
 from .inference import derived_rng, mc_t_test
 from .nuisance import (
     ROLE_MARGINAL,
@@ -96,7 +95,7 @@ def draw_dataset(n: int, seed: int, *, rep: int = 0) -> Dataset:
     rng_y = derived_rng(seed, rep, 4)
 
     c0 = rng_c0.uniform(C0_LOW, C0_HIGH, n)
-    p_e = expit(E_COEF[0] + E_COEF[1] * c0)
+    p_e = _expit(E_COEF[0] + E_COEF[1] * c0)
     e = (rng_e.random(n) < p_e).astype(int)
     ef = e.astype(float)
     c1 = (
@@ -140,7 +139,7 @@ class _Truth:
 
     def propensity(self, c0) -> np.ndarray:
         """P(E = 1 | c0)."""
-        return expit(E_COEF[0] + E_COEF[1] * self._c0(c0))
+        return _expit(E_COEF[0] + E_COEF[1] * self._c0(c0))
 
     def c1_mean(self, c0, e: int) -> np.ndarray:
         c0 = self._c0(c0)

@@ -1,6 +1,8 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.special import expit
 import pathfx.cli as cli_mod
 import pathfx.inference as inference_mod
 from pathfx.cli import main
-from pathfx.core import dataset_from_arrays, write_csv
+from pathfx.core import build_design_matrix, dataset_from_arrays, write_csv
 from pathfx.inference import derived_rng
 from pathfx.simulation import draw_dataset
 
@@ -136,6 +138,15 @@ class TestEstimateCommand:
             "--scale", "logrr",
         ])
         assert code == 3
+
+    def test_overlong_cell_exits_1_with_a_data_error(self, tmp_path, capsys):
+        # the 0x1c byte sends the file to csv's row reader, which refuses a
+        # cell over its 131,072-character limit
+        path = tmp_path / "long.csv"
+        path.write_text("c0_1,e,c1_1,m,y\n0.1,0,0.2," + "0.3" + " " * 140_000 + ",0.4\n0.1,1\x1c,0.2,0.3,0.4\n")
+        code = main(["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"data error: {path}: row 0: field larger than field limit (131072)\n"
 
     def test_absent_level_exits_1(self, study_csv):
         code = main([
@@ -355,8 +366,8 @@ class TestBootstrapWarmStart:
         argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
                 "--estimator", "mle,mr", "--bootstrap", kind, "--reps", "40", "--seed", "3",
                 "--clip", "none"]
-        warm, _, _, weights = _bootstrap_run(argv, monkeypatch)
-        cold, _, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
+        warm, _, warm_fits, weights = _bootstrap_run(argv, monkeypatch)
+        cold, _, cold_fits, _ = _bootstrap_run(argv, monkeypatch, cold=True)
         alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
         capsys.readouterr()
         assert warm.errors
@@ -373,10 +384,20 @@ class TestBootstrapWarmStart:
                     for text in errors]
 
         assert kinds(warm.errors) == kinds(cold.errors)
-        ok = ~np.isnan(cold.replicate_values).any(axis=1)
-        # near separation the propensities are pinned down only to the score
-        # tolerance; measured <= 3.9e-10
-        np.testing.assert_allclose(warm.replicate_values[ok], cold.replicate_values[ok], rtol=1e-8, atol=0.0)
+        # Compare what a warm start can move: each binomial fit's linear
+        # predictors.  The effects are no measure of it here: with clipping
+        # off, a fitted propensity within 1e-15 of 1 leaves 1 - p a few ulp
+        # wide, so a 1e-13 change of the linear predictor moves an effect by
+        # up to 3.8e-8 (wild_exp1-2, replicate 34).  Near separation the fits
+        # are pinned down only to the score tolerance; measured <= 7.0e-10.
+        data = dataset_from_arrays(ds.c0, e, ds.c1, ds.m, ds.y)
+        for role, warm_fit in warm_fits[1].fits.items():
+            cold_fit = cold_fits[1][role]
+            if warm_fit.family.is_binomial:
+                X = build_design_matrix(data, warm_fit.design)
+                both = warm_fit.converged & cold_fit.converged
+                eta_warm, eta_cold = warm_fit.coef[both] @ X.T, cold_fit.coef[both] @ X.T
+                np.testing.assert_allclose(eta_warm, eta_cold, rtol=1e-8, atol=0.0)
 
 
 DISCRETE_MODELS = """[models]
@@ -516,3 +537,49 @@ class TestRemovedOptions:
             main(command + ["--threads", "2"])
         assert err.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter where every scipy import fails.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from pathfx import DesignSpec, Family, RankDeficiencyError, build_design_matrix, dataset_from_arrays
+from pathfx import draw_dataset, fit_glm_irls, mc_t_test, write_csv
+from pathfx.cli import main
+
+work = sys.argv[1]
+assert main(["simulate", "--regime", "int", "--n", "300", "--reps", "3", "--seed", "1", "--out", work]) == 0
+write_csv(draw_dataset(600, 1), work + "/study.csv")
+with open(work + "/probit.ini", "w") as fh:
+    fh.write("[models]\\nprop_base = probit: 1, c0_1\\nprop_c1 = probit: 1, c0_1, c1_1, c1_2, c1_3\\n"
+             "prop_m = probit: 1, c0_1, c1_1, c1_2, c1_3, m\\n")
+assert main(["estimate", "--data", work + "/study.csv", "--comparison", "1", "--baseline", "0",
+             "--config", work + "/probit.ini", "--bootstrap", "nonparametric", "--reps", "5",
+             "--seed", "1", "--out", work]) == 0
+assert main(["oracle", "--draws", "100000", "--seed", "1"]) == 0
+print("critical", mc_t_test(np.arange(6.0), 2.0).critical)
+ds = draw_dataset(200, 2)
+flat = dataset_from_arrays(np.full_like(ds.c0, 0.5), ds.e, ds.c1, ds.m, ds.y)
+design = DesignSpec.parse("1, c0_1, c1_1")
+try:
+    fit_glm_irls(build_design_matrix(flat, design), (ds.m > 0).astype(float), Family.PROBIT, design=design)
+except RankDeficiencyError as exc:
+    print("rank", exc)
+print("scipy modules", sorted(name for name in sys.modules if name.startswith("scipy.")))
+"""
+
+
+class TestWithoutScipy:
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        critical = float(next(line for line in lines if line.startswith("critical")).split()[1])
+        assert critical == pytest.approx(2.5705818356363146, rel=1e-12)  # t_{0.975} on 5 df
+        assert re.fullmatch(r"rank design matrix is rank deficient at c0_1 \(relative pivot magnitude \S+\)",
+                            next(line for line in lines if line.startswith("rank")))
+        assert lines[-1] == "scipy modules []"
+        for name in ("summary_int.csv", "replicates_int.csv", "estimates.csv"):
+            assert (tmp_path / name).stat().st_size > 0

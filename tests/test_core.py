@@ -320,6 +320,24 @@ class TestCsv:
         path, message = self._error(tmp_path, self.GOOD + "0.1,1\n")
         assert message == f"{path}: row 1: list index out of range"
 
+    # a cell over csv's 131,072-character field limit, and a 0x1c byte that
+    # sends the file to the row path
+    OVERLONG = "0.1,0,0.2,0.3," + "0.4" + " " * 140_000 + ",0.5\n" + "0.1,1\x1c,0.2,0.3,0.4,0.5\n"
+
+    def test_an_overlong_cell_on_the_row_path_names_its_row(self, tmp_path):
+        with mock.patch.object(core_mod, "_load_columns", side_effect=AssertionError("took the C pass")):
+            path, message = self._error(tmp_path, self.OVERLONG)
+        assert message == f"{path}: row 0: field larger than field limit (131072)"
+        path, message = self._error(tmp_path, self.GOOD + "\n" + self.OVERLONG)
+        assert message == f"{path}: row 2: field larger than field limit (131072)"
+
+    def test_an_overlong_header_cell_is_a_data_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER.replace("y", "y" * 140_000) + self.GOOD)
+        with pytest.raises(DataError) as excinfo:
+            read_csv(path)
+        assert str(excinfo.value) == f"{path}: header: field larger than field limit (131072)"
+
     def test_unparsable_cell(self, tmp_path):
         path, message = self._error(tmp_path, "0.1,0,abc,0.3,0.4,0.5\n")
         assert message == f"{path}: row 0: could not convert string to float: 'abc'"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
-from scipy.special import expit, log_ndtr, ndtr
+from scipy.special import erfcx, expit, log_ndtr, ndtr, stdtrit
 
 import pathfx.glm as glm_mod
+import pathfx.inference as inference_mod
+from pathfx.core import build_design_matrix, dataset_from_arrays
 from pathfx.glm import (
     Family,
     GlmError,
@@ -22,6 +25,10 @@ from pathfx.glm import (
     score_and_information,
     score_contributions,
 )
+from pathfx.simulation import draw_dataset, working_models_for
+
+
+EPS = np.finfo(float).eps
 
 
 def _logistic_newton_oracle(X, y, w=None, iters=60):
@@ -54,19 +61,17 @@ def _probit_fisher_oracle(X, y, w=None, iters=60):
 def _qr_irls_reference(X, y, family, w=None, max_iter=100, tol=1e-10):
     """IRLS taking every Fisher step from the pivoted QR of sqrt(W) X.
 
-    The reference for the Cholesky step: same likelihood, score test, step
-    halving, separation check and rank rule, with no Cholesky factor.
+    The reference for the inverse step: same likelihood, score test, step
+    halving, separation check and rank rule, with no inverse.  It takes the
+    engine's link terms and QR step (``_qr_step``; the kernels are held to
+    scipy and mpmath in ``TestKernels``), because on near-collinear-2
+    (cond(X'WX) 5e12) a rounding difference in either moves the maximum by
+    about 1e-9 relative, above this comparison's gate.
     """
     w = np.ones(X.shape[0]) if w is None else w
 
     def terms(eta):
-        if family is Family.LOGIT:
-            mu = expit(eta)
-            return np.sum(w * (y * eta - np.logaddexp(0.0, eta))), y - mu, mu * (1.0 - mu)
-        lp, ln = log_ndtr(eta), log_ndtr(-eta)
-        log_phi = -0.5 * eta**2 - 0.5 * math.log(2.0 * math.pi)
-        pos, neg = np.exp(log_phi - lp), np.exp(log_phi - ln)
-        return np.sum(w * (y * lp + (1.0 - y) * ln)), y * pos - (1.0 - y) * neg, pos * neg
+        return glm_mod._binomial_terms(family, eta, y, w)
 
     coef = np.zeros(X.shape[1])
     ll, s, fisher = terms(X @ coef)
@@ -76,12 +81,7 @@ def _qr_irls_reference(X, y, family, w=None, max_iter=100, tol=1e-10):
             if np.median(np.abs(X @ coef)) > 20.0:
                 raise NonConvergenceError(iteration, 0.0, 0.0)
             return coef
-        _, R, piv = sla.qr(X * np.sqrt(w * fisher)[:, None], mode="raw", pivoting=True)
-        diag = np.abs(np.diag(R))
-        if diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0]):
-            raise RankDeficiencyError(int(piv[np.argmax(diag < 1e-10 * diag[0])]), 0.0)
-        delta = np.empty_like(coef)
-        delta[piv] = sla.solve_triangular(R, sla.solve_triangular(R, score[piv], trans="T"))
+        delta = glm_mod._qr_step(X, w * fisher, score, None)
         for halvings in range(41):
             trial = coef + 0.5**halvings * delta
             ll_trial, s, fisher = terms(X @ trial)
@@ -287,17 +287,21 @@ class TestFisherStep:
         y = (rng.random(n) < expit(0.3 + 0.8 * x - 0.5 * z)).astype(float)
         assert np.linalg.cond(X.T @ X, 1) > 1e3 / glm_mod.CHOL_RCOND_MIN
 
-        def no_cholesky_solve(*args, **kwargs):
-            raise AssertionError("the condition guard should have sent this step to QR")
+        def no_inverse_step(*args, **kwargs):
+            delta, passed = inverse_steps(*args, **kwargs)
+            if passed:
+                raise AssertionError("the condition guard should have sent this step to QR")
+            return delta, passed
 
-        monkeypatch.setattr(glm_mod, "dpotrs", no_cholesky_solve)
+        inverse_steps = glm_mod._inverse_steps
+        monkeypatch.setattr(glm_mod, "_inverse_steps", no_inverse_step)
         for family in (Family.LOGIT, Family.PROBIT):
             fit = fit_glm_irls(X, y, family)
             reference = _qr_irls_reference(X, y, family)
             assert fit.converged
             assert np.max(np.abs(fit.coef - reference)) <= 1e-10 * np.max(np.abs(reference))
 
-    def test_well_conditioned_information_takes_the_cholesky_step(self, monkeypatch):
+    def test_well_conditioned_information_takes_the_inverse_step(self, monkeypatch):
         rng = np.random.default_rng(23)
         n = 300
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
@@ -306,7 +310,7 @@ class TestFisherStep:
         def no_qr(*args, **kwargs):
             raise AssertionError("a well-conditioned step should not need QR")
 
-        monkeypatch.setattr(glm_mod.sla, "qr", no_qr)
+        monkeypatch.setattr(glm_mod, "_pivoted_qr", no_qr)
         assert fit_glm_irls(X, y, Family.LOGIT).converged
 
     def test_ill_conditioned_least_squares_takes_the_qr_step(self, monkeypatch):
@@ -319,25 +323,28 @@ class TestFisherStep:
         w = rng.exponential(1.0, n)
         assert np.linalg.cond(X.T @ X, 1) > 1e3 / glm_mod.CHOL_RCOND_MIN
 
-        def no_cholesky_solve(*args, **kwargs):
-            raise AssertionError("the condition guard should have sent this solve to QR")
+        def no_inverse_step(*args, **kwargs):
+            delta, passed = inverse_steps(*args, **kwargs)
+            if passed:
+                raise AssertionError("the condition guard should have sent this solve to QR")
+            return delta, passed
 
         qr_calls = []
 
-        def counted_qr(*args, **kwargs):
-            qr_calls.append(kwargs.get("mode"))
-            return sla_qr(*args, **kwargs)
+        def counted_qr(A):
+            qr_calls.append("raw")
+            return pivoted_qr(A)
 
-        sla_qr = glm_mod.sla.qr
-        monkeypatch.setattr(glm_mod, "dpotrs", no_cholesky_solve)
-        monkeypatch.setattr(glm_mod.sla, "qr", counted_qr)
+        inverse_steps, pivoted_qr = glm_mod._inverse_steps, glm_mod._pivoted_qr
+        monkeypatch.setattr(glm_mod, "_inverse_steps", no_inverse_step)
+        monkeypatch.setattr(glm_mod, "_pivoted_qr", counted_qr)
         for weights, sw in ((None, np.ones(n)), (w, np.sqrt(w))):
             reference = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
             # measured gaps are below 6e-15 of each coefficient
             np.testing.assert_allclose(fit_ols(X, y, weights).coef, reference, rtol=1e-10)
         assert qr_calls == ["raw", "raw"]
 
-    def test_well_conditioned_least_squares_takes_the_cholesky_step(self, monkeypatch):
+    def test_well_conditioned_least_squares_takes_the_inverse_step(self, monkeypatch):
         rng = np.random.default_rng(25)
         n = 300
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
@@ -347,7 +354,7 @@ class TestFisherStep:
         def no_qr(*args, **kwargs):
             raise AssertionError("a well-conditioned solve should not need QR")
 
-        monkeypatch.setattr(glm_mod.sla, "qr", no_qr)
+        monkeypatch.setattr(glm_mod, "_pivoted_qr", no_qr)
         for weights, sw in ((None, np.ones(n)), (w, np.sqrt(w))):
             reference = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
             np.testing.assert_allclose(fit_ols(X, y, weights).coef, reference, rtol=1e-10)
@@ -561,8 +568,10 @@ class TestLogitTerms:
             w = rng.exponential(1.0, n)
             ll, s, fisher = glm_mod._binomial_terms(Family.LOGIT, eta, y, w)
             mu = expit(eta)
-            assert np.array_equal(s, y - mu)
-            assert np.array_equal(fisher, mu * (1.0 - mu))
+            # the mean from the softplus's exponential is within 2 ulp of
+            # expit's 1 / (1 + e^-eta); measured <= 2.2e-16
+            assert np.max(np.abs(s - (y - mu))) <= 2 * EPS
+            assert np.max(np.abs(fisher - mu * (1.0 - mu))) <= 2 * EPS
             reference = np.sum(w * (y * eta - np.logaddexp(0.0, eta)))
             # measured <= 2.5e-16
             assert abs(ll - reference) <= 1e-15 * abs(reference)
@@ -662,9 +671,192 @@ class TestLinkNumerics:
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=200, deadline=None)
     def test_expit_complement(self, x):
-        assert expit(x) + expit(-x) == pytest.approx(1.0, abs=1e-15)
+        assert glm_mod._expit(x) + glm_mod._expit(-x) == pytest.approx(1.0, abs=1e-15)
 
     def test_normal_cdf_at_zero(self):
-        from scipy.special import ndtr
+        assert glm_mod._ndtr(0.0) == 0.5
+        assert glm_mod._ndtr(-0.0) == 0.5
 
-        assert ndtr(0.0) == 0.5
+
+def _erfcx(t):
+    """erfcx(t) for t >= 0 from the engine's kernel, which takes |eta| = t sqrt(2)."""
+    return glm_mod._erfcx_at(math.sqrt(2.0) * np.asarray(t, dtype=float))[1]
+
+
+def _log_ndtr(eta):
+    """log Phi(eta) as the probit terms form it: log(g / 2) - t^2 on the tail
+    side, log1p(-q) on the other."""
+    t2, g = glm_mod._erfcx_at(eta)
+    tail = np.log(0.5 * g) - t2
+    return np.where(eta < 0.0, tail, np.log1p(-0.5 * g * np.exp(-t2)))
+
+
+def _mp_log_ndtr(x):
+    x = mpmath.mpf(x)
+    return mpmath.log(mpmath.ncdf(x)) if x < 0 else mpmath.log1p(-mpmath.ncdf(-x))
+
+
+def _relative_error(got, want):
+    """Largest relative error where ``want`` is a normal double, and the
+    largest absolute error elsewhere (subnormal or zero)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    normal = np.abs(want) >= np.finfo(float).tiny
+    rel = np.max(np.abs(got[normal] - want[normal]) / np.abs(want[normal]), initial=0.0)
+    return rel, np.max(np.abs(got[~normal] - want[~normal]), initial=0.0)
+
+
+class TestKernels:
+    """The numpy link kernels against mpmath (40 digits) and scipy."""
+
+    ETA = np.r_[np.linspace(-40.0, 40.0, 2001), -1e3, 1e3, -37.5, 37.5, 0.0, 1e-300, -1e-300]
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        with mpmath.workdps(40):
+            return {
+                "ndtr": np.array([float(mpmath.ncdf(mpmath.mpf(x))) for x in self.ETA]),
+                "log_ndtr": np.array([float(_mp_log_ndtr(x)) for x in self.ETA]),
+                "expit": np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(x)))) for x in self.ETA]),
+            }
+
+    def test_ndtr_and_log_ndtr(self, exact):
+        # measured 5.7e-14 for both: e^(-eta^2 / 2) carries the rounding of
+        # eta^2, up to 700 ulp at |eta| 37.5
+        for got, name in ((glm_mod._ndtr(self.ETA), "ndtr"), (_log_ndtr(self.ETA), "log_ndtr")):
+            rel, tiny = _relative_error(got, exact[name])
+            assert rel <= 1e-13, name
+            assert tiny <= 1e-320, name
+        # scipy's e^(-x^2) carries the rounding of x = eta / sqrt(2) as well
+        scipy_ok = np.abs(self.ETA) <= 20.0
+        np.testing.assert_allclose(glm_mod._ndtr(self.ETA[scipy_ok]), ndtr(self.ETA[scipy_ok]), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_log_ndtr(self.ETA[scipy_ok]), log_ndtr(self.ETA[scipy_ok]), rtol=1e-13, atol=0)
+
+    def test_erfcx(self):
+        t = np.r_[np.linspace(0.0, 40.0, 4001), 0.999999, 1.0, 7.999999, 8.0, 100.0, 1e3, 1e10, 1e150]
+        # measured 1.8e-15 against scipy and mpmath
+        np.testing.assert_allclose(_erfcx(t), erfcx(t), rtol=1e-14, atol=0)
+        with mpmath.workdps(40):
+            want = [float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(mpmath.mpf(x))) for x in t[::50]]
+        assert _relative_error(_erfcx(t[::50]), want)[0] <= 1e-14
+
+    def test_logit_mean(self, exact):
+        rel, tiny = _relative_error(glm_mod._expit(self.ETA), exact["expit"])
+        assert rel <= 2 * EPS  # measured 3.1e-16
+        assert tiny <= 1e-323
+
+    def test_probit_terms_match_the_log_cdf_forms(self):
+        # the parent formulas: log Phi(+-eta) and Mills ratios phi / Phi(+-eta)
+        rng = np.random.default_rng(7)
+        for scale in (0.3, 1.0, 3.0, 10.0):
+            eta = scale * rng.standard_normal((3, 500))
+            eta[0, :3] = [0.0, -0.0, 1e-300]
+            y = (rng.random(500) < 0.4).astype(float)
+            w = rng.exponential(1.0, (3, 500))
+            ll, s, fisher = glm_mod._binomial_terms(Family.PROBIT, eta, y, w)
+            lp, ln = log_ndtr(eta), log_ndtr(-eta)
+            log_phi = -0.5 * eta**2 - 0.5 * math.log(2.0 * math.pi)
+            pos, neg = np.exp(log_phi - lp), np.exp(log_phi - ln)
+            np.testing.assert_allclose(ll, np.sum(w * (y * lp + (1.0 - y) * ln), axis=-1), rtol=1e-14)
+            np.testing.assert_allclose(s, y * pos - (1.0 - y) * neg, rtol=1e-12)
+            np.testing.assert_allclose(fisher, pos * neg, rtol=1e-12)
+
+    def test_no_warning_anywhere_on_the_real_line(self):
+        eta = np.r_[-np.logspace(-300, 300, 601), 0.0, np.logspace(-300, 300, 601), -1.7e308, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in (Family.LOGIT, Family.PROBIT):
+                for y in (np.zeros(1), np.ones(1)):  # one row per replicate, so that no sum overflows
+                    ll, s, fisher = glm_mod._binomial_terms(family, eta[:, None], y, np.ones((eta.size, 1)))
+                    assert not np.isnan(ll).any() and not np.isnan(s).any() and not np.isnan(fisher).any()
+            for f in (glm_mod._ndtr, _log_ndtr, glm_mod._expit):
+                assert not np.isnan(f(eta)).any()
+
+
+def _mp_t_critical(df, alpha, guess):
+    """The t with P(|T| > t) = alpha, by mpmath's root finder on log t."""
+    with mpmath.workdps(40):
+        df, alpha, half = mpmath.mpf(df), mpmath.mpf(alpha), mpmath.mpf(1) / 2
+
+        def gap(u):
+            t2 = mpmath.exp(2 * u)
+            if alpha <= half:
+                return mpmath.log(mpmath.betainc(df / 2, half, 0, df / (df + t2), regularized=True) / alpha)
+            return mpmath.log(mpmath.betainc(half, df / 2, 0, t2 / (df + t2), regularized=True) / (1 - alpha))
+
+        return float(mpmath.exp(mpmath.findroot(gap, mpmath.log(guess))))
+
+
+class TestStudentQuantile:
+    DF = (1, 2, 3, 4, 5, 9, 30, 100, 1000, 10_000)
+    # the CLI accepts any alpha in (0, 1)
+    ALPHA = (1e-300, 1e-12, 1e-4, 0.01, 0.05, 0.1, 0.5, 0.9, 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("df", DF)
+    def test_matches_mpmath(self, df):
+        for alpha in self.ALPHA:
+            got = inference_mod._t_critical(df, alpha)
+            # measured <= 9.4e-14 (df 1, alpha 1e-300)
+            assert got == pytest.approx(_mp_t_critical(df, alpha, got), rel=1e-12), alpha
+
+    @pytest.mark.parametrize("df", DF)
+    def test_matches_scipy(self, df):
+        for alpha in (1e-4, 0.01, 0.05, 0.1, 0.5):
+            assert inference_mod._t_critical(df, alpha) == pytest.approx(stdtrit(df, 1.0 - alpha / 2.0), rel=1e-12)
+
+
+def _pivot_outcome(R, piv):
+    try:
+        glm_mod._check_rank(R, piv)
+    except RankDeficiencyError as exc:
+        return exc.column, exc.pivot_magnitude, str(exc)
+    return None
+
+
+def _rank_designs():
+    """Each design of ``_fallback_fixtures`` (and its sqrt-weighted form),
+    and this file's rank-deficient designs."""
+    out = []
+    for name, X, _, w in _fallback_fixtures():
+        out.append((name, X))
+        if w is not None:
+            out.append((f"{name}-weighted", X * np.sqrt(w)[:, None]))
+    X = np.random.default_rng(9).standard_normal((30, 3))
+    out.append(("duplicate-column", np.column_stack([X, X[:, 1]])))
+    x = np.random.default_rng(15).standard_normal(50)
+    out.append(("twice-a-column", np.column_stack([np.ones(50), x, 2.0 * x])))
+    rng = np.random.default_rng(21)
+    X = np.column_stack([np.ones(200), rng.standard_normal(200), np.r_[np.zeros(190), rng.standard_normal(10)]])
+    out.append(("zero-weights", X * np.sqrt(np.r_[np.ones(190), np.zeros(10)])[:, None]))
+    # the sandwich's outcome block where c0_1 is constant (test_inference.py)
+    ds = draw_dataset(600, 27)
+    flat = dataset_from_arrays(np.full_like(ds.c0, 0.5), ds.e, ds.c1, ds.m, ds.y)
+    out.append(("constant-c0", build_design_matrix(flat, working_models_for("int").working_set["outcome"].design)))
+    return out
+
+
+class TestPivotedQr:
+    @pytest.mark.parametrize("case", _rank_designs(), ids=lambda c: c[0])
+    def test_matches_lapack(self, case):
+        _, A = case
+        _, R_ref, piv_ref = sla.qr(A, mode="raw", pivoting=True)
+        R, piv = glm_mod._pivoted_qr(A)
+        assert np.array_equal(piv, piv_ref)
+        np.testing.assert_allclose(np.abs(np.diag(R)), np.abs(np.diag(R_ref)), rtol=1e-13, atol=1e-14 * np.abs(R_ref[0, 0]))
+        got, want = _pivot_outcome(R, piv), _pivot_outcome(R_ref, piv_ref)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0]
+            # the magnitude is a ratio of R's diagonal, exact to its rounding
+            # floor; its 4-digit text is data, not rounding, from 1e-11 up
+            assert abs(got[1] - want[1]) <= 1e-15
+            if want[1] >= 1e-11 or want[1] == 0.0:
+                assert got[2] == want[2]
+
+    def test_reconstructs_the_pivoted_matrix(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((40, 6)) * 10.0 ** rng.uniform(-3, 3, 6)
+        R, piv = glm_mod._pivoted_qr(A)
+        Q, _ = np.linalg.qr(A[:, piv])
+        # R'R = (A P)'(A P) whatever the signs of R's rows
+        np.testing.assert_allclose(R.T @ R, A[:, piv].T @ A[:, piv], rtol=1e-12, atol=1e-12 * np.abs(A).max() ** 2)
+        assert np.all(np.diff(np.abs(np.diag(R))) <= 0)

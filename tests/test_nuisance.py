@@ -29,9 +29,6 @@ from pathfx.nuisance import (
     c1_mean_role,
     compute_components,
     fit_nuisances,
-    nested_mean_b,
-    nested_mean_b_doubleprime,
-    nested_mean_b_prime,
     stabilize_probabilities,
 )
 from pathfx.simulation import (
@@ -244,11 +241,20 @@ class TestStabilization:
             stabilize_probabilities(p, np.array([1.0, 1.0]))
 
 
+def _nested(fits, ds):
+    """(b, b', b'') as ``compute_components`` reports them.  The nested means
+    read no propensity model, so fits without one get intercept-only ones."""
+    missing = {role: _glm("1", [0.0], Family.LOGIT)
+               for role in (ROLE_PROP_BASE, ROLE_PROP_C1, ROLE_PROP_M) if role not in fits}
+    comp = compute_components(ds, replace(fits, fits={**fits.fits, **missing}))
+    return comp.b, comp.b_prime, comp.b_doubleprime
+
+
 class TestNestedMeans:
     def test_b_equals_fitted_value_on_baseline_arm(self):
         ds = draw_dataset(300, 33)
         fits = _true_fits()
-        b = nested_mean_b(fits, ds)
+        b = _nested(fits, ds)[0]
         X = build_design_matrix(ds, fits[ROLE_OUTCOME].design)
         plain = X @ fits[ROLE_OUTCOME].coef
         on_base = ds.e == 0
@@ -260,7 +266,7 @@ class TestNestedMeans:
             np.array([0.0]), np.array([0.0]),
         )
         fits = _true_fits()
-        assert nested_mean_b(fits, ds)[0] == pytest.approx(2.4, abs=1e-12)
+        assert _nested(fits, ds)[0][0] == pytest.approx(2.4, abs=1e-12)
 
     def test_zero_coefficients_give_zero(self):
         ds = draw_dataset(50, 34)
@@ -268,9 +274,9 @@ class TestNestedMeans:
         patched = dict(fits.fits)
         patched[ROLE_OUTCOME] = replace(fits[ROLE_OUTCOME], coef=np.zeros(8))
         fits = replace(fits, fits=patched)
-        assert np.all(nested_mean_b(fits, ds) == 0.0)
-        assert np.all(nested_mean_b_prime(fits, ds) == 0.0)
-        assert np.all(nested_mean_b_doubleprime(fits, ds) == 0.0)
+        assert np.all(_nested(fits, ds)[0] == 0.0)
+        assert np.all(_nested(fits, ds)[1] == 0.0)
+        assert np.all(_nested(fits, ds)[2] == 0.0)
 
     def test_b_prime_drops_mediator_model_when_m_coefficients_zero(self):
         ds = draw_dataset(100, 35)
@@ -280,12 +286,12 @@ class TestNestedMeans:
         patched = dict(fits.fits)
         patched[ROLE_OUTCOME] = replace(fits[ROLE_OUTCOME], coef=coef)
         fits = replace(fits, fits=patched)
-        assert np.max(np.abs(nested_mean_b_prime(fits, ds) - nested_mean_b(fits, ds))) < 1e-12
+        assert np.max(np.abs(_nested(fits, ds)[1] - _nested(fits, ds)[0])) < 1e-12
 
     def test_b_prime_matches_analytic_composition(self):
         ds = draw_dataset(400, 36)
         fits = _true_fits()
-        got = nested_mean_b_prime(fits, ds)
+        got = _nested(fits, ds)[1]
         want = truth.b_prime(ds.c1, ds.c0)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -300,13 +306,13 @@ class TestNestedMeans:
         patched[ROLE_OUTCOME] = replace(fits[ROLE_OUTCOME], coef=out_coef)
         patched[ROLE_MEDIATOR] = replace(fits[ROLE_MEDIATOR], coef=med_coef)
         fits = replace(fits, fits=patched)
-        diff = nested_mean_b_doubleprime(fits, ds) - nested_mean_b_prime(fits, ds)
+        diff = _nested(fits, ds)[2] - _nested(fits, ds)[1]
         assert np.max(np.abs(diff)) < 1e-12
 
     def test_b_doubleprime_closed_form(self):
         ds = draw_dataset(400, 38)
         fits = _true_fits()
-        got = nested_mean_b_doubleprime(fits, ds)
+        got = _nested(fits, ds)[2]
         c0 = ds.c0[:, 0]
         assert np.max(np.abs(got - (1.447 + 1.231 * c0))) < 1e-10
 
@@ -352,7 +358,7 @@ class TestDiscretePathway:
     def test_two_point_mediator_mixture(self):
         fits = self._binary_fits()
         ds = self._binary_dataset()
-        assert nested_mean_b_prime(fits, ds) == pytest.approx([1.5, 1.5], abs=1e-12)
+        assert _nested(fits, ds)[1] == pytest.approx([1.5, 1.5], abs=1e-12)
 
     def test_two_point_c1_mixture(self):
         # B'(c1=0)=2, B'(c1=1)=4, P(C1=1)=0.5 -> 3
@@ -364,7 +370,7 @@ class TestDiscretePathway:
             coding=CODING, pathway="discrete", d1=1,
         )
         ds = self._binary_dataset()
-        assert nested_mean_b_doubleprime(fits, ds) == pytest.approx([3.0, 3.0], abs=1e-12)
+        assert _nested(fits, ds)[2] == pytest.approx([3.0, 3.0], abs=1e-12)
 
     def test_linear_agrees_with_discrete_on_two_point_support(self):
         # intercept-only mediator models: the gaussian mean and the logistic
@@ -393,9 +399,9 @@ class TestDiscretePathway:
         })
         lin = fit_nuisances(ds, linear_set, CODING, pathway="linear")
         dis = fit_nuisances(ds, discrete_set, CODING, pathway="discrete")
-        assert np.max(np.abs(nested_mean_b_prime(lin, ds) - nested_mean_b_prime(dis, ds))) < 1e-10
+        assert np.max(np.abs(_nested(lin, ds)[1] - _nested(dis, ds)[1])) < 1e-10
         assert np.max(np.abs(
-            nested_mean_b_doubleprime(lin, ds) - nested_mean_b_doubleprime(dis, ds)
+            _nested(lin, ds)[2] - _nested(dis, ds)[2]
         )) < 1e-10
 
 
