@@ -357,7 +357,9 @@ def _erfcx_at(eta: np.ndarray):
     any finite ``eta``.  A range that no element reaches is skipped.
     """
     a = np.abs(eta)
-    lo, hi = a.min(initial=np.inf), a.max(initial=0.0)
+    # bounds of the elements that are not NaN (a NaN passes through every
+    # range as NaN); with no such element no range runs
+    lo, hi = np.fmin.reduce(a, axis=None, initial=np.inf), np.fmax.reduce(a, axis=None, initial=0.0)
     if hi > _ETA_CAP:
         np.minimum(a, _ETA_CAP, out=a)
     t2 = a * a
@@ -387,6 +389,9 @@ def _erfcx_at(eta: np.ndarray):
         rs = _rational(_ERFCX_RS, v, work, g if first else work[0])
         if not first:
             _select(np.greater_equal(t, 8.0, out=mask), rs, g, x)
+        first = False
+    if first:
+        g.fill(np.nan)
     return t2, g
 
 

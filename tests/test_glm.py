@@ -545,6 +545,27 @@ class TestBatchFit:
         assert np.isnan(batch.coef[1]).all()
         assert np.array_equal(batch.coef[[0, 2, 3]], clean.coef[[0, 2, 3]])
 
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_a_failed_row_leaves_the_others_means(self, family):
+        # the NaN coefficients of a failed replicate reach predict_mean and
+        # the link terms with the others, whose values they must not touch
+        rng, X, y, _ = self._case()
+        W = rng.exponential(1.0, (4, X.shape[0]))
+        W[1] = np.where(X[:, 1] > 0, y, 1.0 - y)
+        batch = fit_glm(X, y, family, W)
+        assert list(batch.converged) == [True, False, True, True]
+        mean = predict_mean(batch, X)
+        assert np.isnan(mean[1]).all()
+        for b in (0, 2, 3):
+            single = dataclasses.replace(batch, coef=batch.coef[b], converged=True, iterations=0)
+            assert np.array_equal(mean[b], predict_mean(single, X))
+        eta = batch.coef @ X.T
+        terms = glm_mod._binomial_terms(family, eta, y, W)
+        alone = glm_mod._binomial_terms(family, eta[[0, 2, 3]], y, W[[0, 2, 3]])
+        for got, want in zip(terms, alone):
+            assert np.isnan(got[1]).all()
+            assert np.array_equal(got[[0, 2, 3]], want)
+
     def test_frequency_weights_count_rows_as_drawn(self):
         rng = np.random.default_rng(52)
         for _ in range(500):
