@@ -233,8 +233,8 @@ def _solver(X: np.ndarray, labels, batched: bool, XT: np.ndarray | None = None):
 
     A single fit (``ww`` None for unit weights) takes ``_fisher_step``, which
     raises on rank loss, with ``XT``, a C-ordered copy of X.T, if given.  A
-    batch takes ``_inverse_steps`` on its stacked Grams and
-    sends each system that fails the guard to ``_qr_step``.
+    batch takes ``_inverse_steps`` on its stacked Grams and sends each
+    system that fails the guard to ``_qr_step``.
     """
     if not batched:
         def solve_one(ww, score):
@@ -588,7 +588,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
     batch.  Returns the iterations per replicate and ``{b: GlmError}`` for
     the failed ones, whose coefficients are NaN.  ``batched`` picks the
     solve (see ``_solver``) and the products: a single fit keeps the plain
-    matrix-vector ones.
+    matrix-vector ones, and makes one C-ordered copy of X' for its Grams.
     """
     if batched:
         solve = _solver(X, labels, batched)
