@@ -225,20 +225,22 @@ def _inverse_steps(H: np.ndarray, score: np.ndarray):
     return np.matmul(Hinv, score[..., None])[..., 0], rcond > CHOL_RCOND_MIN
 
 
-def _solver(X: np.ndarray, labels, batched: bool, XT: np.ndarray | None = None):
+def _solver(X: np.ndarray, labels, batched: bool):
     """The Fisher-step solve of every fit on design X: ``solve(ww, score)``
     returns the steps delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] and
     ``{b: RankDeficiencyError}`` for the rows whose system is rank deficient
     (their steps are NaN).
 
-    A single fit (``ww`` None for unit weights) takes ``_fisher_step``, which
-    raises on rank loss, with ``XT``, a C-ordered copy of X.T, if given.  A
-    batch takes ``_inverse_steps`` on its stacked Grams and sends each
-    system that fails the guard to ``_qr_step``.
+    A single fit takes ``_fisher_step``, which raises on rank loss, with one
+    C-ordered copy of X.T for the Grams of all its steps.  A batch takes
+    ``_inverse_steps`` on its stacked Grams and sends each system that fails
+    the guard to ``_qr_step``.
     """
     if not batched:
+        XT = np.ascontiguousarray(X.T)
+
         def solve_one(ww, score):
-            return _fisher_step(X, None if ww is None else ww[0], score[0], labels, XT)[None], {}
+            return _fisher_step(X, ww[0], score[0], labels, XT)[None], {}
         return solve_one
     grams = _gram_maker(X)
 
@@ -254,15 +256,6 @@ def _solver(X: np.ndarray, labels, batched: bool, XT: np.ndarray | None = None):
         return delta, errors
 
     return solve
-
-
-def _least_squares(X: np.ndarray, y: np.ndarray, W: np.ndarray | None, labels, *, batched: bool):
-    """Weighted least squares for every row of ``W`` (B, n), or one unweighted fit."""
-    if W is None:
-        rhs = (X.T @ y)[None]
-    else:
-        rhs = _times_rows(W * y, X) if batched else (X.T @ (W[0] * y))[None]
-    return _solver(X, labels, batched)(W, rhs)
 
 
 def fit_ols(
@@ -285,8 +278,8 @@ def fit_ols(
     """
     X, y, weights = _as_matrix(X, y, weights)
     labels = design.labels if design is not None else None
-    coef, _ = _least_squares(X, y, None if weights is None else weights[None], labels, batched=False)
-    return FittedGlm(Family.GAUSSIAN, coef[0], True, 0, design)
+    coef = _fisher_step(X, weights, X.T @ (y if weights is None else weights * y), labels)
+    return FittedGlm(Family.GAUSSIAN, coef, True, 0, design)
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on [0, 1), erfcx(x) = P(x) / Q(x)
@@ -588,15 +581,12 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
     batch.  Returns the iterations per replicate and ``{b: GlmError}`` for
     the failed ones, whose coefficients are NaN.  ``batched`` picks the
     solve (see ``_solver``) and the products: a single fit keeps the plain
-    matrix-vector ones, and makes one C-ordered copy of X' for its Grams.
+    matrix-vector ones.
     """
+    solve = _solver(X, labels, batched)
     if batched:
-        solve = _solver(X, labels, batched)
         times, times_x = _rows_times, _times_rows
     else:
-        XT = np.ascontiguousarray(X.T)
-        solve = _solver(X, labels, batched, XT)
-
         def times(X, coef):
             return (X @ coef[0])[None]
 
@@ -773,7 +763,7 @@ def fit_glm(
     labels = design.labels if design is not None else None
     if family is Family.GAUSSIAN:
         X, y, W = _as_matrix(X, y, weights, batched=True)
-        coef, errors = _least_squares(X, y, W, labels, batched=True)
+        coef, errors = _solver(X, labels, batched=True)(W, _times_rows(W * y, X))
         iterations = np.zeros(W.shape[0], dtype=int)
     else:
         X, y, W = _checked_binomial(X, y, family, weights, batched=True)

@@ -9,9 +9,11 @@ import pytest
 from scipy.special import expit
 
 import pathfx.cli as cli_mod
+import pathfx.glm as glm_mod
 import pathfx.inference as inference_mod
 from pathfx.cli import main
 from pathfx.core import build_design_matrix, dataset_from_arrays, write_csv
+from pathfx.glm import predict_mean
 from pathfx.inference import derived_rng
 from pathfx.simulation import draw_dataset
 
@@ -384,21 +386,59 @@ class TestBootstrapWarmStart:
                     for text in errors]
 
         assert kinds(warm.errors) == kinds(cold.errors)
-        # Compare what a warm start can move: each binomial fit's linear
-        # predictors.  The effects are no measure of it here: with clipping
-        # off, a fitted propensity within 1e-15 of 1 leaves 1 - p a few ulp
-        # wide, so a 1e-13 change of the linear predictor moves an effect by
-        # up to 3.8e-8 (wild_exp1-2, replicate 34).  Near separation the fits
-        # are pinned down only to the score tolerance; measured <= 7.0e-10.
         data = dataset_from_arrays(ds.c0, e, ds.c1, ds.m, ds.y)
-        for role, warm_fit in warm_fits[1].fits.items():
+        binomial = [(role, fit) for role, fit in warm_fits[1].fits.items() if fit.family.is_binomial]
+        # The effects of every replicate whose fitted propensities all keep
+        # 1 - p above a few ulp.  With clipping off, 1 - p is only a few ulp
+        # wide closer to 1, so a 1e-13 change of the linear predictor moved
+        # an effect by 3.8e-8 (wild_exp1-2, replicate 34, 1 - p = 1.8e-15).
+        # Near separation the propensities are pinned down only to the score
+        # tolerance; measured <= 3.9e-10.
+        ok = ~np.isnan(cold.replicate_values).any(axis=1)
+        for _, fit in binomial:
+            p = predict_mean(fit, build_design_matrix(data, fit.design))
+            ok &= (1.0 - p > 64 * np.finfo(float).eps).all(axis=1)
+        assert ok.sum() >= 30
+        np.testing.assert_allclose(warm.replicate_values[ok], cold.replicate_values[ok], rtol=1e-8, atol=0.0)
+        # and, for every replicate, what a warm start can move: each binomial
+        # fit's linear predictors; measured <= 7.0e-10
+        for role, warm_fit in binomial:
             cold_fit = cold_fits[1][role]
-            if warm_fit.family.is_binomial:
-                X = build_design_matrix(data, warm_fit.design)
-                both = warm_fit.converged & cold_fit.converged
-                eta_warm, eta_cold = warm_fit.coef[both] @ X.T, cold_fit.coef[both] @ X.T
-                np.testing.assert_allclose(eta_warm, eta_cold, rtol=1e-8, atol=0.0)
+            X = build_design_matrix(data, warm_fit.design)
+            both = warm_fit.converged & cold_fit.converged
+            eta_warm, eta_cold = warm_fit.coef[both] @ X.T, cold_fit.coef[both] @ X.T
+            np.testing.assert_allclose(eta_warm, eta_cold, rtol=1e-8, atol=0.0)
 
+    def test_rank_deficient_replicates_fail_in_the_qr_fallback(self, tmp_path, monkeypatch, capsys):
+        # c0_1 is 1 on three of 60 rows: a resample that draws none of them
+        # leaves the column zero, and the batch's QR fallback names it
+        ds = draw_dataset(60, 4)
+        c0 = np.zeros_like(ds.c0)
+        c0[:3, 0] = 1.0
+        path = tmp_path / "rare.csv"
+        write_csv(dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y), path)
+        argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
+                "--estimator", "mle,mr", "--bootstrap", "nonparametric", "--reps", "40", "--seed", "3"]
+        qr_steps = []
+
+        def counted_qr_step(*args, **kwargs):
+            qr_steps.append(1)
+            return qr_step(*args, **kwargs)
+
+        qr_step = glm_mod._qr_step
+        monkeypatch.setattr(glm_mod, "_qr_step", counted_qr_step)
+        warm, _, _, weights = _bootstrap_run(argv, monkeypatch)
+        assert qr_steps
+        del qr_steps[:]
+        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        assert qr_steps
+        capsys.readouterr()
+        unseen = np.flatnonzero(weights[1][:, :3].sum(axis=1) == 0)
+        assert len(unseen) == 3
+        assert warm.errors == [f"replicate {r}: outcome: design matrix is rank deficient at c0_1 "
+                               "(relative pivot magnitude 0.000e+00)" for r in unseen]
+        # the per-replicate path reports the same failures, byte for byte
+        assert warm.errors == alone.errors
 
 DISCRETE_MODELS = """[models]
 outcome = gaussian: 1, c0_1, e, c1_1, c1_2, m, e*m
