@@ -23,14 +23,13 @@ from .core import (
     recode_pair,
 )
 from .estimators import (
-    BETA_FUNCS,
     BETA_KINDS,
     DEFAULT_DELTA_FOR,
     DELTA_FUNCS,
     DELTA_KINDS,
     EstimateResult,
     EstimationError,
-    beta_mr_sequential,
+    beta_of_kind,
     combine_effect,
     weight_diagnostics,
 )
@@ -147,25 +146,32 @@ def _parse_model_line(role: str, text: str) -> ModelSpec:
 def load_config_file(path, d0: int, d1: int, base: EstimateConfig) -> EstimateConfig:
     """Merge a sectioned ``key = value`` config file over the defaults.
 
-    Section ``[models]`` holds ``role = family: term, ...`` lines; section
+    Section ``[models]`` holds ``role = family: term, ...`` lines, where a
+    post-treatment mean role is ``c1_mean_<j>`` for 1 <= j <= ``d1``; section
     ``[estimate]`` holds ``scale``, ``pathway``, ``stabilize`` (comma list of
-    base, m_ratio, c1_ratio, or all/none), and ``clip``.
+    base, m_ratio, c1_ratio, or all/none), and ``clip``.  A file that
+    ``configparser`` cannot read is a ``UsageError``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file {path!r} not found")
+    try:
+        if not parser.read(path):
+            raise UsageError(f"config file {path!r} not found")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise UsageError(f"config: {exc}") from exc
+    c1_roles = {c1_mean_role(j) for j in range(1, d1 + 1)}
     cfg = base
-    if parser.has_section("models"):
+    if "models" in sections:
         models = dict(cfg.working_set.models)
-        for role, text in parser.items("models"):
+        for role, text in sections["models"].items():
             role = role.strip()
-            if role not in _CONFIG_ROLES and not role.startswith("c1_mean_"):
-                raise UsageError(f"config: unknown model role {role!r}")
+            if role not in _CONFIG_ROLES and role not in c1_roles:
+                hint = f"; expected c1_mean_<j> with 1 <= j <= {d1}" if role.startswith("c1_mean_") else ""
+                raise UsageError(f"config: unknown model role {role!r}{hint}")
             models[role] = _parse_model_line(role, text)
         cfg = replace(cfg, working_set=WorkingModelSet(models))
-    if parser.has_section("estimate"):
-        section = parser["estimate"]
+    if "estimate" in sections:
+        section = sections["estimate"]
         if "scale" in section:
             cfg = replace(cfg, scale=_parse_scale(section["scale"]))
         if "pathway" in section:
@@ -229,11 +235,8 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None,
     comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
     out = []
     for kind, delta_kind in pairs:
-        if kind == "mr_seq":
-            beta = beta_mr_sequential(ds, cfg.working_set, coding, stabilize=cfg.stabilize,
-                                      clip=cfg.clip, weights=weights, comp=comp).value
-        else:
-            beta = BETA_FUNCS[kind](ds, comp, weights)
+        beta = beta_of_kind(kind, ds, comp, weights, working_set=cfg.working_set, coding=coding,
+                            stabilize=cfg.stabilize, clip=cfg.clip)
         delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
         out.append((beta, delta, combine_effect(beta, delta, cfg.scale)))
     return out, comp, fits

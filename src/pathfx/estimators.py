@@ -44,6 +44,7 @@ __all__ = [
     "beta_b",
     "beta_mr",
     "beta_mr_sequential",
+    "beta_of_kind",
     "SequentialFit",
     "delta_gformula",
     "delta_ipw",
@@ -332,3 +333,23 @@ def beta_mr_sequential(
         term_values=(term1, term2, term3),
         b_doubleprime=b_dd,
     )
+
+
+def beta_of_kind(
+    kind: str,
+    dataset: Dataset,
+    comp: NuisanceComponents,
+    weights: np.ndarray | None = None,
+    *,
+    working_set: WorkingModelSet,
+    coding: PairCoding,
+    stabilize: StabilizeFlags,
+    clip: tuple[float, float] | None = DEFAULT_CLIP,
+):
+    """The contrast estimate of estimator ``kind`` (one of ``BETA_KINDS``)
+    from the components ``comp``; ``mr_seq`` also refits the mean models of
+    ``working_set`` (see ``beta_mr_sequential``)."""
+    if kind == "mr_seq":
+        return beta_mr_sequential(dataset, working_set, coding, stabilize=stabilize, clip=clip,
+                                  weights=weights, comp=comp).value
+    return BETA_FUNCS[kind](dataset, comp, weights)

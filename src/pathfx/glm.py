@@ -3,16 +3,18 @@
 Every fit is a batch: one design X and a ``(B, n)`` matrix of row weights,
 one coefficient vector per weight row, and one Fisher-scoring loop runs
 them all.  ``fit_ols`` and ``fit_glm_irls`` are the batch of one;
-``fit_glm`` with ``(B, n)`` weights fits a bootstrap chunk.  Every p x p
-system X'WX is solved by one rule: from its inverse when the exact 1-norm
-reciprocal condition passes ``CHOL_RCOND_MIN`` (``_inverse_steps``, one
-2-D call for a single fit, one stacked call for a batch), and otherwise
-from a Householder QR of sqrt(W) X with column pivoting
-(``_pivoted_qr``), which names the offending column on rank loss.  Least
-squares is one such solve; each Fisher scoring step is another.  Every
-per-replicate product is its own BLAS call of a fixed shape (a stacked
-matmul), never a row of one (B, n) matrix product, whose rounding depends
-on B: a replicate's fit depends only on its own weights.  Scoring starts
+``fit_glm`` with ``(B, n)`` weights fits a bootstrap chunk.  One solver
+(``_solver``) forms every p x p system X' diag(w) X as one matrix product
+of the weighted X' with X per system, and solves it by one rule: from its
+inverse when the exact 1-norm reciprocal condition passes
+``CHOL_RCOND_MIN`` (``_inverse_steps``), and otherwise from a Householder
+QR of sqrt(W) X with column pivoting (``_pivoted_qr``), which names the
+offending column on rank loss.  Least squares is one such solve; each
+Fisher scoring step is another.  Every per-replicate product, Gram
+included, is its own BLAS call of a fixed shape (a stacked matmul, or the
+same call in 2-D for a single system), never a row of one (B, n) matrix
+product, whose rounding depends on B: a replicate's fit depends only on
+its own weights, and is bitwise the single fit on them.  Scoring starts
 from zero or from caller-supplied coefficients, which is how bootstrap
 replicates start from the point fit.
 
@@ -61,8 +63,6 @@ RANK_RTOL = 1e-10
 # full-rank systems whose squared condition would cost the normal equations
 # more than about 1e-6 of relative accuracy.
 CHOL_RCOND_MIN = 1e-10
-# Elements of the row outer products of X that one Gram block holds: 512 KB.
-GRAM_BLOCK = 2**16
 
 
 class Family(enum.Enum):
@@ -120,8 +120,9 @@ class FittedGlm:
         self.coef.setflags(write=False)
 
 
-def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, *, batched: bool = False):
-    """Validated float arrays; ``batched`` admits ``(B, n)`` weights as well as ``(n,)``."""
+def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, rows: np.ndarray | None = None):
+    """Validated float arrays: X (n, p), y (n,), and either ``weights``
+    (n,) or ``rows`` of weights (B, n), returned in third place."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -131,11 +132,12 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None, *, batc
         raise GlmError(f"response has length {y.shape}, expected ({n},)")
     if n < p:
         raise GlmError(f"need at least as many rows ({n}) as columns ({p})")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,) and not (batched and weights.ndim == 2 and weights.shape[1] == n):
-            expected = f"(B, {n}) or ({n},)" if batched else f"({n},)"
-            raise GlmError(f"weights have shape {weights.shape}, expected {expected}")
+    if rows is not None or weights is not None:
+        weights = np.asarray(weights if rows is None else rows, dtype=float)
+        if rows is None and weights.shape != (n,):
+            raise GlmError(f"weights have shape {weights.shape}, expected ({n},)")
+        if rows is not None and (weights.ndim != 2 or weights.shape[1] != n):
+            raise GlmError(f"weights have shape {weights.shape}, expected (B, {n}) or ({n},)")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise GlmError("weights must be finite and non-negative")
     return X, y, weights
@@ -153,47 +155,16 @@ def _check_rank(R: np.ndarray, piv: np.ndarray, labels=None) -> None:
 
 def _rows_times(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """``X @ coef[b]`` for every row b of ``coef`` (B, p), shape (B, n)."""
+    if len(coef) == 1:
+        return (X @ coef[0])[None]
     return np.matmul(X, coef[:, :, None])[:, :, 0]
 
 
 def _times_rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``v[b] @ X`` for every row b of ``v`` (B, n), shape (B, p)."""
+    if len(v) == 1:
+        return (X.T @ v[0])[None]
     return np.matmul(v[:, None, :], X)[:, 0, :]
-
-
-def _gram_maker(X: np.ndarray):
-    """A function of weight rows ``ww`` (B, n) returning X' diag(ww[b]) X for each b.
-
-    Each Gram is one weight row times the products of every pair of columns
-    (the upper triangle), summed over blocks of rows so that no block holds
-    more than ``GRAM_BLOCK`` elements; a design that fits in one block keeps
-    its products for every call.
-    """
-    n, p = X.shape
-    i, j = np.triu_indices(p)
-    rows = max(1, GRAM_BLOCK // i.size)
-
-    def products(lo):  # (n, q), as the transpose of a C-ordered (q, n) array
-        block = np.ascontiguousarray(X[lo:lo + rows].T)
-        out = np.empty((i.size, block.shape[1]))
-        first = 0
-        for k in range(p):  # the row products of column k with columns k..p-1
-            np.multiply(block[k], block[k:], out=out[first:first + p - k])
-            first += p - k
-        return out.T
-
-    kept = products(0) if n <= rows else None
-
-    def grams(ww: np.ndarray) -> np.ndarray:
-        upper = 0.0
-        for lo in range(0, n, rows):
-            upper = upper + np.matmul(ww[:, None, lo:lo + rows], products(lo) if kept is None else kept)
-        H = np.empty((ww.shape[0], p, p))
-        H[:, i, j] = upper[:, 0]
-        H[:, j, i] = upper[:, 0]
-        return H
-
-    return grams
 
 
 def _norm1(A: np.ndarray) -> np.ndarray:
@@ -225,37 +196,53 @@ def _inverse_steps(H: np.ndarray, score: np.ndarray):
     return np.matmul(Hinv, score[..., None])[..., 0], rcond > CHOL_RCOND_MIN
 
 
-def _solver(X: np.ndarray, labels, batched: bool):
-    """The Fisher-step solve of every fit on design X: ``solve(ww, score)``
-    returns the steps delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] and
-    ``{b: RankDeficiencyError}`` for the rows whose system is rank deficient
-    (their steps are NaN).
+def _solver(X: np.ndarray, labels):
+    """The solve of every fit on design X: ``solve(ww, score)`` returns the
+    steps delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] for the rows of
+    ``ww`` (B, n) and ``score`` (B, p), and ``{b: RankDeficiencyError}`` for
+    the rows whose system is rank deficient (their steps are NaN).  ``ww``
+    None stands for one row of unit weights, which forms no weighted copy
+    of X.
 
-    A single fit takes ``_fisher_step``, which raises on rank loss, with one
-    C-ordered copy of X.T for the Grams of all its steps.  A batch takes
-    ``_inverse_steps`` on its stacked Grams and sends each system that fails
-    the guard to ``_qr_step``.
+    Every weighted Gram is one matrix product of X' diag(ww[b]), from a
+    C-ordered copy of X' made at the solver's first weighted solve, with X:
+    a stacked matmul for a batch, and the same product as a 2-D call for a
+    single system, which gives the same bits.  ``_inverse_steps`` solves the systems that pass
+    its guard, and ``_qr_step`` each of the others.
     """
-    if not batched:
-        XT = np.ascontiguousarray(X.T)
-
-        def solve_one(ww, score):
-            return _fisher_step(X, ww[0], score[0], labels, XT)[None], {}
-        return solve_one
-    grams = _gram_maker(X)
+    XT = None
 
     def solve(ww, score):
-        delta, passed = _inverse_steps(grams(ww), score)
+        nonlocal XT
+        if ww is not None and XT is None:
+            XT = np.ascontiguousarray(X.T)
+        if len(score) == 1:
+            delta, passed = _inverse_steps(X.T @ X if ww is None else (XT * ww[0]) @ X, score[0])
+            if passed:
+                return delta[None], {}
+            delta, failed = delta[None], [0]
+        else:
+            delta, passed = _inverse_steps(np.matmul(XT * ww[:, None, :], X), score)
+            failed = np.flatnonzero(~passed)
         errors = {}
-        for b in np.flatnonzero(~passed):
+        for b in failed:
             try:
-                delta[b] = _qr_step(X, ww[b], score[b], labels)
+                delta[b] = _qr_step(X, None if ww is None else ww[b], score[b], labels)
             except RankDeficiencyError as exc:
                 delta[b] = np.nan
                 errors[int(b)] = exc
         return delta, errors
 
     return solve
+
+
+def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
+    """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit
+    weights) with ``_solver``, raising its ``RankDeficiencyError``."""
+    delta, errors = _solver(X, labels)(None if ww is None else ww[None], score[None])
+    if errors:
+        raise errors[0]
+    return delta[0]
 
 
 def fit_ols(
@@ -267,7 +254,7 @@ def fit_ols(
 ) -> FittedGlm:
     """Weighted least squares; coefficients minimize the weighted RSS.
 
-    Solves the normal equations X'WX b = X'Wy with ``_fisher_step``: from
+    Solves the normal equations X'WX b = X'Wy with ``_solver``: from
     the inverse of X'WX when its exact 1-norm reciprocal condition exceeds
     ``CHOL_RCOND_MIN``, and otherwise from a Householder QR of sqrt(W) X
     with column pivoting, so rank loss raises ``RankDeficiencyError``
@@ -534,21 +521,6 @@ def _qr_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) ->
     return delta
 
 
-def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels,
-                 XT: np.ndarray | None = None) -> np.ndarray:
-    """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit weights).
-
-    From the inverse of X'WX when it passes the guard of ``_inverse_steps``;
-    otherwise by ``_qr_step``, which raises ``RankDeficiencyError`` naming
-    the offending column.  Unit weights form no weighted copy of X; with
-    ``XT``, X.T as a C-ordered copy, the weighted Gram costs about a third
-    less than from the strided X.T.
-    """
-    H = X.T @ X if ww is None else ((X.T if XT is None else XT) * ww) @ X
-    delta, passed = _inverse_steps(H, score)
-    return delta if passed else _qr_step(X, ww, score, labels)
-
-
 def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
     """Whether the median |eta| exceeds 20, the mark of complete separation.
 
@@ -571,7 +543,7 @@ def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
     return bool(over) and bool(np.median(a) > 20.0)
 
 
-def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, batched: bool):
+def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
     """Fisher scoring of every row of ``coef`` (B, p) under the prior row
     weights of the same row of ``prior`` (B, n).
 
@@ -579,24 +551,14 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
     replicate runs its own score test, step halving, separation test and
     Fisher step; a converged or failed replicate is frozen and leaves the
     batch.  Returns the iterations per replicate and ``{b: GlmError}`` for
-    the failed ones, whose coefficients are NaN.  ``batched`` picks the
-    solve (see ``_solver``) and the products: a single fit keeps the plain
-    matrix-vector ones.
+    the failed ones, whose coefficients are NaN.
     """
-    solve = _solver(X, labels, batched)
-    if batched:
-        times, times_x = _rows_times, _times_rows
-    else:
-        def times(X, coef):
-            return (X @ coef[0])[None]
-
-        def times_x(v, X):
-            return (X.T @ v[0])[None]
+    solve = _solver(X, labels)
     iterations = np.zeros(coef.shape[0], dtype=int)
     errors: dict[int, GlmError] = {}
     act = np.arange(coef.shape[0])  # replicates still scoring
     w = prior
-    eta = times(X, coef)
+    eta = _rows_times(X, coef)
     ll, s, fisher = _binomial_terms(family, eta, y, w)
 
     def fail(rows, error):
@@ -608,7 +570,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
     for iteration in range(1, max_iter + 1):
         if not act.size:
             break
-        score = times_x(w * s, X)
+        score = _times_rows(w * s, X)
         score_max = np.abs(score).max(axis=1)
         if score_max.min() < tol:
             done = score_max < tol
@@ -643,7 +605,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
         everyone = act.size == len(coef)
         base = coef if everyone else coef[act]
         trial = base + delta
-        eta_t = times(X, trial)
+        eta_t = _rows_times(X, trial)
         ll_t, s_t, fisher_t = _binomial_terms(family, eta_t, y, w)
         floor = ll + 1e-12 * ll  # ll - 1e-12 |ll|, as a log-likelihood is never positive
         accepted = ll_t >= floor
@@ -652,7 +614,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
             if not len(pending):
                 break
             t = base[pending] + 0.5**halvings * delta[pending]
-            eta_h = times(X, t)
+            eta_h = _rows_times(X, t)
             ll_h, s_h, fisher_h = _binomial_terms(family, eta_h, y, w[pending])
             ok = (ll_h >= floor[pending]) | (halvings == 40)
             rows = pending[ok]
@@ -666,7 +628,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels, ba
         eta, ll, s, fisher = eta_t, ll_t, s_t, fisher_t
     else:
         if act.size:
-            score_max = np.abs(times_x(w * s, X)).max(axis=1)
+            score_max = np.abs(_times_rows(w * s, X)).max(axis=1)
             fail(range(act.size), lambda k: NonConvergenceError(
                 max_iter, float(score_max[k]), float(np.linalg.norm(coef[act[k]]))))
     return iterations, errors
@@ -715,23 +677,22 @@ def fit_glm_irls(
     within the score tolerance.  This is the batch of one of the scoring
     that ``fit_glm`` runs over a ``(B, n)`` weight matrix.
     """
-    X, y, weights = _checked_binomial(X, y, family, weights, batched=False)
+    if not family.is_binomial:
+        raise GlmError(f"fit_glm_irls fits binomial families only, got {family.value}; use fit_glm")
+    X, y, weights = _as_matrix(X, y, weights)
+    _check_binary(y)
     coef = _starts(start, 1, X.shape[1])
     prior = np.ones((1, X.shape[0])) if weights is None else weights[None]
     iterations, errors = _score_batch(X, y, family, prior, coef, None, max_iter=max_iter, tol=tol,
-                                      labels=design.labels if design is not None else None, batched=False)
+                                      labels=design.labels if design is not None else None)
     if errors:
         raise errors[0]
     return FittedGlm(family, coef[0], True, int(iterations[0]), design)
 
 
-def _checked_binomial(X, y, family, weights, *, batched):
-    if not family.is_binomial:
-        raise GlmError(f"fit_glm_irls fits binomial families only, got {family.value}; use fit_glm")
-    X, y, weights = _as_matrix(X, y, weights, batched=batched)
+def _check_binary(y: np.ndarray) -> None:
     if np.any((y < 0) | (y > 1)):
         raise GlmError("binomial families require responses in [0, 1]")
-    return X, y, weights
 
 
 def fit_glm(
@@ -761,15 +722,15 @@ def fit_glm(
             return fit_ols(X, y, weights, design=design)
         return fit_glm_irls(X, y, family, weights, max_iter=max_iter, tol=tol, design=design, start=start)
     labels = design.labels if design is not None else None
+    X, y, W = _as_matrix(X, y, rows=weights)
     if family is Family.GAUSSIAN:
-        X, y, W = _as_matrix(X, y, weights, batched=True)
-        coef, errors = _solver(X, labels, batched=True)(W, _times_rows(W * y, X))
+        coef, errors = _solver(X, labels)(W, _times_rows(W * y, X))
         iterations = np.zeros(W.shape[0], dtype=int)
     else:
-        X, y, W = _checked_binomial(X, y, family, weights, batched=True)
+        _check_binary(y)
         coef = _starts(start, W.shape[0], X.shape[1])
         iterations, errors = _score_batch(X, y, family, W, coef, W if frequency_weights else None,
-                                          max_iter=max_iter, tol=tol, labels=labels, batched=True)
+                                          max_iter=max_iter, tol=tol, labels=labels)
     converged = np.ones(W.shape[0], dtype=bool)
     converged[list(errors)] = False
     return FittedGlm(family, coef, converged, iterations, design)

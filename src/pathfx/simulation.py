@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, DesignSpec, PairCoding, TreatmentPair
-from .estimators import BETA_FUNCS, beta_mr_sequential
+from .estimators import BETA_KINDS, beta_of_kind
 from .glm import Family, GlmError, _expit
 from .inference import derived_rng, mc_t_test
 from .nuisance import (
@@ -479,7 +479,7 @@ def run_monte_carlo(
     coding = PairCoding(pair=TreatmentPair(1, 0))
     kinds = tuple(estimators)
     for kind in kinds:
-        if kind not in ("mle", "a", "b", "mr", "mr_seq"):
+        if kind not in BETA_KINDS:
             raise SimulationError(f"unknown estimator kind {kind!r}")
 
     values = {k: np.full(spec.replications, np.nan) for k in kinds}
@@ -490,12 +490,8 @@ def run_monte_carlo(
             fits = fit_nuisances(ds, models.working_set, coding)
             comp = compute_components(ds, fits, stabilize=stab)
             for k in kinds:
-                if k == "mr_seq":
-                    values[k][r] = beta_mr_sequential(
-                        ds, models.working_set, coding, stabilize=stab, comp=comp
-                    ).value
-                else:
-                    values[k][r] = BETA_FUNCS[k](ds, comp)
+                values[k][r] = beta_of_kind(k, ds, comp, working_set=models.working_set, coding=coding,
+                                            stabilize=stab)
         except (GlmError, NuisanceError) as exc:
             failures.append(f"replicate {r + 1}: {exc}")
 

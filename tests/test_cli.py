@@ -236,6 +236,27 @@ class TestEstimateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("c1_mean_1 = gaussian: 1\n", "no section headers"),
+        ("[models]\nc1_mean_1 = gaussian: 1\nc1_mean_1 = gaussian: 1, e\n", "already exists"),
+        ("[models]\nc1_mean_1 = gaussian: 1\n[models]\nc1_mean_2 = gaussian: 1\n", "already exists"),
+        ("[models]\nc1_mean_x = gaussian: 1\n", "unknown model role 'c1_mean_x'"),
+        ("[models]\nc1_mean_0 = gaussian: 1\n", "unknown model role 'c1_mean_0'"),
+        ("[models]\nc1_mean_01 = gaussian: 1\n", "unknown model role 'c1_mean_01'"),
+        ("[models]\nc1_mean_4 = gaussian: 1\n", "1 <= j <= 3"),
+    ], ids=["no-section", "duplicate-option", "duplicate-section", "c1-not-a-number", "c1-zero",
+            "c1-not-canonical", "c1-beyond-d1"])
+    def test_malformed_config_exits_2(self, study_csv, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main([
+            "estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+            "--config", str(cfg), "--print-models",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and message in err
+
     def test_missing_file_exits_1(self):
         code = main(["estimate", "--data", "/nonexistent.csv", "--comparison", "1", "--baseline", "0"])
         assert code == 1
@@ -507,6 +528,9 @@ class TestBatchedBootstrap:
         assert batched.errors == alone.errors == []
         # measured <= 2.2e-13 (nonparametric frequency weights against row resampling)
         np.testing.assert_allclose(batched.replicate_values, alone.replicate_values, rtol=1e-8, atol=0.0)
+        if kind == "wild_exp1" and not any("mr_seq" in option for option in options):
+            # a wild replicate's fits are bitwise its single fits, and so are its effects
+            assert np.array_equal(batched.replicate_values, alone.replicate_values)
 
     def test_a_failed_replicate_leaves_its_chunk_mates_alone(self, study_csv, tmp_path, monkeypatch, capsys):
         argv = self._argv(study_csv, "wild_exp1", [], tmp_path, reps=20)

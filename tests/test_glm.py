@@ -527,16 +527,22 @@ class TestBatchFit:
         return rng, X, y, yg
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN])
-    def test_rows_match_single_fits(self, family):
+    @pytest.mark.parametrize("kind", ["wild", "frequency"])
+    def test_rows_match_single_fits(self, family, kind):
+        # every Gram, product and solve of a batch row is the single fit's,
+        # so the coefficients agree bitwise
         rng, X, y, yg = self._case()
         response = yg if family is Family.GAUSSIAN else y
-        W = rng.exponential(1.0, (7, X.shape[0]))
-        batch = fit_glm(X, response, family, W)
+        n = X.shape[0]
+        if kind == "wild":
+            W = rng.exponential(1.0, (7, n))
+        else:
+            W = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(7)], dtype=float)
+        batch = fit_glm(X, response, family, W, frequency_weights=kind == "frequency")
         assert batch.coef.shape == (7, 4) and batch.converged.all()
         for b in range(7):
             single = fit_glm(X, response, family, W[b])
-            # measured <= 1.9e-15 (gaussian) and <= 1.7e-15 (logit, probit)
-            np.testing.assert_allclose(batch.coef[b], single.coef, rtol=1e-10 if family is Family.GAUSSIAN else 1e-8)
+            assert np.array_equal(batch.coef[b], single.coef)
             if family.is_binomial:
                 # every replicate passes the usual score test
                 row = dataclasses.replace(single, coef=batch.coef[b].copy())
@@ -548,6 +554,21 @@ class TestBatchFit:
         full = fit_glm(X, y, Family.LOGIT, W).coef
         assert np.array_equal(fit_glm(X, y, Family.LOGIT, W[2:5]).coef, full[2:5])
         assert np.array_equal(fit_glm(X, y, Family.LOGIT, W[[4]]).coef, full[[4]])
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.LOGIT], ids=lambda f: f.name.lower())
+    def test_a_rank_deficient_batch_of_one_is_nan(self, family):
+        # a bootstrap of more than 16,384 rows fits one replicate per chunk;
+        # its rank loss must fail that replicate, not raise
+        _, X, y, yg = self._case()
+        w = np.zeros(X.shape[0])
+        w[:3] = 1.0  # three weighted rows for four coefficients
+        response = yg if family is Family.GAUSSIAN else y
+        with pytest.raises(RankDeficiencyError):
+            fit_glm(X, response, family, w)
+        batch = fit_glm(X, response, family, w[None])
+        assert batch.coef.shape == (1, 4)
+        assert list(batch.converged) == [False]
+        assert np.isnan(batch.coef).all()
 
     def test_a_failed_row_is_nan_and_leaves_the_others(self):
         rng, X, y, _ = self._case()
