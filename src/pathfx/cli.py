@@ -150,7 +150,8 @@ def load_config_file(path, d0: int, d1: int, base: EstimateConfig) -> EstimateCo
     post-treatment mean role is ``c1_mean_<j>`` for 1 <= j <= ``d1``; section
     ``[estimate]`` holds ``scale``, ``pathway``, ``stabilize`` (comma list of
     base, m_ratio, c1_ratio, or all/none), and ``clip``.  A file that
-    ``configparser`` cannot read is a ``UsageError``.
+    ``configparser`` cannot read, or that holds any other section or
+    ``[estimate]`` key, is a ``UsageError``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -159,6 +160,15 @@ def load_config_file(path, d0: int, d1: int, base: EstimateConfig) -> EstimateCo
         sections = {name: dict(parser.items(name)) for name in parser.sections()}
     except configparser.Error as exc:
         raise UsageError(f"config: {exc}") from exc
+    # a misspelt section or key would otherwise leave its setting at the default
+    named = list(sections) + ([parser.default_section] if parser.defaults() else [])
+    for name in named:
+        if name not in ("models", "estimate"):
+            raise UsageError(f"config: unknown section [{name}]; expected [models] or [estimate]")
+    keys = ("scale", "pathway", "stabilize", "clip")
+    for key in sections.get("estimate", ()):
+        if key not in keys:
+            raise UsageError(f"config: unknown [estimate] key {key!r}; expected one of {', '.join(keys)}")
     c1_roles = {c1_mean_role(j) for j in range(1, d1 + 1)}
     cfg = base
     if "models" in sections:

@@ -1,22 +1,30 @@
-"""In-repo regression engine: OLS plus logistic/probit fits via Fisher scoring.
+"""In-repo regression engine: OLS plus logistic/probit fits by Newton steps.
 
 Every fit is a batch: one design X and a ``(B, n)`` matrix of row weights,
-one coefficient vector per weight row, and one Fisher-scoring loop runs
-them all.  ``fit_ols`` and ``fit_glm_irls`` are the batch of one;
-``fit_glm`` with ``(B, n)`` weights fits a bootstrap chunk.  One solver
+one coefficient vector per weight row, and one Newton loop runs them all.
+Each step weights X'WX by the observed information -d^2 ll / d eta^2 per
+row.  For logit that is the expected information, so logit steps are
+Fisher scoring; probit, the one non-canonical link, converges
+quadratically where Fisher scoring converged linearly.  A probit step that
+falls to the QR fallback below takes the expected information, so that
+ill-conditioned systems get Fisher scoring's rank verdicts.  A fit whose
+score vanishes at a median |eta| above 20, or at a log-likelihood above
+-1e-9, is complete separation and raises ``NonConvergenceError``.
+``fit_ols`` and ``fit_glm_irls`` are the batch of one; ``fit_glm`` with
+``(B, n)`` weights fits a bootstrap chunk.  One solver
 (``_solver``) forms every p x p system X' diag(w) X as one matrix product
 of the weighted X' with X per system, and solves it by one rule: from its
 inverse when the exact 1-norm reciprocal condition passes
 ``CHOL_RCOND_MIN`` (``_inverse_steps``), and otherwise from a Householder
 QR of sqrt(W) X with column pivoting (``_pivoted_qr``), which names the
 offending column on rank loss.  Least squares is one such solve; each
-Fisher scoring step is another.  Every per-replicate product, Gram
-included, is its own BLAS call of a fixed shape (a stacked matmul, or the
-same call in 2-D for a single system), never a row of one (B, n) matrix
-product, whose rounding depends on B: a replicate's fit depends only on
-its own weights, and is bitwise the single fit on them.  Scoring starts
-from zero or from caller-supplied coefficients, which is how bootstrap
-replicates start from the point fit.
+Newton step is another.  Every per-replicate product, Gram included, is
+its own BLAS call of a fixed shape (a stacked matmul, or the same call in
+2-D for a single system), never a row of one (B, n) matrix product, whose
+rounding depends on B: a replicate's fit depends only on its own weights,
+and is bitwise the single fit on them.  Fits start from zero or from
+caller-supplied coefficients, which is how bootstrap replicates start
+from the point fit.
 
 The link functions are numpy code.  The logistic mean is formed from the
 exponential of the softplus log(1 + e^eta) = max(eta, 0) + log1p(e^-|eta|),
@@ -26,7 +34,10 @@ t = |eta| / sqrt(2): Cephes' rational approximations (S. L. Moshier, after
 W. J. Cody, "Rational Chebyshev approximations for the error function",
 1969).  The tail probability Phi(-|eta|) is erfcx(t) e^(-t^2) / 2, its log
 log(erfcx(t) / 2) - t^2 never underflows, and the tail's Mills ratio is
-sqrt(2 / pi) / erfcx(t) exactly.
+sqrt(2 / pi) / erfcx(t) exactly.  The observed information is formed from
+the two Mills ratios; the tail's, minus |eta|, cancels to about 1 / |eta|,
+which costs about |eta|^2 ulp (2.8e-13 relative at |eta| 27), and the
+term is clipped to its range [0, 1] where that leaves only rounding.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 RANK_RTOL = 1e-10
-# A Fisher step is taken from the inverse of X'WX only when its exact 1-norm
+# A step is taken from the inverse of X'WX only when its exact 1-norm
 # reciprocal condition exceeds this.  The pivoted-QR rank check can fail
 # only when cond(sqrt(W) X) >= 1 / RANK_RTOL, i.e. cond(X'WX) >= 1e20, so
 # every such system goes to the QR fallback with ten orders to spare; so do
@@ -202,7 +213,8 @@ def _solver(X: np.ndarray, labels):
     ``ww`` (B, n) and ``score`` (B, p), and ``{b: RankDeficiencyError}`` for
     the rows whose system is rank deficient (their steps are NaN).  ``ww``
     None stands for one row of unit weights, which forms no weighted copy
-    of X.
+    of X.  ``solve(ww, score, qr_weights)`` takes a row's QR step on the
+    weights ``qr_weights(b)`` in place of ``ww[b]``.
 
     Every weighted Gram is one matrix product of X' diag(ww[b]), from a
     C-ordered copy of X' made at the solver's first weighted solve, with X:
@@ -212,7 +224,7 @@ def _solver(X: np.ndarray, labels):
     """
     XT = None
 
-    def solve(ww, score):
+    def solve(ww, score, qr_weights=None):
         nonlocal XT
         if ww is not None and XT is None:
             XT = np.ascontiguousarray(X.T)
@@ -227,7 +239,8 @@ def _solver(X: np.ndarray, labels):
         errors = {}
         for b in failed:
             try:
-                delta[b] = _qr_step(X, None if ww is None else ww[b], score[b], labels)
+                wb = qr_weights(b) if qr_weights else None if ww is None else ww[b]
+                delta[b] = _qr_step(X, wb, score[b], labels)
             except RankDeficiencyError as exc:
                 delta[b] = np.nan
                 errors[int(b)] = exc
@@ -399,8 +412,8 @@ def _binomial_mu(family: Family, eta: np.ndarray) -> np.ndarray:
 
 
 def _probit_terms(eta: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """The probit log-likelihood, score factor and Fisher weight from one
-    erfcx per element (see ``_erfcx_at``), in a few reused buffers.
+    """The probit log-likelihood, score factor and observed information
+    from one erfcx per element (see ``_erfcx_at``), in a few reused buffers.
 
     With q = Phi(-|eta|) the tail probability, log q = log(g / 2) - t^2 and
     the tail's Mills ratio phi / q = sqrt(2 / pi) / g; the other side has
@@ -430,22 +443,50 @@ def _probit_terms(eta: np.ndarray, y: np.ndarray, w: np.ndarray):
     np.subtract(1.0, q, out=q)
     mills_other = np.divide(e, q, out=e)
     mills_other *= _INV_SQRT_2PI
-    fisher = mills_tail * mills_other
+    # the observed information -d^2 ll / d eta^2 =
+    # v mills_other (mills_other + |eta|) + (1 - v) mills_tail (mills_tail - |eta|)
+    a = np.abs(eta, out=log_q)
+    np.minimum(a, _ETA_CAP, out=a)  # |eta| as _erfcx_at caps it
+    info = np.add(mills_other, a, out=q)
+    info *= mills_other
+    info *= v
+    tail = np.subtract(mills_tail, a, out=a)
+    tail *= mills_tail
+    # each side's term is 1 minus the variance of a truncated normal, so it
+    # lies in [0, 1]; the tail's cancels to about 1 / |eta|, and beyond
+    # |eta| 1e5 is rounding, which the clip keeps in range
+    np.clip(tail, 0.0, 1.0, out=tail)
     # s = sign (v mills_other - (1 - v) mills_tail)
     mills_other *= v
     np.subtract(1.0, v, out=v)
     mills_tail *= v
     mills_other -= mills_tail
     mills_other *= sign
-    return ll, mills_other, fisher
+    tail *= v
+    info += tail
+    return ll, mills_other, info
+
+
+def _probit_fisher(eta: np.ndarray) -> np.ndarray:
+    """The probit expected information phi^2 / (Phi (1 - Phi)) at ``eta``:
+    the product of the two Mills ratios, formed as ``_probit_terms`` forms
+    them."""
+    t2, g = _erfcx_at(eta)
+    e = np.exp(-t2)
+    q = g * e
+    q *= 0.5
+    mills_other = e / (1.0 - q)
+    mills_other *= _INV_SQRT_2PI
+    return _SQRT_2_OVER_PI / g * mills_other
 
 
 def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Log-likelihood, per-row score factor s (score = X' diag(w) s) and
-    Fisher weight at linear predictor ``eta``, each link function evaluated
-    once.  ``eta`` and ``w`` may carry a leading replicate axis; the
-    log-likelihood then has one entry per replicate.  The logit mean comes
-    from the softplus's exponential, within an ulp of 1 / (1 + e^-eta)."""
+    observed information -d^2 ll / d eta^2 (the step weight) at linear
+    predictor ``eta``, each link function evaluated once.  ``eta`` and
+    ``w`` may carry a leading replicate axis; the log-likelihood then has
+    one entry per replicate.  The logit mean comes from the softplus's
+    exponential, within an ulp of 1 / (1 + e^-eta)."""
     if family is Family.PROBIT:
         return _probit_terms(eta, y, w)
     # softplus log(1 + e^eta), within 2 ulp of np.logaddexp(0, eta) at
@@ -544,12 +585,12 @@ def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
 
 
 def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
-    """Fisher scoring of every row of ``coef`` (B, p) under the prior row
+    """Newton steps for every row of ``coef`` (B, p) under the prior row
     weights of the same row of ``prior`` (B, n).
 
     ``coef`` holds the starts and is overwritten with the fits.  Each
-    replicate runs its own score test, step halving, separation test and
-    Fisher step; a converged or failed replicate is frozen and leaves the
+    replicate runs its own score test, step halving, separation tests and
+    Newton step; a converged or failed replicate is frozen and leaves the
     batch.  Returns the iterations per replicate and ``{b: GlmError}`` for
     the failed ones, whose coefficients are NaN.
     """
@@ -559,7 +600,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
     act = np.arange(coef.shape[0])  # replicates still scoring
     w = prior
     eta = _rows_times(X, coef)
-    ll, s, fisher = _binomial_terms(family, eta, y, w)
+    ll, s, info = _binomial_terms(family, eta, y, w)
 
     def fail(rows, error):
         for k in rows:
@@ -576,12 +617,16 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
             done = score_max < tol
             # Complete separation drives every fitted probability to the
             # boundary, where the score vanishes without a maximum existing;
-            # never return silently diverged coefficients.  Isolated extreme
-            # linear predictors on legitimate fits are left alone.
+            # never return silently diverged coefficients.  It shows as a
+            # median |eta| above 20, or as a log-likelihood within 1e-9 of
+            # its supremum 0, which probit's thin tails reach at |eta| near
+            # 7.  Isolated extreme linear predictors on legitimate fits are
+            # left alone.
             everyone = done.all()
             rows = np.arange(act.size) if everyone else np.flatnonzero(done)
             separated = _separated(eta if everyone else eta[rows],
                                    None if counts is None else counts[act[rows]])
+            separated |= ll[rows] > -1e-9
             if separated.any():
                 fail(rows[separated], lambda k: NonConvergenceError(
                     iteration - 1, float(score_max[k]), float(np.linalg.norm(coef[act[k]]))))
@@ -590,10 +635,13 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
                 break
             iterations[act[rows]] = iteration - 1
             keep = ~done
-            act, w, eta, ll, s, fisher, score = (
-                act[keep], w[keep], eta[keep], ll[keep], s[keep], fisher[keep], score[keep])
-        delta, rank_errors = solve(w * fisher, score)
-        eta = s = fisher = None  # the accepted trials' terms replace them
+            act, w, eta, ll, s, info, score = (
+                act[keep], w[keep], eta[keep], ll[keep], s[keep], info[keep], score[keep])
+        # a probit step sent to the QR fallback takes the expected
+        # information, so that the rank check judges Fisher scoring's system
+        qr_weights = None if family is Family.LOGIT else lambda b: w[b] * _probit_fisher(eta[b])
+        delta, rank_errors = solve(w * info, score, qr_weights)
+        eta = s = info = None  # the accepted trials' terms replace them
         if rank_errors:
             keep = np.ones(act.size, dtype=bool)
             keep[list(rank_errors)] = False
@@ -606,7 +654,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
         base = coef if everyone else coef[act]
         trial = base + delta
         eta_t = _rows_times(X, trial)
-        ll_t, s_t, fisher_t = _binomial_terms(family, eta_t, y, w)
+        ll_t, s_t, info_t = _binomial_terms(family, eta_t, y, w)
         floor = ll + 1e-12 * ll  # ll - 1e-12 |ll|, as a log-likelihood is never positive
         accepted = ll_t >= floor
         pending = () if accepted.all() else np.flatnonzero(~accepted)
@@ -615,17 +663,17 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
                 break
             t = base[pending] + 0.5**halvings * delta[pending]
             eta_h = _rows_times(X, t)
-            ll_h, s_h, fisher_h = _binomial_terms(family, eta_h, y, w[pending])
+            ll_h, s_h, info_h = _binomial_terms(family, eta_h, y, w[pending])
             ok = (ll_h >= floor[pending]) | (halvings == 40)
             rows = pending[ok]
-            trial[rows], eta_t[rows], ll_t[rows], s_t[rows], fisher_t[rows] = (
-                t[ok], eta_h[ok], ll_h[ok], s_h[ok], fisher_h[ok])
+            trial[rows], eta_t[rows], ll_t[rows], s_t[rows], info_t[rows] = (
+                t[ok], eta_h[ok], ll_h[ok], s_h[ok], info_h[ok])
             pending = pending[~ok]
         if everyone:
             coef[:] = trial
         else:
             coef[act] = trial
-        eta, ll, s, fisher = eta_t, ll_t, s_t, fisher_t
+        eta, ll, s, info = eta_t, ll_t, s_t, info_t
     else:
         if act.size:
             score_max = np.abs(_times_rows(w * s, X)).max(axis=1)
@@ -655,21 +703,25 @@ def fit_glm_irls(
     design: DesignSpec | None = None,
     start: np.ndarray | None = None,
 ) -> FittedGlm:
-    """Binomial fit by iteratively reweighted least squares (Fisher scoring).
+    """Binomial fit by iteratively reweighted least squares (Newton steps).
 
-    Each step solves the information system X'WX from its inverse when the
-    exact 1-norm reciprocal condition exceeds ``CHOL_RCOND_MIN``, and
-    otherwise from a Householder QR of sqrt(W) X with column pivoting, whose
+    Each step solves the information system X'WX, W the observed
+    information per row (for logit the expected one, so logit steps are
+    Fisher scoring; probit steps are Newton's, 3-6 where Fisher scoring
+    took 7-12), from its inverse when the exact 1-norm reciprocal condition
+    exceeds ``CHOL_RCOND_MIN``.  Otherwise the step comes from a Householder
+    QR of sqrt(W) X with column pivoting, W the expected information, whose
     rank check raises ``RankDeficiencyError`` naming the offending column.
     Convergence requires the largest absolute score component to fall below
     ``tol``.  Steps that lower the log-likelihood are halved; running out of
     iterations raises ``NonConvergenceError`` with the final score and
     coefficient norms, which is how separation surfaces; so does converging
-    with the median |eta| above 20.  The logit log-likelihood's
-    log(1 + e^eta) is computed as max(eta, 0) + log1p(e^-|eta|), and the
-    mean from the same e^-|eta|; the probit terms come from one Cephes
-    erfcx per row (see the module docstring), with log Phi finite for
-    every finite eta.
+    with the median |eta| above 20 or with the log-likelihood above -1e-9,
+    which a separated probit fit reaches at |eta| near 7.  The logit
+    log-likelihood's log(1 + e^eta) is computed as max(eta, 0) +
+    log1p(e^-|eta|), and the mean from the same e^-|eta|; the probit terms
+    come from one Cephes erfcx per row (see the module docstring), with
+    log Phi finite for every finite eta.
 
     Scoring starts from ``start`` (copied, never written to) or, when it is
     None, from zero.  A bootstrap replicate started from the point fit's
@@ -773,7 +825,8 @@ def score_and_information(fit: FittedGlm, X: np.ndarray, y: np.ndarray, weights:
     """Total score vector and expected information matrix at the fit.
 
     Gaussian fits profile the error variance out at its maximum-likelihood
-    value, so the information is X'WX / sigma^2.
+    value, so the information is X'WX / sigma^2.  For probit the expected
+    information differs from the observed one that the fit steps on.
     """
     X, y, weights = _as_matrix(X, y, weights)
     w = np.ones(X.shape[0]) if weights is None else weights
@@ -784,6 +837,8 @@ def score_and_information(fit: FittedGlm, X: np.ndarray, y: np.ndarray, weights:
         info = (X * w[:, None]).T @ X / sigma2
     else:
         _, s, fisher = _binomial_terms(fit.family, eta, y, w)
+        if fit.family is Family.PROBIT:
+            fisher = _probit_fisher(eta)
         score = X.T @ (w * s)
         info = (X * (w * fisher)[:, None]).T @ X
     return score, info

@@ -244,8 +244,11 @@ class TestEstimateCommand:
         ("[models]\nc1_mean_0 = gaussian: 1\n", "unknown model role 'c1_mean_0'"),
         ("[models]\nc1_mean_01 = gaussian: 1\n", "unknown model role 'c1_mean_01'"),
         ("[models]\nc1_mean_4 = gaussian: 1\n", "1 <= j <= 3"),
+        ("[model]\noutcome = gaussian: 1\n", "unknown section [model]"),
+        ("[DEFAULT]\nscale = logrr\n", "unknown section [DEFAULT]"),
+        ("[estimate]\nscal = logrr\n", "unknown [estimate] key 'scal'"),
     ], ids=["no-section", "duplicate-option", "duplicate-section", "c1-not-a-number", "c1-zero",
-            "c1-not-canonical", "c1-beyond-d1"])
+            "c1-not-canonical", "c1-beyond-d1", "misspelt-section", "default-section", "misspelt-estimate-key"])
     def test_malformed_config_exits_2(self, study_csv, tmp_path, capsys, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
