@@ -446,10 +446,15 @@ def _column(dataset: Dataset, ref: str, overrides: Overrides, n: int) -> np.ndar
 
 
 def build_design_matrix(dataset: Dataset, spec: DesignSpec, overrides: Overrides | None = None) -> np.ndarray:
-    """Evaluate the design spec on every record, after applying overrides."""
+    """Evaluate the design spec on every record, after applying overrides.
+
+    The design is column-major (Fortran-ordered), so that each term is
+    written as one contiguous column and the regression engine takes X' as
+    the C-contiguous view ``X.T``.
+    """
     overrides = overrides or _EMPTY_OVERRIDES
     n = dataset.n
-    cols = np.empty((n, len(spec.terms)))
+    cols = np.empty((n, len(spec.terms)), order="F")
     cache: dict[str, np.ndarray] = {}
 
     def col(ref: str) -> np.ndarray:

@@ -235,9 +235,10 @@ class SequentialFit:
 
 def _wls_on_rows(X, design, rows, response, w, labels_role):
     """Weighted least squares on the ``rows`` of the full design ``X``; one
-    fit per replicate for ``(B, len(rows))`` weights."""
+    fit per replicate for ``(B, len(rows))`` weights.  The subset is taken
+    from ``X.T`` so that it stays column-major (``X[rows]`` is C-ordered)."""
     try:
-        return fit_glm(X[rows], response[rows], Family.GAUSSIAN, w, design=design)
+        return fit_glm(X.T.take(rows, axis=1).T, response[rows], Family.GAUSSIAN, w, design=design)
     except Exception as exc:  # re-tag with the refit stage
         raise NuisanceError(f"{labels_role}: {exc}") from exc
 

@@ -13,12 +13,17 @@ score vanishes at a median |eta| above 20, or at a log-likelihood above
 ``fit_ols`` and ``fit_glm_irls`` are the batch of one; ``fit_glm`` with
 ``(B, n)`` weights fits a bootstrap chunk.  One solver
 (``_solver``) forms every p x p system X' diag(w) X as one matrix product
-of the weighted X' with X per system, and solves it by one rule: from its
-inverse when the exact 1-norm reciprocal condition passes
-``CHOL_RCOND_MIN`` (``_inverse_steps``), and otherwise from a Householder
-QR of sqrt(W) X with column pivoting (``_pivoted_qr``), which names the
-offending column on rank loss.  Least squares is one such solve; each
-Newton step is another.  Every per-replicate product, Gram included, is
+of the weighted X' with X per system, X' being the view ``X.T``, which is
+C-contiguous for the column-major designs of ``build_design_matrix``: no
+copy of X is made.  It solves each system by one rule: from its inverse
+when the exact 1-norm reciprocal condition passes ``CHOL_RCOND_MIN``
+(``_inverse_steps``), and otherwise from a Householder QR of sqrt(W) X
+with column pivoting (``_pivoted_qr``), which names the offending column
+on rank loss.  A system with a NaN, an inf or an overflow in X'WX fails
+the guard and raises ``GlmError`` in place of the QR; least squares also
+checks its p coefficients, since a finite X'WX passes the guard whatever
+its right-hand side.  Least squares is one such solve; each Newton step is
+another.  Every per-replicate product, Gram included, is
 its own BLAS call of a fixed shape (a stacked matmul, or the same call in
 2-D for a single system), never a row of one (B, n) matrix product, whose
 rounding depends on B: a replicate's fit depends only on its own weights,
@@ -202,46 +207,55 @@ def _inverse_steps(H: np.ndarray, score: np.ndarray):
     if H.ndim == 2 and len(H) * math.sqrt(float(np.vdot(H, H)) * float(np.vdot(Hinv, Hinv))) < 1.0 / CHOL_RCOND_MIN:
         return Hinv @ score, True
     norms = _norm1(np.array((H, Hinv)))
-    with np.errstate(all="ignore"):
-        rcond = 1.0 / (norms[0] * norms[1])
+    rcond = 1.0 / (norms[0] * norms[1])
     return np.matmul(Hinv, score[..., None])[..., 0], rcond > CHOL_RCOND_MIN
 
 
+def _not_finite() -> GlmError:
+    return GlmError("the system X'WX or its right-hand side is not finite "
+                    "(a NaN, an inf or an overflowing value in the design, response or weights)")
+
+
 def _solver(X: np.ndarray, labels):
-    """The solve of every fit on design X: ``solve(ww, score)`` returns the
-    steps delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] for the rows of
-    ``ww`` (B, n) and ``score`` (B, p), and ``{b: RankDeficiencyError}`` for
-    the rows whose system is rank deficient (their steps are NaN).  ``ww``
+    """The solve of every fit on the column-major design X: ``solve(ww,
+    score)`` returns the steps delta[b] of (X' diag(ww[b]) X) delta[b] =
+    score[b] for the rows of ``ww`` (B, n) and ``score`` (B, p), and
+    ``{b: GlmError}`` for the rows whose system is rank deficient
+    (``RankDeficiencyError``) or not finite (their steps are NaN).  ``ww``
     None stands for one row of unit weights, which forms no weighted copy
     of X.  ``solve(ww, score, qr_weights)`` takes a row's QR step on the
     weights ``qr_weights(b)`` in place of ``ww[b]``.
 
-    Every weighted Gram is one matrix product of X' diag(ww[b]), from a
-    C-ordered copy of X' made at the solver's first weighted solve, with X:
-    a stacked matmul for a batch, and the same product as a 2-D call for a
-    single system, which gives the same bits.  ``_inverse_steps`` solves the systems that pass
-    its guard, and ``_qr_step`` each of the others.
+    Every weighted Gram is one matrix product of X' diag(ww[b]) with X, X'
+    being ``X.T``, a C-contiguous view of a column-major X (a strided one of
+    a caller's C-ordered X, taken as it is, in its own rounding): a stacked
+    matmul for a batch, and the same product as a 2-D call for a single
+    system, which gives the same bits.  ``_inverse_steps`` solves the
+    systems that pass its guard; of the others, a system that is not finite
+    fails at once, and ``_qr_step`` solves each of the rest.  Floating-point
+    warnings are off while the systems are formed and inverted: a value that
+    is not finite, an overflowing Gram's included, fails that check instead.
     """
-    XT = None
-
     def solve(ww, score, qr_weights=None):
-        nonlocal XT
-        if ww is not None and XT is None:
-            XT = np.ascontiguousarray(X.T)
-        if len(score) == 1:
-            delta, passed = _inverse_steps(X.T @ X if ww is None else (XT * ww[0]) @ X, score[0])
-            if passed:
-                return delta[None], {}
-            delta, failed = delta[None], [0]
-        else:
-            delta, passed = _inverse_steps(np.matmul(XT * ww[:, None, :], X), score)
-            failed = np.flatnonzero(~passed)
+        with np.errstate(all="ignore"):
+            if len(score) == 1:
+                H = X.T @ X if ww is None else (X.T * ww[0]) @ X
+                delta, passed = _inverse_steps(H, score[0])
+                if passed:
+                    return delta[None], {}
+                delta, failed, H = delta[None], [0], H[None]
+            else:
+                H = np.matmul(X.T * ww[:, None, :], X)
+                delta, passed = _inverse_steps(H, score)
+                failed = np.flatnonzero(~passed)
         errors = {}
         for b in failed:
             try:
+                if not (np.isfinite(H[b]).all() and np.isfinite(score[b]).all()):
+                    raise _not_finite()
                 wb = qr_weights(b) if qr_weights else None if ww is None else ww[b]
                 delta[b] = _qr_step(X, wb, score[b], labels)
-            except RankDeficiencyError as exc:
+            except GlmError as exc:
                 delta[b] = np.nan
                 errors[int(b)] = exc
         return delta, errors
@@ -251,7 +265,7 @@ def _solver(X: np.ndarray, labels):
 
 def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
     """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit
-    weights) with ``_solver``, raising its ``RankDeficiencyError``."""
+    weights) with ``_solver``, raising its ``GlmError``."""
     delta, errors = _solver(X, labels)(None if ww is None else ww[None], score[None])
     if errors:
         raise errors[0]
@@ -274,11 +288,15 @@ def fit_ols(
     naming the offending column.  The normal equations' rounding error
     grows with cond(sqrt(W) X) squared, not with the condition itself as in
     a QR solve: on near-collinear designs the coefficients can move by up to
-    about 1e-6 relative.
+    about 1e-6 relative.  A system that is not finite raises ``GlmError``.
     """
     X, y, weights = _as_matrix(X, y, weights)
     labels = design.labels if design is not None else None
-    coef = _fisher_step(X, weights, X.T @ (y if weights is None else weights * y), labels)
+    with np.errstate(all="ignore"):  # a right-hand side that is not finite fails below
+        rhs = X.T @ (y if weights is None else weights * y)
+    coef = _fisher_step(X, weights, rhs, labels)
+    if not np.isfinite(coef).all():  # a finite X'WX passes the guard whatever its right-hand side
+        raise _not_finite()
     return FittedGlm(Family.GAUSSIAN, coef, True, 0, design)
 
 
@@ -743,7 +761,7 @@ def fit_glm_irls(
 
 
 def _check_binary(y: np.ndarray) -> None:
-    if np.any((y < 0) | (y > 1)):
+    if not np.all((y >= 0) & (y <= 1)):  # NaN fails too
         raise GlmError("binomial families require responses in [0, 1]")
 
 
@@ -776,7 +794,11 @@ def fit_glm(
     labels = design.labels if design is not None else None
     X, y, W = _as_matrix(X, y, rows=weights)
     if family is Family.GAUSSIAN:
-        coef, errors = _solver(X, labels)(W, _times_rows(W * y, X))
+        with np.errstate(all="ignore"):
+            rhs = _times_rows(W * y, X)
+        coef, errors = _solver(X, labels)(W, rhs)
+        for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
+            errors.setdefault(int(b), _not_finite())
         iterations = np.zeros(W.shape[0], dtype=int)
     else:
         _check_binary(y)

@@ -141,6 +141,24 @@ class TestEstimateCommand:
         ])
         assert code == 3
 
+    def test_an_overflowing_covariate_exits_3_without_a_warning(self, tmp_path):
+        # 1e200 squared overflows X'X: the fit must say so at once, not warn
+        # and then report separation after 100 iterations
+        ds = draw_dataset(400, 1)
+        c0 = ds.c0.copy()
+        c0[4, 0] = 1e200
+        path = tmp_path / "huge.csv"
+        write_csv(dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y), path)
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pathfx.cli", "estimate", "--data", str(path),
+             "--comparison", "1", "--baseline", "0", "--estimator", "mle,a,b,mr,mr_seq",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.returncode == 3, out.stderr
+        assert re.fullmatch(r"estimation error: \w+: the system X'WX or its right-hand side is not finite .*\n",
+                            out.stderr)
+
     def test_overlong_cell_exits_1_with_a_data_error(self, tmp_path, capsys):
         # the 0x1c byte sends the file to csv's row reader, which refuses a
         # cell over its 131,072-character limit

@@ -167,6 +167,44 @@ class TestDesign:
         X = build_design_matrix(ds, spec, Overrides(m=np.array([9.0, 10.0]), c1=np.array([[5.0, 6.0], [7.0, 8.0]])))
         assert X.tolist() == [[1.0, 9.0, 6.0], [1.0, 10.0, 8.0]]
 
+    @pytest.mark.parametrize("overrides", [
+        None,
+        Overrides(e=0),
+        Overrides(e=np.arange(40) % 2, m=1.5),
+        Overrides(m=np.linspace(-2.0, 2.0, 40), c1=np.array([0.25, -3.0])),
+        Overrides(e=1, c1=np.arange(80.0).reshape(40, 2) / 7.0),
+    ], ids=["none", "scalar-e", "per-record-e", "per-record-m", "per-record-c1"])
+    def test_columns_are_contiguous_and_match_a_row_reference(self, overrides):
+        rng = np.random.default_rng(11)
+        ds = dataset_from_arrays(rng.standard_normal((40, 2)), rng.integers(0, 2, 40),
+                                 rng.standard_normal((40, 2)), rng.standard_normal(40), np.zeros(40))
+        spec = DesignSpec.parse("1, c0_1, c0_2, e, m, c1_1, c1_2, c0_1^2, m^2, e*m, c0_1*c1_2, e*c0_2")
+        X = build_design_matrix(ds, spec, overrides)
+        assert X.flags.f_contiguous
+        o = overrides or Overrides()
+
+        def value(ref, i):
+            if ref == "e":
+                return float(ds.e[i] if o.e is None else np.broadcast_to(o.e, (40,))[i])
+            if ref == "m":
+                return float(ds.m[i] if o.m is None else np.broadcast_to(o.m, (40,))[i])
+            j = int(ref[3:]) - 1
+            if ref.startswith("c0_"):
+                return float(ds.c0[i, j])
+            c1 = ds.c1 if o.c1 is None else np.broadcast_to(o.c1, (40, 2))
+            return float(c1[i, j])
+
+        def entry(term, i):
+            if term.kind == "intercept":
+                return 1.0
+            a = value(term.refs[0], i)
+            if term.kind == "covariate":
+                return a
+            return a * a if term.kind == "square" else a * value(term.refs[1], i)
+
+        reference = np.array([[entry(term, i) for term in spec.terms] for i in range(40)])
+        assert X.tobytes(order="C") == reference.tobytes()
+
     def test_reduce_at_e(self):
         spec = DesignSpec.parse("1, c0_1, e, c1_1, m, e*m")
         at0 = spec.reduce_at_e(0)

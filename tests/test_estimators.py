@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pathfx.estimators as estimators_mod
 from pathfx.core import DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair
 from pathfx.estimators import (
     EstimationError,
@@ -335,6 +336,19 @@ class TestSequential:
         assert given.value == default.value
         assert given.term_values == default.term_values
         assert np.array_equal(given.b_doubleprime, default.b_doubleprime)
+
+    def test_row_subsets_stay_column_major(self, monkeypatch):
+        layouts = []
+        fit_glm = estimators_mod.fit_glm
+
+        def recording_fit(X, *args, **kwargs):
+            layouts.append(X.flags.f_contiguous)
+            return fit_glm(X, *args, **kwargs)
+
+        monkeypatch.setattr(estimators_mod, "fit_glm", recording_fit)
+        ds = draw_dataset(500, 95)
+        beta_mr_sequential(ds, working_models_for("int").working_set, CODING)
+        assert layouts == [True] * (2 + ds.d1)  # outcome, mediator and each c1 mean
 
     @pytest.mark.parametrize("given", [False, True], ids=["own-fit", "given-components"])
     def test_discrete_pathway_set_is_refused(self, given):

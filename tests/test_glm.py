@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -631,6 +632,111 @@ class TestBatchFit:
                 continue
             drawn = np.repeat(eta, counts.astype(int))
             assert glm_mod._separated(eta[None], counts[None])[0] == glm_mod._separated(drawn)
+
+
+class TestLayout:
+    """Column-major designs, as ``build_design_matrix`` makes them, and C-ordered ones."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_a_weighted_least_squares_makes_no_copy_of_the_transpose(self, order):
+        # only the weighted X' diag(w) is formed: one array of the design's size
+        rng = np.random.default_rng(61)
+        n, p = 25_000, 14
+        X = np.asarray(rng.standard_normal((n, p)), order=order)
+        y, w = rng.standard_normal(n), rng.exponential(1.0, n)
+        tracemalloc.start()
+        try:
+            fit_ols(X, y, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * p * 8
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN])
+    def test_batch_rows_on_a_column_major_design_are_their_single_fits(self, family):
+        rng, X, y, yg = TestBatchFit._case(seed=62)
+        X = np.asfortranarray(X)
+        response = yg if family is Family.GAUSSIAN else y
+        W = rng.exponential(1.0, (5, X.shape[0]))
+        batch = fit_glm(X, response, family, W)
+        for b in range(5):
+            assert np.array_equal(batch.coef[b], fit_glm(X, response, family, W[b]).coef)
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN])
+    def test_a_c_ordered_copy_fits_alike(self, family):
+        # the layouts round differently, so the fits agree to rounding, not
+        # bitwise (measured: <= 3.7e-16 binomial, 1.4e-14 gaussian)
+        ds = draw_dataset(1500, 63)
+        design = DesignSpec.parse("1, c0_1, c1_1, c1_2, c1_3, m")
+        X = build_design_matrix(ds, design)
+        response = ds.y if family is Family.GAUSSIAN else (ds.e == 1).astype(float)
+        w = np.random.default_rng(64).exponential(1.0, ds.n)
+        column_major = fit_glm(X, response, family, w).coef
+        row_major = fit_glm(np.ascontiguousarray(X), response, family, w).coef
+        assert np.max(np.abs(row_major - column_major)) <= 1e-12 * np.max(np.abs(column_major))
+
+
+def _nonfinite_case(kind, n=200):
+    """A logit-shaped sample with one NaN design cell, one inf response, or
+    one design cell whose square overflows X'WX; row 3 holds the bad value."""
+    rng = np.random.default_rng(65)
+    X = np.column_stack([np.ones(n), rng.standard_normal(n), rng.integers(0, 2, n)])
+    y = (rng.random(n) < 0.5).astype(float)
+    if kind == "nan-X":
+        X[3, 1] = np.nan
+    elif kind == "inf-y":
+        y[3] = np.inf
+    else:
+        X[3, 1] = 1e200
+    return X, y
+
+
+class TestNonFiniteSystems:
+    """A system that is not finite fails at once, with a message that says so."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("kind", ["nan-X", "inf-y", "overflow"])
+    def test_least_squares_raises(self, kind, weighted):
+        X, y = _nonfinite_case(kind)
+        with pytest.raises(GlmError, match="is not finite"):
+            fit_ols(X, y, np.full(len(y), 2.0) if weighted else None)
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
+    @pytest.mark.parametrize("kind", ["nan-X", "overflow"])
+    def test_a_binomial_fit_raises_before_iterating(self, kind, family, monkeypatch):
+        X, y = _nonfinite_case(kind)
+        calls = []
+        terms = glm_mod._binomial_terms
+        monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].size) or terms(*a))
+        with pytest.raises(GlmError, match="is not finite"):
+            fit_glm_irls(X, y, family)
+        assert np.count_nonzero(calls) == 1  # the start's terms, and no trial step
+
+    def test_a_nan_binomial_response_is_refused(self):
+        X, y = _nonfinite_case("nan-X")
+        X[3, 1], y[3] = 0.5, np.nan
+        with pytest.raises(GlmError, match=r"responses in \[0, 1\]"):
+            fit_glm_irls(X, y, Family.LOGIT)
+
+    # (a binomial response outside [0, 1] is refused before any fit)
+    @pytest.mark.parametrize("kind, family", [
+        ("nan-X", Family.GAUSSIAN), ("inf-y", Family.GAUSSIAN), ("overflow", Family.GAUSSIAN),
+        ("nan-X", Family.LOGIT), ("overflow", Family.LOGIT),
+    ], ids=lambda v: v if isinstance(v, str) else v.name.lower())
+    def test_a_batch_fails_only_the_replicates_that_reach_it(self, kind, family):
+        X, y = _nonfinite_case(kind)
+        W = np.random.default_rng(66).exponential(1.0, (3, len(y)))
+        W[0, 3] = 0.0  # replicate 0 gives the bad row no weight
+        batch = fit_glm(X, y, family, W)
+        # a zero weight cancels an overflowing row, but not a NaN or an inf
+        fits_0 = kind == "overflow"
+        assert list(batch.converged) == [fits_0, False, False]
+        assert np.isnan(batch.coef[1:]).all()
+        if fits_0:
+            assert np.array_equal(batch.coef[0], fit_glm(X, y, family, W[0]).coef)
+        else:
+            with pytest.raises(GlmError, match="is not finite"):
+                fit_glm(X, y, family, W[0])
 
 
 class TestLogitTerms:
