@@ -233,20 +233,18 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
 # estimate command
 
 
-def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None, frequency_weights=False):
+def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None):
     """(beta, delta, effect) of each (estimator, delta estimator) pair, all from
     one fit of the working models, then that fit's components and the fits.
 
     ``(B, n)`` weights evaluate a batch of bootstrap replicates: every value
     then has one entry per replicate, NaN where that replicate failed.
     """
-    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start,
-                         frequency_weights=frequency_weights)
+    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start)
     comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
     out = []
     for kind, delta_kind in pairs:
-        beta = beta_of_kind(kind, ds, comp, weights, working_set=cfg.working_set, coding=coding,
-                            stabilize=cfg.stabilize, clip=cfg.clip)
+        beta = beta_of_kind(kind, ds, comp, weights, working_set=cfg.working_set, coding=coding)
         delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
         out.append((beta, delta, combine_effect(beta, delta, cfg.scale)))
     return out, comp, fits
@@ -317,13 +315,8 @@ def cmd_estimate(args) -> int:
         def statistic(data: Dataset, weights):
             return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights, fits)[0]]
 
-        def batch(weights):
-            out = _estimates(ds, coding, cfg, pairs, weights, fits,
-                             frequency_weights=spec.kind == "nonparametric")[0]
-            return [effect for _, _, effect in out]
-
         point = [effect for _, _, effect in estimates]
-        interval = bootstrap(ds, statistic, spec, point=point, batch=batch)
+        interval = bootstrap(ds, statistic, spec, point=point, batch=lambda weights: statistic(ds, weights))
         if interval.errors:
             print(
                 f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "

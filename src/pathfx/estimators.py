@@ -27,8 +27,7 @@ from .nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    _shifted,
-    _slopes,
+    _compose_linear,
     compute_components,
     fit_nuisances,
 )
@@ -233,16 +232,6 @@ class SequentialFit:
     b_doubleprime: np.ndarray
 
 
-def _wls_on_rows(X, design, rows, response, w, labels_role):
-    """Weighted least squares on the ``rows`` of the full design ``X``; one
-    fit per replicate for ``(B, len(rows))`` weights.  The subset is taken
-    from ``X.T`` so that it stays column-major (``X[rows]`` is C-ordered)."""
-    try:
-        return fit_glm(X.T.take(rows, axis=1).T, response[rows], Family.GAUSSIAN, w, design=design)
-    except Exception as exc:  # re-tag with the refit stage
-        raise NuisanceError(f"{labels_role}: {exc}") from exc
-
-
 def beta_mr_sequential(
     dataset: Dataset,
     working_set: WorkingModelSet,
@@ -283,50 +272,36 @@ def beta_mr_sequential(
     ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
     p_base, p_comp = comp.p_baseline, comp.p_comparison
     mr, cr = comp.m_ratio, comp.c1_ratio
-    refs = [f"c1_{j}" for j in range(1, dataset.d1 + 1)]
-    data = {"m": dataset.m, **{ref: dataset.c1[:, j] for j, ref in enumerate(refs)}}
-
     base_rows = np.flatnonzero(ind_base > 0)
     comp_rows = np.flatnonzero(ind_comp > 0)
 
-    # Each refit's full design serves its fit and its prediction at the data,
-    # then is dropped so that the next build does not add to peak memory.
-    # The refitted mean models are linear in the mediator and the
-    # covariates, so their nested predictions are the predictions at the
-    # data plus slopes times shifts.
-    # Outcome model on the baseline arm, weighted by the first residual term's weight.
-    out_design = working_set[ROLE_OUTCOME].design.reduce_at_e(ibase)
-    w1_full = mr / p_base * w_outer
-    X = build_design_matrix(dataset, out_design)
-    out_fit = _wls_on_rows(X, out_design, base_rows, dataset.y, w1_full[..., base_rows], ROLE_OUTCOME)
-    b = np.asarray(predict_mean(out_fit, X))
-    del X
-    out_s = _slopes(out_fit, None, ["m", *refs])
-    term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)
-
-    # Mediator model on the comparison arm, weighted by the second term's weight.
-    med_design = working_set[ROLE_MEDIATOR].design.reduce_at_e(icomp)
-    w2_full = 1.0 / cr / p_comp * w_outer
-    X = build_design_matrix(dataset, med_design)
-    med_fit = _wls_on_rows(X, med_design, comp_rows, dataset.m, w2_full[..., comp_rows], ROLE_MEDIATOR)
-    m_hat = np.asarray(predict_mean(med_fit, X))
-    del X
-    b_prime = _shifted(b, out_s, {"m": m_hat}, data)
-    term2 = wmean(ind_comp / p_comp / cr * (b - b_prime), w_outer)
-
-    # Post-treatment component models on the baseline arm, third term's weight.
-    w3_full = 1.0 / p_base * w_outer
-    c1_hat = {}
-    for j, ref in enumerate(refs, start=1):
-        cj_design = working_set[c1_mean_role(j)].design.reduce_at_e(ibase)
-        X = build_design_matrix(dataset, cj_design)
-        cj_fit = _wls_on_rows(
-            X, cj_design, base_rows, dataset.c1[:, j - 1], w3_full[..., base_rows], c1_mean_role(j)
-        )
-        c1_hat[ref] = np.asarray(predict_mean(cj_fit, X))
+    # (role, arm level, arm rows, response, weight of its residual term): the
+    # outcome carries the first term, the mediator the second and each
+    # post-treatment component the third.
+    w3 = 1.0 / p_base * w_outer
+    refits = [
+        (ROLE_OUTCOME, ibase, base_rows, dataset.y, mr / p_base * w_outer),
+        (ROLE_MEDIATOR, icomp, comp_rows, dataset.m, 1.0 / cr / p_comp * w_outer),
+        *[(c1_mean_role(j), ibase, base_rows, dataset.c1[:, j - 1], w3) for j in range(1, dataset.d1 + 1)],
+    ]
+    chain = []
+    for role, level, rows, response, w in refits:
+        # One design serves the fit and the prediction at the data, then is
+        # dropped so that the next build does not add to peak memory.  The
+        # arm's rows are taken from X.T so that they stay column-major
+        # (X[rows] is C-ordered).
+        design = working_set[role].design.reduce_at_e(level)
+        X = build_design_matrix(dataset, design)
+        try:
+            fit = fit_glm(X.T.take(rows, axis=1).T, response[rows], Family.GAUSSIAN, w[..., rows],
+                          design=design)
+        except Exception as exc:  # re-tag with the refit stage
+            raise NuisanceError(f"{role}: {exc}") from exc
+        chain.append((fit, np.asarray(predict_mean(fit, X))))
         del X
-    m_hat_cf = _shifted(m_hat, _slopes(med_fit, None, refs), c1_hat, data)
-    b_dd = _shifted(b, out_s, {"m": m_hat_cf, **c1_hat}, data)
+    b, b_prime, b_dd = _compose_linear(coding, dataset, chain)[:3]
+    term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)
+    term2 = wmean(ind_comp / p_comp / cr * (b - b_prime), w_outer)
     term3 = wmean(ind_base / p_base * (b_prime - b_dd), w_outer)
 
     return SequentialFit(
@@ -344,13 +319,10 @@ def beta_of_kind(
     *,
     working_set: WorkingModelSet,
     coding: PairCoding,
-    stabilize: StabilizeFlags,
-    clip: tuple[float, float] | None = DEFAULT_CLIP,
 ):
     """The contrast estimate of estimator ``kind`` (one of ``BETA_KINDS``)
     from the components ``comp``; ``mr_seq`` also refits the mean models of
     ``working_set`` (see ``beta_mr_sequential``)."""
     if kind == "mr_seq":
-        return beta_mr_sequential(dataset, working_set, coding, stabilize=stabilize, clip=clip,
-                                  weights=weights, comp=comp).value
+        return beta_mr_sequential(dataset, working_set, coding, weights=weights, comp=comp).value
     return BETA_FUNCS[kind](dataset, comp, weights)

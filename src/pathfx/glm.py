@@ -585,8 +585,8 @@ def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
 
     The median can exceed 20 only when at least half the rows do, so most
     fits settle it by a count and never partition ``eta``.  ``counts`` gives
-    how often each row counts (a nonparametric replicate's frequency
-    weights; None: once each).  A 2-D ``eta`` is judged row by row.
+    how often each row counts (a nonparametric replicate's draws; None: once
+    each).  A 2-D ``eta`` is judged row by row.
     """
     a = np.abs(eta)
     if counts is None:
@@ -775,7 +775,6 @@ def fit_glm(
     tol: float = DEFAULT_TOL,
     design: DesignSpec | None = None,
     start: np.ndarray | None = None,
-    frequency_weights: bool = False,
 ) -> FittedGlm:
     """Fit any supported family (gaussian dispatches to the OLS path, which
     is closed form and ignores ``start``).
@@ -783,9 +782,10 @@ def fit_glm(
     With ``(B, n)`` weights, one fit per weight row: the result's ``coef``
     is ``(B, p)`` and its ``converged`` and ``iterations`` are ``(B,)``
     arrays.  A replicate whose fit fails raises nothing; its coefficients
-    are NaN and ``converged`` is False.  ``frequency_weights`` declares the
-    weights to be row counts (a nonparametric bootstrap's draws), so that
-    the separation test counts each row as often as it was drawn.
+    are NaN and ``converged`` is False.  A batch of whole-number weights is
+    taken for row counts (a nonparametric bootstrap's draws), so that the
+    separation test counts each row as often as it was drawn; any other
+    batch counts each row once, as a single fit does.
     """
     if weights is None or np.ndim(weights) < 2:
         if family is Family.GAUSSIAN:
@@ -803,7 +803,8 @@ def fit_glm(
     else:
         _check_binary(y)
         coef = _starts(start, W.shape[0], X.shape[1])
-        iterations, errors = _score_batch(X, y, family, W, coef, W if frequency_weights else None,
+        counts = W if np.array_equal(W, np.floor(W)) else None
+        iterations, errors = _score_batch(X, y, family, W, coef, counts,
                                           max_iter=max_iter, tol=tol, labels=labels)
     converged = np.ones(W.shape[0], dtype=bool)
     converged[list(errors)] = False

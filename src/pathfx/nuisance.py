@@ -249,7 +249,6 @@ def fit_nuisances(
     *,
     pathway: str = "linear",
     start: NuisanceFits | None = None,
-    frequency_weights: bool = False,
 ) -> NuisanceFits:
     """Fit every declared working model on a pair-coded dataset.
 
@@ -263,7 +262,6 @@ def fit_nuisances(
     ``(B, n)`` weights fit a batch of replicates: each design is built once
     and every role is fitted for all B weight rows (see ``glm.fit_glm``); a
     replicate whose fit fails has NaN coefficients rather than raising.
-    ``frequency_weights`` declares the weights to be row counts.
     """
     if coding is None:
         coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -285,18 +283,16 @@ def fit_nuisances(
             X = build_design_matrix(dataset, design)
             y = _response_for(role, dataset)
             init = start[role].coef if start is not None else None
-            fits[role] = fit_role(X, y, spec, weights, design=design, start=init,
-                                  frequency_weights=frequency_weights)
+            fits[role] = fit_role(X, y, spec, weights, design=design, start=init)
         except GlmError as exc:
             raise NuisanceError(f"{role}: {exc}") from exc
     return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1)
 
 
-def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None, start=None,
-             frequency_weights: bool = False) -> FittedGlm:
+def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None, start=None) -> FittedGlm:
     """Fit one working model, honoring a deliberate link swap for prediction."""
     fit = fit_glm(X, y, spec.family, weights, design=design if design is not None else spec.design,
-                  start=start, frequency_weights=frequency_weights)
+                  start=start)
     if spec.predict_family is not None and spec.predict_family is not spec.family:
         fit = replace(fit, family=spec.predict_family)
     return fit
@@ -501,24 +497,40 @@ def _linear_nested(fits: NuisanceFits, dataset: Dataset):
     ``m_hat`` is the comparison-arm mediator mean at ``c_hat``, and the
     slopes are the outcome's in ``m`` and each ``c1_j`` (at baseline
     treatment) and the mediator's in each ``c1_j`` (at comparison
-    treatment).  The working models are linear in the mediator and the
-    post-treatment covariates (the linear pathway's rule), so every nested
-    mean is a prediction at the data plus slopes times shifts: 2 + d1 design
-    builds for all three.
+    treatment).  Each fitted mean model is predicted at the data with
+    treatment at its level in the chain, 2 + d1 design builds for all
+    three means, and ``_compose_linear`` nests the predictions.
     """
-    coding = fits.coding
-    outcome, mediator = fits[ROLE_OUTCOME], fits[ROLE_MEDIATOR]
-    refs = [f"c1_{j}" for j in range(1, fits.d1 + 1)]
+    base, comp = fits.coding.baseline_internal, fits.coding.comparison_internal
+    levels = [(ROLE_OUTCOME, base), (ROLE_MEDIATOR, comp)]
+    levels += [(c1_mean_role(j), base) for j in range(1, fits.d1 + 1)]
+    # predicted as the composition asks, so that it drops m at the data
+    # before the last nested mean adds to a batch's peak memory
+    chain = ((fits[role], _predict(fits[role], dataset, Overrides(e=level))) for role, level in levels)
+    return _compose_linear(fits.coding, dataset, chain)
+
+
+def _compose_linear(coding: PairCoding, dataset: Dataset, chain: Iterable[tuple[FittedGlm, np.ndarray]]):
+    """The nested means of a chain of gaussian mean models, returned as
+    ``_linear_nested`` returns them.
+
+    ``chain`` yields ``(fit, prediction)`` for the outcome, the mediator and
+    each ``c1_j`` in turn, each prediction taken at the data with treatment
+    at the model's level in the chain: baseline for the outcome and the
+    ``c1_j``, comparison for the mediator.  The models are linear in the
+    mediator and the post-treatment covariates (the linear pathway's rule),
+    so every nested mean is a prediction at the data plus slopes times
+    shifts.  A batch of fits gives every array a leading replicate axis.
+    """
+    chain = iter(chain)
+    outcome, b = next(chain)
+    mediator, m_data = next(chain)
+    refs = [f"c1_{j}" for j in range(1, dataset.d1 + 1)]
     data = {"m": dataset.m, **{ref: dataset.c1[:, j] for j, ref in enumerate(refs)}}
     out_s = _slopes(outcome, coding.baseline_internal, ["m", *refs])
     med_s = _slopes(mediator, coding.comparison_internal, refs)
-    b = _predict(outcome, dataset, Overrides(e=coding.baseline_internal))
-    m_data = _predict(mediator, dataset, Overrides(e=coding.comparison_internal))
     b_prime = _shifted(b, out_s, {"m": m_data}, data)
-    c_hat = {
-        ref: _predict(fits[c1_mean_role(j)], dataset, Overrides(e=coding.baseline_internal))
-        for j, ref in enumerate(refs, start=1)
-    }
+    c_hat = {ref: c for ref, (_, c) in zip(refs, chain)}
     m_hat = _shifted(m_data, med_s, c_hat, data)
     del m_data
     b_dd = _shifted(b, out_s, {"m": m_hat, **c_hat}, data)

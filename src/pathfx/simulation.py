@@ -490,8 +490,7 @@ def run_monte_carlo(
             fits = fit_nuisances(ds, models.working_set, coding)
             comp = compute_components(ds, fits, stabilize=stab)
             for k in kinds:
-                values[k][r] = beta_of_kind(k, ds, comp, working_set=models.working_set, coding=coding,
-                                            stabilize=stab)
+                values[k][r] = beta_of_kind(k, ds, comp, working_set=models.working_set, coding=coding)
         except (GlmError, NuisanceError) as exc:
             failures.append(f"replicate {r + 1}: {exc}")
 

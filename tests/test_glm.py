@@ -557,7 +557,7 @@ class TestBatchFit:
             W = rng.exponential(1.0, (7, n))
         else:
             W = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(7)], dtype=float)
-        batch = fit_glm(X, response, family, W, frequency_weights=kind == "frequency")
+        batch = fit_glm(X, response, family, W)
         assert batch.coef.shape == (7, 4) and batch.converged.all()
         for b in range(7):
             single = fit_glm(X, response, family, W[b])
@@ -632,6 +632,35 @@ class TestBatchFit:
                 continue
             drawn = np.repeat(eta, counts.astype(int))
             assert glm_mod._separated(eta[None], counts[None])[0] == glm_mod._separated(drawn)
+
+    @staticmethod
+    def _quasi_separated():
+        # the d = 1 rows all have y = 1, so their linear predictors pass 20;
+        # they are a quarter of the rows but, counted 4 times each, 40 of 70 draws
+        rng = np.random.default_rng(53)
+        d = np.r_[np.ones(10), np.zeros(30)]
+        X = np.column_stack([np.ones(40), d])
+        y = np.r_[np.ones(10), (rng.random(30) < 0.4).astype(float)]
+        counts = np.r_[np.full(10, 4.0), np.ones(30)]
+        return X, y, counts
+
+    def test_a_whole_number_batch_counts_rows_as_drawn(self):
+        X, y, counts = self._quasi_separated()
+        drawn = counts.astype(int)
+        with pytest.raises(NonConvergenceError):
+            fit_glm(np.repeat(X, drawn, axis=0), np.repeat(y, drawn), Family.LOGIT)
+        batch = fit_glm(X, y, Family.LOGIT, np.array([counts, np.ones(40)]))
+        assert list(batch.converged) == [False, True]
+        assert np.isnan(batch.coef[0]).all()
+
+    def test_a_batch_with_a_fractional_weight_counts_each_row_once(self):
+        X, y, counts = self._quasi_separated()
+        W = np.array([counts, np.ones(40)])
+        W[1, -1] = 0.5
+        batch = fit_glm(X, y, Family.LOGIT, W)
+        single = fit_glm(X, y, Family.LOGIT, counts)  # a single fit counts each row once
+        assert list(batch.converged) == [True, True]
+        assert np.array_equal(batch.coef[0], single.coef)
 
 
 class TestLayout:
