@@ -65,6 +65,9 @@ class Dataset:
 
     Arrays are locked after construction; operations on datasets return new
     instances, so every fit and replicate can share one dataset uncopied.
+    A chunk of R Monte Carlo datasets of n rows each stacks them on a
+    leading replicate axis: ``c0`` (R, n, d0), ``e``, ``m``, ``y`` (R, n)
+    and ``c1`` (R, n, d1); ``n``, ``d0`` and ``d1`` read the last axis.
     """
 
     c0: np.ndarray  # (n, d0)
@@ -80,15 +83,15 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.e.shape[0]
+        return self.e.shape[-1]
 
     @property
     def d0(self) -> int:
-        return self.c0.shape[1]
+        return self.c0.shape[-1]
 
     @property
     def d1(self) -> int:
-        return self.c1.shape[1]
+        return self.c1.shape[-1]
 
     @property
     def e_levels(self) -> frozenset[int]:
@@ -97,13 +100,7 @@ class Dataset:
     def take(self, indices: np.ndarray) -> "Dataset":
         """New dataset holding the given rows (order and repeats preserved)."""
         idx = np.asarray(indices)
-        return Dataset(
-            c0=self.c0[idx].copy(),
-            e=self.e[idx].copy(),
-            c1=self.c1[idx].copy(),
-            m=self.m[idx].copy(),
-            y=self.y[idx].copy(),
-        )
+        return Dataset(c0=self.c0[idx], e=self.e[idx], c1=self.c1[idx], m=self.m[idx], y=self.y[idx])
 
 
 _LEVEL_LIMIT = 2**53  # every integer below it is exact as a double
@@ -416,33 +413,30 @@ class Overrides:
 _EMPTY_OVERRIDES = Overrides()
 
 
-def _column(dataset: Dataset, ref: str, overrides: Overrides, n: int) -> np.ndarray:
+def _column(dataset: Dataset, ref: str, overrides: Overrides, shape: tuple) -> np.ndarray:
+    """The values of ``ref`` on every record, overrides broadcast to ``shape`` (that of ``e``)."""
     if ref == "e":
         if overrides.e is not None:
-            return np.broadcast_to(np.asarray(overrides.e, dtype=float), (n,))
+            return np.broadcast_to(np.asarray(overrides.e, dtype=float), shape)
         return dataset.e.astype(float)
     if ref == "m":
         if overrides.m is not None:
-            return np.broadcast_to(np.asarray(overrides.m, dtype=float), (n,))
+            return np.broadcast_to(np.asarray(overrides.m, dtype=float), shape)
         return dataset.m
     if ref.startswith("c0_"):
         j = int(ref[3:])
         if j > dataset.d0:
             raise DataError(f"column reference {ref} exceeds c0 dimension {dataset.d0}")
-        return dataset.c0[:, j - 1]
+        return dataset.c0[..., j - 1]
     j = int(ref[3:])
     if overrides.c1 is not None:
         c1 = np.asarray(overrides.c1, dtype=float)
-        if c1.ndim == 1:
-            if j > c1.shape[0]:
-                raise DataError(f"column reference {ref} exceeds c1 override dimension {c1.shape[0]}")
-            return np.full(n, c1[j - 1])
-        if j > c1.shape[1]:
-            raise DataError(f"column reference {ref} exceeds c1 override dimension {c1.shape[1]}")
-        return c1[:, j - 1]
+        if j > c1.shape[-1]:
+            raise DataError(f"column reference {ref} exceeds c1 override dimension {c1.shape[-1]}")
+        return np.full(shape, c1[j - 1]) if c1.ndim == 1 else c1[..., j - 1]
     if j > dataset.d1:
         raise DataError(f"column reference {ref} exceeds c1 dimension {dataset.d1}")
-    return dataset.c1[:, j - 1]
+    return dataset.c1[..., j - 1]
 
 
 def build_design_matrix(dataset: Dataset, spec: DesignSpec, overrides: Overrides | None = None) -> np.ndarray:
@@ -450,27 +444,28 @@ def build_design_matrix(dataset: Dataset, spec: DesignSpec, overrides: Overrides
 
     The design is column-major (Fortran-ordered), so that each term is
     written as one contiguous column and the regression engine takes X' as
-    the C-contiguous view ``X.T``.
+    the C-contiguous view ``X.T``.  A stacked dataset gives a stack (R, n,
+    p) of such designs, one per replicate.
     """
     overrides = overrides or _EMPTY_OVERRIDES
-    n = dataset.n
-    cols = np.empty((n, len(spec.terms)), order="F")
+    shape = dataset.e.shape
+    cols = np.empty(shape[:-1] + (len(spec.terms), dataset.n)).swapaxes(-1, -2)
     cache: dict[str, np.ndarray] = {}
 
     def col(ref: str) -> np.ndarray:
         if ref not in cache:
-            cache[ref] = _column(dataset, ref, overrides, n)
+            cache[ref] = _column(dataset, ref, overrides, shape)
         return cache[ref]
 
     for k, term in enumerate(spec.terms):
         if term.kind == "intercept":
-            cols[:, k] = 1.0
+            cols[..., k] = 1.0
         elif term.kind == "covariate":
-            cols[:, k] = col(term.refs[0])
+            cols[..., k] = col(term.refs[0])
         elif term.kind == "square":
-            cols[:, k] = col(term.refs[0]) ** 2
+            cols[..., k] = col(term.refs[0]) ** 2
         else:
-            cols[:, k] = col(term.refs[0]) * col(term.refs[1])
+            cols[..., k] = col(term.refs[0]) * col(term.refs[1])
     return cols
 
 

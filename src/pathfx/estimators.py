@@ -249,12 +249,14 @@ def beta_mr_sequential(
     in every mean model.  The propensities and density ratios come from
     ``comp``, the components of a maximum-likelihood fit of ``working_set``
     on the same data and weights; when it is omitted that fit is made here.
-    Each mean model is then refitted on its arm with the weight its residual
-    term carries, which makes that term a weighted-least-squares
-    orthogonality condition equal to zero.  What remains is the empirical
-    mean of the fully nested prediction.  ``(B, n)`` weights (with batch
-    components) refit every replicate at once, and the value, the terms and
-    b'' gain a leading replicate axis; a replicate whose refit fails is NaN.
+    Each mean model is then refitted on its arm (every row weighted, the
+    other arm's by zero) with the weight its residual term carries, which
+    makes that term a weighted-least-squares orthogonality condition equal
+    to zero.  What remains is the empirical mean of the fully nested
+    prediction.  ``(B, n)`` weights (with batch components) refit every
+    replicate at once, and the value, the terms and b'' gain a leading
+    replicate axis; a replicate whose refit fails is NaN.  So does a stacked
+    dataset (see ``core.Dataset``) with its components.
     """
     if comp is None:
         working_set.validate(dataset.d0, dataset.d1, "linear")
@@ -272,29 +274,26 @@ def beta_mr_sequential(
     ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
     p_base, p_comp = comp.p_baseline, comp.p_comparison
     mr, cr = comp.m_ratio, comp.c1_ratio
-    base_rows = np.flatnonzero(ind_base > 0)
-    comp_rows = np.flatnonzero(ind_comp > 0)
 
-    # (role, arm level, arm rows, response, weight of its residual term): the
-    # outcome carries the first term, the mediator the second and each
-    # post-treatment component the third.
+    # (role, arm level, arm indicator, response, weight of its residual
+    # term): the outcome carries the first term, the mediator the second and
+    # each post-treatment component the third.
     w3 = 1.0 / p_base * w_outer
     refits = [
-        (ROLE_OUTCOME, ibase, base_rows, dataset.y, mr / p_base * w_outer),
-        (ROLE_MEDIATOR, icomp, comp_rows, dataset.m, 1.0 / cr / p_comp * w_outer),
-        *[(c1_mean_role(j), ibase, base_rows, dataset.c1[:, j - 1], w3) for j in range(1, dataset.d1 + 1)],
+        (ROLE_OUTCOME, ibase, ind_base, dataset.y, mr / p_base * w_outer),
+        (ROLE_MEDIATOR, icomp, ind_comp, dataset.m, 1.0 / cr / p_comp * w_outer),
+        *[(c1_mean_role(j), ibase, ind_base, dataset.c1[..., j - 1], w3) for j in range(1, dataset.d1 + 1)],
     ]
     chain = []
-    for role, level, rows, response, w in refits:
-        # One design serves the fit and the prediction at the data, then is
-        # dropped so that the next build does not add to peak memory.  The
-        # arm's rows are taken from X.T so that they stay column-major
-        # (X[rows] is C-ordered).
+    for role, level, ind, response, w in refits:
+        # Each refit is held to its arm by zero weights on the other rows,
+        # which serves a stacked dataset, whose replicates have different
+        # arms.  One design serves the fit and the prediction at the data,
+        # then is dropped so that the next build does not add to peak memory.
         design = working_set[role].design.reduce_at_e(level)
         X = build_design_matrix(dataset, design)
         try:
-            fit = fit_glm(X.T.take(rows, axis=1).T, response[rows], Family.GAUSSIAN, w[..., rows],
-                          design=design)
+            fit = fit_glm(X, response, Family.GAUSSIAN, w * ind, design=design)
         except Exception as exc:  # re-tag with the refit stage
             raise NuisanceError(f"{role}: {exc}") from exc
         chain.append((fit, np.asarray(predict_mean(fit, X))))

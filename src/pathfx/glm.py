@@ -1,7 +1,8 @@
 """In-repo regression engine: OLS plus logistic/probit fits by Newton steps.
 
-Every fit is a batch: one design X and a ``(B, n)`` matrix of row weights,
-one coefficient vector per weight row, and one Newton loop runs them all.
+Every fit is a batch: one design X, or one per replicate, and a ``(B, n)``
+matrix of row weights, one coefficient vector per weight row, and one
+Newton loop runs them all.
 Each step weights X'WX by the observed information -d^2 ll / d eta^2 per
 row.  For logit that is the expected information, so logit steps are
 Fisher scoring; probit, the one non-canonical link, converges
@@ -11,8 +12,9 @@ ill-conditioned systems get Fisher scoring's rank verdicts.  A fit whose
 score vanishes at a median |eta| above 20, or at a log-likelihood above
 -1e-9, is complete separation and raises ``NonConvergenceError``.
 ``fit_ols`` and ``fit_glm_irls`` are the batch of one; ``fit_glm`` with
-``(B, n)`` weights fits a bootstrap chunk.  One solver
-(``_solver``) forms every p x p system X' diag(w) X as one matrix product
+``(B, n)`` weights fits a bootstrap chunk, and on a stack of designs
+``(B, n, p)`` a chunk of Monte Carlo datasets.  One solver
+(``_solve``) forms every p x p system X' diag(w) X as one matrix product
 of the weighted X' with X per system, X' being the view ``X.T``, which is
 C-contiguous for the column-major designs of ``build_design_matrix``: no
 copy of X is made.  It solves each system by one rule: from its inverse
@@ -122,8 +124,9 @@ class NonConvergenceError(GlmError):
 class FittedGlm:
     """A fitted regression: family, coefficients, and convergence state.
 
-    A batch fit (``fit_glm`` with ``(B, n)`` weights) holds ``(B, p)``
-    coefficients and per-replicate ``converged`` and ``iterations`` arrays.
+    A batch fit (``fit_glm`` with ``(B, n)`` weights or a stack of
+    designs) holds ``(B, p)`` coefficients and per-replicate ``converged``
+    and ``iterations`` arrays.
     """
 
     family: Family
@@ -136,24 +139,27 @@ class FittedGlm:
         self.coef.setflags(write=False)
 
 
-def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, rows: np.ndarray | None = None):
-    """Validated float arrays: X (n, p), y (n,), and either ``weights``
-    (n,) or ``rows`` of weights (B, n), returned in third place."""
+def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, *, batch: bool = False):
+    """Validated float arrays X, y and weights (None stays None).  A single
+    fit takes X (n, p), y (n,) and weights (n,).  A batch takes a shared X
+    (n, p) and y (n,) with (B, n) weights, or a stack of designs X (R, n, p)
+    with y and weights (R, n)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise GlmError("design matrix must be 2-dimensional")
-    n, p = X.shape
-    if y.shape != (n,):
-        raise GlmError(f"response has length {y.shape}, expected ({n},)")
+    if X.ndim != 2 and not (batch and X.ndim == 3):
+        raise GlmError("design matrix must be 2-dimensional, or a stack of such for a batch")
+    n, p = X.shape[-2:]
+    if y.shape != X.shape[:-1]:
+        raise GlmError(f"response has length {y.shape}, expected {X.shape[:-1]}")
     if n < p:
         raise GlmError(f"need at least as many rows ({n}) as columns ({p})")
-    if rows is not None or weights is not None:
-        weights = np.asarray(weights if rows is None else rows, dtype=float)
-        if rows is None and weights.shape != (n,):
-            raise GlmError(f"weights have shape {weights.shape}, expected ({n},)")
-        if rows is not None and (weights.ndim != 2 or weights.shape[1] != n):
-            raise GlmError(f"weights have shape {weights.shape}, expected (B, {n}) or ({n},)")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if batch and X.ndim == 2:  # a shared design: one weight row per replicate
+            if weights.ndim != 2 or weights.shape[1] != n:
+                raise GlmError(f"weights have shape {weights.shape}, expected (B, {n})")
+        elif weights.shape != y.shape:
+            raise GlmError(f"weights have shape {weights.shape}, expected {y.shape}")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise GlmError("weights must be finite and non-negative")
     return X, y, weights
@@ -170,15 +176,17 @@ def _check_rank(R: np.ndarray, piv: np.ndarray, labels=None) -> None:
 
 
 def _rows_times(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``X @ coef[b]`` for every row b of ``coef`` (B, p), shape (B, n)."""
-    if len(coef) == 1:
+    """``X @ coef[b]`` for every row b of ``coef`` (B, p), shape (B, n); a
+    stack X (B, n, p) gives ``X[b] @ coef[b]``."""
+    if X.ndim == 2 and len(coef) == 1:
         return (X @ coef[0])[None]
     return np.matmul(X, coef[:, :, None])[:, :, 0]
 
 
 def _times_rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``v[b] @ X`` for every row b of ``v`` (B, n), shape (B, p)."""
-    if len(v) == 1:
+    """``v[b] @ X`` for every row b of ``v`` (B, n), shape (B, p); a stack X
+    (B, n, p) gives ``v[b] @ X[b]``."""
+    if X.ndim == 2 and len(v) == 1:
         return (X.T @ v[0])[None]
     return np.matmul(v[:, None, :], X)[:, 0, :]
 
@@ -216,57 +224,56 @@ def _not_finite() -> GlmError:
                     "(a NaN, an inf or an overflowing value in the design, response or weights)")
 
 
-def _solver(X: np.ndarray, labels):
-    """The solve of every fit on the column-major design X: ``solve(ww,
-    score)`` returns the steps delta[b] of (X' diag(ww[b]) X) delta[b] =
-    score[b] for the rows of ``ww`` (B, n) and ``score`` (B, p), and
-    ``{b: GlmError}`` for the rows whose system is rank deficient
-    (``RankDeficiencyError``) or not finite (their steps are NaN).  ``ww``
-    None stands for one row of unit weights, which forms no weighted copy
-    of X.  ``solve(ww, score, qr_weights)`` takes a row's QR step on the
-    weights ``qr_weights(b)`` in place of ``ww[b]``.
+def _solve(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels, qr_weights=None):
+    """The solve of every fit on the column-major design X: the steps
+    delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] for the rows of ``ww``
+    (B, n) and ``score`` (B, p), and ``{b: GlmError}`` for the rows whose
+    system is rank deficient (``RankDeficiencyError``) or not finite (their
+    steps are NaN).  A stack X (B, n, p) gives each row its own design X[b].
+    ``ww`` None stands for unit weights, which form no weighted copy of X.
+    With ``qr_weights``, a row's QR step takes the weights ``qr_weights(b)``
+    in place of ``ww[b]``.
 
     Every weighted Gram is one matrix product of X' diag(ww[b]) with X, X'
-    being ``X.T``, a C-contiguous view of a column-major X (a strided one of
-    a caller's C-ordered X, taken as it is, in its own rounding): a stacked
-    matmul for a batch, and the same product as a 2-D call for a single
-    system, which gives the same bits.  ``_inverse_steps`` solves the
-    systems that pass its guard; of the others, a system that is not finite
-    fails at once, and ``_qr_step`` solves each of the rest.  Floating-point
-    warnings are off while the systems are formed and inverted: a value that
-    is not finite, an overflowing Gram's included, fails that check instead.
+    being the transpose view of X, C-contiguous for a column-major X (a
+    strided one of a caller's C-ordered X, taken as it is, in its own
+    rounding): a stacked matmul for a batch, and the same product as a 2-D
+    call for a single system on a 2-D X, which gives the same bits.
+    ``_inverse_steps`` solves the systems that pass its guard; of the
+    others, a system that is not finite fails at once, and ``_qr_step``
+    solves each of the rest.  Floating-point warnings are off while the
+    systems are formed and inverted: a value that is not finite, an
+    overflowing Gram's included, fails that check instead.
     """
-    def solve(ww, score, qr_weights=None):
-        with np.errstate(all="ignore"):
-            if len(score) == 1:
-                H = X.T @ X if ww is None else (X.T * ww[0]) @ X
-                delta, passed = _inverse_steps(H, score[0])
-                if passed:
-                    return delta[None], {}
-                delta, failed, H = delta[None], [0], H[None]
-            else:
-                H = np.matmul(X.T * ww[:, None, :], X)
-                delta, passed = _inverse_steps(H, score)
-                failed = np.flatnonzero(~passed)
-        errors = {}
-        for b in failed:
-            try:
-                if not (np.isfinite(H[b]).all() and np.isfinite(score[b]).all()):
-                    raise _not_finite()
-                wb = qr_weights(b) if qr_weights else None if ww is None else ww[b]
-                delta[b] = _qr_step(X, wb, score[b], labels)
-            except GlmError as exc:
-                delta[b] = np.nan
-                errors[int(b)] = exc
-        return delta, errors
-
-    return solve
+    with np.errstate(all="ignore"):
+        if len(score) == 1 and X.ndim == 2:
+            H = X.T @ X if ww is None else (X.T * ww[0]) @ X
+            delta, passed = _inverse_steps(H, score[0])
+            if passed:
+                return delta[None], {}
+            delta, failed, H = delta[None], [0], H[None]
+        else:
+            Xt = X.swapaxes(-1, -2)
+            H = np.matmul(Xt if ww is None else Xt * ww[:, None, :], X)
+            delta, passed = _inverse_steps(H, score)
+            failed = np.flatnonzero(~passed)
+    errors = {}
+    for b in failed:
+        try:
+            if not (np.isfinite(H[b]).all() and np.isfinite(score[b]).all()):
+                raise _not_finite()
+            wb = qr_weights(b) if qr_weights else None if ww is None else ww[b]
+            delta[b] = _qr_step(X[b] if X.ndim == 3 else X, wb, score[b], labels)
+        except GlmError as exc:
+            delta[b] = np.nan
+            errors[int(b)] = exc
+    return delta, errors
 
 
 def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
     """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit
-    weights) with ``_solver``, raising its ``GlmError``."""
-    delta, errors = _solver(X, labels)(None if ww is None else ww[None], score[None])
+    weights) with ``_solve``, raising its ``GlmError``."""
+    delta, errors = _solve(X, None if ww is None else ww[None], score[None], labels)
     if errors:
         raise errors[0]
     return delta[0]
@@ -281,7 +288,7 @@ def fit_ols(
 ) -> FittedGlm:
     """Weighted least squares; coefficients minimize the weighted RSS.
 
-    Solves the normal equations X'WX b = X'Wy with ``_solver``: from
+    Solves the normal equations X'WX b = X'Wy with ``_solve``: from
     the inverse of X'WX when its exact 1-norm reciprocal condition exceeds
     ``CHOL_RCOND_MIN``, and otherwise from a Householder QR of sqrt(W) X
     with column pivoting, so rank loss raises ``RankDeficiencyError``
@@ -604,15 +611,18 @@ def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
 
 def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
     """Newton steps for every row of ``coef`` (B, p) under the prior row
-    weights of the same row of ``prior`` (B, n).
+    weights of the same row of ``prior`` (B, n), on a shared design X (n, p)
+    and response y (n,), or each on its own X[b] and y[b] of a stack X (B,
+    n, p) and y (B, n).
 
     ``coef`` holds the starts and is overwritten with the fits.  Each
     replicate runs its own score test, step halving, separation tests and
     Newton step; a converged or failed replicate is frozen and leaves the
-    batch.  Returns the iterations per replicate and ``{b: GlmError}`` for
-    the failed ones, whose coefficients are NaN.
+    batch, and a stack's X and y are subset to the replicates left.
+    Returns the iterations per replicate and ``{b: GlmError}`` for the
+    failed ones, whose coefficients are NaN.
     """
-    solve = _solver(X, labels)
+    stacked = X.ndim == 3
     iterations = np.zeros(coef.shape[0], dtype=int)
     errors: dict[int, GlmError] = {}
     act = np.arange(coef.shape[0])  # replicates still scoring
@@ -625,6 +635,10 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
             b = int(act[k])
             errors[b] = error(k)
             coef[b] = np.nan
+
+    def data(rows):
+        """The design and response of the scoring replicates ``rows``."""
+        return (X[rows], y[rows]) if stacked else (X, y)
 
     for iteration in range(1, max_iter + 1):
         if not act.size:
@@ -655,16 +669,18 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
             keep = ~done
             act, w, eta, ll, s, info, score = (
                 act[keep], w[keep], eta[keep], ll[keep], s[keep], info[keep], score[keep])
+            X, y = data(keep)
         # a probit step sent to the QR fallback takes the expected
         # information, so that the rank check judges Fisher scoring's system
         qr_weights = None if family is Family.LOGIT else lambda b: w[b] * _probit_fisher(eta[b])
-        delta, rank_errors = solve(w * info, score, qr_weights)
+        delta, rank_errors = _solve(X, w * info, score, labels, qr_weights)
         eta = s = info = None  # the accepted trials' terms replace them
         if rank_errors:
             keep = np.ones(act.size, dtype=bool)
             keep[list(rank_errors)] = False
             fail(list(rank_errors), rank_errors.__getitem__)
             act, w, ll, delta = act[keep], w[keep], ll[keep], delta[keep]
+            X, y = data(keep)
         # Halve each replicate's step up to 40 times while it lowers that
         # replicate's likelihood; the accepted trials' terms carry into the
         # next iteration.
@@ -680,8 +696,9 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
             if not len(pending):
                 break
             t = base[pending] + 0.5**halvings * delta[pending]
-            eta_h = _rows_times(X, t)
-            ll_h, s_h, info_h = _binomial_terms(family, eta_h, y, w[pending])
+            X_h, y_h = data(pending)
+            eta_h = _rows_times(X_h, t)
+            ll_h, s_h, info_h = _binomial_terms(family, eta_h, y_h, w[pending])
             ok = (ll_h >= floor[pending]) | (halvings == 40)
             rows = pending[ok]
             trial[rows], eta_t[rows], ll_t[rows], s_t[rows], info_t[rows] = (
@@ -781,43 +798,48 @@ def fit_glm(
 
     With ``(B, n)`` weights, one fit per weight row: the result's ``coef``
     is ``(B, p)`` and its ``converged`` and ``iterations`` are ``(B,)``
-    arrays.  A replicate whose fit fails raises nothing; its coefficients
-    are NaN and ``converged`` is False.  A batch of whole-number weights is
-    taken for row counts (a nonparametric bootstrap's draws), so that the
-    separation test counts each row as often as it was drawn; any other
-    batch counts each row once, as a single fit does.
+    arrays.  A stack of designs X ``(B, n, p)``, with y and weights (None
+    or given) ``(B, n)``, is such a batch whose replicate b fits its own
+    X[b] and y[b] (a chunk of Monte Carlo datasets).  A replicate whose fit
+    fails raises nothing; its coefficients are NaN and ``converged`` is
+    False.  A batch of whole-number weights is taken for row counts (a
+    nonparametric bootstrap's draws), so that the separation test counts
+    each row as often as it was drawn; any other batch counts each row
+    once, as a single fit does.
     """
-    if weights is None or np.ndim(weights) < 2:
+    if np.ndim(X) == 2 and (weights is None or np.ndim(weights) < 2):
         if family is Family.GAUSSIAN:
             return fit_ols(X, y, weights, design=design)
         return fit_glm_irls(X, y, family, weights, max_iter=max_iter, tol=tol, design=design, start=start)
     labels = design.labels if design is not None else None
-    X, y, W = _as_matrix(X, y, rows=weights)
+    X, y, W = _as_matrix(X, y, weights, batch=True)
     if family is Family.GAUSSIAN:
         with np.errstate(all="ignore"):
-            rhs = _times_rows(W * y, X)
-        coef, errors = _solver(X, labels)(W, rhs)
+            rhs = _times_rows(y if W is None else W * y, X)
+        coef, errors = _solve(X, W, rhs, labels)
         for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
             errors.setdefault(int(b), _not_finite())
-        iterations = np.zeros(W.shape[0], dtype=int)
+        iterations = np.zeros(len(coef), dtype=int)
     else:
         _check_binary(y)
-        coef = _starts(start, W.shape[0], X.shape[1])
-        counts = W if np.array_equal(W, np.floor(W)) else None
-        iterations, errors = _score_batch(X, y, family, W, coef, counts,
+        prior = np.ones(y.shape) if W is None else W
+        coef = _starts(start, len(prior), X.shape[-1])
+        counts = W if W is not None and np.array_equal(W, np.floor(W)) else None
+        iterations, errors = _score_batch(X, y, family, prior, coef, counts,
                                           max_iter=max_iter, tol=tol, labels=labels)
-    converged = np.ones(W.shape[0], dtype=bool)
+    converged = np.ones(len(coef), dtype=bool)
     converged[list(errors)] = False
     return FittedGlm(family, coef, converged, iterations, design)
 
 
 def predict_mean(fit: FittedGlm, X: np.ndarray) -> np.ndarray | float:
-    """Fitted mean at the given design row(s); ``(B, n)`` for a batch fit."""
+    """Fitted mean at the given design row(s); ``(B, n)`` for a batch fit,
+    at a shared design (n, p) or at a stack of them (B, n, p)."""
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
     rows = X[None, :] if single else X
-    if rows.shape[1] != fit.coef.shape[-1]:
-        raise GlmError(f"design has {rows.shape[1]} columns, coefficients expect {fit.coef.shape[-1]}")
+    if rows.shape[-1] != fit.coef.shape[-1]:
+        raise GlmError(f"design has {rows.shape[-1]} columns, coefficients expect {fit.coef.shape[-1]}")
     eta = rows @ fit.coef if fit.coef.ndim == 1 else _rows_times(rows, fit.coef)
     if fit.family is Family.GAUSSIAN:
         mu = eta

@@ -89,12 +89,39 @@ def _draw_wild_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.exponential(1.0, n)
 
 
-# Replicate weights per batch chunk (replicates x rows): a chunk holds
-# CHUNK_ELEMENTS // n replicates (at least one), so each (B, n) array a batch
-# keeps live stays within 128 KB whatever the replicate count, for n up to
-# 2**14.  A batch holds about a dozen such arrays at its peak, and all of it
-# adds to the process's peak memory.
+# Rows' worth of replicates per batch chunk, for both chunked loops
+# (``_run_chunked``): a bootstrap chunk's (B, n) weight matrix and a Monte
+# Carlo chunk's stacked (R, n) datasets hold CHUNK_ELEMENTS // n replicates
+# (at least one), so each (B, n) array a batch keeps live stays within 128
+# KB whatever the replicate count, for n up to 2**14.  A batch holds about a
+# dozen such arrays at its peak (a Monte Carlo chunk's designs add p of
+# them each), and all of it adds to the process's peak memory.
 CHUNK_ELEMENTS = 2**14
+
+
+def _run_chunked(count: int, n: int, batch: Callable[[int, int], np.ndarray],
+                 single: Callable[[int], None], values: np.ndarray) -> None:
+    """Fill ``values`` (count, ...) one chunk of replicates at a time.
+
+    A chunk holds ``max(1, CHUNK_ELEMENTS // n)`` replicates of n rows, so
+    its size depends on n alone.  ``batch(lo, hi)`` returns the values of
+    replicates lo to hi - 1.  A chunk whose batch raises, and every
+    replicate whose value is not finite, is evaluated again by
+    ``single(r)``, which writes ``values[r]`` (left NaN on failure) and
+    records its own failure, so that failures, their messages and their order are those of
+    evaluating every replicate alone.
+    """
+    size = max(1, CHUNK_ELEMENTS // n)
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
+        try:
+            values[lo:hi] = batch(lo, hi)
+        except Exception:  # noqa: BLE001 - the replicates below say what failed
+            pass
+        redo = ~np.isfinite(values[lo:hi].reshape(hi - lo, -1)).all(axis=1)
+        for r in lo + np.flatnonzero(redo):
+            values[r] = np.nan
+            single(int(r))
 
 
 def bootstrap(
@@ -122,11 +149,10 @@ def bootstrap(
     original rows: it returns what ``statistic`` returns with every scalar
     replaced by the ``(B,)`` array of replicate values.  Wild rows are
     the Exp(1) draws; nonparametric rows are frequency weights, the
-    ``bincount`` of the resampled indices.  Chunks hold a fixed
-    ``CHUNK_ELEMENTS // n`` replicates.  A chunk whose batch raises, and
-    every replicate whose batch value is not finite, is evaluated again by
-    ``statistic`` one replicate at a time, so failures and their messages
-    are the per-replicate ones.
+    ``bincount`` of the resampled indices.  Chunks run by ``_run_chunked``:
+    a chunk whose batch raises, and every replicate whose batch value is not
+    finite, is evaluated again by ``statistic`` one replicate at a time, so
+    failures and their messages are the per-replicate ones.
 
     Replicates run one after another in the calling thread.  Replicate ``r``
     draws its weights from ``derived_rng(seed, r)``, so its value depends on
@@ -155,26 +181,18 @@ def bootstrap(
         except Exception as exc:  # noqa: BLE001 - replicate failures are data
             raised[r] = str(exc)
 
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        W = np.empty((hi - lo, n))
+        for r in range(lo, hi):
+            x = draw(r)
+            W[r - lo] = np.bincount(x, minlength=n) if spec.kind == "nonparametric" else x
+        return np.moveaxis(np.asarray(batch(W), dtype=float), -1, 0)
+
     if batch is None:
         for r in range(spec.replicates):
             run(r)
     else:
-        size = max(1, CHUNK_ELEMENTS // n)
-        for lo in range(0, spec.replicates, size):
-            hi = min(lo + size, spec.replicates)
-            W = np.empty((hi - lo, n))
-            for r in range(lo, hi):
-                x = draw(r)
-                W[r - lo] = np.bincount(x, minlength=n) if spec.kind == "nonparametric" else x
-            try:
-                values[lo:hi] = np.moveaxis(np.asarray(batch(W), dtype=float), -1, 0)
-            except Exception:  # noqa: BLE001 - the replicates below say what failed
-                pass
-            del W
-            redo = ~np.isfinite(values[lo:hi].reshape(hi - lo, -1)).all(axis=1)
-            for r in lo + np.flatnonzero(redo):
-                values[r] = np.nan
-                run(int(r))
+        _run_chunked(spec.replicates, n, chunk, run, values)
 
     failed = np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)
     errors = [f"replicate {r}: {raised.get(r, 'NaN value')}" for r in np.flatnonzero(failed)]

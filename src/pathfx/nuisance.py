@@ -235,7 +235,7 @@ def _response_for(role: str, dataset: Dataset) -> np.ndarray:
         return dataset.m
     if role.startswith("c1_mean_"):
         j = int(role.rsplit("_", 1)[1])
-        return dataset.c1[:, j - 1]
+        return dataset.c1[..., j - 1]
     if role in _PROP_ROLES:
         return dataset.e.astype(float)
     raise NuisanceError(f"{role}: unknown model role")
@@ -261,7 +261,9 @@ def fit_nuisances(
 
     ``(B, n)`` weights fit a batch of replicates: each design is built once
     and every role is fitted for all B weight rows (see ``glm.fit_glm``); a
-    replicate whose fit fails has NaN coefficients rather than raising.
+    replicate whose fit fails has NaN coefficients rather than raising.  A
+    stacked dataset (see ``core.Dataset``) is such a batch too, each design a
+    stack of per-replicate designs.
     """
     if coding is None:
         coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -526,7 +528,7 @@ def _compose_linear(coding: PairCoding, dataset: Dataset, chain: Iterable[tuple[
     outcome, b = next(chain)
     mediator, m_data = next(chain)
     refs = [f"c1_{j}" for j in range(1, dataset.d1 + 1)]
-    data = {"m": dataset.m, **{ref: dataset.c1[:, j] for j, ref in enumerate(refs)}}
+    data = {"m": dataset.m, **{ref: dataset.c1[..., j] for j, ref in enumerate(refs)}}
     out_s = _slopes(outcome, coding.baseline_internal, ["m", *refs])
     med_s = _slopes(mediator, coding.comparison_internal, refs)
     b_prime = _shifted(b, out_s, {"m": m_data}, data)

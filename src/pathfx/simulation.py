@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Dataset, DesignSpec, PairCoding, TreatmentPair
 from .estimators import BETA_KINDS, beta_of_kind
 from .glm import Family, GlmError, _expit
-from .inference import derived_rng, mc_t_test
+from .inference import derived_rng, mc_t_test, _run_chunked
 from .nuisance import (
     ROLE_MARGINAL,
     ROLE_MEDIATOR,
@@ -470,9 +470,18 @@ def run_monte_carlo(
 ) -> RegimeReport:
     """Replicate the study: draw, fit the regime's models, estimate, test.
 
+    Replicates run in chunks of ``max(1, CHUNK_ELEMENTS // n)`` (see
+    ``inference._run_chunked``): a chunk's datasets, each drawn as
+    ``draw_dataset(n, seed, rep=r + 1)``, are stacked on a leading replicate
+    axis, and one fit of the working models, one set of components and one
+    pass of each estimator serve the whole chunk.  Every fit and product of
+    a stacked replicate is the same BLAS call as on its dataset alone, so a
+    replicate's values depend on the seed and its index only, not on the
+    replicate count or its chunk-mates.  A chunk that raises, and every
+    replicate with a value that is not finite, is evaluated again alone.
     Per-replicate failures are tolerated up to 1% of the runs; failed
-    replicates are dropped from the summaries.  Replicates run in order, so
-    the failure an error quotes first is the lowest-numbered one.
+    replicates are dropped from the summaries.  The failure an error quotes
+    first is the lowest-numbered one.
     """
     models = working_models_for(spec.regime)
     stab = stabilize if stabilize is not None else models.stabilize
@@ -482,17 +491,31 @@ def run_monte_carlo(
         if kind not in BETA_KINDS:
             raise SimulationError(f"unknown estimator kind {kind!r}")
 
-    values = {k: np.full(spec.replications, np.nan) for k in kinds}
+    def estimates(ds: Dataset):
+        fits = fit_nuisances(ds, models.working_set, coding)
+        comp = compute_components(ds, fits, stabilize=stab)
+        for kind in kinds:
+            yield beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        drawn = [draw_dataset(spec.n, spec.seed, rep=r + 1) for r in range(lo, hi)]
+        stacked = Dataset(**{f.name: np.stack([getattr(ds, f.name) for ds in drawn])
+                             for f in fields(Dataset)})
+        del drawn
+        return np.stack(list(estimates(stacked)), axis=-1)
+
+    table = np.full((spec.replications, len(kinds)), np.nan)  # replicate x estimator
     failures: list[str] = []
-    for r in range(spec.replications):
+
+    def alone(r: int) -> None:
         try:
-            ds = draw_dataset(spec.n, spec.seed, rep=r + 1)
-            fits = fit_nuisances(ds, models.working_set, coding)
-            comp = compute_components(ds, fits, stabilize=stab)
-            for k in kinds:
-                values[k][r] = beta_of_kind(k, ds, comp, working_set=models.working_set, coding=coding)
+            for k, value in enumerate(estimates(draw_dataset(spec.n, spec.seed, rep=r + 1))):
+                table[r, k] = value
         except (GlmError, NuisanceError) as exc:
             failures.append(f"replicate {r + 1}: {exc}")
+
+    _run_chunked(spec.replications, spec.n, chunk, alone, table)
+    values = dict(zip(kinds, np.ascontiguousarray(table.T)))
 
     n_failed = len(failures)
     if n_failed > 0.01 * spec.replications:

@@ -567,6 +567,28 @@ class TestBatchFit:
                 row = dataclasses.replace(single, coef=batch.coef[b].copy())
                 assert np.max(np.abs(score_and_information(row, X, response, W[b])[0])) < glm_mod.DEFAULT_TOL
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN], ids=lambda f: f.name.lower())
+    def test_a_stack_of_designs_fits_each_replicate_on_its_own(self, family, weighted):
+        # a chunk of Monte Carlo datasets: replicate b fits X[b] and y[b], and
+        # its coefficients are bitwise its single fit's; a replicate whose
+        # design repeats a column fails alone, in the QR fallback
+        cases = [self._case(seed) for seed in (61, 62, 63, 64)]
+        X = np.empty((4, 4, 600)).swapaxes(-1, -2)  # column-major, as build_design_matrix makes them
+        X[...] = [case[1] for case in cases]
+        X[2, :, 3] = X[2, :, 2]
+        y = np.array([case[3] if family is Family.GAUSSIAN else case[2] for case in cases])
+        W = np.random.default_rng(65).exponential(1.0, y.shape) if weighted else None
+        batch = fit_glm(X, y, family, W)
+        assert list(batch.converged) == [True, True, False, True]
+        assert np.isnan(batch.coef[2]).all()
+        with pytest.raises(RankDeficiencyError):
+            fit_glm(X[2], y[2], family, None if W is None else W[2])
+        for b in (0, 1, 3):
+            assert np.array_equal(batch.coef[b], fit_glm(X[b], y[b], family, None if W is None else W[b]).coef)
+        with pytest.raises(GlmError, match="weights have shape"):
+            fit_glm(X, y, family, np.ones((3, 600)))
+
     def test_a_row_does_not_depend_on_its_batch_mates(self):
         rng, X, y, _ = self._case()
         W = rng.exponential(1.0, (9, X.shape[0]))

@@ -1,12 +1,15 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import pathfx.inference as inference_mod
 import pathfx.simulation as simulation_mod
-from pathfx.core import DesignSpec
+from pathfx.core import DesignSpec, PairCoding, TreatmentPair
+from pathfx.estimators import BETA_KINDS, beta_of_kind
 from pathfx.glm import Family, fit_ols
 from pathfx.nuisance import (
     ROLE_MEDIATOR,
@@ -18,8 +21,11 @@ from pathfx.nuisance import (
     ROLE_PROP_M,
     NuisanceError,
     c1_mean_role,
+    compute_components,
+    fit_nuisances,
 )
 from pathfx.simulation import (
+    REGIMES,
     SimulationError,
     SimulationSpec,
     closed_form_beta0,
@@ -228,6 +234,76 @@ class TestMonteCarloRunner:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(SimulationError, match="estimator"):
             run_monte_carlo(SimulationSpec(regime="int", n=100, replications=5, seed=1), estimators=("x",))
+
+
+class TestMonteCarloChunks:
+    """A chunk of replicates is fitted as one stacked batch; each replicate's
+    values depend on the seed and its index alone."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_values_do_not_depend_on_the_chunk_size(self, regime, monkeypatch):
+        spec = SimulationSpec(regime=regime, n=300, replications=9, seed=4)
+        runs = {}
+        for size in (1, 4, 9):
+            monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", size * spec.n)
+            runs[size] = run_monte_carlo(spec, estimators=BETA_KINDS).values
+        for kind in BETA_KINDS:
+            assert np.all(np.isfinite(runs[1][kind])), kind
+            assert np.array_equal(runs[4][kind], runs[1][kind]), kind
+            assert np.array_equal(runs[9][kind], runs[1][kind]), kind
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_values_do_not_depend_on_the_replicate_count(self, regime):
+        few = run_monte_carlo(SimulationSpec(regime=regime, n=300, replications=7, seed=4), estimators=BETA_KINDS)
+        many = run_monte_carlo(SimulationSpec(regime=regime, n=300, replications=40, seed=4), estimators=BETA_KINDS)
+        for kind in BETA_KINDS:
+            assert np.array_equal(few.values[kind], many.values[kind][:7]), kind
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_a_batched_replicate_is_its_dataset_evaluated_alone(self, regime):
+        # every fit and product of a stacked replicate is the same BLAS call
+        # as on its dataset alone, so the values agree bitwise
+        spec = SimulationSpec(regime=regime, n=300, replications=6, seed=4)
+        report = run_monte_carlo(spec, estimators=BETA_KINDS)
+        models = working_models_for(regime)
+        coding = PairCoding(pair=TreatmentPair(1, 0))
+        for r in range(spec.replications):
+            ds = draw_dataset(spec.n, spec.seed, rep=r + 1)
+            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=models.stabilize)
+            for kind in BETA_KINDS:
+                alone = beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
+                assert report.values[kind][r] == alone, (r, kind)
+
+    @pytest.mark.parametrize("estimators", [("mle", "a", "b", "mr"), BETA_KINDS])
+    def test_a_failed_replicate_is_evaluated_alone(self, estimators, monkeypatch):
+        real_draw = simulation_mod.draw_dataset
+        drawn = []
+
+        def draw(n, seed, *, rep):
+            drawn.append(rep)
+            ds = real_draw(n, seed, rep=rep)
+            if rep == 3:  # treatment set by the baseline covariate: the propensities are separated
+                ds = replace(ds, e=(ds.c0[:, 0] > 1.0).astype(int))
+            return ds
+
+        spec = SimulationSpec(regime="int", n=300, replications=100, seed=1)
+        clean = run_monte_carlo(spec, estimators=estimators)
+        models = working_models_for("int")
+        with pytest.raises(NuisanceError) as alone:
+            fit_nuisances(draw(spec.n, spec.seed, rep=3), models.working_set, PairCoding(pair=TreatmentPair(1, 0)))
+        drawn.clear()
+        monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
+        report = run_monte_carlo(spec, estimators=estimators)
+        assert report.n_failed == 1
+        if "mr_seq" not in estimators:  # only the failed replicate is drawn again
+            assert sorted(drawn) == sorted([3, *range(1, spec.replications + 1)])
+        for kind in estimators:
+            assert np.isnan(report.values[kind][2]), kind
+            others = np.arange(spec.replications) != 2
+            assert np.array_equal(report.values[kind][others], clean.values[kind][others]), kind
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(replace(spec, replications=12), estimators=estimators)
+        assert str(err.value) == f"1/12 replicates failed; first: replicate 3: {alone.value}"
 
 
 class TestCsvOutputs:
