@@ -310,6 +310,12 @@ class DesignSpec:
         parts = [p for p in (s.strip() for s in text.split(",")) if p]
         return cls(tuple(parse_term(p) for p in parts))
 
+    def __hash__(self) -> int:
+        # designs key the groups of models that share a build; hashed once
+        if "hash" not in self._derived:
+            self._derived["hash"] = hash(self.terms)
+        return self._derived["hash"]
+
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.terms)

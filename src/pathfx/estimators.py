@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, PairCoding, TreatmentPair, build_design_matrix, wmean
-from .glm import Family, fit_glm, predict_mean
+from .glm import GlmError, _least_squares, predict_mean
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -252,7 +252,9 @@ def beta_mr_sequential(
     Each mean model is then refitted on its arm (every row weighted, the
     other arm's by zero) with the weight its residual term carries, which
     makes that term a weighted-least-squares orthogonality condition equal
-    to zero.  What remains is the empirical mean of the fully nested
+    to zero.  The d1 post-treatment refits share the arm and the weight, so
+    those on one reduced design share its build and one Gram, each fit
+    bitwise its own.  What remains is the empirical mean of the fully nested
     prediction.  ``(B, n)`` weights (with batch components) refit every
     replicate at once, and the value, the terms and b'' gain a leading
     replicate axis; a replicate whose refit fails is NaN.  So does a stacked
@@ -262,7 +264,8 @@ def beta_mr_sequential(
         working_set.validate(dataset.d0, dataset.d1, "linear")
     else:  # the fit behind comp validated the set for its own pathway
         working_set.validate_linear()
-    for role in (ROLE_OUTCOME, ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, dataset.d1 + 1)]):
+    roles = (ROLE_OUTCOME, ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, dataset.d1 + 1)])
+    for role in roles:
         if not working_set[role].design.has_intercept():
             raise EstimationError(f"{role}: sequential refitting requires an intercept term")
     if comp is None:
@@ -275,30 +278,37 @@ def beta_mr_sequential(
     p_base, p_comp = comp.p_baseline, comp.p_comparison
     mr, cr = comp.m_ratio, comp.c1_ratio
 
-    # (role, arm level, arm indicator, response, weight of its residual
-    # term): the outcome carries the first term, the mediator the second and
-    # each post-treatment component the third.
-    w3 = 1.0 / p_base * w_outer
+    # (arm level, arm indicator, weight of the residual term, roles and
+    # responses): the outcome carries the first term, the mediator the
+    # second and the post-treatment components, with one weight, the third.
     refits = [
-        (ROLE_OUTCOME, ibase, ind_base, dataset.y, mr / p_base * w_outer),
-        (ROLE_MEDIATOR, icomp, ind_comp, dataset.m, 1.0 / cr / p_comp * w_outer),
-        *[(c1_mean_role(j), ibase, ind_base, dataset.c1[..., j - 1], w3) for j in range(1, dataset.d1 + 1)],
+        (ibase, ind_base, mr / p_base * w_outer, [(ROLE_OUTCOME, dataset.y)]),
+        (icomp, ind_comp, 1.0 / cr / p_comp * w_outer, [(ROLE_MEDIATOR, dataset.m)]),
+        (ibase, ind_base, 1.0 / p_base * w_outer, [(role, dataset.c1[..., j]) for j, role in enumerate(roles[2:])]),
     ]
-    chain = []
-    for role, level, ind, response, w in refits:
+    refitted = {}
+    for level, ind, w, members in refits:
         # Each refit is held to its arm by zero weights on the other rows,
         # which serves a stacked dataset, whose replicates have different
-        # arms.  One design serves the fit and the prediction at the data,
+        # arms.  The refits on one reduced design share its build and one
+        # Gram; the design serves the fits and the predictions at the data,
         # then is dropped so that the next build does not add to peak memory.
-        design = working_set[role].design.reduce_at_e(level)
-        X = build_design_matrix(dataset, design)
-        try:
-            fit = fit_glm(X, response, Family.GAUSSIAN, w * ind, design=design)
-        except Exception as exc:  # re-tag with the refit stage
-            raise NuisanceError(f"{role}: {exc}") from exc
-        chain.append((fit, np.asarray(predict_mean(fit, X))))
-        del X
-    b, b_prime, b_dd = _compose_linear(coding, dataset, chain)[:3]
+        ww = w * ind
+        groups: dict = {}
+        for role, response in members:
+            groups.setdefault(working_set[role].design.reduce_at_e(level), []).append((role, response))
+        for design, group in groups.items():
+            X = build_design_matrix(dataset, design)
+            try:
+                fits = _least_squares(X, [response for _, response in group], ww, design=design)
+            except Exception as exc:  # re-tag with the refit stage
+                raise NuisanceError(f"{group[0][0]}: {exc}") from exc
+            for (role, _), fit in zip(group, fits):
+                if isinstance(fit, GlmError):
+                    raise NuisanceError(f"{role}: {fit}") from fit
+                refitted[role] = (fit, np.asarray(predict_mean(fit, X)))
+            del X
+    b, b_prime, b_dd = _compose_linear(coding, dataset, [refitted[role] for role in roles])[:3]
     term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)
     term2 = wmean(ind_comp / p_comp / cr * (b - b_prime), w_outer)
     term3 = wmean(ind_base / p_base * (b_prime - b_dd), w_outer)

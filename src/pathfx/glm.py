@@ -2,7 +2,8 @@
 
 Every fit is a batch: one design X, or one per replicate, and a ``(B, n)``
 matrix of row weights, one coefficient vector per weight row, and one
-Newton loop runs them all.
+Newton loop runs them all.  Every replicate starts from the same point, so
+on one design the link terms there are formed once, on n rows.
 Each step weights X'WX by the observed information -d^2 ll / d eta^2 per
 row.  For logit that is the expected information, so logit steps are
 Fisher scoring; probit, the one non-canonical link, converges
@@ -13,15 +14,17 @@ score vanishes at a median |eta| above 20, or at a log-likelihood above
 -1e-9, is complete separation and raises ``NonConvergenceError``.
 ``fit_ols`` and ``fit_glm_irls`` are the batch of one; ``fit_glm`` with
 ``(B, n)`` weights fits a bootstrap chunk, and on a stack of designs
-``(B, n, p)`` a chunk of Monte Carlo datasets.  One solver
-(``_solve``) forms every p x p system X' diag(w) X as one matrix product
-of the weighted X' with X per system, X' being the view ``X.T``, which is
-C-contiguous for the column-major designs of ``build_design_matrix``: no
-copy of X is made.  It solves each system by one rule: from its inverse
-when the exact 1-norm reciprocal condition passes ``CHOL_RCOND_MIN``
-(``_inverse_steps``), and otherwise from a Householder QR of sqrt(W) X
-with column pivoting (``_pivoted_qr``), which names the offending column
-on rank loss.  A system with a NaN, an inf or an overflow in X'WX fails
+``(B, n, p)`` a chunk of Monte Carlo datasets.  ``_least_squares`` fits
+several gaussian responses on one design and weights from one system
+each.  One solver (``_solve``) forms every p x p system X' diag(w) X as
+one matrix product of the weighted X' with X per system, X' being the view
+``X.T``, which is C-contiguous for the column-major designs of
+``build_design_matrix``: no copy of X is made, and a system serves any
+number of right-hand sides.  It solves each system by one rule: from its
+inverse when the exact 1-norm reciprocal condition passes
+``CHOL_RCOND_MIN`` (``_inverse_steps``), and otherwise from a Householder
+QR of sqrt(W) X with column pivoting (``_pivoted_qr``), which names the
+offending column on rank loss.  A system with a NaN, an inf or an overflow in X'WX fails
 the guard and raises ``GlmError`` in place of the QR; least squares also
 checks its p coefficients, since a finite X'WX passes the guard whatever
 its right-hand side.  Least squares is one such solve; each Newton step is
@@ -29,7 +32,8 @@ another.  Every per-replicate product, Gram included, is
 its own BLAS call of a fixed shape (a stacked matmul, or the same call in
 2-D for a single system), never a row of one (B, n) matrix product, whose
 rounding depends on B: a replicate's fit depends only on its own weights,
-and is bitwise the single fit on them.  Fits start from zero or from
+and is bitwise the single fit on them; a response's fit is bitwise its fit
+alone, whatever responses share its system.  Fits start from zero or from
 caller-supplied coefficients, which is how bootstrap replicates start
 from the point fit.
 
@@ -143,7 +147,8 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, 
     """Validated float arrays X, y and weights (None stays None).  A single
     fit takes X (n, p), y (n,) and weights (n,).  A batch takes a shared X
     (n, p) and y (n,) with (B, n) weights, or a stack of designs X (R, n, p)
-    with y and weights (R, n)."""
+    with y and weights (R, n); a row of its weights may hold a NaN or an
+    inf, and that row's fit fails."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 and not (batch and X.ndim == 3):
@@ -160,7 +165,8 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, 
                 raise GlmError(f"weights have shape {weights.shape}, expected (B, {n})")
         elif weights.shape != y.shape:
             raise GlmError(f"weights have shape {weights.shape}, expected {y.shape}")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        # a batch row whose weights are not finite fails alone: its system is not finite
+        if not (batch or np.all(np.isfinite(weights))) or np.any(weights < 0):
             raise GlmError("weights must be finite and non-negative")
     return X, y, weights
 
@@ -202,10 +208,12 @@ def _inverse_or_nan(H: np.ndarray) -> np.ndarray:
         return np.full_like(H, np.nan)
 
 
-def _inverse_steps(H: np.ndarray, score: np.ndarray):
-    """The steps H^-1 score of one system ``H`` (p, p) or a stack (B, p, p),
-    and whether each system passes the guard: an exact 1-norm reciprocal
-    condition above ``CHOL_RCOND_MIN`` (an exactly singular one fails)."""
+def _inverse_steps(H: np.ndarray, scores):
+    """The steps H^-1 score of one system ``H`` (p, p) or a stack (B, p, p)
+    for each right-hand side of ``scores``, and whether each system passes
+    the guard: an exact 1-norm reciprocal condition above
+    ``CHOL_RCOND_MIN`` (an exactly singular one fails).  The systems are
+    inverted and guarded once, whatever the number of right-hand sides."""
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError:  # some system is exactly singular: invert one at a time
@@ -213,10 +221,10 @@ def _inverse_steps(H: np.ndarray, score: np.ndarray):
     # a cheaper bound settles most single systems: ||A||_1 <= sqrt(p) ||A||_F,
     # so p ||H||_F ||H^-1||_F below 1 / CHOL_RCOND_MIN passes the exact test
     if H.ndim == 2 and len(H) * math.sqrt(float(np.vdot(H, H)) * float(np.vdot(Hinv, Hinv))) < 1.0 / CHOL_RCOND_MIN:
-        return Hinv @ score, True
+        return [Hinv @ score for score in scores], True
     norms = _norm1(np.array((H, Hinv)))
     rcond = 1.0 / (norms[0] * norms[1])
-    return np.matmul(Hinv, score[..., None])[..., 0], rcond > CHOL_RCOND_MIN
+    return [np.matmul(Hinv, score[..., None])[..., 0] for score in scores], rcond > CHOL_RCOND_MIN
 
 
 def _not_finite() -> GlmError:
@@ -224,59 +232,95 @@ def _not_finite() -> GlmError:
                     "(a NaN, an inf or an overflowing value in the design, response or weights)")
 
 
-def _solve(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels, qr_weights=None):
-    """The solve of every fit on the column-major design X: the steps
-    delta[b] of (X' diag(ww[b]) X) delta[b] = score[b] for the rows of ``ww``
-    (B, n) and ``score`` (B, p), and ``{b: GlmError}`` for the rows whose
-    system is rank deficient (``RankDeficiencyError``) or not finite (their
-    steps are NaN).  A stack X (B, n, p) gives each row its own design X[b].
-    ``ww`` None stands for unit weights, which form no weighted copy of X.
-    With ``qr_weights``, a row's QR step takes the weights ``qr_weights(b)``
-    in place of ``ww[b]``.
+def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None):
+    """The solve of every fit on the column-major design X: for each
+    right-hand side ``score`` (B, p) of ``scores``, the steps delta[b] of
+    (X' diag(ww[b]) X) delta[b] = score[b] for the rows of ``ww`` (B, n),
+    and ``{b: GlmError}`` for the rows whose system is rank deficient
+    (``RankDeficiencyError``) or not finite (their steps are NaN), as one
+    ``(delta, errors)`` pair per right-hand side.  A stack X (B, n, p) gives
+    each row its own design X[b].  ``ww`` None stands for unit weights,
+    which form no weighted copy of X.  With ``qr_weights``, a row's QR step
+    takes the weights ``qr_weights(b)`` in place of ``ww[b]``.
 
     Every weighted Gram is one matrix product of X' diag(ww[b]) with X, X'
     being the transpose view of X, C-contiguous for a column-major X (a
     strided one of a caller's C-ordered X, taken as it is, in its own
     rounding): a stacked matmul for a batch, and the same product as a 2-D
-    call for a single system on a 2-D X, which gives the same bits.
-    ``_inverse_steps`` solves the systems that pass its guard; of the
-    others, a system that is not finite fails at once, and ``_qr_step``
-    solves each of the rest.  Floating-point warnings are off while the
-    systems are formed and inverted: a value that is not finite, an
-    overflowing Gram's included, fails that check instead.
+    call for a single system on a 2-D X, which gives the same bits.  The
+    systems are formed, inverted and guarded once for all right-hand sides,
+    and each right-hand side's product with the inverse is its own call, as
+    it would be alone.  ``_inverse_steps`` solves the systems that pass its
+    guard; of the others, a system that is not finite fails at once, and
+    ``_qr_step`` solves each of the rest.  Floating-point warnings are off
+    while the systems are formed and inverted: a value that is not finite,
+    an overflowing Gram's included, fails that check instead.
     """
     with np.errstate(all="ignore"):
-        if len(score) == 1 and X.ndim == 2:
+        if len(scores[0]) == 1 and X.ndim == 2:
             H = X.T @ X if ww is None else (X.T * ww[0]) @ X
-            delta, passed = _inverse_steps(H, score[0])
+            deltas, passed = _inverse_steps(H, [score[0] for score in scores])
             if passed:
-                return delta[None], {}
-            delta, failed, H = delta[None], [0], H[None]
+                return [(delta[None], {}) for delta in deltas]
+            deltas, failed, H = [delta[None] for delta in deltas], [0], H[None]
         else:
             Xt = X.swapaxes(-1, -2)
             H = np.matmul(Xt if ww is None else Xt * ww[:, None, :], X)
-            delta, passed = _inverse_steps(H, score)
+            deltas, passed = _inverse_steps(H, scores)
             failed = np.flatnonzero(~passed)
-    errors = {}
-    for b in failed:
-        try:
-            if not (np.isfinite(H[b]).all() and np.isfinite(score[b]).all()):
-                raise _not_finite()
-            wb = qr_weights(b) if qr_weights else None if ww is None else ww[b]
-            delta[b] = _qr_step(X[b] if X.ndim == 3 else X, wb, score[b], labels)
-        except GlmError as exc:
-            delta[b] = np.nan
-            errors[int(b)] = exc
-    return delta, errors
+    out = []
+    for delta, score in zip(deltas, scores):
+        errors = {}
+        for b in failed:
+            try:
+                if not (np.isfinite(H[b]).all() and np.isfinite(score[b]).all()):
+                    raise _not_finite()
+                wb = qr_weights(b) if qr_weights else None if ww is None else ww[b]
+                delta[b] = _qr_step(X[b] if X.ndim == 3 else X, wb, score[b], labels)
+            except GlmError as exc:
+                delta[b] = np.nan
+                errors[int(b)] = exc
+        out.append((delta, errors))
+    return out
 
 
 def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
     """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit
     weights) with ``_solve``, raising its ``GlmError``."""
-    delta, errors = _solve(X, None if ww is None else ww[None], score[None], labels)
+    [(delta, errors)] = _solve(X, None if ww is None else ww[None], [score[None]], labels)
     if errors:
         raise errors[0]
     return delta[0]
+
+
+def _least_squares(X, ys, weights=None, *, design: DesignSpec | None = None) -> list:
+    """The gaussian fit of each response in ``ys`` on one design X and one
+    set of weights, taken as ``fit_glm`` takes them (single, ``(B, n)`` or a
+    stack).  One system X'WX per weight row serves every response: formed,
+    guarded and inverted once, with one right-hand side X'Wy per response,
+    so that each fit is bitwise the one of its response alone.  A single
+    fit that fails is its ``GlmError`` in the list, in place of the fit; a
+    batch fit's failed replicates are NaN, as in ``fit_glm``.
+    """
+    batch = np.ndim(X) == 3 or np.ndim(weights) == 2
+    X, y, W = _as_matrix(X, ys[0], weights, batch=batch)
+    ys = [y] + [_as_matrix(X, y, batch=batch)[1] for y in ys[1:]]
+    if not batch:  # the batch of one
+        ys, W = [y[None] for y in ys], None if W is None else W[None]
+    labels = design.labels if design is not None else None
+    with np.errstate(all="ignore"):  # a right-hand side that is not finite fails in _solve
+        rhs = [_times_rows(y if W is None else W * y, X) for y in ys]
+    out = []
+    for coef, errors in _solve(X, W, rhs, labels):
+        # a finite X'WX passes the guard whatever its right-hand side
+        if not np.isfinite(coef).all():
+            for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
+                errors.setdefault(int(b), _not_finite())
+        if batch:
+            out.append(_batch_fit(Family.GAUSSIAN, coef, np.zeros(len(coef), dtype=int), errors, design))
+        else:
+            out.append(errors[0] if errors else FittedGlm(Family.GAUSSIAN, coef[0], True, 0, design))
+    return out
 
 
 def fit_ols(
@@ -297,14 +341,10 @@ def fit_ols(
     a QR solve: on near-collinear designs the coefficients can move by up to
     about 1e-6 relative.  A system that is not finite raises ``GlmError``.
     """
-    X, y, weights = _as_matrix(X, y, weights)
-    labels = design.labels if design is not None else None
-    with np.errstate(all="ignore"):  # a right-hand side that is not finite fails below
-        rhs = X.T @ (y if weights is None else weights * y)
-    coef = _fisher_step(X, weights, rhs, labels)
-    if not np.isfinite(coef).all():  # a finite X'WX passes the guard whatever its right-hand side
-        raise _not_finite()
-    return FittedGlm(Family.GAUSSIAN, coef, True, 0, design)
+    [fit] = _least_squares(X, [y], weights, design=design)
+    if isinstance(fit, GlmError):
+        raise fit
+    return fit
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on [0, 1), erfcx(x) = P(x) / Q(x)
@@ -462,8 +502,8 @@ def _probit_terms(eta: np.ndarray, y: np.ndarray, w: np.ndarray):
     log_other -= log_q
     log_other *= v
     log_other += log_q
-    log_other *= w
-    ll = log_other.sum(axis=-1)
+    # in place unless one eta serves a batch of weight rows
+    ll = np.multiply(log_other, w, out=log_other if log_other.shape == w.shape else None).sum(axis=-1)
     mills_tail = np.divide(_SQRT_2_OVER_PI, g, out=g)
     np.subtract(1.0, q, out=q)
     mills_other = np.divide(e, q, out=e)
@@ -508,10 +548,12 @@ def _probit_fisher(eta: np.ndarray) -> np.ndarray:
 def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Log-likelihood, per-row score factor s (score = X' diag(w) s) and
     observed information -d^2 ll / d eta^2 (the step weight) at linear
-    predictor ``eta``, each link function evaluated once.  ``eta`` and
-    ``w`` may carry a leading replicate axis; the log-likelihood then has
-    one entry per replicate.  The logit mean comes from the softplus's
-    exponential, within an ulp of 1 / (1 + e^-eta)."""
+    predictor ``eta``, each link function evaluated once.  ``w`` may carry
+    a leading replicate axis, and so may ``eta`` (with ``y`` as it); the
+    log-likelihood then has one entry per replicate.  An ``eta`` without
+    that axis, one linear predictor for every replicate, gives s and the
+    information once, for all of them.  The logit mean comes from the
+    softplus's exponential, within an ulp of 1 / (1 + e^-eta)."""
     if family is Family.PROBIT:
         return _probit_terms(eta, y, w)
     # softplus log(1 + e^eta), within 2 ulp of np.logaddexp(0, eta) at
@@ -523,8 +565,7 @@ def _binomial_terms(family: Family, eta: np.ndarray, y: np.ndarray, w: np.ndarra
     terms = np.log1p(e)
     terms += np.maximum(eta, 0.0)
     np.subtract(y * eta, terms, out=terms)
-    terms *= w
-    ll = terms.sum(axis=-1)
+    ll = np.multiply(terms, w, out=terms if terms.shape == w.shape else None).sum(axis=-1)
     del terms
     mu = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
     del e
@@ -609,26 +650,33 @@ def _separated(eta: np.ndarray, counts: np.ndarray | None = None):
     return bool(over) and bool(np.median(a) > 20.0)
 
 
-def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
-    """Newton steps for every row of ``coef`` (B, p) under the prior row
-    weights of the same row of ``prior`` (B, n), on a shared design X (n, p)
-    and response y (n,), or each on its own X[b] and y[b] of a stack X (B,
-    n, p) and y (B, n).
+def _score_batch(X, y, family, prior, start, counts, *, max_iter, tol, labels):
+    """Newton steps from ``start`` (p,) for every row of the prior row
+    weights ``prior`` (B, n), on a shared design X (n, p) and response y
+    (n,), or each on its own X[b] and y[b] of a stack X (B, n, p) and y (B,
+    n).
 
-    ``coef`` holds the starts and is overwritten with the fits.  Each
+    Every replicate starts at the same point, so on a shared design the
+    linear predictor X @ start and the link terms at it (``_binomial_terms``
+    on n rows) are formed once, and only their weighting is per replicate:
+    the same products and sums that each replicate alone would form.  Each
     replicate runs its own score test, step halving, separation tests and
     Newton step; a converged or failed replicate is frozen and leaves the
     batch, and a stack's X and y are subset to the replicates left.
-    Returns the iterations per replicate and ``{b: GlmError}`` for the
-    failed ones, whose coefficients are NaN.
+    Returns the (B, p) fits, the iterations per replicate and ``{b:
+    GlmError}`` for the failed ones, whose coefficients are NaN.
     """
     stacked = X.ndim == 3
-    iterations = np.zeros(coef.shape[0], dtype=int)
+    coef = np.repeat(start[None], len(prior), axis=0)
+    iterations = np.zeros(len(coef), dtype=int)
     errors: dict[int, GlmError] = {}
-    act = np.arange(coef.shape[0])  # replicates still scoring
+    act = np.arange(len(coef))  # replicates still scoring
     w = prior
-    eta = _rows_times(X, coef)
+    shared = not stacked and len(w) > 1  # the start's terms serve every replicate
+    eta = X @ start if shared else _rows_times(X, coef)
     ll, s, info = _binomial_terms(family, eta, y, w)
+    if shared:
+        eta, s, info = (np.broadcast_to(a, w.shape) for a in (eta, s, info))
 
     def fail(rows, error):
         for k in rows:
@@ -645,7 +693,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
             break
         score = _times_rows(w * s, X)
         score_max = np.abs(score).max(axis=1)
-        if score_max.min() < tol:
+        if np.fmin.reduce(score_max) < tol:  # a NaN score, of a row that fails below, is not done
             done = score_max < tol
             # Complete separation drives every fitted probability to the
             # boundary, where the score vanishes without a maximum existing;
@@ -673,7 +721,7 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
         # a probit step sent to the QR fallback takes the expected
         # information, so that the rank check judges Fisher scoring's system
         qr_weights = None if family is Family.LOGIT else lambda b: w[b] * _probit_fisher(eta[b])
-        delta, rank_errors = _solve(X, w * info, score, labels, qr_weights)
+        [(delta, rank_errors)] = _solve(X, w * info, [score], labels, qr_weights)
         eta = s = info = None  # the accepted trials' terms replace them
         if rank_errors:
             keep = np.ones(act.size, dtype=bool)
@@ -714,17 +762,24 @@ def _score_batch(X, y, family, prior, coef, counts, *, max_iter, tol, labels):
             score_max = np.abs(_times_rows(w * s, X)).max(axis=1)
             fail(range(act.size), lambda k: NonConvergenceError(
                 max_iter, float(score_max[k]), float(np.linalg.norm(coef[act[k]]))))
-    return iterations, errors
+    return coef, iterations, errors
 
 
-def _starts(start, B: int, p: int) -> np.ndarray:
-    """An owned (B, p) array of starting coefficients (zero when ``start`` is None)."""
+def _start(start, p: int) -> np.ndarray:
+    """The starting coefficients (p,), zero when ``start`` is None."""
     if start is None:
-        return np.zeros((B, p))
-    coef = np.array(start, dtype=float)
+        return np.zeros(p)
+    coef = np.asarray(start, dtype=float)
     if coef.shape != (p,) or not np.all(np.isfinite(coef)):
         raise GlmError(f"start must be {p} finite coefficients, got shape {coef.shape}")
-    return coef[None].repeat(B, axis=0) if B > 1 else coef[None]
+    return coef
+
+
+def _batch_fit(family: Family, coef, iterations, errors, design) -> FittedGlm:
+    """A batch's ``FittedGlm``: the replicates in ``errors`` did not converge."""
+    converged = np.ones(len(coef), dtype=bool)
+    converged[list(errors)] = False
+    return FittedGlm(family, coef, converged, iterations, design)
 
 
 def fit_glm_irls(
@@ -768,10 +823,10 @@ def fit_glm_irls(
         raise GlmError(f"fit_glm_irls fits binomial families only, got {family.value}; use fit_glm")
     X, y, weights = _as_matrix(X, y, weights)
     _check_binary(y)
-    coef = _starts(start, 1, X.shape[1])
     prior = np.ones((1, X.shape[0])) if weights is None else weights[None]
-    iterations, errors = _score_batch(X, y, family, prior, coef, None, max_iter=max_iter, tol=tol,
-                                      labels=design.labels if design is not None else None)
+    coef, iterations, errors = _score_batch(X, y, family, prior, _start(start, X.shape[1]), None,
+                                            max_iter=max_iter, tol=tol,
+                                            labels=design.labels if design is not None else None)
     if errors:
         raise errors[0]
     return FittedGlm(family, coef[0], True, int(iterations[0]), design)
@@ -802,34 +857,27 @@ def fit_glm(
     or given) ``(B, n)``, is such a batch whose replicate b fits its own
     X[b] and y[b] (a chunk of Monte Carlo datasets).  A replicate whose fit
     fails raises nothing; its coefficients are NaN and ``converged`` is
-    False.  A batch of whole-number weights is taken for row counts (a
-    nonparametric bootstrap's draws), so that the separation test counts
-    each row as often as it was drawn; any other batch counts each row
-    once, as a single fit does.
+    False, and so is one whose weights hold a NaN or an inf.  A batch of
+    whole-number weights is taken for row counts (a nonparametric
+    bootstrap's draws), so that the separation test counts each row as
+    often as it was drawn; any other batch counts each row once, as a
+    single fit does.
     """
     if np.ndim(X) == 2 and (weights is None or np.ndim(weights) < 2):
         if family is Family.GAUSSIAN:
             return fit_ols(X, y, weights, design=design)
         return fit_glm_irls(X, y, family, weights, max_iter=max_iter, tol=tol, design=design, start=start)
-    labels = design.labels if design is not None else None
-    X, y, W = _as_matrix(X, y, weights, batch=True)
     if family is Family.GAUSSIAN:
-        with np.errstate(all="ignore"):
-            rhs = _times_rows(y if W is None else W * y, X)
-        coef, errors = _solve(X, W, rhs, labels)
-        for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
-            errors.setdefault(int(b), _not_finite())
-        iterations = np.zeros(len(coef), dtype=int)
-    else:
-        _check_binary(y)
-        prior = np.ones(y.shape) if W is None else W
-        coef = _starts(start, len(prior), X.shape[-1])
-        counts = W if W is not None and np.array_equal(W, np.floor(W)) else None
-        iterations, errors = _score_batch(X, y, family, prior, coef, counts,
-                                          max_iter=max_iter, tol=tol, labels=labels)
-    converged = np.ones(len(coef), dtype=bool)
-    converged[list(errors)] = False
-    return FittedGlm(family, coef, converged, iterations, design)
+        return _least_squares(X, [y], weights, design=design)[0]
+    X, y, W = _as_matrix(X, y, weights, batch=True)
+    _check_binary(y)
+    prior = np.ones(y.shape) if W is None else W
+    # a row of NaN weights, which fails alone, leaves the others counts
+    counts = W if W is not None and np.array_equal(W, np.floor(W), equal_nan=True) else None
+    coef, iterations, errors = _score_batch(X, y, family, prior, _start(start, X.shape[-1]), counts,
+                                            max_iter=max_iter, tol=tol,
+                                            labels=design.labels if design is not None else None)
+    return _batch_fit(family, coef, iterations, errors, design)
 
 
 def predict_mean(fit: FittedGlm, X: np.ndarray) -> np.ndarray | float:

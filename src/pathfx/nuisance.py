@@ -31,7 +31,7 @@ from .core import (
     build_design_matrix,
     wmean,
 )
-from .glm import Family, FittedGlm, GlmError, fit_glm, predict_mean
+from .glm import Family, FittedGlm, GlmError, _least_squares, fit_glm, predict_mean
 
 __all__ = [
     "ROLE_OUTCOME",
@@ -259,11 +259,19 @@ def fit_nuisances(
     fit), each binomial role's scoring starts from that fit's coefficients;
     gaussian roles are closed form and need no start.
 
-    ``(B, n)`` weights fit a batch of replicates: each design is built once
-    and every role is fitted for all B weight rows (see ``glm.fit_glm``); a
-    replicate whose fit fails has NaN coefficients rather than raising.  A
-    stacked dataset (see ``core.Dataset``) is such a batch too, each design a
-    stack of per-replicate designs.
+    Roles are fitted by design (see ``_fit_group``): each distinct design is
+    built once, at its first role, and dropped once its roles are fitted.
+    The gaussian roles on it share one weighted Gram, guard and inverse,
+    with one right-hand side each, and binomial propensity roles of the
+    same family are fitted once, each keeping its own ``predict_family``.
+    Every fit is bitwise the one of its role alone, and a failure is
+    reported for the first failing role in the working set's order.
+
+    ``(B, n)`` weights fit a batch of replicates: every role is fitted for
+    all B weight rows (see ``glm.fit_glm``); a replicate whose fit fails has
+    NaN coefficients rather than raising.  A stacked dataset (see
+    ``core.Dataset``) is such a batch too, each design a stack of
+    per-replicate designs.
     """
     if coding is None:
         coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -273,31 +281,55 @@ def fit_nuisances(
             raise NuisanceError("mediator_mean: discrete pathway requires a binary mediator")
         if not set(np.unique(dataset.c1)) <= {0.0, 1.0}:
             raise NuisanceError("c1_mean: discrete pathway requires binary post-treatment components")
-    fits: dict[str, FittedGlm] = {}
+    designs, groups = {}, {}
     for role in working_set.roles():
-        spec = working_set[role]
         if coding.is_identity and role in _PROP_ROLES:
             continue
-        design = spec.design
+        design = working_set[role].design
         if coding.is_identity and "e" in design.refs():
             design = design.reduce_at_e(coding.comparison_internal)
-        try:
-            X = build_design_matrix(dataset, design)
-            y = _response_for(role, dataset)
-            init = start[role].coef if start is not None else None
-            fits[role] = fit_role(X, y, spec, weights, design=design, start=init)
-        except GlmError as exc:
-            raise NuisanceError(f"{role}: {exc}") from exc
+        designs[role] = design
+        groups.setdefault(design, []).append(role)
+    fitted: dict[str, FittedGlm | GlmError] = {}
+    for role, design in designs.items():
+        if role not in fitted:
+            try:
+                fitted.update(_fit_group(dataset, design, groups[design], working_set, weights, start))
+            except GlmError as exc:
+                raise NuisanceError(f"{role}: {exc}") from exc
+        if isinstance(fitted[role], GlmError):
+            raise NuisanceError(f"{role}: {fitted[role]}") from fitted[role]
+    fits = {role: fitted[role] for role in designs}
     return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1)
 
 
-def fit_role(X, y, spec: ModelSpec, weights=None, *, design=None, start=None) -> FittedGlm:
-    """Fit one working model, honoring a deliberate link swap for prediction."""
-    fit = fit_glm(X, y, spec.family, weights, design=design if design is not None else spec.design,
-                  start=start)
-    if spec.predict_family is not None and spec.predict_family is not spec.family:
-        fit = replace(fit, family=spec.predict_family)
-    return fit
+def _fit_group(dataset: Dataset, design: DesignSpec, roles: list[str], working_set: WorkingModelSet,
+               weights, start: NuisanceFits | None) -> dict:
+    """The fit of each role of ``roles``, which share ``design``, from one
+    build of it: ``{role: FittedGlm}``, a single fit that fails giving its
+    ``GlmError`` in place of the fit.  The gaussian roles are one
+    ``glm._least_squares`` of their responses; a binomial propensity fit
+    serves every propensity role of its family.  Each role then takes its
+    link swap."""
+    X = build_design_matrix(dataset, design)
+    gaussian = [role for role in roles if working_set[role].family is Family.GAUSSIAN]
+    out = dict(zip(gaussian, _least_squares(X, [_response_for(role, dataset) for role in gaussian], weights,
+                                            design=design))) if gaussian else {}
+    shared: dict[tuple, FittedGlm | GlmError] = {}
+    for role in roles:
+        spec = working_set[role]
+        if role not in out:
+            key = (spec.family, "e" if role in _PROP_ROLES else role)  # every propensity explains e
+            if key not in shared:
+                try:
+                    shared[key] = fit_glm(X, _response_for(role, dataset), spec.family, weights, design=design,
+                                          start=start[role].coef if start is not None else None)
+                except GlmError as exc:
+                    shared[key] = exc
+            out[role] = shared[key]
+        if not isinstance(out[role], GlmError) and spec.predict_family not in (None, spec.family):
+            out[role] = replace(out[role], family=spec.predict_family)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +436,12 @@ def _propensity_probs(
 ) -> dict[str, np.ndarray]:
     """Clipped comparison-level probabilities of each named propensity model.
 
-    Each role is predicted once; its clip count is filed under that role.
+    Each role is predicted once (roles on one design from one build of it,
+    see ``_predictions``); its clip count is filed under that role.
     """
+    roles = list(dict.fromkeys(roles))
     probs = {}
-    for role in dict.fromkeys(roles):
-        fit = fits[role]
-        p = np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design)), dtype=float)
+    for role, (_, p) in zip(roles, _predictions(dataset, [(fits[role], None) for role in roles])):
         probs[role], n_clipped = _clip_probs(p, clip, role, weights)
         if np.count_nonzero(n_clipped):
             clip_counts[role] = n_clipped
@@ -460,6 +492,27 @@ def _predict(fit: FittedGlm, dataset: Dataset, overrides: Overrides) -> np.ndarr
     return np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design, overrides)))
 
 
+def _predictions(dataset: Dataset, requests: list[tuple[FittedGlm, Overrides | None]]):
+    """Yield ``(fit, prediction)`` for each ``(fit, overrides)`` of
+    ``requests`` in turn, each prediction ``_predict``'s.
+
+    Fits on one design at the same (scalar) overrides share one build of
+    it: at the first of them all of them are predicted, the design is
+    dropped before the next build, and each prediction waits for its turn.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, (fit, overrides) in enumerate(requests):
+        groups.setdefault((fit.design, overrides), []).append(k)
+    ready = {}
+    for k, (fit, overrides) in enumerate(requests):
+        if k not in ready:
+            X = build_design_matrix(dataset, fit.design, overrides)
+            for j in groups[fit.design, overrides]:
+                ready[j] = np.asarray(predict_mean(requests[j][0], X))
+            del X
+        yield fit, ready.pop(k)
+
+
 def _slopes(fit: FittedGlm, e: int | None, refs: list[str]) -> dict[str, np.ndarray]:
     """A gaussian mean model's slope in each of ``refs`` it is linear in, with
     treatment held at ``e``; a batch fit has one slope per replicate, on a
@@ -491,6 +544,15 @@ def _shifted(at_data: np.ndarray, slopes: Mapping[str, np.ndarray], values: Mapp
     return out
 
 
+def _chain(fits: NuisanceFits) -> list[tuple[FittedGlm, Overrides]]:
+    """The linear chain's mean models, each with treatment at its level:
+    the outcome at baseline, the mediator at comparison, each ``c1_j`` at
+    baseline."""
+    base = Overrides(e=fits.coding.baseline_internal)
+    chain = [(fits[ROLE_OUTCOME], base), (fits[ROLE_MEDIATOR], Overrides(e=fits.coding.comparison_internal))]
+    return chain + [(fits[c1_mean_role(j)], base) for j in range(1, fits.d1 + 1)]
+
+
 def _linear_nested(fits: NuisanceFits, dataset: Dataset):
     """The linear pathway's nested means b, b', b'' and what they are made of.
 
@@ -500,16 +562,11 @@ def _linear_nested(fits: NuisanceFits, dataset: Dataset):
     slopes are the outcome's in ``m`` and each ``c1_j`` (at baseline
     treatment) and the mediator's in each ``c1_j`` (at comparison
     treatment).  Each fitted mean model is predicted at the data with
-    treatment at its level in the chain, 2 + d1 design builds for all
-    three means, and ``_compose_linear`` nests the predictions.
+    treatment at its level in the chain (``_chain``; the ``c1_j`` that
+    share a design share its build), and ``_compose_linear`` nests the
+    predictions.
     """
-    base, comp = fits.coding.baseline_internal, fits.coding.comparison_internal
-    levels = [(ROLE_OUTCOME, base), (ROLE_MEDIATOR, comp)]
-    levels += [(c1_mean_role(j), base) for j in range(1, fits.d1 + 1)]
-    # predicted as the composition asks, so that it drops m at the data
-    # before the last nested mean adds to a batch's peak memory
-    chain = ((fits[role], _predict(fits[role], dataset, Overrides(e=level))) for role, level in levels)
-    return _compose_linear(fits.coding, dataset, chain)
+    return _compose_linear(fits.coding, dataset, _predictions(dataset, _chain(fits)))
 
 
 def _compose_linear(coding: PairCoding, dataset: Dataset, chain: Iterable[tuple[FittedGlm, np.ndarray]]):
@@ -517,9 +574,9 @@ def _compose_linear(coding: PairCoding, dataset: Dataset, chain: Iterable[tuple[
     ``_linear_nested`` returns them.
 
     ``chain`` yields ``(fit, prediction)`` for the outcome, the mediator and
-    each ``c1_j`` in turn, each prediction taken at the data with treatment
-    at the model's level in the chain: baseline for the outcome and the
-    ``c1_j``, comparison for the mediator.  The models are linear in the
+    each ``c1_j`` in turn, and is read no further; each prediction is taken
+    at the data with treatment at the model's level in the chain: baseline
+    for the outcome and the ``c1_j``, comparison for the mediator.  The models are linear in the
     mediator and the post-treatment covariates (the linear pathway's rule),
     so every nested mean is a prediction at the data plus slopes times
     shifts.  A batch of fits gives every array a leading replicate axis.
@@ -552,25 +609,31 @@ def _mediator_mixture(fits: NuisanceFits, dataset: Dataset, c1_override) -> np.n
 
 
 def _nested_means(fits: NuisanceFits, dataset: Dataset):
-    """(b, b', b'') on either pathway; arrays gain a leading replicate axis
-    when the fits are a batch."""
-    if fits.pathway == "linear":
-        return _linear_nested(fits, dataset)[:3]
+    """(b, b', b'', y0) on either pathway, y0 the marginal outcome model's
+    prediction at baseline treatment (None without that model), which
+    shares its build with the ``c1_j`` means on the same design; arrays
+    gain a leading replicate axis when the fits are a batch."""
     coding = fits.coding
-    b = _predict(fits[ROLE_OUTCOME], dataset, Overrides(e=coding.baseline_internal))
+    base = Overrides(e=coding.baseline_internal)
+    marginal = [(fits[ROLE_MARGINAL], base)] if ROLE_MARGINAL in fits else []
+    if fits.pathway == "linear":
+        # predicted as the composition asks, so that it drops m at the data
+        # before the last nested mean adds to a batch's peak memory
+        predictions = _predictions(dataset, _chain(fits) + marginal)
+        b, b_prime, b_dd = _compose_linear(coding, dataset, predictions)[:3]
+        return b, b_prime, b_dd, next(predictions, (None, None))[1]
+    predictions = _predictions(dataset, [(fits[ROLE_OUTCOME], base)] + _chain(fits)[2:] + marginal)
+    b = next(predictions)[1]
     b_prime = _mediator_mixture(fits, dataset, None)
     # per-component P(C1_j = 1 | baseline, C0)
-    probs = [
-        _predict(fits[c1_mean_role(j)], dataset, Overrides(e=coding.baseline_internal))
-        for j in range(1, fits.d1 + 1)
-    ]
+    probs = [next(predictions)[1] for _ in range(fits.d1)]
     b_dd = 0.0
     for support in itertools.product((0.0, 1.0), repeat=fits.d1):
         weight = 1.0
         for p, bit in zip(probs, support):
             weight = weight * (p if bit == 1.0 else 1.0 - p)
         b_dd = b_dd + weight * _mediator_mixture(fits, dataset, np.asarray(support))
-    return b, b_prime, b_dd
+    return b, b_prime, b_dd, next(predictions, (None, None))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +703,7 @@ def compute_components(
         cr = np.ones(dataset.n)
     del probs  # a batch reaches its peak memory in the nested means
 
-    b, b_prime, b_dd = _nested_means(fits, dataset)
-    y0 = _predict(fits[ROLE_MARGINAL], dataset, Overrides(e=coding.baseline_internal)) if ROLE_MARGINAL in fits else None
+    b, b_prime, b_dd, y0 = _nested_means(fits, dataset)
 
     diagnostics["clip_count"] = sum(diagnostics["clip_counts"].values())
     diagnostics["p_baseline_min"] = _item(p_baseline.min(axis=-1))

@@ -337,18 +337,34 @@ class TestSequential:
         assert given.term_values == default.term_values
         assert np.array_equal(given.b_doubleprime, default.b_doubleprime)
 
+    def test_a_failed_replicate_leaves_its_batch_mates(self):
+        # a replicate whose nuisances failed carries NaN components into the
+        # batch's refits; only its own refits fail, and the chunk stands
+        ds = draw_dataset(500, 96)
+        working_set = working_models_for("int").working_set
+        W = np.random.default_rng(97).exponential(1.0, (4, ds.n))
+        comp = compute_components(ds, fit_nuisances(ds, working_set, CODING, weights=W), weights=W)
+        clean = beta_mr_sequential(ds, working_set, CODING, weights=W, comp=comp)
+        for field in ("m_ratio", "c1_ratio", "p_baseline"):
+            broken = getattr(comp, field).copy()
+            broken[1, 7] = np.nan
+            seq = beta_mr_sequential(ds, working_set, CODING, weights=W,
+                                     comp=replace(comp, **{field: broken}))
+            assert np.isnan(seq.value[1]), field
+            assert np.array_equal(seq.value[[0, 2, 3]], clean.value[[0, 2, 3]]), field
+
     def test_row_subsets_stay_column_major(self, monkeypatch):
         layouts = []
-        fit_glm = estimators_mod.fit_glm
+        least_squares = estimators_mod._least_squares
 
         def recording_fit(X, *args, **kwargs):
             layouts.append(X.flags.f_contiguous)
-            return fit_glm(X, *args, **kwargs)
+            return least_squares(X, *args, **kwargs)
 
-        monkeypatch.setattr(estimators_mod, "fit_glm", recording_fit)
+        monkeypatch.setattr(estimators_mod, "_least_squares", recording_fit)
         ds = draw_dataset(500, 95)
         beta_mr_sequential(ds, working_models_for("int").working_set, CODING)
-        assert layouts == [True] * (2 + ds.d1)  # outcome, mediator and each c1 mean
+        assert layouts == [True] * 3  # outcome, mediator and the c1 means' one design
 
     @pytest.mark.parametrize("given", [False, True], ids=["own-fit", "given-components"])
     def test_discrete_pathway_set_is_refused(self, given):

@@ -685,6 +685,96 @@ class TestBatchFit:
         assert np.array_equal(batch.coef[0], single.coef)
 
 
+class TestSharedStart:
+    """Every replicate of a batch on one design starts at the same point, so
+    the linear predictor and link terms there are formed once."""
+
+    @pytest.mark.parametrize("kind", ["wild", "frequency"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_the_start_terms_are_formed_once_and_every_row_is_its_single_fit(
+            self, family, warm, kind, monkeypatch):
+        rng, X, y, _ = TestBatchFit._case(seed=67)
+        n = X.shape[0]
+        if kind == "wild":
+            W = rng.exponential(1.0, (6, n))
+        else:
+            W = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(6)], dtype=float)
+        W[2] = 0.0
+        W[2, :3] = 1.0  # three weighted rows for four coefficients: fails on its first step
+        start = fit_glm(X, y, family).coef if warm else None
+        if warm:
+            W[5] = 1.0  # the start is this row's own fit: it converges at once
+        shapes = []
+        terms = glm_mod._binomial_terms
+        monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: shapes.append(a[1].shape) or terms(*a))
+        batch = fit_glm(X, y, family, W, start=start)
+        assert shapes[0] == (n,)  # the start, on n rows, once
+        assert all(len(shape) == 2 for shape in shapes[1:])
+        assert list(batch.converged) == [True, True, False, True, True, True]
+        assert np.isnan(batch.coef[2]).all()
+        with pytest.raises(RankDeficiencyError):
+            fit_glm(X, y, family, W[2], start=start)
+        for b in (0, 1, 3, 4, 5):
+            single = fit_glm(X, y, family, W[b], start=start)
+            assert np.array_equal(batch.coef[b], single.coef), b
+            assert batch.iterations[b] == single.iterations, b
+        assert (batch.iterations[5] == 0) == warm
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN],
+                             ids=lambda f: f.name.lower())
+    def test_a_row_of_non_finite_weights_fails_alone(self, family, stacked, bad):
+        # the refits of a chunk holding a failed replicate get its NaN weights
+        rng, X, y, yg = TestBatchFit._case(seed=68)
+        response = yg if family is Family.GAUSSIAN else y
+        W = rng.exponential(1.0, (3, X.shape[0]))
+        W[1, 5] = bad
+        Xs, ys = (np.stack([X] * 3), np.stack([response] * 3)) if stacked else (X, response)
+        batch = fit_glm(Xs, ys, family, W)
+        assert list(batch.converged) == [True, False, True]
+        assert np.isnan(batch.coef[1]).all()
+        for b in (0, 2):
+            assert np.array_equal(batch.coef[b], fit_glm(X, response, family, W[b]).coef), b
+        with pytest.raises(GlmError, match="^weights must be finite and non-negative$"):
+            fit_glm(X, response, family, W[1])
+
+
+class TestSharedSystem:
+    """Gaussian fits of several responses on one design and weights share
+    one Gram, guard and inverse, with one right-hand side each."""
+
+    @pytest.mark.parametrize("kind", ["single", "weighted", "batch", "stacked"])
+    def test_each_response_is_bitwise_its_own_fit(self, kind, monkeypatch):
+        rng, X, _, _ = TestBatchFit._case(seed=69)
+        n = X.shape[0]
+        ys = [X @ rng.standard_normal(4) + rng.standard_normal(n) for _ in range(3)]
+        weights = {"single": None, "weighted": rng.exponential(1.0, n),
+                   "batch": rng.exponential(1.0, (5, n)), "stacked": rng.exponential(1.0, (5, n))}[kind]
+        if kind == "stacked":
+            X = np.stack([X] * 5)
+            ys = [np.stack([y] * 5) for y in ys]
+        inversions = []
+        inverse_steps = glm_mod._inverse_steps
+        monkeypatch.setattr(glm_mod, "_inverse_steps", lambda H, scores: inversions.append(len(scores))
+                            or inverse_steps(H, scores))
+        fits = glm_mod._least_squares(X, ys, weights)
+        assert inversions == [3]
+        monkeypatch.undo()
+        for fit, y in zip(fits, ys):
+            assert np.array_equal(fit.coef, fit_glm(X, y, Family.GAUSSIAN, weights).coef)
+
+    def test_a_failing_single_system_is_each_response_s_error(self):
+        rng, X, _, yg = TestBatchFit._case(seed=70)
+        X[:, 3] = X[:, 2]
+        fits = glm_mod._least_squares(X, [yg, 2.0 * yg], None)
+        assert all(isinstance(fit, RankDeficiencyError) for fit in fits)
+        with pytest.raises(RankDeficiencyError) as alone:
+            fit_ols(X, yg)
+        assert str(fits[0]) == str(alone.value)
+
+
 class TestLayout:
     """Column-major designs, as ``build_design_matrix`` makes them, and C-ordered ones."""
 

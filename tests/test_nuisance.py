@@ -1,11 +1,15 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+import pathfx.estimators as estimators_mod
+import pathfx.nuisance as nuisance_mod
+from pathfx.cli import default_working_set
 from pathfx.core import (
+    Dataset,
     DesignSpec,
     PairCoding,
     TreatmentPair,
@@ -13,7 +17,8 @@ from pathfx.core import (
     dataset_from_arrays,
     recode_pair,
 )
-from pathfx.glm import Family, FittedGlm
+from pathfx.estimators import beta_mr_sequential
+from pathfx.glm import Family, FittedGlm, fit_glm, predict_mean
 from pathfx.nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -30,8 +35,10 @@ from pathfx.nuisance import (
     compute_components,
     fit_nuisances,
     stabilize_probabilities,
+    _response_for,
 )
 from pathfx.simulation import (
+    REGIMES,
     MEDIATOR_CORRECT,
     OUTCOME_CORRECT,
     PROP_BASE_DESIGN,
@@ -431,3 +438,104 @@ class TestComponents:
         trimmed = {k: v for k, v in models.working_set.models.items() if k != ROLE_PROP_BASE}
         with pytest.raises(NuisanceError):
             WorkingModelSet(trimmed).validate(ds.d0, ds.d1, "linear")
+
+
+def _working_sets():
+    sets = {regime: working_models_for(regime, include_marginal=True).working_set for regime in REGIMES}
+    sets["cli"] = default_working_set(1, 3)
+    return sets
+
+
+def _role_by_role_fits(ds, working_set, weights, start):
+    """Each role fitted alone, on its own build of its design."""
+    fits = {}
+    for role in working_set.roles():
+        spec = working_set[role]
+        fit = fit_glm(build_design_matrix(ds, spec.design), _response_for(role, ds), spec.family, weights,
+                      design=spec.design, start=None if start is None else start[role].coef)
+        fits[role] = replace(fit, family=spec.predict_family) if spec.predict_family else fit
+    return NuisanceFits(fits=fits, coding=CODING, pathway="linear", d1=ds.d1)
+
+
+def _one_at_a_time(dataset, requests):
+    """Each prediction from its own build of its design."""
+    for fit, overrides in requests:
+        yield fit, np.asarray(predict_mean(fit, build_design_matrix(dataset, fit.design, overrides)))
+
+
+def _assert_same(got, want, label):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), label
+        for key in want:
+            _assert_same(got[key], want[key], (label, key))
+    elif want is None:
+        assert got is None, label
+    else:
+        assert np.array_equal(got, want), label
+
+
+class TestSharedBuilds:
+    """Roles on one design share its build (and, gaussian, one Gram); every
+    value is bitwise the one of fitting and predicting role by role."""
+
+    @staticmethod
+    def _case(mode):
+        if mode == "stacked":
+            drawn = [draw_dataset(400, 81, rep=r) for r in (1, 2, 3)]
+            return Dataset(**{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(Dataset)}), None
+        ds = draw_dataset(400, 81)
+        return ds, np.random.default_rng(82).exponential(1.0, (4, ds.n)) if mode == "weighted" else None
+
+    @pytest.mark.parametrize("mode", ["single", "weighted", "stacked"])
+    @pytest.mark.parametrize("name", [*REGIMES, "cli"])
+    def test_values_equal_a_role_by_role_reference(self, name, mode, monkeypatch):
+        working_set = _working_sets()[name]
+        ds, weights = self._case(mode)
+        start = fit_nuisances(draw_dataset(400, 81), working_set, CODING) if mode == "weighted" else None
+        fits = fit_nuisances(ds, working_set, CODING, weights=weights, start=start)
+        comp = compute_components(ds, fits, weights=weights)
+        seq = beta_mr_sequential(ds, working_set, CODING, weights=weights, comp=comp)
+
+        reference = _role_by_role_fits(ds, working_set, weights, start)
+        monkeypatch.setattr(nuisance_mod, "_predictions", _one_at_a_time)
+        monkeypatch.setattr(estimators_mod, "_least_squares", lambda X, ys, w, *, design: [
+            fit_glm(X, y, Family.GAUSSIAN, w, design=design) for y in ys])
+        ref_comp = compute_components(ds, reference, weights=weights)
+        ref_seq = beta_mr_sequential(ds, working_set, CODING, weights=weights, comp=ref_comp)
+
+        assert list(fits.fits) == list(working_set.roles())
+        for role in working_set.roles():
+            assert fits[role].family is reference[role].family, role
+            assert np.array_equal(fits[role].coef, reference[role].coef), role
+            assert np.array_equal(fits[role].iterations, reference[role].iterations), role
+        for f in fields(comp):
+            _assert_same(getattr(comp, f.name), getattr(ref_comp, f.name), f.name)
+        for f in fields(seq):
+            _assert_same(getattr(seq, f.name), getattr(ref_seq, f.name), f.name)
+
+    @pytest.mark.parametrize("name", [*REGIMES, "cli"])
+    def test_each_distinct_design_is_built_once_per_call(self, name, monkeypatch):
+        working_set = _working_sets()[name]
+        ds = draw_dataset(300, 83)
+        builds = []
+
+        def counted(dataset, design, overrides=None):
+            builds.append((design, overrides))
+            return build_design_matrix(dataset, design, overrides)
+
+        for module in (nuisance_mod, estimators_mod):
+            monkeypatch.setattr(module, "build_design_matrix", counted)
+        calls = {}
+        fits = fit_nuisances(ds, working_set, CODING)
+        calls["fit"], builds[:] = list(builds), []
+        comp = compute_components(ds, fits)
+        calls["components"], builds[:] = list(builds), []
+        beta_mr_sequential(ds, working_set, CODING, comp=comp)
+        calls["mr_seq"] = list(builds)
+        for stage, keys in calls.items():
+            assert len(set(keys)) == len(keys), stage
+        designs = {spec.design for spec in working_set.models.values()}
+        assert len(calls["fit"]) == len(designs)
+        if name == "int":
+            # the three c1 means and the marginal share 1, c0_1, e, c0_1*e
+            assert [len(calls[stage]) for stage in ("fit", "components", "mr_seq")] == [6, 6, 3]
