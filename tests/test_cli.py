@@ -141,6 +141,18 @@ class TestEstimateCommand:
         ])
         assert code == 3
 
+    def test_a_quasi_separated_propensity_exits_3(self, tmp_path, capsys):
+        # c0_1 marks 15 exposed records and no unexposed one
+        ds = draw_dataset(300, 5)
+        c0 = np.zeros_like(ds.c0)
+        c0[np.flatnonzero(ds.e == 1)[:15], 0] = 1.0
+        path = tmp_path / "quasi.csv"
+        write_csv(dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y), path)
+        code = main(["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "estimation error: prop_base: the responses are separated: the coefficient of c0_1 diverges")
+
     def test_an_overflowing_covariate_exits_3_without_a_warning(self, tmp_path):
         # 1e200 squared overflows X'X: the fit must say so at once, not warn
         # and then report separation after 100 iterations
@@ -451,15 +463,27 @@ class TestBootstrapWarmStart:
             eta_warm, eta_cold = warm_fit.coef[both] @ X.T, cold_fit.coef[both] @ X.T
             np.testing.assert_allclose(eta_warm, eta_cold, rtol=1e-8, atol=0.0)
 
-    def test_rank_deficient_replicates_fail_in_the_qr_fallback(self, tmp_path, monkeypatch, capsys):
-        # c0_1 is 1 on three of 60 rows: a resample that draws none of them
-        # leaves the column zero, and the batch's QR fallback names it
+    @staticmethod
+    def _rare_csv(tmp_path):
+        """c0_1 is 1 on three of 60 rows, of which one is unexposed."""
         ds = draw_dataset(60, 4)
         c0 = np.zeros_like(ds.c0)
         c0[:3, 0] = 1.0
+        assert list(ds.e[:3]) == [0, 1, 1]
         path = tmp_path / "rare.csv"
         write_csv(dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y), path)
-        argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
+        return str(path), ds.e[:3]
+
+    def test_rank_deficient_replicates_fail_in_the_qr_fallback(self, tmp_path, monkeypatch, capsys):
+        # A resample that draws none of the rare rows leaves c0_1 zero, and
+        # the batch's QR fallback names it.  The propensities leave c0_1
+        # out: a resample that draws the rare rows from one arm only
+        # separates any propensity on c0_1 (see the test below).
+        path, _ = self._rare_csv(tmp_path)
+        config = tmp_path / "no_c0.ini"
+        config.write_text("[models]\nprop_base = logit: 1\nprop_c1 = logit: 1, c1_1, c1_2, c1_3\n"
+                          "prop_m = logit: 1, c1_1, c1_2, c1_3, m\n")
+        argv = ["estimate", "--data", path, "--comparison", "1", "--baseline", "0", "--config", str(config),
                 "--estimator", "mle,mr", "--bootstrap", "nonparametric", "--reps", "40", "--seed", "3"]
         qr_steps = []
 
@@ -481,6 +505,43 @@ class TestBootstrapWarmStart:
                                "(relative pivot magnitude 0.000e+00)" for r in unseen]
         # the per-replicate path reports the same failures, byte for byte
         assert warm.errors == alone.errors
+
+    def test_one_arm_resamples_separate_the_propensity(self, tmp_path, monkeypatch, capsys):
+        # With prop_base = logit: 1, c0_1, a resample that draws the rare
+        # rows from one arm only is quasi-separated: its c0_1 coefficient
+        # has no finite maximum.  Those batch rows fail naming c0_1, beside
+        # the resamples that draw no rare row, whose c0_1 column is zero.
+        path, e_rare = self._rare_csv(tmp_path)
+        argv = ["estimate", "--data", path, "--comparison", "1", "--baseline", "0",
+                "--estimator", "mle,mr", "--bootstrap", "nonparametric", "--reps", "40", "--seed", "3"]
+        batch_errors, weights = [], []
+        real_score_batch, real_fit = glm_mod._score_batch, cli_mod.fit_nuisances
+
+        def spy_score_batch(X, y, family, prior, start, labels):
+            out = real_score_batch(X, y, family, prior, start, labels)
+            if prior.shape == (40, 60) and tuple(labels) == ("1", "c0_1"):
+                batch_errors.append(out[2])
+            return out
+
+        def spy_fit(*args, **kwargs):
+            weights.append(kwargs.get("weights"))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(glm_mod, "_score_batch", spy_score_batch)
+        monkeypatch.setattr(cli_mod, "fit_nuisances", spy_fit)
+        assert main(argv) == 3
+        assert "16/40 bootstrap replicates failed" in capsys.readouterr().err
+        drawn = weights[1][:, :3] > 0
+        one_arm = np.flatnonzero((drawn & (e_rare == 0)).any(axis=1) != (drawn & (e_rare == 1)).any(axis=1))
+        unseen = np.flatnonzero(~drawn.any(axis=1))
+        assert (len(one_arm), len(unseen)) == (13, 3)
+        [errors] = batch_errors
+        assert sorted(errors) == sorted([*one_arm, *unseen])
+        for r in one_arm:
+            assert str(errors[r]).startswith("the responses are separated: the coefficient of c0_1 diverges")
+        for r in unseen:
+            assert str(errors[r]).startswith("design matrix is rank deficient at c0_1")
+
 
 DISCRETE_MODELS = """[models]
 outcome = gaussian: 1, c0_1, e, c1_1, c1_2, m, e*m

@@ -59,14 +59,17 @@ def _probit_fisher_oracle(X, y, w=None, iters=60):
     return beta
 
 
-def _qr_irls_reference(X, y, family, w=None, max_iter=100, tol=1e-10):
+def _qr_irls_reference(X, y, family, w=None):
     """IRLS taking every Fisher step from the pivoted QR of sqrt(W) X.
 
     The reference for the inverse step and the QR fallback: same
-    likelihood, score test, step halving, separation checks and rank rule,
+    likelihood, score test, step halving, separation rule and rank rule,
     with scipy's link functions, QR and triangular solves, and no inverse.
     Its probit steps are Fisher scoring, not the engine's Newton steps: an
-    independent algorithm that reaches the same maximum.
+    independent algorithm that reaches the same maximum.  Its separation
+    rule is the engine's: at the stop, the rows of positive weight whose
+    observed information is below 1e-8 are dropped, and the fit raises when
+    no row is left or the rest of the design loses rank in scipy's QR.
     """
     w = np.ones(X.shape[0]) if w is None else w
 
@@ -79,13 +82,29 @@ def _qr_irls_reference(X, y, family, w=None, max_iter=100, tol=1e-10):
         pos, neg = np.exp(log_phi - lp), np.exp(log_phi - ln)
         return np.sum(w * (y * lp + (1.0 - y) * ln)), y * pos - (1.0 - y) * neg, pos * neg
 
+    def observed_information(eta):
+        if family is Family.LOGIT:
+            return terms(eta)[2]
+        log_phi = -0.5 * eta**2 - 0.5 * math.log(2.0 * math.pi)
+        pos, neg = np.exp(log_phi - log_ndtr(eta)), np.exp(log_phi - log_ndtr(-eta))
+        return y * pos * (pos + eta) + (1.0 - y) * neg * (neg - eta)
+
+    def rank_lost(A):
+        if A.shape[0] < A.shape[1]:
+            return True
+        R = sla.qr(A, mode="r", pivoting=True)[0]
+        diag = np.abs(np.diag(R))
+        return diag[0] == 0.0 or bool(np.any(diag < 1e-10 * diag[0]))
+
     coef = np.zeros(X.shape[1])
     ll, s, fisher = terms(X @ coef)
-    for iteration in range(max_iter):
+    for iteration in range(100):
         score = X.T @ (w * s)
-        if np.max(np.abs(score)) < tol:
-            if np.median(np.abs(X @ coef)) > 20.0 or ll > -1e-9:
-                raise NonConvergenceError(iteration, 0.0, 0.0)
+        if np.max(np.abs(score)) < 1e-10:
+            present = w > 0
+            dead = present & (observed_information(X @ coef) < 1e-8)
+            if dead.any() and rank_lost(X[present & ~dead]):
+                raise NonConvergenceError(iteration, 0.0, 0.0, "separated")
             return coef
         _, R, piv = sla.qr(X * np.sqrt(w * fisher)[:, None], mode="raw", pivoting=True)
         diag = np.abs(np.diag(R))
@@ -99,7 +118,7 @@ def _qr_irls_reference(X, y, family, w=None, max_iter=100, tol=1e-10):
             if halvings == 40 or ll_trial >= ll - 1e-12 * abs(ll):
                 break
         coef, ll = trial, ll_trial
-    raise NonConvergenceError(max_iter, 0.0, 0.0)
+    raise NonConvergenceError(100, 0.0, 0.0)
 
 
 def _fallback_fixtures():
@@ -279,7 +298,7 @@ class TestIrls:
         y = (x > 0).astype(float)
         X = np.column_stack([np.ones(40), x])
         with pytest.raises(NonConvergenceError) as err:
-            fit_glm_irls(X, y, Family.LOGIT, max_iter=50)
+            fit_glm_irls(X, y, Family.LOGIT)
         assert err.value.coef_norm > 1.0
 
     def test_binary_response_required(self):
@@ -412,7 +431,7 @@ class TestWarmStart:
             with pytest.raises(type(exc)):
                 fit_glm_irls(X, y, family, w, start=start)
             return
-        # a log-likelihood this close to 0 is separation, which raises
+        # a log-likelihood this close to 0 leaves no row live, which raises
         assert glm_mod._binomial_terms(family, X @ cold.coef, y, prior)[0] <= -1e-9
         warm = fit_glm_irls(X, y, family, w, start=start)
         assert warm.converged
@@ -492,46 +511,52 @@ class TestWarmStart:
 
 
 class TestSeparationRule:
-    @staticmethod
-    def _median_rule(eta):
-        return bool(np.median(np.abs(eta)) > 20.0)
-
-    def test_matches_the_median_on_random_arrays(self):
-        rng = np.random.default_rng(41)
-        for _ in range(2000):
-            n = int(rng.integers(1, 40))
-            eta = rng.normal(rng.uniform(-30.0, 30.0), rng.uniform(0.0, 15.0), n)
-            assert glm_mod._separated(eta) == self._median_rule(eta)
-
-    @pytest.mark.parametrize("half", [1, 2, 5, 50])
-    def test_matches_the_median_when_exactly_half_exceed(self, half):
-        # n = 2 * half and exactly half of the |eta| above 20: the median is
-        # the mean of the two middle values and can land on either side
-        for low, high in ((19.9, 20.05), (19.99, 21.0), (20.0, 20.5), (0.0, 40.0), (0.0, 39.0),
-                          (19.5, 20.5), (-20.0, -20.0 - 1e-12)):
-            eta = np.array([low] * half + [high] * half)
-            for signs in (np.ones(2 * half), np.resize([1.0, -1.0], 2 * half)):
-                assert glm_mod._separated(eta * signs) == self._median_rule(eta * signs)
-
     @pytest.mark.parametrize("name", ["n-near-p-1", "n-near-p-2", "n-near-p-5"])
     def test_probit_separation_below_the_median_mark_raises(self, name):
-        # probit tails are thin: these completely separated fits reach a
-        # log-likelihood within 1e-9 of 0 at a median |eta| near 7
+        # probit tails are thin: these completely separated fits stop at a
+        # median |eta| near 7, where every row's information is below DEAD_INFO
         _, X, y, w = next(case for case in _fallback_fixtures() if case[0] == name)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match="every row's fitted probability is at 0 or 1"):
             fit_glm_irls(X, y, Family.PROBIT, w)
 
-    def test_ordinary_fit_takes_no_median(self, monkeypatch):
+    def test_ordinary_fit_takes_no_qr(self, monkeypatch):
         rng = np.random.default_rng(43)
         n = 500
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = (rng.random(n) < expit(X @ np.array([0.1, 1.0, -1.0]))).astype(float)
 
-        def no_median(*args, **kwargs):
-            raise AssertionError("fewer than half the rows exceed 20; the count settles it")
+        def no_qr(*args, **kwargs):
+            raise AssertionError("no row is dead at the stop; the comparison settles it")
 
-        monkeypatch.setattr(glm_mod.np, "median", no_median)
-        assert fit_glm_irls(X, y, Family.LOGIT).converged
+        monkeypatch.setattr(glm_mod, "_pivoted_qr", no_qr)
+        for family in (Family.LOGIT, Family.PROBIT):
+            assert fit_glm_irls(X, y, family).converged
+            assert fit_glm(X, y, family, rng.exponential(1.0, (3, n))).converged.all()
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_dead_rows_that_leave_the_rank_alone_converge(self, family, monkeypatch):
+        # three covariate outliers far out on the side their responses
+        # agree with carry no information at the stop, but the other rows
+        # still identify every coefficient: a maximum exists
+        rng = np.random.default_rng(44)
+        n = 300
+        x = rng.standard_normal(n)
+        x[:3] = (40.0, 45.0, -50.0)
+        X = np.column_stack([np.ones(n), x])
+        y = (rng.random(n) < expit(0.2 + 1.0 * x)).astype(float)
+        y[:3] = (1.0, 1.0, 0.0)
+        qr_calls = []
+
+        def counted_qr(A):
+            qr_calls.append(A.shape)
+            return pivoted_qr(A)
+
+        pivoted_qr = glm_mod._pivoted_qr
+        monkeypatch.setattr(glm_mod, "_pivoted_qr", counted_qr)
+        fit = fit_glm_irls(X, y, family)
+        info = glm_mod._binomial_terms(family, X @ fit.coef, y, np.ones(n))[2]
+        assert (info[:3] < glm_mod.DEAD_INFO).all() and (info[3:] >= glm_mod.DEAD_INFO).all()
+        assert qr_calls == [(n - 3, 2)]  # the rank test of the live rows, and nothing else
 
 
 class TestBatchFit:
@@ -645,44 +670,104 @@ class TestBatchFit:
             assert np.array_equal(got[[0, 2, 3]], want)
 
     def test_frequency_weights_count_rows_as_drawn(self):
+        # a nonparametric replicate weights each row by how often it was
+        # drawn; its verdict is the drawn data's, since only which rows are
+        # present matters, and so are its coefficients up to rounding
         rng = np.random.default_rng(52)
-        for _ in range(500):
-            n = int(rng.integers(2, 30))
-            eta = rng.normal(rng.uniform(-30.0, 30.0), rng.uniform(0.0, 15.0), n)
-            counts = rng.integers(0, 4, n).astype(float)
-            if counts.sum() == 0:
-                continue
-            drawn = np.repeat(eta, counts.astype(int))
-            assert glm_mod._separated(eta[None], counts[None])[0] == glm_mod._separated(drawn)
+        verdicts = set()
+        for _ in range(200):
+            n = int(rng.integers(10, 40))
+            d = (rng.random(n) < 0.3).astype(float)
+            X = np.column_stack([np.ones(n), d, rng.standard_normal(n)])
+            y = (rng.random(n) < expit(X @ np.array([-0.3, 2.5, 1.0]))).astype(float)
+            W = rng.integers(0, 4, (2, n)).astype(float)
+            family = Family.LOGIT if rng.random() < 0.5 else Family.PROBIT
+            batch = fit_glm(X, y, family, W)
+            for b in range(2):
+                drawn = W[b].astype(int)
+                try:
+                    want = fit_glm_irls(np.repeat(X, drawn, axis=0), np.repeat(y, drawn), family)
+                except GlmError as exc:
+                    assert not batch.converged[b] and np.isnan(batch.coef[b]).all()
+                    verdicts.add(type(exc))
+                    continue
+                assert batch.converged[b]
+                np.testing.assert_allclose(batch.coef[b], want.coef, rtol=1e-7, atol=1e-9)
+                verdicts.add(None)
+        assert verdicts >= {None, NonConvergenceError, RankDeficiencyError}
+
+    def test_a_whole_number_batch_counts_rows_as_drawn(self):
+        X, y = self._quasi_separated()
+        counts = np.r_[np.full(10, 4.0), np.ones(30)]
+        drawn = counts.astype(int)
+        with pytest.raises(NonConvergenceError) as alone:
+            fit_glm(np.repeat(X, drawn, axis=0), np.repeat(y, drawn), Family.LOGIT)
+        # however often the d = 1 rows are drawn, the replicate fails as the
+        # drawn data does; one that draws none of them fails as its drawn
+        # data does too, on the column that only undrawn rows hold
+        W = np.array([counts, np.ones(40), np.r_[np.zeros(10), np.full(30, 2.0)]])
+        batch = fit_glm(X, y, Family.LOGIT, W)
+        assert not batch.converged.any() and np.isnan(batch.coef).all()
+        errors = glm_mod._score_batch(X, y, Family.LOGIT, W, np.zeros(2), None)[2]
+        for b in (0, 1):
+            assert str(errors[b]).split(" (")[0] == str(alone.value).split(" (")[0]
+        kept = W[2].astype(int)
+        with pytest.raises(RankDeficiencyError) as none_drawn:
+            fit_glm_irls(np.repeat(X, kept, axis=0), np.repeat(y, kept), Family.LOGIT)
+        assert type(errors[2]) is RankDeficiencyError and errors[2].column == none_drawn.value.column == 1
+
+    def test_a_batch_with_a_fractional_weight_counts_each_row_once(self):
+        # a fractional weight leaves every row's presence as it is: each
+        # replicate of the batch is bitwise its single fit
+        rng = np.random.default_rng(55)
+        X, _ = self._quasi_separated()
+        y = (rng.random(40) < 0.5).astype(float)
+        W = np.array([np.r_[np.full(10, 4.0), np.ones(30)], np.ones(40)])
+        W[1, -1] = 0.5
+        for family in (Family.LOGIT, Family.PROBIT):
+            batch = fit_glm(X, y, family, W)
+            assert list(batch.converged) == [True, True]
+            for b in range(2):
+                assert np.array_equal(batch.coef[b], fit_glm(X, y, family, W[b]).coef)
 
     @staticmethod
     def _quasi_separated():
-        # the d = 1 rows all have y = 1, so their linear predictors pass 20;
-        # they are a quarter of the rows but, counted 4 times each, 40 of 70 draws
+        # the d = 1 rows all have y = 1, so the slope's maximum likelihood is
+        # +inf; they are a quarter of the rows, so their linear predictors
+        # pass 20 (logit) without moving the median or the log-likelihood
         rng = np.random.default_rng(53)
         d = np.r_[np.ones(10), np.zeros(30)]
         X = np.column_stack([np.ones(40), d])
         y = np.r_[np.ones(10), (rng.random(30) < 0.4).astype(float)]
+        return X, y
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_quasi_separation_raises_in_every_form(self, family):
+        X, y = self._quasi_separated()
+        diverges = "the responses are separated: the coefficient of column 1 diverges"
+        with pytest.raises(NonConvergenceError, match=diverges):
+            fit_glm_irls(X, y, family)
+        # a row of a whole-number batch (as a nonparametric replicate draws
+        # the rows), a row of a fractional one, and a replicate of a stack:
+        # each fails alone, with the single fit's message
         counts = np.r_[np.full(10, 4.0), np.ones(30)]
-        return X, y, counts
-
-    def test_a_whole_number_batch_counts_rows_as_drawn(self):
-        X, y, counts = self._quasi_separated()
-        drawn = counts.astype(int)
-        with pytest.raises(NonConvergenceError):
-            fit_glm(np.repeat(X, drawn, axis=0), np.repeat(y, drawn), Family.LOGIT)
-        batch = fit_glm(X, y, Family.LOGIT, np.array([counts, np.ones(40)]))
-        assert list(batch.converged) == [False, True]
-        assert np.isnan(batch.coef[0]).all()
-
-    def test_a_batch_with_a_fractional_weight_counts_each_row_once(self):
-        X, y, counts = self._quasi_separated()
-        W = np.array([counts, np.ones(40)])
-        W[1, -1] = 0.5
-        batch = fit_glm(X, y, Family.LOGIT, W)
-        single = fit_glm(X, y, Family.LOGIT, counts)  # a single fit counts each row once
-        assert list(batch.converged) == [True, True]
-        assert np.array_equal(batch.coef[0], single.coef)
+        fractional = np.r_[np.full(10, 0.5), np.ones(30)]
+        for W in (np.array([counts, np.ones(40)]), np.array([fractional, np.ones(40)])):
+            batch = fit_glm(X, y, family, W)
+            assert list(batch.converged) == [False, False]
+            assert np.isnan(batch.coef).all()
+            _, _, errors = glm_mod._score_batch(X, y, family, W, np.zeros(2), None)
+            assert all(diverges in str(errors[b]) for b in (0, 1))
+            with pytest.raises(NonConvergenceError, match=diverges):
+                fit_glm(X, y, family, W[0])
+        ordinary = (np.random.default_rng(54).random(40) < 0.5).astype(float)
+        Xs, ys = np.array([X, X]), np.array([ordinary, y])
+        stack = fit_glm(Xs, ys, family)
+        assert list(stack.converged) == [True, False]
+        assert np.array_equal(stack.coef[0], fit_glm_irls(X, ordinary, family).coef)
+        assert np.isnan(stack.coef[1]).all()
+        _, _, errors = glm_mod._score_batch(Xs, ys, family, np.ones((2, 40)), np.zeros(2), None)
+        assert list(errors) == [1] and diverges in str(errors[1])
 
 
 class TestSharedStart:

@@ -115,6 +115,18 @@ class TestFitNuisances:
         with pytest.raises(NuisanceError, match=rf"^{first}: weights must be finite and non-negative$"):
             fit_nuisances(ds, models.working_set, CODING, weights=w)
 
+    def test_quasi_separated_propensity_names_role_and_column(self):
+        # c0_1 marks 15 exposed records and no unexposed one: prop_base's
+        # c0_1 coefficient has no finite maximum, and the fit must say so
+        # rather than hand clipping a diverged propensity
+        ds = draw_dataset(300, 5)
+        c0 = np.zeros_like(ds.c0)
+        c0[np.flatnonzero(ds.e == 1)[:15], 0] = 1.0
+        quasi = dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y)
+        with pytest.raises(NuisanceError, match=r"^prop_base: the responses are separated: "
+                                                r"the coefficient of c0_1 diverges \(after \d+ iterations"):
+            fit_nuisances(quasi, default_working_set(1, 3), CODING)
+
     def test_bad_design_names_role(self):
         ds = draw_dataset(100, 23)
         models = working_models_for("int")
