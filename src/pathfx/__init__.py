@@ -27,7 +27,6 @@ from .glm import (
     fit_glm_irls,
     fit_ols,
     predict_mean,
-    score_and_information,
 )
 from .nuisance import (
     ModelSpec,

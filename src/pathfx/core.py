@@ -169,21 +169,26 @@ class TreatmentPair:
 
 @dataclass(frozen=True)
 class PairCoding:
-    """Internal 0/1 coding of a pair after restriction.
+    """Internal 0/1 coding of a pair after restriction, worked out from the pair.
 
-    Normal mode codes baseline as 0 and comparison as 1.  In identity-check
-    mode the two coincide, so every indicator covers the full sample and
+    Comparison is always coded 1, so propensity models estimate P(E = 1).
+    Baseline is coded 0, except for an identity pair (an identity check),
+    where it is 1 too: every indicator then covers the full sample and
     counterfactual overrides target the same level, forcing the algebraic
     collapse of the weighted estimators onto their baseline-mean analogues.
     """
 
     pair: TreatmentPair
-    comparison_internal: int = 1
-    baseline_internal: int = 0
+
+    comparison_internal = 1
+
+    @property
+    def baseline_internal(self) -> int:
+        return 1 if self.pair.is_identity else 0
 
     @property
     def is_identity(self) -> bool:
-        return self.comparison_internal == self.baseline_internal
+        return self.pair.is_identity
 
     def ind_comparison(self, e: np.ndarray) -> np.ndarray:
         return (e == self.comparison_internal).astype(float)
@@ -211,13 +216,8 @@ def restrict_to_pair(dataset: Dataset, pair: TreatmentPair, *, allow_identity: b
 def recode_pair(dataset: Dataset, pair: TreatmentPair, *, allow_identity: bool = False) -> tuple[Dataset, PairCoding]:
     """Restrict to the pair and recode treatment to the internal 0/1 scheme."""
     restricted = restrict_to_pair(dataset, pair, allow_identity=allow_identity)
-    if pair.is_identity:
-        coding = PairCoding(pair=pair, comparison_internal=1, baseline_internal=1)
-        e = np.ones(restricted.n, dtype=int)
-    else:
-        coding = PairCoding(pair=pair)
-        e = (restricted.e == pair.comparison).astype(int)
-    return replace(restricted, e=e), coding
+    e = (restricted.e == pair.comparison).astype(int)
+    return replace(restricted, e=e), PairCoding(pair=pair)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,6 @@ __all__ = [
     "fit_glm_irls",
     "fit_glm",
     "predict_mean",
-    "score_and_information",
-    "score_contributions",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -890,44 +888,3 @@ def predict_mean(fit: FittedGlm, X: np.ndarray) -> np.ndarray | float:
     else:
         mu = _binomial_mu(fit.family, eta)
     return float(mu[0]) if single and fit.coef.ndim == 1 else mu
-
-
-def _gaussian_sigma2(fit: FittedGlm, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    resid = y - X @ fit.coef
-    return float(np.sum(w * resid**2) / np.sum(w))
-
-
-def score_contributions(fit: FittedGlm, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-record score vectors at the fitted coefficients, shape (n, p)."""
-    X, y, weights = _as_matrix(X, y, weights)
-    w = np.ones(X.shape[0]) if weights is None else weights
-    eta = X @ fit.coef
-    if fit.family is Family.GAUSSIAN:
-        sigma2 = _gaussian_sigma2(fit, X, y, w)
-        s = (y - eta) / sigma2
-    else:
-        _, s, _ = _binomial_terms(fit.family, eta, y, w)
-    return X * (w * s)[:, None]
-
-
-def score_and_information(fit: FittedGlm, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):
-    """Total score vector and expected information matrix at the fit.
-
-    Gaussian fits profile the error variance out at its maximum-likelihood
-    value, so the information is X'WX / sigma^2.  For probit the expected
-    information differs from the observed one that the fit steps on.
-    """
-    X, y, weights = _as_matrix(X, y, weights)
-    w = np.ones(X.shape[0]) if weights is None else weights
-    eta = X @ fit.coef
-    if fit.family is Family.GAUSSIAN:
-        sigma2 = _gaussian_sigma2(fit, X, y, w)
-        score = X.T @ (w * (y - eta)) / sigma2
-        info = (X * w[:, None]).T @ X / sigma2
-    else:
-        _, s, fisher = _binomial_terms(fit.family, eta, y, w)
-        if fit.family is Family.PROBIT:
-            fisher = _probit_fisher(eta)
-        score = X.T @ (w * s)
-        info = (X * (w * fisher)[:, None]).T @ X
-    return score, info

@@ -131,11 +131,9 @@ class WorkingModelSet:
     def roles(self) -> tuple[str, ...]:
         return tuple(self.models)
 
-    def validate(self, d0: int, d1: int, pathway: str, *, need_marginal: bool = False) -> None:
+    def validate(self, d0: int, d1: int, pathway: str) -> None:
         required = [ROLE_OUTCOME, ROLE_MEDIATOR, ROLE_PROP_BASE, ROLE_PROP_C1, ROLE_PROP_M]
         required += [c1_mean_role(j) for j in range(1, d1 + 1)]
-        if need_marginal:
-            required.append(ROLE_MARGINAL)
         for role in required:
             if role not in self.models:
                 raise NuisanceError(f"{role}: no model specified")
@@ -336,10 +334,6 @@ def _fit_group(dataset: Dataset, design: DesignSpec, roles: list[str], working_s
 # propensity handling
 
 
-def _prob_of_level(p_comparison: np.ndarray, level: int) -> np.ndarray:
-    return p_comparison if level == 1 else 1.0 - p_comparison
-
-
 def _clip_probs(p: np.ndarray, clip: tuple[float, float] | None, role: str, weights=None):
     """Clipped probabilities and the clip count (one per replicate for a batch).
 
@@ -448,40 +442,19 @@ def _propensity_probs(
     return probs
 
 
-def _stabilize_comparison(
-    p: np.ndarray,
-    coding: PairCoding,
-    e: np.ndarray,
-    weights: np.ndarray | None,
-) -> np.ndarray:
-    """Stabilize a comparison-level probability array at the comparison level."""
-    level = coding.comparison_internal
-    ind = (e == level).astype(float)
-    return _prob_of_level(
-        stabilize_probabilities(_prob_of_level(p, level), ind, weights), level
-    )
-
-
 def _ratio(
     probs: Mapping[str, np.ndarray],
     roles: tuple[str, str],
-    coding: PairCoding,
-    e: np.ndarray,
+    ind_comparison: np.ndarray,
     stabilize: bool,
     weights: np.ndarray | None,
 ) -> np.ndarray:
     """(numerator-model odds of comparison vs baseline) x (denominator-model inverse odds)."""
     p_num, p_den = probs[roles[0]], probs[roles[1]]
-    if stabilize and not coding.is_identity:
-        p_num = _stabilize_comparison(p_num, coding, e, weights)
-        p_den = _stabilize_comparison(p_den, coding, e, weights)
-    icomp, ibase = coding.comparison_internal, coding.baseline_internal
-    return (
-        _prob_of_level(p_num, icomp)
-        / _prob_of_level(p_num, ibase)
-        * _prob_of_level(p_den, ibase)
-        / _prob_of_level(p_den, icomp)
-    )
+    if stabilize:
+        p_num = stabilize_probabilities(p_num, ind_comparison, weights)
+        p_den = stabilize_probabilities(p_den, ind_comparison, weights)
+    return p_num / (1.0 - p_num) * (1.0 - p_den) / p_den
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +640,11 @@ def compute_components(
 ) -> NuisanceComponents:
     """Evaluate ratios, propensities, and nested means for every record.
 
+    Propensities are P(E = 1), the comparison arm's probability under the
+    pair coding; the baseline arm's is its complement, and stabilization
+    shifts each enabled model at the comparison level.  An identity pair
+    fits no propensity model, so its propensities and ratios are all one.
+
     Batch fits (``fit_nuisances`` with ``(B, n)`` weights, passed here too)
     give every per-record array and diagnostic a leading replicate axis; a
     replicate that the single-fit path would reject (a degenerate
@@ -674,34 +652,22 @@ def compute_components(
     """
     coding = fits.coding
     diagnostics: dict = {"clip_counts": {}}
-    e = dataset.e
-    ind_comp = coding.ind_comparison(e)
-    ind_base = coding.ind_baseline(e)
+    ind_comp = coding.ind_comparison(dataset.e)
+    ind_base = coding.ind_baseline(dataset.e)
 
-    # Identity-check mode fits no propensity models; its weights are all one.
-    roles = [ROLE_PROP_BASE] if ROLE_PROP_BASE in fits or not coding.is_identity else []
-    with_ratios = ROLE_PROP_M in fits or not coding.is_identity
-    if with_ratios:
-        roles += [*fits.m_ratio_roles(), *fits.c1_ratio_roles()]
-    probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], weights)
-
-    if ROLE_PROP_BASE in probs:
-        p_base_raw = probs[ROLE_PROP_BASE]
-        if stabilize.base and not coding.is_identity:
-            p_base_raw = _stabilize_comparison(p_base_raw, coding, dataset.e, weights)
-        p_baseline = _prob_of_level(p_base_raw, coding.baseline_internal)
-        p_comparison = _prob_of_level(p_base_raw, coding.comparison_internal)
+    if coding.is_identity:
+        p_baseline, p_comparison = np.ones(dataset.n), np.ones(dataset.n)
+        mr, cr = np.ones(dataset.n), np.ones(dataset.n)
     else:
-        p_baseline = np.ones(dataset.n)
-        p_comparison = np.ones(dataset.n)
-
-    if with_ratios:
-        mr = _ratio(probs, fits.m_ratio_roles(), coding, e, stabilize.m_ratio, weights)
-        cr = _ratio(probs, fits.c1_ratio_roles(), coding, e, stabilize.c1_ratio, weights)
-    else:
-        mr = np.ones(dataset.n)
-        cr = np.ones(dataset.n)
-    del probs  # a batch reaches its peak memory in the nested means
+        roles = [ROLE_PROP_BASE, *fits.m_ratio_roles(), *fits.c1_ratio_roles()]
+        probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], weights)
+        p_comparison = probs[ROLE_PROP_BASE]
+        if stabilize.base:
+            p_comparison = stabilize_probabilities(p_comparison, ind_comp, weights)
+        p_baseline = 1.0 - p_comparison
+        mr = _ratio(probs, fits.m_ratio_roles(), ind_comp, stabilize.m_ratio, weights)
+        cr = _ratio(probs, fits.c1_ratio_roles(), ind_comp, stabilize.c1_ratio, weights)
+        del probs  # a batch reaches its peak memory in the nested means
 
     b, b_prime, b_dd, y0 = _nested_means(fits, dataset)
 
@@ -750,12 +716,12 @@ def components_from_functions(
 ) -> NuisanceComponents:
     """Evaluate function-valued nuisances into a per-record component bundle."""
     c0, c1, m = dataset.c0, dataset.c1, dataset.m
-    p_comp_level1 = np.asarray(functions.prob_comparison_base(c0), dtype=float)
+    p = np.asarray(functions.prob_comparison_base(c0), dtype=float)
     return NuisanceComponents(
         ind_comparison=coding.ind_comparison(dataset.e),
         ind_baseline=coding.ind_baseline(dataset.e),
-        p_baseline=_prob_of_level(p_comp_level1, coding.baseline_internal),
-        p_comparison=_prob_of_level(p_comp_level1, coding.comparison_internal),
+        p_baseline=p if coding.is_identity else 1.0 - p,
+        p_comparison=p,
         m_ratio=np.asarray(functions.m_ratio(m, c1, c0), dtype=float),
         c1_ratio=np.asarray(functions.c1_ratio(c1, c0), dtype=float),
         b=np.asarray(functions.b(m, c1, c0), dtype=float),

@@ -281,14 +281,13 @@ def oracle_nested_mean_mc(
     seed: int,
     *,
     mediator_level: int,
-    baseline_level: int = 0,
     stream: int = 0,
 ) -> OracleEstimate:
     """Simulate the nested counterfactual mean directly from the equations.
 
-    Post-treatment covariates follow the baseline level; the mediator draws
-    from its equation at ``mediator_level`` given those covariates; the
-    outcome equation runs at the baseline level with that mediator.
+    Post-treatment covariates follow the baseline level (0); the mediator
+    draws from its equation at ``mediator_level`` given those covariates;
+    the outcome equation runs at the baseline level with that mediator.
     """
     if n_draws < 1:
         raise SimulationError("n_draws must be at least 1")
@@ -300,9 +299,9 @@ def oracle_nested_mean_mc(
         size = min(_CHUNK, n_draws - done)
         rng = derived_rng(seed, stream, chunk_index)
         c0 = rng.uniform(C0_LOW, C0_HIGH, size)
-        c1 = truth.c1_mean(c0, baseline_level) + rng.standard_normal((size, D1))
+        c1 = truth.c1_mean(c0, 0) + rng.standard_normal((size, D1))
         m = truth.m_mean(c1, c0, mediator_level) + rng.standard_normal(size)
-        y = truth.outcome_mean(m, c1, c0, baseline_level) + rng.standard_normal(size)
+        y = truth.outcome_mean(m, c1, c0, 0) + rng.standard_normal(size)
         total += float(y.sum())
         total_sq += float((y**2).sum())
         done += size

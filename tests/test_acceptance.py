@@ -351,6 +351,7 @@ def test_criterion_9_bootstrap_coverage():
         interval = bootstrap(
             ds, effect_statistic,
             BootstrapSpec(kind="nonparametric", replicates=200, seed=9000 + r),
+            batch=lambda W: effect_statistic(ds, W),
         )
         if interval.lower <= TARGET_EFFECT <= interval.upper:
             covered += 1

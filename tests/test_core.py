@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import threading
 from unittest import mock
@@ -12,6 +13,7 @@ from pathfx.core import (
     DataError,
     DesignSpec,
     Overrides,
+    PairCoding,
     Term,
     TreatmentPair,
     build_design_matrix,
@@ -124,6 +126,15 @@ class TestRestrictToPair:
         assert coding.is_identity
         assert np.all(coding.ind_comparison(recoded.e) == 1.0)
         assert np.all(coding.ind_baseline(recoded.e) == 1.0)
+
+    def test_coding_is_worked_out_from_the_pair(self):
+        assert [f.name for f in dataclasses.fields(PairCoding)] == ["pair"]
+        identity = PairCoding(pair=TreatmentPair(3, 3))
+        assert identity.is_identity
+        assert (identity.comparison_internal, identity.baseline_internal) == (1, 1)
+        contrast = PairCoding(pair=TreatmentPair(5, 3))
+        assert not contrast.is_identity
+        assert (contrast.comparison_internal, contrast.baseline_internal) == (1, 0)
 
 
 class TestDesign:

@@ -19,7 +19,7 @@ from pathfx.core import (
     recode_pair,
     wmean,
 )
-from pathfx.glm import Family, score_and_information, score_contributions
+from pathfx.glm import Family
 from pathfx.inference import (
     BootstrapSpec,
     InferenceError,
@@ -272,7 +272,9 @@ def _fd_gradient(ds, fits, h=1e-5):
 
 def _fd_variance(ds, fits):
     """The delta-method variance from per-record scores, information and a
-    finite-difference gradient, without the closed forms."""
+    finite-difference gradient, without the closed forms.  The gaussian
+    scores and information are left unscaled by the error variance, which
+    cancels."""
     D, _, _ = _fd_gradient(ds, fits)
     g = _b_doubleprime(fits, ds)
     v = g - g.mean()
@@ -281,10 +283,10 @@ def _fd_variance(ds, fits):
         fit = fits[role]
         X = build_design_matrix(ds, fit.design)
         y = _response_for(role, ds)
-        _, info = score_and_information(fit, X, y)
+        scores = X * (y - X @ fit.coef)[:, None]
         D_k = D[start:start + fit.coef.size]
         start += fit.coef.size
-        v += score_contributions(fit, X, y) @ np.linalg.solve(info / ds.n, D_k)
+        v += scores @ np.linalg.solve(X.T @ X / ds.n, D_k)
     return float(np.mean(v**2) / ds.n)
 
 

@@ -444,6 +444,19 @@ class TestComponents:
         assert comp.diagnostics["clip_counts"] == {ROLE_PROP_C1: 82, ROLE_PROP_M: 437}
         assert comp.diagnostics["clip_count"] == 519
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_identity_pair_propensities_and_ratios_are_one(self, batch):
+        # an identity pair fits no propensity model, so even stabilized and
+        # unclipped its propensities and ratios are exactly one
+        rec, id_coding = recode_pair(draw_dataset(300, 62), TreatmentPair(1, 1), allow_identity=True)
+        W = np.random.default_rng(62).exponential(1.0, (4, rec.n)) if batch else None
+        fits = fit_nuisances(rec, working_models_for("int").working_set, id_coding, weights=W)
+        comp = compute_components(rec, fits, stabilize=StabilizeFlags.all_on(), clip=None, weights=W)
+        for arr in (comp.p_baseline, comp.p_comparison, comp.m_ratio, comp.c1_ratio):
+            assert np.array_equal(arr, np.ones(rec.n))
+        assert comp.b.shape == ((4, rec.n) if batch else (rec.n,))
+        assert comp.diagnostics["clip_count"] == 0
+
     def test_missing_base_propensity_is_an_error(self):
         ds = draw_dataset(100, 61)
         models = working_models_for("int")
