@@ -238,7 +238,7 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None)
     one fit of the working models, then that fit's components and the fits.
 
     ``(B, n)`` weights evaluate a batch of bootstrap replicates: every value
-    then has one entry per replicate, NaN where that replicate failed.
+    then has one entry per replicate, and ``comp.failures`` the failed ones.
     """
     fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start)
     comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
@@ -246,7 +246,7 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None)
     for kind, delta_kind in pairs:
         beta = beta_of_kind(kind, ds, comp, weights, working_set=cfg.working_set, coding=coding)
         delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
-        out.append((beta, delta, combine_effect(beta, delta, cfg.scale)))
+        out.append((beta, delta, combine_effect(beta, delta, cfg.scale, comp.failures)))
     return out, comp, fits
 
 
@@ -312,11 +312,13 @@ def cmd_estimate(args) -> int:
         )
 
         # replicates start their binomial fits from the point fit's coefficients
-        def statistic(data: Dataset, weights):
-            return [effect for _, _, effect in _estimates(data, coding, cfg, pairs, weights, fits)[0]]
+        def effects(data: Dataset, weights):
+            out, comp, _ = _estimates(data, coding, cfg, pairs, weights, fits)
+            return [effect for _, _, effect in out], comp.failures
 
         point = [effect for _, _, effect in estimates]
-        interval = bootstrap(ds, statistic, spec, point=point, batch=lambda weights: statistic(ds, weights))
+        interval = bootstrap(ds, lambda data, weights: effects(data, weights)[0], spec, point=point,
+                             batch=lambda weights: effects(ds, weights))
         if interval.errors:
             print(
                 f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "

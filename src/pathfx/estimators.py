@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, PairCoding, TreatmentPair, build_design_matrix, wmean
-from .glm import GlmError, _least_squares, predict_mean
+from .glm import _least_squares, predict_mean
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -28,6 +28,8 @@ from .nuisance import (
     WorkingModelSet,
     c1_mean_role,
     _compose_linear,
+    _reject,
+    _tagged,
     compute_components,
     fit_nuisances,
 )
@@ -160,24 +162,22 @@ DELTA_FUNCS = {"gformula": delta_gformula, "ipw": delta_ipw, "aipw": delta_aipw}
 # effect scales
 
 
-def combine_effect(beta_hat, delta_hat, scale: str):
+def combine_effect(beta_hat, delta_hat, scale: str, failures: dict | None = None):
     """Contrast the two means on the requested scale.
 
     Per-replicate arrays of means give per-replicate effects; a replicate
-    whose log risk ratio is undefined is NaN rather than an error.
+    whose log risk ratio is undefined is NaN, its message in ``failures``.
     """
     if scale == "mean_difference":
         return beta_hat - delta_hat
     if scale == "log_risk_ratio":
-        undefined = (np.asarray(beta_hat) <= 0.0) | (np.asarray(delta_hat) <= 0.0)
-        if np.ndim(undefined) == 0:
-            if undefined:
-                raise EstimationError(
-                    f"log risk ratio needs positive means, got beta={beta_hat:.6g}, delta={delta_hat:.6g}"
-                )
-            return float(np.log(beta_hat) - np.log(delta_hat))
+        beta, delta = np.asarray(beta_hat), np.asarray(delta_hat)
+        undefined = _reject((beta <= 0.0) | (delta <= 0.0), lambda b: EstimationError(
+            f"log risk ratio needs positive means, got beta={float(beta[b]):.6g}, delta={float(delta[b]):.6g}"),
+            failures)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(undefined, np.nan, np.log(beta_hat) - np.log(delta_hat))
+            effect = np.where(undefined, np.nan, np.log(beta) - np.log(delta))
+        return float(effect) if effect.ndim == 0 else effect
     raise EstimationError(f"unknown effect scale {scale!r}")
 
 
@@ -257,8 +257,8 @@ def beta_mr_sequential(
     bitwise its own.  What remains is the empirical mean of the fully nested
     prediction.  ``(B, n)`` weights (with batch components) refit every
     replicate at once, and the value, the terms and b'' gain a leading
-    replicate axis; a replicate whose refit fails is NaN.  So does a stacked
-    dataset (see ``core.Dataset``) with its components.
+    replicate axis; a replicate whose refit fails is NaN, its message in
+    ``comp.failures``.  So does a stacked dataset with its components.
     """
     if comp is None:
         working_set.validate(dataset.d0, dataset.d1, "linear")
@@ -304,9 +304,7 @@ def beta_mr_sequential(
             except Exception as exc:  # re-tag with the refit stage
                 raise NuisanceError(f"{group[0][0]}: {exc}") from exc
             for (role, _), fit in zip(group, fits):
-                if isinstance(fit, GlmError):
-                    raise NuisanceError(f"{role}: {fit}") from fit
-                refitted[role] = (fit, np.asarray(predict_mean(fit, X)))
+                refitted[role] = (_tagged(role, fit, comp.failures), np.asarray(predict_mean(fit, X)))
             del X
     b, b_prime, b_dd = _compose_linear(coding, dataset, [refitted[role] for role in roles])[:3]
     term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)

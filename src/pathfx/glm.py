@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,18 +136,23 @@ class FittedGlm:
     """A fitted regression: family, coefficients, and convergence state.
 
     A batch fit (``fit_glm`` with ``(B, n)`` weights or a stack of
-    designs) holds ``(B, p)`` coefficients and per-replicate ``converged``
-    and ``iterations`` arrays.
+    designs) holds ``(B, p)`` coefficients, per-replicate ``iterations``
+    and ``errors``, the ``{b: GlmError}`` of its failed (NaN) replicates.
     """
 
     family: Family
     coef: np.ndarray
-    converged: bool
     iterations: int
     design: DesignSpec | None = None
+    errors: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coef.setflags(write=False)
+
+    @property
+    def converged(self) -> bool | np.ndarray:
+        """False at a batch's failed replicates; a single fit that fails raises."""
+        return self.coef.ndim == 1 or ~np.isin(np.arange(len(self.coef)), list(self.errors))
 
 
 def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, *, batch: bool = False):
@@ -320,13 +325,12 @@ def _least_squares(X, ys, weights=None, *, design: DesignSpec | None = None) -> 
     out = []
     for coef, errors in _solve(X, W, rhs, labels):
         # a finite X'WX passes the guard whatever its right-hand side
-        if not np.isfinite(coef).all():
-            for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
-                errors.setdefault(int(b), _not_finite())
+        for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
+            errors.setdefault(int(b), _not_finite())
         if batch:
-            out.append(_batch_fit(Family.GAUSSIAN, coef, np.zeros(len(coef), dtype=int), errors, design))
+            out.append(FittedGlm(Family.GAUSSIAN, coef, np.zeros(len(coef), dtype=int), design, errors))
         else:
-            out.append(errors[0] if errors else FittedGlm(Family.GAUSSIAN, coef[0], True, 0, design))
+            out.append(errors[0] if errors else FittedGlm(Family.GAUSSIAN, coef[0], 0, design))
     return out
 
 
@@ -777,13 +781,6 @@ def _start(start, p: int) -> np.ndarray:
     return coef
 
 
-def _batch_fit(family: Family, coef, iterations, errors, design) -> FittedGlm:
-    """A batch's ``FittedGlm``: the replicates in ``errors`` did not converge."""
-    converged = np.ones(len(coef), dtype=bool)
-    converged[list(errors)] = False
-    return FittedGlm(family, coef, converged, iterations, design)
-
-
 def fit_glm_irls(
     X: np.ndarray,
     y: np.ndarray,
@@ -830,7 +827,7 @@ def fit_glm_irls(
                                             design.labels if design is not None else None)
     if errors:
         raise errors[0]
-    return FittedGlm(family, coef[0], True, int(iterations[0]), design)
+    return FittedGlm(family, coef[0], int(iterations[0]), design)
 
 
 def _check_binary(y: np.ndarray) -> None:
@@ -855,8 +852,8 @@ def fit_glm(
     arrays.  A stack of designs X ``(B, n, p)``, with y and weights (None
     or given) ``(B, n)``, is such a batch whose replicate b fits its own
     X[b] and y[b] (a chunk of Monte Carlo datasets).  A replicate whose fit
-    fails raises nothing; its coefficients are NaN and ``converged`` is
-    False, and so is one whose weights hold a NaN or an inf.  Each
+    fails raises nothing; its coefficients are NaN, ``errors[b]`` is its
+    ``GlmError``, and so is one whose weights hold a NaN or an inf.  Each
     replicate's separation test is its single fit's: a row is present when
     its weight is positive, whatever the weight.
     """
@@ -871,7 +868,7 @@ def fit_glm(
     prior = np.ones(y.shape) if W is None else W
     coef, iterations, errors = _score_batch(X, y, family, prior, _start(start, X.shape[-1]),
                                             design.labels if design is not None else None)
-    return _batch_fit(family, coef, iterations, errors, design)
+    return FittedGlm(family, coef, iterations, design, errors)
 
 
 def predict_mean(fit: FittedGlm, X: np.ndarray) -> np.ndarray | float:

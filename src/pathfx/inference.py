@@ -99,29 +99,27 @@ def _draw_wild_weights(rng: np.random.Generator, n: int) -> np.ndarray:
 CHUNK_ELEMENTS = 2**14
 
 
-def _run_chunked(count: int, n: int, batch: Callable[[int, int], np.ndarray],
-                 single: Callable[[int], None], values: np.ndarray) -> None:
-    """Fill ``values`` (count, ...) one chunk of replicates at a time.
+def _run_chunked(count: int, n: int, batch: Callable[[int, int], tuple[np.ndarray, dict]],
+                 values: np.ndarray) -> dict[int, str]:
+    """Fill ``values`` (count, ...) one chunk of replicates at a time, and
+    return the ``{r: reason}`` of the failed replicates in replicate order.
 
     A chunk holds ``max(1, CHUNK_ELEMENTS // n)`` replicates of n rows, so
     its size depends on n alone.  ``batch(lo, hi)`` returns the values of
-    replicates lo to hi - 1.  A chunk whose batch raises, and every
-    replicate whose value is not finite, is evaluated again by
-    ``single(r)``, which writes ``values[r]`` (left NaN on failure) and
-    records its own failure, so that failures, their messages and their order are those of
-    evaluating every replicate alone.
+    replicates lo to hi - 1 and the ``{r - lo: reason}`` of those that
+    failed.  A chunk whose batch raises fails all its replicates with that
+    text.  Each replicate is evaluated once.
     """
     size = max(1, CHUNK_ELEMENTS // n)
+    reasons: dict[int, str] = {}
     for lo in range(0, count, size):
         hi = min(lo + size, count)
         try:
-            values[lo:hi] = batch(lo, hi)
-        except Exception:  # noqa: BLE001 - the replicates below say what failed
-            pass
-        redo = ~np.isfinite(values[lo:hi].reshape(hi - lo, -1)).all(axis=1)
-        for r in lo + np.flatnonzero(redo):
-            values[r] = np.nan
-            single(int(r))
+            values[lo:hi], failed = batch(lo, hi)
+        except Exception as exc:  # noqa: BLE001 - a failure is data: the chunk's replicates carry it
+            failed = dict.fromkeys(range(hi - lo), str(exc))
+        reasons.update((lo + b, failed[b]) for b in sorted(failed))
+    return reasons
 
 
 def bootstrap(
@@ -130,7 +128,7 @@ def bootstrap(
     spec: BootstrapSpec,
     *,
     point: float | list[float] | np.ndarray | None = None,
-    batch: Callable[[np.ndarray], np.ndarray] | None = None,
+    batch: Callable[[np.ndarray], tuple[np.ndarray, dict]] | None = None,
 ) -> IntervalEstimate:
     """Percentile bootstrap of ``statistic(dataset, weights)``.
 
@@ -139,20 +137,18 @@ def bootstrap(
     rows with one i.i.d. Exp(1) weight per row applied to every fit and every
     empirical mean.  It returns a scalar or an array; replicate values have
     shape ``(replicates,) + shape(point)``.  A replicate that raises or
-    has any NaN component fails for every component; failures are tolerated
+    has any NaN component fails, and is NaN, for every component; failures are tolerated
     up to 10% and reported in ``errors``, one message per failed replicate
     in replicate order.  A caller already holding ``statistic(dataset,
     None)`` passes it as ``point`` to spare that evaluation.
 
-    ``batch(W)``, when given, evaluates the same statistic for a chunk of
-    replicates at once from their ``(B, n)`` weight matrix ``W`` on the
-    original rows: it returns what ``statistic`` returns with every scalar
-    replaced by the ``(B,)`` array of replicate values.  Wild rows are
-    the Exp(1) draws; nonparametric rows are frequency weights, the
-    ``bincount`` of the resampled indices.  Chunks run by ``_run_chunked``:
-    a chunk whose batch raises, and every replicate whose batch value is not
-    finite, is evaluated again by ``statistic`` one replicate at a time, so
-    failures and their messages are the per-replicate ones.
+    ``batch(W)``, when given, evaluates the replicates instead, a chunk at
+    a time (``_run_chunked``), from their ``(B, n)`` weight matrix ``W`` on
+    the original rows: it returns what ``statistic`` returns with every
+    scalar replaced by the ``(B,)`` array of replicate values, and the
+    ``{b: message}`` of its failed replicates.  Wild rows are the Exp(1)
+    draws; nonparametric rows are frequency weights, the ``bincount`` of
+    the resampled indices.
 
     Replicates run one after another in the calling thread.  Replicate ``r``
     draws its weights from ``derived_rng(seed, r)``, so its value depends on
@@ -170,31 +166,28 @@ def bootstrap(
         return _draw_wild_weights(rng, n)
 
     values = np.full((spec.replicates,) + point.shape, np.nan)
-    raised: dict[int, str] = {}
-
-    def run(r: int):
-        try:
-            if spec.kind == "nonparametric":
-                values[r] = statistic(dataset.take(draw(r)), None)
-            else:
-                values[r] = statistic(dataset, draw(r))
-        except Exception as exc:  # noqa: BLE001 - replicate failures are data
-            raised[r] = str(exc)
-
-    def chunk(lo: int, hi: int) -> np.ndarray:
-        W = np.empty((hi - lo, n))
-        for r in range(lo, hi):
-            x = draw(r)
-            W[r - lo] = np.bincount(x, minlength=n) if spec.kind == "nonparametric" else x
-        return np.moveaxis(np.asarray(batch(W), dtype=float), -1, 0)
 
     if batch is None:
+        raised: dict[int, str] = {}
         for r in range(spec.replicates):
-            run(r)
+            x = draw(r)
+            try:
+                values[r] = statistic(dataset.take(x), None) if spec.kind == "nonparametric" else statistic(dataset, x)
+            except Exception as exc:  # noqa: BLE001 - replicate failures are data
+                raised[r] = str(exc)
     else:
-        _run_chunked(spec.replicates, n, chunk, run, values)
+        def chunk(lo: int, hi: int):
+            W = np.empty((hi - lo, n))
+            for r in range(lo, hi):
+                W[r - lo] = np.bincount(draw(r), minlength=n) if spec.kind == "nonparametric" else draw(r)
+            out, failed = batch(W)
+            return np.moveaxis(np.asarray(out, dtype=float), -1, 0), failed
+
+        raised = _run_chunked(spec.replicates, n, chunk, values)
 
     failed = np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)
+    failed[list(raised)] = True
+    values[failed] = np.nan
     errors = [f"replicate {r}: {raised.get(r, 'NaN value')}" for r in np.flatnonzero(failed)]
     ok = values[~failed]
     if len(errors) > 0.10 * spec.replicates:
@@ -287,13 +280,10 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
         raise InferenceError("the analytic variance is defined for the linear pathway")
     roles = _nested_model_roles(dataset.d1)
     for role in roles:
-        fit = fits[role]
-        if not fit.converged:
-            raise InferenceError(f"{role}: fit did not converge")
-        if fit.family is not Family.GAUSSIAN:
+        if fits[role].family is not Family.GAUSSIAN:
             raise InferenceError(
                 f"{role}: the analytic variance needs an identity-link gaussian fit, "
-                f"not {fit.family.value}"
+                f"not {fits[role].family.value}"
             )
     g_hat, grads = _nested_mean_and_gradient(dataset, fits)
     n = dataset.n

@@ -90,6 +90,17 @@ class NuisanceError(RuntimeError):
     """A working-model failure, tagged with the role it came from."""
 
 
+def _reject(bad, error: Callable, failures: dict | None):
+    """The one check of a failure kind: ``bad`` is a bool for a single
+    evaluation, which raises ``error(())``, or one per replicate of a batch,
+    which records ``str(error(b))`` for each failing b without a reason yet."""
+    if np.ndim(bad) == 0 and bad:
+        raise error(())
+    for b in np.flatnonzero(bad) if failures is not None else ():
+        failures.setdefault(int(b), str(error(b)))
+    return bad
+
+
 class PositivityError(NuisanceError):
     def __init__(self, role: str, index: int, value: float):
         super().__init__(
@@ -205,6 +216,7 @@ class NuisanceFits:
     coding: PairCoding
     pathway: str
     d1: int
+    failures: dict = field(default_factory=dict)  # a batch's {b: reason}
 
     def __getitem__(self, role: str) -> FittedGlm:
         try:
@@ -267,9 +279,9 @@ def fit_nuisances(
 
     ``(B, n)`` weights fit a batch of replicates: every role is fitted for
     all B weight rows (see ``glm.fit_glm``); a replicate whose fit fails has
-    NaN coefficients rather than raising.  A stacked dataset (see
-    ``core.Dataset``) is such a batch too, each design a stack of
-    per-replicate designs.
+    NaN coefficients and its role-tagged message in ``failures`` rather than
+    raising.  A stacked dataset (see ``core.Dataset``) is such a batch too,
+    each design a stack of per-replicate designs.
     """
     if coding is None:
         coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -289,16 +301,25 @@ def fit_nuisances(
         designs[role] = design
         groups.setdefault(design, []).append(role)
     fitted: dict[str, FittedGlm | GlmError] = {}
+    failures: dict[int, str] = {}
     for role, design in designs.items():
         if role not in fitted:
             try:
                 fitted.update(_fit_group(dataset, design, groups[design], working_set, weights, start))
             except GlmError as exc:
                 raise NuisanceError(f"{role}: {exc}") from exc
-        if isinstance(fitted[role], GlmError):
-            raise NuisanceError(f"{role}: {fitted[role]}") from fitted[role]
+        _tagged(role, fitted[role], failures)
     fits = {role: fitted[role] for role in designs}
-    return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1)
+    return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1, failures=failures)
+
+
+def _tagged(role: str, fit: FittedGlm | GlmError, failures: dict) -> FittedGlm:
+    """``fit`` of ``role``: a single fit's ``GlmError`` raises, a batch's failures join ``failures``."""
+    if isinstance(fit, GlmError):
+        raise NuisanceError(f"{role}: {fit}") from fit
+    for b, exc in fit.errors.items():
+        failures.setdefault(b, f"{role}: {exc}")
+    return fit
 
 
 def _fit_group(dataset: Dataset, design: DesignSpec, roles: list[str], working_set: WorkingModelSet,
@@ -334,23 +355,24 @@ def _fit_group(dataset: Dataset, design: DesignSpec, roles: list[str], working_s
 # propensity handling
 
 
-def _clip_probs(p: np.ndarray, clip: tuple[float, float] | None, role: str, weights=None):
+def _clip_probs(p: np.ndarray, clip: tuple[float, float] | None, role: str, weights, failures: dict):
     """Clipped probabilities and the clip count (one per replicate for a batch).
 
-    Without clipping a degenerate probability raises ``PositivityError``; in
-    a batch it voids (sets to NaN) the replicates that weight its record.
+    Without clipping, a degenerate probability fails its replicate
+    (``_reject``, ``PositivityError``) at a record of positive weight; at a
+    record without weight, absent from its replicate, it becomes 1/2, which
+    enters every weighted mean as 0, as the record's other values do.
     """
     if clip is None:
-        bad = (p <= 0.0) | (p >= 1.0)
-        if p.ndim == 2:
-            if weights is not None:
-                bad &= np.asarray(weights) > 0
-            return np.where(bad.any(axis=1)[:, None], np.nan, p), np.zeros(p.shape[0], dtype=int)
-        bad = np.flatnonzero(bad)
-        if bad.size:
-            i = int(bad[0])
-            raise PositivityError(role, i, float(p[i]))
-        return p, 0
+        degenerate = (p <= 0.0) | (p >= 1.0)
+        if weights is not None:
+            absent = np.asarray(weights) <= 0
+            p = np.where(degenerate & absent, 0.5, p)
+            degenerate &= ~absent
+        first = degenerate.argmax(axis=-1)  # each replicate's first degenerate record
+        bad = _reject(degenerate.any(axis=-1), lambda b: PositivityError(
+            role, int(first[b]), float(p[b][first[b]])), failures)
+        return np.where(bad[..., None], np.nan, p), np.zeros(p.shape[:-1], dtype=int)
     lo, hi = clip
     outside = (p < lo) | (p > hi)
     n_clipped = np.count_nonzero(outside, axis=1) if p.ndim == 2 else int(np.count_nonzero(outside))
@@ -366,6 +388,7 @@ def stabilize_probabilities(
     p_level: np.ndarray,
     ind_level: np.ndarray,
     weights: np.ndarray | None = None,
+    failures: dict | None = None,
 ) -> np.ndarray:
     """Logit-shift a probability array so its inverse-probability weights are bounded.
 
@@ -375,24 +398,20 @@ def stabilize_probabilities(
     algebraic identity of the shift; as a consequence the weights
     ``ind_level / p'`` average to exactly 1.  With a leading replicate axis
     (on ``p_level`` or ``weights``) each replicate gets its own shift, and a
-    replicate that one array would reject is voided (NaN) instead.
+    replicate that one array would reject is NaN, its reason in ``failures``.
     """
     p_level = np.asarray(p_level, dtype=float)
     ind_level = np.asarray(ind_level, dtype=float)
-    outside = np.any((p_level <= 0.0) | (p_level >= 1.0), axis=-1)
     share = wmean(ind_level, weights)
-    degenerate = (share <= 0.0) | (share >= 1.0)
-    if p_level.ndim == 1 and np.ndim(share) == 0:
-        if outside:
-            raise NuisanceError("stabilization requires probabilities strictly inside (0, 1)")
-        if degenerate:
-            raise NuisanceError(
-                f"stabilization is degenerate: the designated level has empirical share {share}"
-            )
+    bad = _reject(np.any((p_level <= 0.0) | (p_level >= 1.0), axis=-1), lambda b: NuisanceError(
+        "stabilization requires probabilities strictly inside (0, 1)"), failures)
+    bad = bad | _reject((share <= 0.0) | (share >= 1.0), lambda b: NuisanceError(
+        f"stabilization is degenerate: the designated level has empirical share {float(np.asarray(share)[b])}"),
+        failures)
     with np.errstate(divide="ignore", invalid="ignore"):
         odds_sum = wmean(ind_level * (1.0 - p_level) / p_level, weights)
         # the shift multiplies every odds by k = odds_sum / (1 - share)
-        k = np.where(outside | degenerate, np.nan, odds_sum / (1.0 - share))[..., None]
+        k = np.where(bad, np.nan, odds_sum / (1.0 - share))[..., None]
         pk = p_level * k
         return pk / (1.0 - p_level + pk)
 
@@ -426,7 +445,8 @@ def _propensity_probs(
     roles: Iterable[str],
     clip: tuple[float, float] | None,
     clip_counts: dict,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray | None,
+    failures: dict,
 ) -> dict[str, np.ndarray]:
     """Clipped comparison-level probabilities of each named propensity model.
 
@@ -436,7 +456,7 @@ def _propensity_probs(
     roles = list(dict.fromkeys(roles))
     probs = {}
     for role, (_, p) in zip(roles, _predictions(dataset, [(fits[role], None) for role in roles])):
-        probs[role], n_clipped = _clip_probs(p, clip, role, weights)
+        probs[role], n_clipped = _clip_probs(p, clip, role, weights, failures)
         if np.count_nonzero(n_clipped):
             clip_counts[role] = n_clipped
     return probs
@@ -448,12 +468,13 @@ def _ratio(
     ind_comparison: np.ndarray,
     stabilize: bool,
     weights: np.ndarray | None,
+    failures: dict,
 ) -> np.ndarray:
     """(numerator-model odds of comparison vs baseline) x (denominator-model inverse odds)."""
     p_num, p_den = probs[roles[0]], probs[roles[1]]
     if stabilize:
-        p_num = stabilize_probabilities(p_num, ind_comparison, weights)
-        p_den = stabilize_probabilities(p_den, ind_comparison, weights)
+        p_num = stabilize_probabilities(p_num, ind_comparison, weights, failures)
+        p_den = stabilize_probabilities(p_den, ind_comparison, weights, failures)
     return p_num / (1.0 - p_num) * (1.0 - p_den) / p_den
 
 
@@ -628,6 +649,7 @@ class NuisanceComponents:
     b_doubleprime: np.ndarray
     y0_marginal: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    failures: dict = field(default_factory=dict)
 
 
 def compute_components(
@@ -646,12 +668,13 @@ def compute_components(
     fits no propensity model, so its propensities and ratios are all one.
 
     Batch fits (``fit_nuisances`` with ``(B, n)`` weights, passed here too)
-    give every per-record array and diagnostic a leading replicate axis; a
-    replicate that the single-fit path would reject (a degenerate
-    probability without clipping, a degenerate stabilization) is NaN.
+    give every per-record array and diagnostic a leading replicate axis.
+    ``failures`` holds each failed replicate's first message in evaluation
+    order: the fits', positivity and stabilization, then the estimators'.
     """
     coding = fits.coding
     diagnostics: dict = {"clip_counts": {}}
+    failures = dict(fits.failures)
     ind_comp = coding.ind_comparison(dataset.e)
     ind_base = coding.ind_baseline(dataset.e)
 
@@ -660,13 +683,13 @@ def compute_components(
         mr, cr = np.ones(dataset.n), np.ones(dataset.n)
     else:
         roles = [ROLE_PROP_BASE, *fits.m_ratio_roles(), *fits.c1_ratio_roles()]
-        probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], weights)
+        probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], weights, failures)
         p_comparison = probs[ROLE_PROP_BASE]
         if stabilize.base:
-            p_comparison = stabilize_probabilities(p_comparison, ind_comp, weights)
+            p_comparison = stabilize_probabilities(p_comparison, ind_comp, weights, failures)
         p_baseline = 1.0 - p_comparison
-        mr = _ratio(probs, fits.m_ratio_roles(), ind_comp, stabilize.m_ratio, weights)
-        cr = _ratio(probs, fits.c1_ratio_roles(), ind_comp, stabilize.c1_ratio, weights)
+        mr = _ratio(probs, fits.m_ratio_roles(), ind_comp, stabilize.m_ratio, weights, failures)
+        cr = _ratio(probs, fits.c1_ratio_roles(), ind_comp, stabilize.c1_ratio, weights, failures)
         del probs  # a batch reaches its peak memory in the nested means
 
     b, b_prime, b_dd, y0 = _nested_means(fits, dataset)
@@ -688,6 +711,7 @@ def compute_components(
         b_doubleprime=b_dd,
         y0_marginal=y0,
         diagnostics=diagnostics,
+        failures=failures,
     )
 
 

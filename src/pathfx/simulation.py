@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Dataset, DesignSpec, PairCoding, TreatmentPair
 from .estimators import BETA_KINDS, beta_of_kind
-from .glm import Family, GlmError, _expit
+from .glm import Family, _expit
 from .inference import derived_rng, mc_t_test, _run_chunked
 from .nuisance import (
     ROLE_MARGINAL,
@@ -32,7 +32,6 @@ from .nuisance import (
     ROLE_PROP_C1_IN_M_RATIO,
     ROLE_PROP_M,
     ModelSpec,
-    NuisanceError,
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
@@ -476,11 +475,11 @@ def run_monte_carlo(
     pass of each estimator serve the whole chunk.  Every fit and product of
     a stacked replicate is the same BLAS call as on its dataset alone, so a
     replicate's values depend on the seed and its index only, not on the
-    replicate count or its chunk-mates.  A chunk that raises, and every
-    replicate with a value that is not finite, is evaluated again alone.
-    Per-replicate failures are tolerated up to 1% of the runs; failed
-    replicates are dropped from the summaries.  The failure an error quotes
-    first is the lowest-numbered one.
+    replicate count or its chunk-mates.  A replicate that fails a fit or
+    a component check is NaN for every estimator, one whose ``mr_seq``
+    refit fails for ``mr_seq``.  Per-replicate failures are tolerated up to
+    1% of the runs; failed replicates are dropped from the summaries.  The
+    failure an error quotes first is the lowest-numbered one.
     """
     models = working_models_for(spec.regime)
     stab = stabilize if stabilize is not None else models.stabilize
@@ -490,37 +489,25 @@ def run_monte_carlo(
         if kind not in BETA_KINDS:
             raise SimulationError(f"unknown estimator kind {kind!r}")
 
-    def estimates(ds: Dataset):
-        fits = fit_nuisances(ds, models.working_set, coding)
-        comp = compute_components(ds, fits, stabilize=stab)
-        for kind in kinds:
-            yield beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
-
-    def chunk(lo: int, hi: int) -> np.ndarray:
+    def chunk(lo: int, hi: int):
         drawn = [draw_dataset(spec.n, spec.seed, rep=r + 1) for r in range(lo, hi)]
-        stacked = Dataset(**{f.name: np.stack([getattr(ds, f.name) for ds in drawn])
-                             for f in fields(Dataset)})
+        ds = Dataset(**{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(Dataset)})
         del drawn
-        return np.stack(list(estimates(stacked)), axis=-1)
+        comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=stab)
+        unfitted = list(comp.failures)
+        out = np.stack([beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
+                        for kind in kinds], axis=-1)
+        out[unfitted] = np.nan
+        return out, comp.failures
 
     table = np.full((spec.replications, len(kinds)), np.nan)  # replicate x estimator
-    failures: list[str] = []
-
-    def alone(r: int) -> None:
-        try:
-            for k, value in enumerate(estimates(draw_dataset(spec.n, spec.seed, rep=r + 1))):
-                table[r, k] = value
-        except (GlmError, NuisanceError) as exc:
-            failures.append(f"replicate {r + 1}: {exc}")
-
-    _run_chunked(spec.replications, spec.n, chunk, alone, table)
+    failures = _run_chunked(spec.replications, spec.n, chunk, table)
     values = dict(zip(kinds, np.ascontiguousarray(table.T)))
 
     n_failed = len(failures)
     if n_failed > 0.01 * spec.replications:
-        raise SimulationError(
-            f"{n_failed}/{spec.replications} replicates failed; first: {failures[0]}"
-        )
+        r, reason = next(iter(failures.items()))
+        raise SimulationError(f"{n_failed}/{spec.replications} replicates failed; first: replicate {r + 1}: {reason}")
 
     hypothesized = closed_form_beta0()
     summaries = []

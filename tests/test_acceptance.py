@@ -339,19 +339,19 @@ def test_criterion_8_sandwich_matches_bootstrap():
 def test_criterion_9_bootstrap_coverage():
     models = working_models_for("int", include_marginal=True)
 
-    def effect_statistic(data, weights):
+    def effect_and_failures(data, weights):
         f = fit_nuisances(data, models.working_set, CODING, weights=weights)
         comp = compute_components(data, f, stabilize=models.stabilize, weights=weights)
-        return beta_mr(data, comp, weights) - delta_aipw(data, comp, weights)
+        return beta_mr(data, comp, weights) - delta_aipw(data, comp, weights), comp.failures
 
     covered = 0
     outer = 200
     for r in range(outer):
         ds = draw_dataset(1000, 90, rep=r + 1)
         interval = bootstrap(
-            ds, effect_statistic,
+            ds, lambda data, weights: effect_and_failures(data, weights)[0],
             BootstrapSpec(kind="nonparametric", replicates=200, seed=9000 + r),
-            batch=lambda W: effect_statistic(ds, W),
+            batch=lambda W: effect_and_failures(ds, W),
         )
         if interval.lower <= TARGET_EFFECT <= interval.upper:
             covered += 1

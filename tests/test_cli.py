@@ -11,10 +11,13 @@ from scipy.special import expit
 import pathfx.cli as cli_mod
 import pathfx.glm as glm_mod
 import pathfx.inference as inference_mod
+import pathfx.simulation as simulation_mod
 from pathfx.cli import main
-from pathfx.core import build_design_matrix, dataset_from_arrays, write_csv
+from pathfx.core import PairCoding, TreatmentPair, build_design_matrix, dataset_from_arrays, write_csv
+from pathfx.estimators import beta_of_kind
 from pathfx.glm import predict_mean
 from pathfx.inference import derived_rng
+from pathfx.nuisance import compute_components, fit_nuisances, stabilize_probabilities
 from pathfx.simulation import draw_dataset
 
 
@@ -324,17 +327,18 @@ class TestEstimateCommand:
             replicate_of = _replicate_of(spec, ds.n)
 
             def chunk(weights):
-                # the batch voids replicates 4 and 17; only they are re-run alone
-                values = np.array(batch(weights), dtype=float)
+                # the batch fails replicates 4 and 17, with their reasons
+                values, failures = batch(weights)
+                values = np.array(values, dtype=float)
                 for b, row in enumerate(weights):
                     if replicate_of(row) in (4, 17):
                         values[:, b] = np.nan
-                return values
+                        failures[b] = f"synthetic failure {replicate_of(row)}"
+                return values, failures
 
             def stat(data, weights):
-                r = replicate_of(weights)
-                assert r in (4, 17), f"replicate {r} left the batch"
-                raise ValueError(f"synthetic failure {r}")
+                assert weights is None, "a replicate left the batch"
+                return statistic(data, weights)
 
             return real_bootstrap(ds, stat, spec, batch=chunk, **kwargs)
 
@@ -389,6 +393,21 @@ def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
     return intervals[0], starts, fitted, weights
 
 
+def _steep_data(seed):
+    """The steep-exposure data of the near-separation test: ``e ~ expit(5 c0_1)``, n = 200."""
+    rng = np.random.default_rng(seed)
+    ds = draw_dataset(200, seed)
+    return dataset_from_arrays(ds.c0, (rng.random(ds.n) < expit(5.0 * ds.c0[:, 0])).astype(int), ds.c1, ds.m, ds.y)
+
+
+def _rare_data():
+    """c0_1 is 1 on three of 60 rows, of which row 0 alone is unexposed."""
+    ds = draw_dataset(60, 4)
+    c0 = np.zeros_like(ds.c0)
+    c0[:3, 0] = 1.0
+    return dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y)
+
+
 class TestBootstrapWarmStart:
     @pytest.mark.parametrize("kind", ["wild_exp1", "nonparametric"])
     @pytest.mark.parametrize("probit", [False, True], ids=["logit", "probit"])
@@ -411,27 +430,30 @@ class TestBootstrapWarmStart:
         # both stop within the score tolerance of one maximum; measured <= 6.1e-13
         np.testing.assert_allclose(warm.replicate_values, cold.replicate_values, rtol=1e-9, atol=0.0)
 
+    @staticmethod
+    def _steep(tmp_path, seed):
+        """An exposure nearly determined by c0_1, ``e ~ expit(5 c0_1)`` on
+        n = 200: a few bootstrap replicates separate.  Returns the data and
+        the ``estimate`` arguments of a 40-replicate bootstrap of it without
+        clipping, short of the bootstrap kind."""
+        data = _steep_data(seed)
+        path = tmp_path / "steep.csv"
+        write_csv(data, path)
+        return data, ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
+                      "--estimator", "mle,mr", "--reps", "40", "--seed", "3", "--clip", "none", "--bootstrap"]
+
     @pytest.mark.parametrize("kind, seed", [("nonparametric", 1), ("wild_exp1", 2)])
     def test_near_separation_fails_the_same_replicates(self, kind, seed, tmp_path, monkeypatch, capsys):
-        # an exposure nearly determined by c0_1: a few replicates separate
-        rng = np.random.default_rng(seed)
-        ds = draw_dataset(200, seed)
-        e = (rng.random(ds.n) < expit(5.0 * ds.c0[:, 0])).astype(int)
-        path = tmp_path / "steep.csv"
-        write_csv(dataset_from_arrays(ds.c0, e, ds.c1, ds.m, ds.y), path)
-        argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
-                "--estimator", "mle,mr", "--bootstrap", kind, "--reps", "40", "--seed", "3",
-                "--clip", "none"]
+        data, argv = self._steep(tmp_path, seed)
+        argv.append(kind)
         warm, _, warm_fits, weights = _bootstrap_run(argv, monkeypatch)
         cold, _, cold_fits, _ = _bootstrap_run(argv, monkeypatch, cold=True)
         alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
         capsys.readouterr()
         assert warm.errors
-        # one chunk of all 40 replicates; only the failed ones are re-run alone
-        assert weights[1].shape == (40, ds.n)
-        assert sum(w is None or np.ndim(w) == 1 for w in weights[2:]) == len(warm.errors)
-        # the per-replicate path reports the same failures, byte for byte
-        assert warm.errors == alone.errors
+        # the point fit, then one chunk of all 40 replicates: each replicate,
+        # failed or not, is evaluated once
+        assert [np.shape(w) for w in weights] == [(), (40, data.n)]
 
         def kinds(errors):
             # a separated fit stops after fewer iterations, at other score and
@@ -439,8 +461,14 @@ class TestBootstrapWarmStart:
             return [(int(text.split(":")[0].split()[1]), re.sub(r"\d+(\.\d+)?(e[-+]\d+)?", "#", text))
                     for text in errors]
 
+        # the per-replicate path reports the same failures: byte for byte for
+        # a wild replicate, whose batch row is bitwise its single evaluation;
+        # a nonparametric one names a record of the original rows, and the
+        # per-replicate path a row of its resample
+        if kind == "wild_exp1":
+            assert warm.errors == alone.errors
+        assert kinds(warm.errors) == kinds(alone.errors)
         assert kinds(warm.errors) == kinds(cold.errors)
-        data = dataset_from_arrays(ds.c0, e, ds.c1, ds.m, ds.y)
         binomial = [(role, fit) for role, fit in warm_fits[1].fits.items() if fit.family.is_binomial]
         # The effects of every replicate whose fitted propensities all keep
         # 1 - p above a few ulp.  With clipping off, 1 - p is only a few ulp
@@ -463,16 +491,59 @@ class TestBootstrapWarmStart:
             eta_warm, eta_cold = warm_fit.coef[both] @ X.T, cold_fit.coef[both] @ X.T
             np.testing.assert_allclose(eta_warm, eta_cold, rtol=1e-8, atol=0.0)
 
+    def test_a_nonparametric_positivity_failure_names_a_drawn_record(self, tmp_path, monkeypatch, capsys):
+        # a batch row weights each original record by how often the
+        # resample drew it, and its positivity check looks at the drawn
+        # records alone: the record it names was drawn, and its fitted
+        # probability is the degenerate value quoted
+        data, argv = self._steep(tmp_path, 1)
+        argv.append("nonparametric")
+        interval, _, fitted, weights = _bootstrap_run(argv, monkeypatch)
+        capsys.readouterr()
+        pattern = r"replicate (\d+): (\w+): fitted probability (\S+) at record (\d+) is degenerate; "
+        named = [re.match(pattern, text) for text in interval.errors]
+        assert named and all(named)
+        for match in named:
+            r, role, value, i = int(match[1]), match[2], float(match[3]), int(match[4])
+            fit = fitted[1][role]
+            p = predict_mean(fit, build_design_matrix(data, fit.design))[r]
+            assert weights[1][r, i] > 0
+            assert p[i] == value and value in (0.0, 1.0)
+            # and it is the first drawn record at 0 or 1
+            assert i == np.flatnonzero((weights[1][r] > 0) & ((p <= 0.0) | (p >= 1.0)))[0]
+
+    def test_a_degenerate_probability_at_an_undrawn_record_leaves_its_replicate(self, tmp_path, monkeypatch,
+                                                                                 capsys):
+        # one unexposed record far out on c0_1: a resample that does not
+        # draw it fits a steep propensity, which is 1.0 at that record.  The
+        # record is absent from the replicate, as from its resample.
+        rng = np.random.default_rng(5)
+        ds = draw_dataset(200, 5)
+        c0 = ds.c0.copy()
+        e = (rng.random(ds.n) < expit(2.0 * (c0[:, 0] - 1.0))).astype(int)
+        c0[0, 0], e[0] = 40.0, 0
+        data = dataset_from_arrays(c0, e, ds.c1, ds.m, ds.y)
+        path = tmp_path / "outlier.csv"
+        write_csv(data, path)
+        argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0", "--estimator", "mle,mr,mr_seq",
+                "--bootstrap", "nonparametric", "--reps", "40", "--seed", "3", "--clip", "none", "--stabilize", "all"]
+        batched, _, fitted, weights = _bootstrap_run(argv, monkeypatch)
+        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        capsys.readouterr()
+        fit = fitted[1]["prop_base"]
+        p = predict_mean(fit, build_design_matrix(data, fit.design))
+        assert (p[weights[1][:, 0] == 0, 0] == 1.0).sum() >= 5
+        assert batched.errors == alone.errors == []
+        np.testing.assert_allclose(batched.replicate_values, alone.replicate_values, rtol=1e-8, atol=0.0)
+
     @staticmethod
     def _rare_csv(tmp_path):
-        """c0_1 is 1 on three of 60 rows, of which one is unexposed."""
-        ds = draw_dataset(60, 4)
-        c0 = np.zeros_like(ds.c0)
-        c0[:3, 0] = 1.0
-        assert list(ds.e[:3]) == [0, 1, 1]
+        """``_rare_data`` as a CSV file, and the exposure of its three rare rows."""
+        data = _rare_data()
+        assert list(data.e[:3]) == [0, 1, 1]
         path = tmp_path / "rare.csv"
-        write_csv(dataset_from_arrays(c0, ds.e, ds.c1, ds.m, ds.y), path)
-        return str(path), ds.e[:3]
+        write_csv(data, path)
+        return str(path), data.e[:3]
 
     def test_rank_deficient_replicates_fail_in_the_qr_fallback(self, tmp_path, monkeypatch, capsys):
         # A resample that draws none of the rare rows leaves c0_1 zero, and
@@ -633,8 +704,8 @@ class TestBatchedBootstrap:
         capsys.readouterr()
         assert len(failing.errors) == 1 and failing.errors[0].startswith("replicate 13: ")
         assert failing.errors == alone.errors
-        # only replicate 13 is re-evaluated alone; its chunk-mates keep their batched values
-        assert [np.ndim(w) for w in weights] == [0, 2, 2, 1]
+        # no replicate is evaluated again alone, and its chunk-mates keep their batched values
+        assert [np.ndim(w) for w in weights] == [0, 2, 2]
         assert np.isnan(failing.replicate_values[13]).all()
         kept = np.arange(20) != 13
         assert np.array_equal(failing.replicate_values[kept], clean.replicate_values[kept])
@@ -647,6 +718,167 @@ class TestBatchedBootstrap:
             self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=7), monkeypatch)
         capsys.readouterr()
         assert np.array_equal(few.replicate_values, many.replicate_values[:7])
+
+
+def _baseline_c1_2_constant(ds, keep=0):
+    """``ds`` with c1_2 at 0 on the baseline arm but for its first ``keep``
+    records there: the outcome's refit on that arm loses rank at c1_2."""
+    c1 = ds.c1.copy()
+    c1[np.flatnonzero(ds.e == 0)[keep:], 1] = 0.0
+    return dataset_from_arrays(ds.c0, ds.e, c1, ds.m, ds.y)
+
+
+def _numbers_out(text):
+    return re.sub(r"\d+(\.\d+)?(e[-+]\d+)?", "#", text)
+
+
+class TestFailureParity:
+    """The reason a batch records for a failed replicate is the text that
+    evaluating that replicate alone raises: byte for byte for wild weights
+    and Monte Carlo datasets, whose batch rows are bitwise their single
+    evaluations, and up to numbers for nonparametric frequency weights,
+    which name records of the original rows where the resample names its
+    own rows."""
+
+    @staticmethod
+    def _bootstrap_case(data, kind, *, reps=40, seed=3, estimators=("mle", "mr"), config="", zero=None, **options):
+        """The batch's reasons and each replicate's evaluation alone, for a
+        bootstrap of ``estimate``'s statistic (``estimators`` with their
+        default delta estimators) on ``data``; ``zero`` maps replicates to
+        records whose wild weight is set to zero."""
+        ds, coding = cli_mod.recode_pair(data, cli_mod.TreatmentPair(1, 0))
+        cfg = cli_mod.EstimateConfig(working_set=cli_mod.default_working_set(ds.d0, ds.d1), **options)
+        if config:
+            models = dict(cfg.working_set.models)
+            for line in config.strip().splitlines():
+                role, text = line.split("=", 1)
+                models[role.strip()] = cli_mod._parse_model_line(role.strip(), text)
+            cfg = cli_mod.replace(cfg, working_set=cli_mod.WorkingModelSet(models))
+        pairs = [(beta, cli_mod.DEFAULT_DELTA_FOR[beta]) for beta in estimators]
+        if kind == "wild_exp1":
+            W = np.array([derived_rng(seed, r).exponential(1.0, ds.n) for r in range(reps)])
+            for r, rows in (zero or {}).items():
+                W[r, rows] = 0.0
+            alone = lambda r: cli_mod._estimates(ds, coding, cfg, pairs, W[r])
+        else:
+            drawn = [derived_rng(seed, r).integers(0, ds.n, size=ds.n) for r in range(reps)]
+            W = np.array([np.bincount(x, minlength=ds.n) for x in drawn], dtype=float)
+            alone = lambda r: cli_mod._estimates(ds.take(drawn[r]), coding, cfg, pairs)
+        return cli_mod._estimates(ds, coding, cfg, pairs, W)[1].failures, alone
+
+    @staticmethod
+    def _monte_carlo_case(monkeypatch, change, estimators):
+        """The reason ``simulate`` records for replicate 3 of 12 (the only
+        failing one), whose dataset ``change`` alters, and that dataset's
+        evaluation alone."""
+        real_draw = simulation_mod.draw_dataset
+        draw = lambda n, seed, *, rep: change(real_draw(n, seed, rep=rep)) if rep == 3 else real_draw(n, seed, rep=rep)
+        monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
+        spec = simulation_mod.SimulationSpec(regime="int", n=300, replications=12, seed=1)
+        with pytest.raises(simulation_mod.SimulationError) as err:
+            simulation_mod.run_monte_carlo(spec, estimators=estimators)
+        head, reason = str(err.value).split("; first: replicate 3: ", 1)
+        assert head == "1/12 replicates failed"
+        models = simulation_mod.working_models_for("int")
+        coding = PairCoding(pair=TreatmentPair(1, 0))
+
+        def alone(r):
+            ds = draw(spec.n, spec.seed, rep=r)
+            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=models.stabilize)
+            for kind in estimators:
+                beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
+
+        return {3: reason}, alone
+
+    # case: (the batch's reasons and the evaluation alone, what every reason says)
+    CASES = {
+        # a separated propensity: the exposure is set by c0_1 on one Monte Carlo dataset
+        "steep-exposure-monte-carlo": (lambda self, mp: self._monte_carlo_case(
+            mp, lambda ds: cli_mod.replace(ds, e=(ds.c0[:, 0] > 1.0).astype(int)), ("mle", "a", "b", "mr")),
+            "prop_base: the responses are separated: "),
+        # no clipping: the steep exposure's fitted propensities reach 1
+        "positivity-wild": (lambda self, mp: self._bootstrap_case(_steep_data(2), "wild_exp1", clip=None),
+                            " is degenerate; positivity is violated"),
+        "positivity-nonparametric": (lambda self, mp: self._bootstrap_case(
+            _steep_data(1), "nonparametric", clip=None), " is degenerate; positivity is violated"),
+        # a zero weight on the one unexposed c0_1 = 1 row leaves c0_1 = 1 on exposed rows alone
+        "quasi-separation-wild": (lambda self, mp: self._bootstrap_case(
+            _rare_data(), "wild_exp1", zero={2: [0], 5: [0], 11: [0]}), "the coefficient of c0_1 diverges"),
+        "quasi-separation-nonparametric": (lambda self, mp: self._bootstrap_case(_rare_data(), "nonparametric"),
+                                           "c0_1"),
+        # a resample that draws none of the rare rows leaves c0_1 zero
+        "rank-deficient-resample": (lambda self, mp: self._bootstrap_case(
+            _rare_data(), "nonparametric",
+            config="prop_base = logit: 1\nprop_c1 = logit: 1, c1_1, c1_2, c1_3\nprop_m = logit: 1, c1_1, c1_2, c1_3, m"),
+            "outcome: design matrix is rank deficient at c0_1"),
+        "mr-seq-refit-monte-carlo": (lambda self, mp: self._monte_carlo_case(
+            mp, _baseline_c1_2_constant, ("mle", "a", "b", "mr", "mr_seq")),
+            "outcome: design matrix is rank deficient at c1_2"),
+        # a resample that draws none of the three baseline-arm records with c1_2 set
+        "mr-seq-refit-nonparametric": (lambda self, mp: self._bootstrap_case(
+            _baseline_c1_2_constant(draw_dataset(400, 12), keep=3), "nonparametric", reps=60,
+            estimators=("mle", "mr_seq", "mr")), "outcome: design matrix is rank deficient at c1_2"),
+        # logit-shift stabilization of a probability at 0 or 1, or of a level without weight
+        "degenerate-stabilization": (lambda self, mp: self._stabilization_case(), "stabilization "),
+        # the outcome scaled and shifted so that the contrast mean lies near zero
+        "log-risk-ratio-wild": (lambda self, mp: self._bootstrap_case(
+            TestFailureParity._small_mean_data(), "wild_exp1", scale="log_risk_ratio"),
+            "log risk ratio needs positive means"),
+        "log-risk-ratio-nonparametric": (lambda self, mp: self._bootstrap_case(
+            TestFailureParity._small_mean_data(), "nonparametric", scale="log_risk_ratio"),
+            "log risk ratio needs positive means"),
+    }
+
+    @staticmethod
+    def _stabilization_batch():
+        """Probabilities, a level indicator and weights of four replicates:
+        replicate 1 has a probability at 1, replicate 2 no weight on the
+        level (its share is 0), and replicate 3 both, where the first check
+        wins."""
+        rng = np.random.default_rng(4)
+        ind = (rng.random(50) < 0.5).astype(float)
+        P, W = rng.uniform(0.2, 0.8, (4, 50)), rng.exponential(1.0, (4, 50))
+        P[1, 7], P[3, 9] = 1.0, 0.0
+        W[2:, ind == 1] = 0.0
+        return P, ind, W
+
+    @staticmethod
+    def _stabilization_case():
+        P, ind, W = TestFailureParity._stabilization_batch()
+        failures = {}
+        stabilize_probabilities(P, ind, W, failures)
+        return failures, lambda b: stabilize_probabilities(P[b], ind, W[b])
+
+    @staticmethod
+    def _small_mean_data():
+        ds = draw_dataset(300, 11)
+        return dataset_from_arrays(ds.c0, ds.e, ds.c1, ds.m, 0.05 * (ds.y - ds.y.mean()) + 0.07)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_the_batch_records_what_evaluating_the_replicate_alone_raises(self, case, monkeypatch):
+        build, says = self.CASES[case]
+        reasons, alone = build(self, monkeypatch)
+        assert reasons and all(says in reason for reason in reasons.values()), reasons
+        exact = "nonparametric" not in case and "resample" not in case
+        for r, reason in reasons.items():
+            with pytest.raises(Exception) as raised:
+                alone(r)
+            if exact:
+                assert str(raised.value) == reason, r
+            else:
+                assert _numbers_out(str(raised.value)) == _numbers_out(reason), r
+        # and a replicate that the batch keeps evaluates alone without raising
+        alone(min(set(range(max(reasons) + 2)) - set(reasons)))
+
+    def test_a_batch_stabilizes_each_replicate_as_alone(self):
+        P, ind, W = self._stabilization_batch()
+        failures = {}
+        batch = stabilize_probabilities(P, ind, W, failures)
+        assert failures == {1: "stabilization requires probabilities strictly inside (0, 1)",
+                            2: "stabilization is degenerate: the designated level has empirical share 0.0",
+                            3: "stabilization requires probabilities strictly inside (0, 1)"}
+        assert np.isnan(batch[1:]).all()
+        assert np.array_equal(batch[0], stabilize_probabilities(P[0], ind, W[0]))
 
 
 class TestOracleCommand:

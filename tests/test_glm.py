@@ -669,7 +669,7 @@ class TestBatchFit:
         mean = predict_mean(batch, X)
         assert np.isnan(mean[1]).all()
         for b in (0, 2, 3):
-            single = dataclasses.replace(batch, coef=batch.coef[b], converged=True, iterations=0)
+            single = dataclasses.replace(batch, coef=batch.coef[b], iterations=0, errors={})
             assert np.array_equal(mean[b], predict_mean(single, X))
         eta = batch.coef @ X.T
         terms = glm_mod._binomial_terms(family, eta, y, W)

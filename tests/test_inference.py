@@ -157,6 +157,50 @@ class TestBootstrap:
         clean = bootstrap(ds, lambda d, w: wmean(d.y, w), spec)
         assert clean.errors == [] and clean.n_failed == 0
 
+    @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
+    def test_a_batch_that_raises_fails_its_chunk(self, kind, monkeypatch):
+        # n = 40 and chunks of 10 replicates: the batch of the second chunk
+        # raises, and its replicates fail with that text alone, once each
+        ds = _toy_dataset()
+        spec = BootstrapSpec(kind=kind, replicates=110, seed=3)
+        monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", 10 * ds.n)
+        chunks = []
+
+        def batch(W):
+            chunks.append(len(chunks))
+            if chunks[-1] == 1:
+                raise ValueError("synthetic chunk failure")
+            return wmean(ds.y, W), {}
+
+        def stat(d, w):
+            assert w is None and d is ds, "a replicate left the batch"
+            return wmean(d.y, w)
+
+        clean = bootstrap(ds, stat, spec, batch=lambda W: (wmean(ds.y, W), {}))
+        chunks.clear()
+        out = bootstrap(ds, stat, spec, batch=batch)
+        assert chunks == list(range(11))
+        assert out.errors == [f"replicate {r}: synthetic chunk failure" for r in range(10, 20)]
+        assert np.isnan(out.replicate_values[10:20]).all()
+        kept = np.r_[0:10, 20:110]
+        assert np.array_equal(out.replicate_values[kept], clean.replicate_values[kept])
+
+    def test_batch_reasons_fail_their_replicates(self):
+        # a batch's reasons fail their replicates whether or not it left
+        # their values finite, and a NaN value without a reason fails too
+        ds = _toy_dataset()
+        spec = BootstrapSpec(kind="wild_exp1", replicates=40, seed=2)
+
+        def batch(W):
+            values = np.array([wmean(ds.y, W), wmean(ds.m, W)])
+            values[1, 13] = np.nan
+            return values, {9: "synthetic failure 9", 4: "synthetic failure 4"}
+
+        out = bootstrap(ds, lambda d, w: [wmean(d.y, w), wmean(d.m, w)], spec, batch=batch)
+        assert out.errors == ["replicate 4: synthetic failure 4", "replicate 9: synthetic failure 9",
+                              "replicate 13: NaN value"]
+        assert np.isnan(out.replicate_values[[4, 9, 13]]).all()
+
     def test_failures_tolerated_up_to_ten_percent(self):
         ds = _toy_dataset(n=40, seed=8)
         marker = float(ds.y[7])

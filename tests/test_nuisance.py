@@ -55,7 +55,7 @@ CODING = PairCoding(pair=TreatmentPair(1, 0))
 
 def _glm(design_text, coef, family=Family.GAUSSIAN):
     design = DesignSpec.parse(design_text)
-    return FittedGlm(family, np.asarray(coef, dtype=float), True, 0, design)
+    return FittedGlm(family, np.asarray(coef, dtype=float), 0, design)
 
 
 def _true_fits(d1=3):

@@ -219,17 +219,37 @@ class TestMonteCarloRunner:
             assert 0.4 < sds[4000][kind] / sds[1000][kind] < 0.6, kind
 
     def test_failure_quoted_first_is_the_lowest_numbered(self, monkeypatch):
+        # replicate 9 fails at the first role, the outcome, and replicate 3
+        # later, at the propensities: the batch records 9 first
         real_draw = simulation_mod.draw_dataset
 
         def draw(n, seed, *, rep):
-            if rep in (9, 3):
-                raise NuisanceError(f"synthetic failure {rep}")
-            return real_draw(n, seed, rep=rep)
+            ds = real_draw(n, seed, rep=rep)
+            if rep == 9:  # a constant baseline covariate: the outcome design loses rank
+                ds = replace(ds, c0=np.ones_like(ds.c0))
+            if rep == 3:  # treatment set by the baseline covariate: the propensities are separated
+                ds = replace(ds, e=(ds.c0[:, 0] > 1.0).astype(int))
+            return ds
 
         monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
         with pytest.raises(SimulationError) as err:
             run_monte_carlo(SimulationSpec(regime="int", n=200, replications=12, seed=1))
-        assert str(err.value) == "2/12 replicates failed; first: replicate 3: synthetic failure 3"
+        assert str(err.value).startswith("2/12 replicates failed; first: replicate 3: prop_base: ")
+
+    def test_a_chunk_that_raises_fails_all_its_replicates(self, monkeypatch):
+        # n = 200 makes chunks of 81 replicates: a draw that raises fails
+        # the first chunk with its text, and the second does not fail
+        real_draw = simulation_mod.draw_dataset
+
+        def draw(n, seed, *, rep):
+            if rep == 5:
+                raise NuisanceError("synthetic failure")
+            return real_draw(n, seed, rep=rep)
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(SimulationSpec(regime="int", n=200, replications=90, seed=1))
+        assert str(err.value) == "81/90 replicates failed; first: replicate 1: synthetic failure"
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(SimulationError, match="estimator"):
@@ -275,7 +295,7 @@ class TestMonteCarloChunks:
                 assert report.values[kind][r] == alone, (r, kind)
 
     @pytest.mark.parametrize("estimators", [("mle", "a", "b", "mr"), BETA_KINDS])
-    def test_a_failed_replicate_is_evaluated_alone(self, estimators, monkeypatch):
+    def test_a_failed_replicate_is_evaluated_once(self, estimators, monkeypatch):
         real_draw = simulation_mod.draw_dataset
         drawn = []
 
@@ -296,9 +316,10 @@ class TestMonteCarloChunks:
         monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
         report = run_monte_carlo(spec, estimators=estimators)
         assert report.n_failed == 1
-        # only the failed replicate is drawn again: its chunk-mates' mr_seq
-        # refits succeed beside its NaN weights
-        assert sorted(drawn) == sorted([3, *range(1, spec.replications + 1)])
+        # every replicate is drawn once, the failed one too: it fails in its
+        # chunk, whose other replicates' mr_seq refits succeed beside its NaN
+        # weights, with the text its evaluation alone raises
+        assert sorted(drawn) == list(range(1, spec.replications + 1))
         for kind in estimators:
             assert np.isnan(report.values[kind][2]), kind
             others = np.arange(spec.replications) != 2
