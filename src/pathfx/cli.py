@@ -206,7 +206,7 @@ def _parse_scale(text: str) -> str:
 def _parse_stabilize(text: str) -> StabilizeFlags:
     text = text.strip().lower()
     if text in ("none", ""):
-        return StabilizeFlags.all_off()
+        return StabilizeFlags()
     if text == "all":
         return StabilizeFlags.all_on()
     parts = {p.strip() for p in text.split(",") if p.strip()}
@@ -227,6 +227,17 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
     if not 0.0 < eps < 0.5:
         raise UsageError("clip floor must lie in (0, 0.5)")
     return (eps, 1.0 - eps)
+
+
+def _parse_estimators(text: str) -> tuple[str, ...]:
+    """The comma list of ``--estimator``/``--estimators``: one or more of ``BETA_KINDS``."""
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    if not kinds:
+        raise UsageError(f"no estimator given; expected a comma list of {', '.join(BETA_KINDS)}")
+    for k in kinds:
+        if k not in BETA_KINDS:
+            raise UsageError(f"unknown estimator {k!r}; expected one of {BETA_KINDS}")
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +262,9 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None)
 
 
 def cmd_estimate(args) -> int:
+    kinds = _parse_estimators(args.estimator)
+    if args.delta and args.delta not in DELTA_KINDS:
+        raise UsageError(f"unknown delta estimator {args.delta!r}")
     if args.bootstrap != "none":
         if args.reps < 2:
             raise UsageError(f"--reps must be at least 2 for a bootstrap, got {args.reps}")
@@ -273,13 +287,6 @@ def cmd_estimate(args) -> int:
         cfg = replace(cfg, stabilize=_parse_stabilize(args.stabilize))
     if args.clip is not None:
         cfg = replace(cfg, clip=_parse_clip(args.clip))
-
-    kinds = [k.strip() for k in args.estimator.split(",") if k.strip()]
-    for k in kinds:
-        if k not in BETA_KINDS:
-            raise UsageError(f"unknown estimator {k!r}; expected one of {BETA_KINDS}")
-    if args.delta and args.delta not in DELTA_KINDS:
-        raise UsageError(f"unknown delta estimator {args.delta!r}")
 
     if args.print_models:
         for role in sorted(cfg.working_set.roles()):
@@ -386,14 +393,17 @@ def _write_estimates_csv(results: list[EstimateResult], path) -> None:
 def cmd_simulate(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    reps = 1000 if args.paper_scale else args.reps
-    if reps < 2:
-        raise UsageError(f"--reps must be at least 2 for the t test, got {reps}")
-    spec = SimulationSpec(regime=args.regime, n=args.n, replications=reps,
+    if args.reps < 2:
+        raise UsageError(f"--reps must be at least 2 for the t test, got {args.reps}")
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    spec = SimulationSpec(regime=args.regime, n=args.n, replications=args.reps,
                           seed=args.seed, alpha=args.alpha)
-    estimators = tuple(k.strip() for k in args.estimators.split(",") if k.strip())
-    stabilize = _parse_stabilize(args.stabilize) if args.stabilize is not None else None
-    report = run_monte_carlo(spec, estimators=estimators, stabilize=stabilize)
+    report = run_monte_carlo(spec, estimators=_parse_estimators(args.estimators),
+                             stabilize=_parse_stabilize(args.stabilize))
+    if report.errors:
+        print(f"simulate: {report.n_failed} of {spec.replications} replicates failed; "
+              f"first: {report.errors[0]}", file=sys.stderr)
 
     header = ["estimator", "mc_mean", "mc_se", "ci_lower", "ci_upper", "t", "reject", "n_ok"]
     rows = [
@@ -442,12 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the synthetic misspecification study")
     sim.add_argument("--regime", required=True, choices=REGIMES)
     sim.add_argument("--n", type=int, default=1000)
-    sim.add_argument("--reps", type=int, default=200)
-    sim.add_argument("--paper-scale", action="store_true", help="use 1000 replications")
+    sim.add_argument("--reps", type=int, default=200, help="replications (the paper's study ran 1000)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--alpha", type=float, default=0.05)
     sim.add_argument("--estimators", default="mle,a,b,mr")
-    sim.add_argument("--stabilize", default=None,
+    sim.add_argument("--stabilize", default="none",
                      help="stabilization roles (comma list of base, m_ratio, c1_ratio; or all/none)")
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)

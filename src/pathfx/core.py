@@ -335,14 +335,15 @@ class DesignSpec:
             if ref.startswith("c1_") and int(ref[3:]) > d1:
                 raise DataError(f"column reference {ref} exceeds c1 dimension {d1}")
 
-    def slopes(self, refs: tuple[str, ...], e: float | None = None) -> np.ndarray:
+    def slopes(self, refs: tuple[str, ...], e: float) -> np.ndarray:
         """Each column's derivative in each of ``refs`` with treatment held at
         ``e``, one row per ref (computed once per design, read-only).
 
-        Exact for designs in which a ref enters only as a covariate or in a
-        product with treatment, the linear pathway's rule: a prediction at
-        ``ref = v`` is then the prediction at ``ref = 0`` plus ``v`` times
-        that ref's row against the coefficients.
+        The linear pathway's rule, and its one home: a ref may enter only as
+        a covariate or in a product with treatment, and any other term that
+        holds it raises ``DataError``.  A prediction at ``ref = v`` is then
+        the prediction at ``ref = 0`` plus ``v`` times that ref's row against
+        the coefficients.
         """
         key = ("slopes", refs, e)
         if key not in self._derived:
@@ -353,10 +354,11 @@ class DesignSpec:
                         continue
                     if term.kind == "covariate":
                         out[r, k] = 1.0
-                    elif term.kind == "product" and "e" in term.refs and e is not None:
+                    elif term.kind == "product" and "e" in term.refs:
                         out[r, k] = e
                     else:
-                        raise DataError(f"term {term.label!r} is not linear in {ref} at a fixed treatment")
+                        raise DataError(f"term {term.label!r} breaks linearity in {ref} "
+                                        "required by the linear pathway")
             out.setflags(write=False)
             self._derived[key] = out
         return self._derived[key]

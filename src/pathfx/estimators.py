@@ -21,10 +21,8 @@ from .glm import _least_squares, predict_mean
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
-    DEFAULT_CLIP,
     NuisanceComponents,
     NuisanceError,
-    StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
     _compose_linear,
@@ -138,16 +136,11 @@ def delta_ipw(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | 
     return wmean(comp.ind_baseline * dataset.y / comp.p_baseline, weights)
 
 
-def delta_aipw(
-    dataset: Dataset,
-    comp: NuisanceComponents,
-    weights: np.ndarray | None = None,
-    *,
-    y0: np.ndarray | None = None,
-) -> float:
-    """Doubly-robust baseline mean; ``y0`` overrides the marginal regression."""
-    if y0 is None:
-        y0 = comp.y0_marginal
+def delta_aipw(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+    """Doubly-robust baseline mean: the marginal regression ``comp.y0_marginal``
+    plus the inverse-probability-weighted baseline-arm residual.  Another
+    regression enters as ``dataclasses.replace(comp, y0_marginal=...)``."""
+    y0 = comp.y0_marginal
     if y0 is None:
         raise EstimationError("delta_aipw requires a fitted marginal outcome model")
     resid = comp.ind_baseline / comp.p_baseline * (dataset.y - y0)
@@ -229,7 +222,6 @@ class SequentialFit:
 
     value: float
     term_values: tuple[float, float, float]
-    b_doubleprime: np.ndarray
 
 
 def beta_mr_sequential(
@@ -237,8 +229,6 @@ def beta_mr_sequential(
     working_set: WorkingModelSet,
     coding: PairCoding,
     *,
-    stabilize: StabilizeFlags = StabilizeFlags(),
-    clip: tuple[float, float] | None = DEFAULT_CLIP,
     weights: np.ndarray | None = None,
     comp: NuisanceComponents | None = None,
 ) -> SequentialFit:
@@ -248,7 +238,9 @@ def beta_mr_sequential(
     Requires the continuous (linear-pathway) configuration with an intercept
     in every mean model.  The propensities and density ratios come from
     ``comp``, the components of a maximum-likelihood fit of ``working_set``
-    on the same data and weights; when it is omitted that fit is made here.
+    on the same data and weights; when it is omitted that fit is made here,
+    with ``compute_components``' defaults (no stabilization, the default
+    clip).  A stabilized or unclipped ``mr_seq`` passes its own ``comp``.
     Each mean model is then refitted on its arm (every row weighted, the
     other arm's by zero) with the weight its residual term carries, which
     makes that term a weighted-least-squares orthogonality condition equal
@@ -256,21 +248,21 @@ def beta_mr_sequential(
     those on one reduced design share its build and one Gram, each fit
     bitwise its own.  What remains is the empirical mean of the fully nested
     prediction.  ``(B, n)`` weights (with batch components) refit every
-    replicate at once, and the value, the terms and b'' gain a leading
-    replicate axis; a replicate whose refit fails is NaN, its message in
+    replicate at once, and the value and the terms gain a leading replicate
+    axis; a replicate whose refit fails is NaN, its message in
     ``comp.failures``.  So does a stacked dataset with its components.
     """
     if comp is None:
         working_set.validate(dataset.d0, dataset.d1, "linear")
     else:  # the fit behind comp validated the set for its own pathway
-        working_set.validate_linear()
+        working_set.validate_linear(dataset.d1)
     roles = (ROLE_OUTCOME, ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, dataset.d1 + 1)])
     for role in roles:
         if not working_set[role].design.has_intercept():
             raise EstimationError(f"{role}: sequential refitting requires an intercept term")
     if comp is None:
         fits = fit_nuisances(dataset, working_set, coding, weights)
-        comp = compute_components(dataset, fits, stabilize=stabilize, clip=clip, weights=weights)
+        comp = compute_components(dataset, fits, weights=weights)
 
     w_outer = np.ones(dataset.n) if weights is None else np.asarray(weights, dtype=float)
     icomp, ibase = coding.comparison_internal, coding.baseline_internal
@@ -311,11 +303,7 @@ def beta_mr_sequential(
     term2 = wmean(ind_comp / p_comp / cr * (b - b_prime), w_outer)
     term3 = wmean(ind_base / p_base * (b_prime - b_dd), w_outer)
 
-    return SequentialFit(
-        value=wmean(b_dd, w_outer),
-        term_values=(term1, term2, term3),
-        b_doubleprime=b_dd,
-    )
+    return SequentialFit(value=wmean(b_dd, w_outer), term_values=(term1, term2, term3))
 
 
 def beta_of_kind(

@@ -23,11 +23,11 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .core import (
+    DataError,
     Dataset,
     DesignSpec,
     Overrides,
     PairCoding,
-    TreatmentPair,
     build_design_matrix,
     wmean,
 )
@@ -143,6 +143,15 @@ class WorkingModelSet:
         return tuple(self.models)
 
     def validate(self, d0: int, d1: int, pathway: str) -> None:
+        """Refuse a set the pathway cannot estimate from.
+
+        Every role must fit the data's dimensions, and no model may condition
+        on its own response or on a later link of the chain c0 -> e -> c1 ->
+        m: the base propensities use baseline covariates only, the ``c1_j``
+        means and the marginal outcome model baseline covariates and
+        treatment only, and neither the ``c1`` propensities nor the mediator
+        mean may reference the mediator.
+        """
         required = [ROLE_OUTCOME, ROLE_MEDIATOR, ROLE_PROP_BASE, ROLE_PROP_C1, ROLE_PROP_M]
         required += [c1_mean_role(j) for j in range(1, d1 + 1)]
         for role in required:
@@ -161,15 +170,15 @@ class WorkingModelSet:
                     raise NuisanceError(f"{role}: propensity models must be binomial")
                 if "e" in spec.design.refs():
                     raise NuisanceError(f"{role}: treatment cannot appear in its own propensity design")
-            if role == ROLE_PROP_BASE or role == ROLE_PROP_BASE_IN_C1_RATIO:
-                bad = [r for r in spec.design.refs() if r.startswith("c1_") or r == "m"]
-                if bad:
-                    raise NuisanceError(f"{role}: design may only use baseline covariates, found {bad}")
-            if role == ROLE_PROP_C1 or role == ROLE_PROP_C1_IN_M_RATIO:
-                if "m" in spec.design.refs():
-                    raise NuisanceError(f"{role}: design may not reference the mediator")
+            later = sorted(r for r in spec.design.refs() if r == "m" or r.startswith("c1_"))
+            if role in (ROLE_PROP_BASE, ROLE_PROP_BASE_IN_C1_RATIO) and later:
+                raise NuisanceError(f"{role}: design may only use baseline covariates, found {later}")
+            if (role == ROLE_MARGINAL or role.startswith("c1_mean_")) and later:
+                raise NuisanceError(f"{role}: design may only use baseline covariates and treatment, found {later}")
+            if role in (ROLE_PROP_C1, ROLE_PROP_C1_IN_M_RATIO, ROLE_MEDIATOR) and "m" in later:
+                raise NuisanceError(f"{role}: design may not reference the mediator")
         if pathway == "linear":
-            self.validate_linear()
+            self.validate_linear(d1)
         elif pathway == "discrete":
             for role in (ROLE_MEDIATOR, *[c1_mean_role(j) for j in range(1, d1 + 1)]):
                 if not self.models[role].family.is_binomial:
@@ -177,35 +186,27 @@ class WorkingModelSet:
         else:
             raise NuisanceError(f"unknown pathway {pathway!r}")
 
-    def validate_linear(self) -> None:
-        """The linear-pathway rule alone, for a set that passed ``validate``."""
-        outcome = self.models[ROLE_OUTCOME]
-        mediator = self.models[ROLE_MEDIATOR]
-        for role, spec in ((ROLE_OUTCOME, outcome), (ROLE_MEDIATOR, mediator)):
-            if spec.family is not Family.GAUSSIAN:
+    def validate_linear(self, d1: int) -> None:
+        """The linear-pathway rule alone, for a set that passed ``validate``.
+
+        The outcome, mediator and ``c1_j`` means are gaussian, and the nested
+        means are slopes times shifts (``DesignSpec.slopes``): the outcome is
+        linear in ``m`` and ``c1_1..c1_d1``, the mediator mean in
+        ``c1_1..c1_d1``, each entering only as a covariate or in a product
+        with treatment.
+        """
+        refs = tuple(f"c1_{j}" for j in range(1, d1 + 1))
+        for role in (ROLE_OUTCOME, ROLE_MEDIATOR):
+            if self.models[role].family is not Family.GAUSSIAN:
                 raise NuisanceError(f"{role}: linear pathway requires a gaussian mean model")
-        _require_linear_in(ROLE_OUTCOME, outcome.design, "m")
-        _require_linear_in(ROLE_OUTCOME, outcome.design, "c1_")
-        _require_linear_in(ROLE_MEDIATOR, mediator.design, "c1_")
+        for role, linear_in in ((ROLE_OUTCOME, ("m", *refs)), (ROLE_MEDIATOR, refs)):
+            try:
+                self.models[role].design.slopes(linear_in, 1)  # any treatment level gives the verdict
+            except DataError as exc:
+                raise NuisanceError(f"{role}: {exc}") from exc
         for role, spec in self.models.items():
             if role.startswith("c1_mean_") and spec.family is not Family.GAUSSIAN:
                 raise NuisanceError(f"{role}: linear pathway requires a gaussian mean model")
-
-
-def _require_linear_in(role: str, design: DesignSpec, prefix: str) -> None:
-    """Structural linearity: the named columns may interact only with treatment."""
-    for term in design.terms:
-        hits = [r for r in term.refs if r.startswith(prefix)]
-        if not hits:
-            continue
-        if term.kind == "covariate":
-            continue
-        if term.kind == "product" and len(hits) == 1 and "e" in term.refs:
-            continue
-        raise NuisanceError(
-            f"{role}: term {term.label!r} breaks linearity in {prefix.rstrip('_')} "
-            "required by the linear pathway"
-        )
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def _response_for(role: str, dataset: Dataset) -> np.ndarray:
 def fit_nuisances(
     dataset: Dataset,
     working_set: WorkingModelSet,
-    coding: PairCoding | None = None,
+    coding: PairCoding,
     weights: np.ndarray | None = None,
     *,
     pathway: str = "linear",
@@ -283,8 +284,6 @@ def fit_nuisances(
     raising.  A stacked dataset (see ``core.Dataset``) is such a batch too,
     each design a stack of per-replicate designs.
     """
-    if coding is None:
-        coding = PairCoding(pair=TreatmentPair(1, 0))
     working_set.validate(dataset.d0, dataset.d1, pathway)
     if pathway == "discrete":
         if not set(np.unique(dataset.m)) <= {0.0, 1.0}:
@@ -379,11 +378,6 @@ def _clip_probs(p: np.ndarray, clip: tuple[float, float] | None, role: str, weig
     return np.clip(p, lo, hi), n_clipped
 
 
-def _item(a):
-    """A Python scalar for one replicate's reduction; the array for a batch."""
-    return a.item() if np.ndim(a) == 0 else a
-
-
 def stabilize_probabilities(
     p_level: np.ndarray,
     ind_level: np.ndarray,
@@ -433,10 +427,6 @@ class StabilizeFlags:
     @classmethod
     def all_on(cls) -> "StabilizeFlags":
         return cls(base=True, m_ratio=True, c1_ratio=True)
-
-    @classmethod
-    def all_off(cls) -> "StabilizeFlags":
-        return cls()
 
 
 def _propensity_probs(
@@ -507,7 +497,7 @@ def _predictions(dataset: Dataset, requests: list[tuple[FittedGlm, Overrides | N
         yield fit, ready.pop(k)
 
 
-def _slopes(fit: FittedGlm, e: int | None, refs: list[str]) -> dict[str, np.ndarray]:
+def _slopes(fit: FittedGlm, e: int, refs: list[str]) -> dict[str, np.ndarray]:
     """A gaussian mean model's slope in each of ``refs`` it is linear in, with
     treatment held at ``e``; a batch fit has one slope per replicate, on a
     trailing axis that broadcasts against the records."""
@@ -667,8 +657,11 @@ def compute_components(
     shifts each enabled model at the comparison level.  An identity pair
     fits no propensity model, so its propensities and ratios are all one.
 
-    Batch fits (``fit_nuisances`` with ``(B, n)`` weights, passed here too)
-    give every per-record array and diagnostic a leading replicate axis.
+    ``diagnostics`` holds the clip counts, per propensity role
+    (``clip_counts``) and in total (``clip_count``); the arm weights'
+    extremes are ``estimators.weight_diagnostics``'.  Batch fits
+    (``fit_nuisances`` with ``(B, n)`` weights, passed here too) give every
+    per-record array and clip count a leading replicate axis.
     ``failures`` holds each failed replicate's first message in evaluation
     order: the fits', positivity and stabilization, then the estimators'.
     """
@@ -695,10 +688,6 @@ def compute_components(
     b, b_prime, b_dd, y0 = _nested_means(fits, dataset)
 
     diagnostics["clip_count"] = sum(diagnostics["clip_counts"].values())
-    diagnostics["p_baseline_min"] = _item(p_baseline.min(axis=-1))
-    diagnostics["p_comparison_min"] = _item(p_comparison.min(axis=-1))
-    diagnostics["m_ratio_max"] = _item(mr.max(axis=-1))
-    diagnostics["c1_ratio_max"] = _item(cr.max(axis=-1))
     return NuisanceComponents(
         ind_comparison=ind_comp,
         ind_baseline=ind_base,

@@ -351,8 +351,6 @@ MARGINAL_DESIGN = "1, c0_1, e, c0_1*e"
 class RegimeModels:
     regime: str
     working_set: WorkingModelSet
-    stabilize: StabilizeFlags
-    correct: dict
 
 
 def working_models_for(regime: str, *, include_marginal: bool = False) -> RegimeModels:
@@ -364,19 +362,14 @@ def working_models_for(regime: str, *, include_marginal: bool = False) -> Regime
     ratio stays correct while the one inside the covariate ratio is wrong,
     and under regime ``c`` the base propensity inside the covariate ratio
     stays the correct logistic while the standalone one is a probit.
+    Regime ``int`` specifies every model correctly; ``a`` breaks the
+    outcome, the ``c1_j`` means and ``prop_c1``, ``b`` the mediator mean
+    and ``prop_m``, and ``c`` ``prop_base``.
     """
     regime = regime.lower()
     if regime not in REGIMES:
         raise SimulationError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     models: dict[str, ModelSpec] = {}
-    correct = {
-        ROLE_OUTCOME: True,
-        ROLE_MEDIATOR: True,
-        "c1_mean": True,
-        ROLE_PROP_BASE: True,
-        ROLE_PROP_C1: True,
-        ROLE_PROP_M: True,
-    }
     models[ROLE_OUTCOME] = _spec(_GAUSS, OUTCOME_CORRECT)
     models[ROLE_MEDIATOR] = _spec(_GAUSS, MEDIATOR_CORRECT)
     for j in range(1, D1 + 1):
@@ -391,11 +384,9 @@ def working_models_for(regime: str, *, include_marginal: bool = False) -> Regime
             models[c1_mean_role(j)] = _spec(_GAUSS, C1_MEAN_WRONG)
         models[ROLE_PROP_C1] = _spec(_LOGIT, PROP_C1_WRONG)
         models[ROLE_PROP_C1_IN_M_RATIO] = _spec(_LOGIT, PROP_C1_CORRECT)
-        correct.update({ROLE_OUTCOME: False, "c1_mean": False, ROLE_PROP_C1: False})
     elif regime == "b":
         models[ROLE_MEDIATOR] = _spec(_GAUSS, MEDIATOR_WRONG)
         models[ROLE_PROP_M] = _spec(_LOGIT, PROP_M_WRONG)
-        correct.update({ROLE_MEDIATOR: False, ROLE_PROP_M: False})
     elif regime == "c":
         # The standalone treatment propensity is made wrong through its link:
         # the index is still estimated by logistic ML, but predictions map
@@ -407,19 +398,9 @@ def working_models_for(regime: str, *, include_marginal: bool = False) -> Regime
             family=_LOGIT, design=DesignSpec.parse(PROP_BASE_DESIGN), predict_family=_PROBIT
         )
         models[ROLE_PROP_BASE_IN_C1_RATIO] = _spec(_LOGIT, PROP_BASE_DESIGN)
-        correct.update({ROLE_PROP_BASE: False})
     if include_marginal:
         models[ROLE_MARGINAL] = _spec(_GAUSS, MARGINAL_DESIGN)
-    # Stabilization stays off in the study configuration: the propensities
-    # here are bounded well away from 0/1, and the logit shift visibly
-    # perturbs the weighted estimators' small-sample centering (and absorbs
-    # most of regime c's deliberate link misspecification).
-    return RegimeModels(
-        regime=regime,
-        working_set=WorkingModelSet(models),
-        stabilize=StabilizeFlags.all_off(),
-        correct=correct,
-    )
+    return RegimeModels(regime=regime, working_set=WorkingModelSet(models))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +438,18 @@ class RegimeReport:
     hypothesized: float
     summaries: list[EstimatorSummary]
     values: dict[str, np.ndarray]
-    n_failed: int
+    errors: list[str]  # "replicate r: reason" per tolerated failure, r 1-based, in replicate order
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.errors)
 
 
 def run_monte_carlo(
     spec: SimulationSpec,
     *,
     estimators: tuple[str, ...] = ("mle", "a", "b", "mr"),
-    stabilize: StabilizeFlags | None = None,
+    stabilize: StabilizeFlags = StabilizeFlags(),
 ) -> RegimeReport:
     """Replicate the study: draw, fit the regime's models, estimate, test.
 
@@ -478,13 +463,22 @@ def run_monte_carlo(
     replicate count or its chunk-mates.  A replicate that fails a fit or
     a component check is NaN for every estimator, one whose ``mr_seq``
     refit fails for ``mr_seq``.  Per-replicate failures are tolerated up to
-    1% of the runs; failed replicates are dropped from the summaries.  The
-    failure an error quotes first is the lowest-numbered one.
+    1% of the runs; failed replicates are dropped from the summaries, and
+    the report's ``errors`` gives each one's reason.  The failure an error
+    quotes first is the lowest-numbered one.
+
+    The study runs unstabilized by default: the propensities here are
+    bounded well away from 0/1, and the logit shift visibly perturbs the
+    weighted estimators' small-sample centering (and absorbs most of regime
+    c's deliberate link misspecification).
     """
     models = working_models_for(spec.regime)
-    stab = stabilize if stabilize is not None else models.stabilize
     coding = PairCoding(pair=TreatmentPair(1, 0))
     kinds = tuple(estimators)
+    if spec.n < 1:
+        raise SimulationError(f"n must be at least 1, got {spec.n}")
+    if not kinds:
+        raise SimulationError("no estimator requested")
     for kind in kinds:
         if kind not in BETA_KINDS:
             raise SimulationError(f"unknown estimator kind {kind!r}")
@@ -493,7 +487,7 @@ def run_monte_carlo(
         drawn = [draw_dataset(spec.n, spec.seed, rep=r + 1) for r in range(lo, hi)]
         ds = Dataset(**{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(Dataset)})
         del drawn
-        comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=stab)
+        comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=stabilize)
         unfitted = list(comp.failures)
         out = np.stack([beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
                         for kind in kinds], axis=-1)
@@ -504,10 +498,9 @@ def run_monte_carlo(
     failures = _run_chunked(spec.replications, spec.n, chunk, table)
     values = dict(zip(kinds, np.ascontiguousarray(table.T)))
 
-    n_failed = len(failures)
-    if n_failed > 0.01 * spec.replications:
-        r, reason = next(iter(failures.items()))
-        raise SimulationError(f"{n_failed}/{spec.replications} replicates failed; first: replicate {r + 1}: {reason}")
+    errors = [f"replicate {r + 1}: {reason}" for r, reason in failures.items()]
+    if len(errors) > 0.01 * spec.replications:
+        raise SimulationError(f"{len(errors)}/{spec.replications} replicates failed; first: {errors[0]}")
 
     hypothesized = closed_form_beta0()
     summaries = []
@@ -535,7 +528,7 @@ def run_monte_carlo(
         hypothesized=hypothesized,
         summaries=summaries,
         values=values,
-        n_failed=n_failed,
+        errors=errors,
     )
 
 

@@ -250,7 +250,7 @@ def test_criterion_4_identity_collapse():
         for w in (None, np.random.default_rng(seed).exponential(1.0, rec.n)):
             assert abs(beta_a(rec, comp, w) - delta_ipw(rec, comp, w)) < 1e-10
             assert abs(
-                beta_mr(rec, comp, w) - delta_aipw(rec, comp, w, y0=comp.b_doubleprime)
+                beta_mr(rec, comp, w) - delta_aipw(rec, replace(comp, y0_marginal=comp.b_doubleprime), w)
             ) < 1e-10
     print("\nACCEPTANCE 4 PASS: identity-mode collapses exact to 1e-10")
 
@@ -325,7 +325,7 @@ def test_criterion_8_sandwich_matches_bootstrap():
 
     def statistic(data, weights):
         f = fit_nuisances(data, models.working_set, CODING, weights=weights)
-        comp = compute_components(data, f, stabilize=StabilizeFlags.all_off())
+        comp = compute_components(data, f)
         return beta_mle(data, comp)
 
     boot = bootstrap(ds, statistic, BootstrapSpec(kind="nonparametric", replicates=500, seed=81))
@@ -341,7 +341,7 @@ def test_criterion_9_bootstrap_coverage():
 
     def effect_and_failures(data, weights):
         f = fit_nuisances(data, models.working_set, CODING, weights=weights)
-        comp = compute_components(data, f, stabilize=models.stabilize, weights=weights)
+        comp = compute_components(data, f, weights=weights)
         return beta_mr(data, comp, weights) - delta_aipw(data, comp, weights), comp.failures
 
     covered = 0

@@ -32,6 +32,10 @@ def _read_lines(capsys):
     return capsys.readouterr().out.strip().splitlines()
 
 
+def _no_study(*args, **kwargs):
+    raise AssertionError("a replicate ran")
+
+
 class TestSimulateCommand:
     def test_runs_and_writes_outputs(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -63,10 +67,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("alpha", ["2", "0", "1", "-0.1", "nan"])
     def test_alpha_outside_the_unit_interval_exits_2(self, alpha, tmp_path, monkeypatch, capsys):
-        def no_study(*args, **kwargs):
-            raise AssertionError("a replicate ran")
-
-        monkeypatch.setattr(cli_mod, "run_monte_carlo", no_study)
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
         code = main(["simulate", "--regime", "int", "--n", "200", "--reps", "5", "--alpha", alpha,
                      "--out", str(tmp_path)])
         assert code == 2
@@ -74,13 +75,57 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("reps", ["1", "0", "-4"])
     def test_fewer_than_two_reps_exit_2_before_any_replicate(self, reps, tmp_path, monkeypatch, capsys):
-        def no_study(*args, **kwargs):
-            raise AssertionError("a replicate ran")
-
-        monkeypatch.setattr(cli_mod, "run_monte_carlo", no_study)
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
         code = main(["simulate", "--regime", "int", "--n", "200", "--reps", reps, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: --reps must be at least 2 for the t test, got {reps}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_exits_2_before_any_replicate(self, n, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
+        code = main(["simulate", "--regime", "int", "--n", n, "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+
+    @pytest.mark.parametrize("estimators, message", [
+        (",", "no estimator given; expected a comma list of mle, a, b, mr, mr_seq"),
+        ("foo", "unknown estimator 'foo'; expected one of ('mle', 'a', 'b', 'mr', 'mr_seq')"),
+        ("mle, foo", "unknown estimator 'foo'; expected one of ('mle', 'a', 'b', 'mr', 'mr_seq')"),
+    ])
+    def test_unusable_estimators_exit_2_before_any_replicate(self, estimators, message, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
+        code = main(["simulate", "--regime", "int", "--n", "200", "--reps", "5", "--estimators", estimators,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_paper_scale_is_not_an_option(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--regime", "int", "--paper-scale", "--reps", "50", "--out", str(tmp_path)])
+        assert err.value.code == 2
+
+    def test_tolerated_failures_reported_on_stderr(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "--regime", "int", "--n", "300", "--reps", "100", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        real_draw = simulation_mod.draw_dataset
+
+        def draw(n, seed, *, rep):
+            ds = real_draw(n, seed, rep=rep)
+            # treatment set by the baseline covariate: the propensities are separated
+            return cli_mod.replace(ds, e=(ds.c0[:, 0] > 1.0).astype(int)) if rep == 3 else ds
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
+        out = str(tmp_path / "failing")
+        assert main(argv + ["--out", out]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"simulate: 1 of 100 replicates failed; first: replicate 3: prop_base: "
+                            r"the responses are separated: [^\n]*\n", err), err
+        with open(os.path.join(out, "replicates_int.csv")) as fh:
+            empty = [(r["rep"], r["estimator"]) for r in csv.DictReader(fh) if r["value"] == ""]
+        assert empty == [("3", kind) for kind in ("mle", "a", "b", "mr")]
 
     def test_bad_regime_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -230,6 +275,21 @@ class TestEstimateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("estimator, message", [
+        (",", "no estimator given; expected a comma list of mle, a, b, mr, mr_seq"),
+        ("mr,zeta", "unknown estimator 'zeta'; expected one of ('mle', 'a', 'b', 'mr', 'mr_seq')"),
+    ])
+    def test_unusable_estimators_exit_2_before_reading_data(self, estimator, message, tmp_path, monkeypatch,
+                                                            capsys):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(cli_mod, "read_csv", no_read)
+        code = main(["estimate", "--data", str(tmp_path / "absent.csv"), "--comparison", "1", "--baseline", "0",
+                     "--estimator", estimator])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_print_models(self, study_csv, capsys):
         code = main([
             "estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
@@ -259,6 +319,14 @@ class TestEstimateCommand:
         lines = _read_lines(capsys)
         outcome = next(l for l in lines if l.startswith("outcome ="))
         assert "e*m" in outcome
+
+    def test_self_referencing_mean_model_exits_3(self, study_csv, tmp_path, capsys):
+        cfg = tmp_path / "self.ini"
+        cfg.write_text("[models]\nmediator_mean = gaussian: 1, c0_1, e, c1_1, c1_2, c1_3, m\n")
+        code = main(["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+                     "--config", str(cfg)])
+        assert code == 3
+        assert capsys.readouterr().err == "estimation error: mediator_mean: design may not reference the mediator\n"
 
     def test_bad_config_exits_2(self, study_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -784,7 +852,7 @@ class TestFailureParity:
 
         def alone(r):
             ds = draw(spec.n, spec.seed, rep=r)
-            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=models.stabilize)
+            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding))
             for kind in estimators:
                 beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
 

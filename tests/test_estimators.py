@@ -55,10 +55,10 @@ def _true_functions(with_marginal=False):
     )
 
 
-def _fitted(ds, regime="int", marginal=True, stabilize=None):
+def _fitted(ds, regime="int", marginal=True):
     models = working_models_for(regime, include_marginal=marginal)
     fits = fit_nuisances(ds, models.working_set, CODING)
-    return compute_components(ds, fits, stabilize=stabilize or models.stabilize), fits
+    return compute_components(ds, fits), fits
 
 
 class TestIdentityCollapse:
@@ -78,14 +78,15 @@ class TestIdentityCollapse:
     def test_beta_mr_equals_delta_aipw_with_nested_mean(self):
         rec, comp = self._identity_components(71)
         lhs = beta_mr(rec, comp)
-        rhs = delta_aipw(rec, comp, y0=comp.b_doubleprime)
+        rhs = delta_aipw(rec, replace(comp, y0_marginal=comp.b_doubleprime))
         assert abs(lhs - rhs) < 1e-10
 
     def test_collapse_holds_under_weights(self):
         rec, comp = self._identity_components(72)
         w = np.random.default_rng(1).exponential(1.0, rec.n)
         assert abs(beta_a(rec, comp, w) - delta_ipw(rec, comp, w)) < 1e-10
-        assert abs(beta_mr(rec, comp, w) - delta_aipw(rec, comp, w, y0=comp.b_doubleprime)) < 1e-10
+        nested = replace(comp, y0_marginal=comp.b_doubleprime)
+        assert abs(beta_mr(rec, comp, w) - delta_aipw(rec, nested, w)) < 1e-10
 
     def test_beta_b_with_saturated_regression_equals_delta_ipw(self):
         # when the outcome regression reproduces Y exactly, the comparison-arm
@@ -167,7 +168,7 @@ class TestInfluenceFunction:
 class TestDeltas:
     def test_ipw_constant_propensity_closed_form(self):
         ds = draw_dataset(400, 81)
-        comp, _ = _fitted(ds, stabilize=StabilizeFlags.all_off())
+        comp, _ = _fitted(ds)
         share0 = float((ds.e == 0).mean())
         comp_const = replace(comp, p_baseline=np.full(ds.n, share0))
         want = float(ds.y[ds.e == 0].sum()) / (ds.n * share0)
@@ -176,7 +177,7 @@ class TestDeltas:
     def test_aipw_with_zero_outcome_model_is_ipw(self):
         ds = draw_dataset(400, 82)
         comp, _ = _fitted(ds)
-        assert delta_aipw(ds, comp, y0=np.zeros(ds.n)) == pytest.approx(
+        assert delta_aipw(ds, replace(comp, y0_marginal=np.zeros(ds.n))) == pytest.approx(
             delta_ipw(ds, comp), abs=1e-12
         )
 
@@ -307,9 +308,9 @@ class TestSequential:
         ds = draw_dataset(800, 90)
         models = working_models_for("int")
         w = np.random.default_rng(2).exponential(1.0, ds.n)
-        seq = beta_mr_sequential(
-            ds, models.working_set, CODING, stabilize=StabilizeFlags.all_on(), weights=w
-        )
+        comp = compute_components(ds, fit_nuisances(ds, models.working_set, CODING, w),
+                                  stabilize=StabilizeFlags.all_on(), weights=w)
+        seq = beta_mr_sequential(ds, models.working_set, CODING, weights=w, comp=comp)
         for term in seq.term_values:
             assert abs(term) < 1e-8
 
@@ -327,15 +328,11 @@ class TestSequential:
         ds = draw_dataset(700, 93)
         models = working_models_for("b")
         w = np.random.default_rng(3).exponential(1.0, ds.n) if weighted else None
-        stab = StabilizeFlags.all_on()
-        comp = compute_components(
-            ds, fit_nuisances(ds, models.working_set, CODING, w), stabilize=stab, weights=w
-        )
-        given = beta_mr_sequential(ds, models.working_set, CODING, stabilize=stab, weights=w, comp=comp)
-        default = beta_mr_sequential(ds, models.working_set, CODING, stabilize=stab, weights=w)
+        comp = compute_components(ds, fit_nuisances(ds, models.working_set, CODING, w), weights=w)
+        given = beta_mr_sequential(ds, models.working_set, CODING, weights=w, comp=comp)
+        default = beta_mr_sequential(ds, models.working_set, CODING, weights=w)
         assert given.value == default.value
         assert given.term_values == default.term_values
-        assert np.array_equal(given.b_doubleprime, default.b_doubleprime)
 
     def test_a_failed_replicate_leaves_its_batch_mates(self):
         # a replicate whose nuisances failed carries NaN components into the
@@ -390,8 +387,8 @@ class TestSequential:
             ds = draw_dataset(1000, 92, rep=r + 1)
             models = working_models_for("int")
             fits = fit_nuisances(ds, models.working_set, CODING)
-            comp = compute_components(ds, fits, stabilize=models.stabilize)
-            seq = beta_mr_sequential(ds, models.working_set, CODING, stabilize=models.stabilize)
+            comp = compute_components(ds, fits)
+            seq = beta_mr_sequential(ds, models.working_set, CODING)
             diffs.append(seq.value - beta_mr(ds, comp))
         diffs = np.array(diffs)
         se = diffs.std(ddof=1) / math.sqrt(diffs.size)

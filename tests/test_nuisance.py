@@ -20,6 +20,7 @@ from pathfx.core import (
 from pathfx.estimators import beta_mr_sequential
 from pathfx.glm import Family, FittedGlm, fit_glm, predict_mean
 from pathfx.nuisance import (
+    ROLE_MARGINAL,
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
     ROLE_PROP_BASE,
@@ -142,6 +143,56 @@ class TestFitNuisances:
         broken[ROLE_OUTCOME] = ModelSpec(Family.GAUSSIAN, DesignSpec.parse("1, c0_1, e, m, m^2"))
         with pytest.raises(NuisanceError, match="linearity"):
             fit_nuisances(ds, WorkingModelSet(broken), CODING)
+
+    @pytest.mark.parametrize("role, design, text", [
+        (ROLE_OUTCOME, "1, c0_1, e, c1_1, c1_2, c1_1*c1_2, m", "outcome: term 'c1_1*c1_2' breaks linearity in c1_1"),
+        (ROLE_MEDIATOR, "1, c0_1, e, c1_1, c0_1*c1_2", "mediator_mean: term 'c0_1*c1_2' breaks linearity in c1_2"),
+    ])
+    def test_linear_refusal_names_role_term_and_variable(self, role, design, text):
+        broken = dict(working_models_for("int").working_set.models)
+        broken[role] = ModelSpec(Family.GAUSSIAN, DesignSpec.parse(design))
+        with pytest.raises(NuisanceError) as err:
+            fit_nuisances(draw_dataset(100, 24), WorkingModelSet(broken), CODING)
+        assert str(err.value) == f"{text} required by the linear pathway"
+
+
+class TestChainOrder:
+    """No mean model may condition on its own response or on a later link of
+    the chain c0 -> e -> c1 -> m, on either pathway."""
+
+    FOUND = "design may only use baseline covariates and treatment, found"
+    CASES = {
+        "mediator-on-m": (ROLE_MEDIATOR, "1, c0_1, e, c1_1, c1_2, c1_3, m",
+                          "mediator_mean: design may not reference the mediator"),
+        "c1-on-itself": (c1_mean_role(1), "1, c0_1, e, c1_1", f"c1_mean_1: {FOUND} ['c1_1']"),
+        "c1-on-another": (c1_mean_role(1), "1, c0_1, e, c1_2", f"c1_mean_1: {FOUND} ['c1_2']"),
+        "c1-on-m": (c1_mean_role(2), "1, c0_1, e, m", f"c1_mean_2: {FOUND} ['m']"),
+        "marginal-on-m": (ROLE_MARGINAL, "1, c0_1, e, m", f"marginal_outcome: {FOUND} ['m']"),
+        "marginal-on-c1": (ROLE_MARGINAL, "1, c0_1, e, c1_3", f"marginal_outcome: {FOUND} ['c1_3']"),
+    }
+
+    @staticmethod
+    def _accepted(pathway):
+        """The data and a working set that fits on ``pathway``."""
+        ds = draw_dataset(300, 1)
+        models = dict(default_working_set(1, 3).models)
+        if pathway == "discrete":
+            ds = dataset_from_arrays(ds.c0, ds.e, (ds.c1 > 0).astype(float),
+                                     (ds.m > np.median(ds.m)).astype(float), ds.y)
+            for role in (ROLE_MEDIATOR, c1_mean_role(1), c1_mean_role(2), c1_mean_role(3)):
+                models[role] = replace(models[role], family=Family.LOGIT)
+        return ds, models
+
+    @pytest.mark.parametrize("pathway", ["linear", "discrete"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused(self, case, pathway):
+        role, design, text = self.CASES[case]
+        ds, models = self._accepted(pathway)
+        fit_nuisances(ds, WorkingModelSet(models), CODING, pathway=pathway)
+        models[role] = replace(models[role], design=DesignSpec.parse(design))
+        with pytest.raises(NuisanceError) as err:
+            fit_nuisances(ds, WorkingModelSet(models), CODING, pathway=pathway)
+        assert str(err.value) == text
 
 
 def _ratios(fits, ds, clip=None):

@@ -160,7 +160,6 @@ class TestRegimeRegistry:
         assert ws[ROLE_PROP_BASE].family is Family.LOGIT
         assert ROLE_PROP_BASE_IN_C1_RATIO not in ws
         assert ROLE_PROP_C1_IN_M_RATIO not in ws
-        assert all(models.correct.values())
 
     def test_regime_a_breaks_outcome_and_covariate_models(self):
         ws = working_models_for("a").working_set
@@ -198,6 +197,20 @@ class TestMonteCarloRunner:
         for k in a.values:
             assert np.array_equal(a.values[k], b.values[k])
         assert a.n_failed == 0
+
+    @pytest.mark.parametrize("n, estimators, message", [
+        (0, ("mle",), "n must be at least 1, got 0"),
+        (-3, ("mle",), "n must be at least 1, got -3"),
+        (300, (), "no estimator requested"),
+    ])
+    def test_unusable_spec_raises_before_any_replicate(self, n, estimators, message, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", no_draw)
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(SimulationSpec(regime="int", n=n, replications=5, seed=1), estimators=estimators)
+        assert str(err.value) == message
 
     def test_sequential_estimator_supported(self):
         spec = SimulationSpec(regime="int", n=400, replications=10, seed=7)
@@ -289,7 +302,7 @@ class TestMonteCarloChunks:
         coding = PairCoding(pair=TreatmentPair(1, 0))
         for r in range(spec.replications):
             ds = draw_dataset(spec.n, spec.seed, rep=r + 1)
-            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=models.stabilize)
+            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding))
             for kind in BETA_KINDS:
                 alone = beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
                 assert report.values[kind][r] == alone, (r, kind)
@@ -316,6 +329,7 @@ class TestMonteCarloChunks:
         monkeypatch.setattr(simulation_mod, "draw_dataset", draw)
         report = run_monte_carlo(spec, estimators=estimators)
         assert report.n_failed == 1
+        assert report.errors == [f"replicate 3: {alone.value}"]
         # every replicate is drawn once, the failed one too: it fails in its
         # chunk, whose other replicates' mr_seq refits succeed beside its NaN
         # weights, with the text its evaluation alone raises
