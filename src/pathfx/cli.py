@@ -252,11 +252,11 @@ def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None)
     then has one entry per replicate, and ``comp.failures`` the failed ones.
     """
     fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start)
-    comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip, weights=weights)
+    comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip)
     out = []
     for kind, delta_kind in pairs:
-        beta = beta_of_kind(kind, ds, comp, weights, working_set=cfg.working_set, coding=coding)
-        delta = DELTA_FUNCS[delta_kind](ds, comp, weights)
+        beta = beta_of_kind(kind, ds, comp, working_set=cfg.working_set, coding=coding)
+        delta = DELTA_FUNCS[delta_kind](ds, comp)
         out.append((beta, delta, combine_effect(beta, delta, cfg.scale, comp.failures)))
     return out, comp, fits
 

@@ -6,8 +6,8 @@ the mediator and post-treatment density ratios, and a multiply-robust
 estimator built from the efficient influence function.  A sequentially
 reweighted variant zeroes the influence-function residual terms by
 construction.  Three companion estimators target the all-baseline mean.
-Given ``(B, n)`` replicate weights and the matching batch components, every
-estimator returns one value per replicate.
+Every estimator is a mean under the fits' weights, ``comp.weights``; batch
+components (of ``(B, n)`` weights) give one value per replicate.
 """
 
 from __future__ import annotations
@@ -74,21 +74,21 @@ class EstimationError(RuntimeError):
 # contrast-mean estimators
 
 
-def beta_mle(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def beta_mle(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Empirical mean of the fully nested regression prediction."""
-    return wmean(comp.b_doubleprime, weights)
+    return wmean(comp.b_doubleprime, comp.weights)
 
 
-def beta_a(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def beta_a(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Baseline-arm outcomes reweighted by the mediator density ratio."""
     w = comp.ind_baseline / comp.p_baseline * comp.m_ratio
-    return wmean(w * dataset.y, weights)
+    return wmean(w * dataset.y, comp.weights)
 
 
-def beta_b(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def beta_b(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Comparison-arm outcome regression reweighted by the inverse covariate ratio."""
     w = comp.ind_comparison / comp.p_comparison / comp.c1_ratio
-    return wmean(w * comp.b, weights)
+    return wmean(w * comp.b, comp.weights)
 
 
 def _mr_summands(dataset: Dataset, comp: NuisanceComponents) -> np.ndarray:
@@ -102,9 +102,9 @@ def _mr_summands(dataset: Dataset, comp: NuisanceComponents) -> np.ndarray:
     )
 
 
-def beta_mr(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def beta_mr(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Multiply-robust estimator solving the efficient-influence estimating equation."""
-    return wmean(_mr_summands(dataset, comp), weights)
+    return wmean(_mr_summands(dataset, comp), comp.weights)
 
 
 def influence_values(
@@ -124,19 +124,19 @@ def influence_values(
 # baseline-mean estimators
 
 
-def delta_gformula(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def delta_gformula(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Mean of the marginal outcome regression evaluated at the baseline level."""
     if comp.y0_marginal is None:
         raise EstimationError("delta_gformula requires a fitted marginal outcome model")
-    return wmean(comp.y0_marginal, weights)
+    return wmean(comp.y0_marginal, comp.weights)
 
 
-def delta_ipw(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def delta_ipw(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Inverse-probability-weighted baseline-arm outcome mean."""
-    return wmean(comp.ind_baseline * dataset.y / comp.p_baseline, weights)
+    return wmean(comp.ind_baseline * dataset.y / comp.p_baseline, comp.weights)
 
 
-def delta_aipw(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray | None = None) -> float:
+def delta_aipw(dataset: Dataset, comp: NuisanceComponents) -> float:
     """Doubly-robust baseline mean: the marginal regression ``comp.y0_marginal``
     plus the inverse-probability-weighted baseline-arm residual.  Another
     regression enters as ``dataclasses.replace(comp, y0_marginal=...)``."""
@@ -144,7 +144,7 @@ def delta_aipw(dataset: Dataset, comp: NuisanceComponents, weights: np.ndarray |
     if y0 is None:
         raise EstimationError("delta_aipw requires a fitted marginal outcome model")
     resid = comp.ind_baseline / comp.p_baseline * (dataset.y - y0)
-    return wmean(resid + y0, weights)
+    return wmean(resid + y0, comp.weights)
 
 
 BETA_FUNCS = {"mle": beta_mle, "a": beta_a, "b": beta_b, "mr": beta_mr}
@@ -229,7 +229,6 @@ def beta_mr_sequential(
     working_set: WorkingModelSet,
     coding: PairCoding,
     *,
-    weights: np.ndarray | None = None,
     comp: NuisanceComponents | None = None,
 ) -> SequentialFit:
     """Refit the mean models by weighted least squares so the three weighted
@@ -238,19 +237,20 @@ def beta_mr_sequential(
     Requires the continuous (linear-pathway) configuration with an intercept
     in every mean model.  The propensities and density ratios come from
     ``comp``, the components of a maximum-likelihood fit of ``working_set``
-    on the same data and weights; when it is omitted that fit is made here,
-    with ``compute_components``' defaults (no stabilization, the default
-    clip).  A stabilized or unclipped ``mr_seq`` passes its own ``comp``.
-    Each mean model is then refitted on its arm (every row weighted, the
-    other arm's by zero) with the weight its residual term carries, which
-    makes that term a weighted-least-squares orthogonality condition equal
-    to zero.  The d1 post-treatment refits share the arm and the weight, so
-    those on one reduced design share its build and one Gram, each fit
-    bitwise its own.  What remains is the empirical mean of the fully nested
-    prediction.  ``(B, n)`` weights (with batch components) refit every
-    replicate at once, and the value and the terms gain a leading replicate
-    axis; a replicate whose refit fails is NaN, its message in
-    ``comp.failures``.  So does a stacked dataset with its components.
+    on the same data, and the outer weights are that fit's
+    (``comp.weights``); without ``comp`` an unweighted fit is made here,
+    with the defaults of ``compute_components``.  A weighted, stabilized or
+    unclipped ``mr_seq`` passes its ``comp``.  Each mean model is then
+    refitted on its arm (every row weighted, the other arm's by zero) with
+    the weight its residual term carries, which makes that term a
+    weighted-least-squares orthogonality condition equal to zero.  The d1
+    post-treatment refits share the arm and the weight, so those on one
+    reduced design share its build and one Gram, each fit bitwise its own.
+    What remains is the empirical mean of the fully nested prediction.
+    Batch components, from ``(B, n)`` weights, refit every replicate at
+    once, and the value and the terms gain a leading replicate axis; a
+    replicate whose refit fails is NaN, its message in ``comp.failures``.
+    So does a stacked dataset with its components.
     """
     if comp is None:
         working_set.validate(dataset.d0, dataset.d1, "linear")
@@ -261,10 +261,9 @@ def beta_mr_sequential(
         if not working_set[role].design.has_intercept():
             raise EstimationError(f"{role}: sequential refitting requires an intercept term")
     if comp is None:
-        fits = fit_nuisances(dataset, working_set, coding, weights)
-        comp = compute_components(dataset, fits, weights=weights)
+        comp = compute_components(dataset, fit_nuisances(dataset, working_set, coding))
 
-    w_outer = np.ones(dataset.n) if weights is None else np.asarray(weights, dtype=float)
+    w_outer = np.ones(dataset.n) if comp.weights is None else np.asarray(comp.weights, dtype=float)
     icomp, ibase = coding.comparison_internal, coding.baseline_internal
     ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
     p_base, p_comp = comp.p_baseline, comp.p_comparison
@@ -310,14 +309,13 @@ def beta_of_kind(
     kind: str,
     dataset: Dataset,
     comp: NuisanceComponents,
-    weights: np.ndarray | None = None,
     *,
     working_set: WorkingModelSet,
     coding: PairCoding,
 ):
     """The contrast estimate of estimator ``kind`` (one of ``BETA_KINDS``)
-    from the components ``comp``; ``mr_seq`` also refits the mean models of
-    ``working_set`` (see ``beta_mr_sequential``)."""
+    from the components ``comp``, under their weights; ``mr_seq`` also
+    refits the mean models of ``working_set`` (see ``beta_mr_sequential``)."""
     if kind == "mr_seq":
-        return beta_mr_sequential(dataset, working_set, coding, weights=weights, comp=comp).value
-    return BETA_FUNCS[kind](dataset, comp, weights)
+        return beta_mr_sequential(dataset, working_set, coding, comp=comp).value
+    return BETA_FUNCS[kind](dataset, comp)

@@ -273,13 +273,18 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
     Each block is solved by the regression engine's ``_fisher_step``, so a
     block that is rank deficient on ``dataset`` raises ``InferenceError``
     naming the role and the column.  Every nested fit must be identity-link
-    gaussian.  Returns the variance of the estimator itself (the
+    gaussian, unweighted and of one dataset; weighted or batch fits raise
+    ``InferenceError``.  Returns the variance of the estimator itself (the
     large-sample variance divided by n).
     """
     if fits.pathway != "linear":
         raise InferenceError("the analytic variance is defined for the linear pathway")
+    if fits.weights is not None:
+        raise InferenceError("the analytic variance is defined for unweighted fits")
     roles = _nested_model_roles(dataset.d1)
     for role in roles:
+        if fits[role].coef.ndim != 1:
+            raise InferenceError(f"{role}: the analytic variance needs the fit of one dataset, not a batch")
         if fits[role].family is not Family.GAUSSIAN:
             raise InferenceError(
                 f"{role}: the analytic variance needs an identity-link gaussian fit, "

@@ -218,6 +218,7 @@ class NuisanceFits:
     pathway: str
     d1: int
     failures: dict = field(default_factory=dict)  # a batch's {b: reason}
+    weights: np.ndarray | None = None  # the fits' weights: None, (n,) or (B, n)
 
     def __getitem__(self, role: str) -> FittedGlm:
         try:
@@ -282,7 +283,8 @@ def fit_nuisances(
     all B weight rows (see ``glm.fit_glm``); a replicate whose fit fails has
     NaN coefficients and its role-tagged message in ``failures`` rather than
     raising.  A stacked dataset (see ``core.Dataset``) is such a batch too,
-    each design a stack of per-replicate designs.
+    each design a stack of per-replicate designs.  The fits keep
+    ``weights``, the only weights that any later stage uses.
     """
     working_set.validate(dataset.d0, dataset.d1, pathway)
     if pathway == "discrete":
@@ -308,8 +310,8 @@ def fit_nuisances(
             except GlmError as exc:
                 raise NuisanceError(f"{role}: {exc}") from exc
         _tagged(role, fitted[role], failures)
-    fits = {role: fitted[role] for role in designs}
-    return NuisanceFits(fits=fits, coding=coding, pathway=pathway, d1=dataset.d1, failures=failures)
+    return NuisanceFits(fits={role: fitted[role] for role in designs}, coding=coding, pathway=pathway,
+                        d1=dataset.d1, failures=failures, weights=weights)
 
 
 def _tagged(role: str, fit: FittedGlm | GlmError, failures: dict) -> FittedGlm:
@@ -435,7 +437,6 @@ def _propensity_probs(
     roles: Iterable[str],
     clip: tuple[float, float] | None,
     clip_counts: dict,
-    weights: np.ndarray | None,
     failures: dict,
 ) -> dict[str, np.ndarray]:
     """Clipped comparison-level probabilities of each named propensity model.
@@ -446,7 +447,7 @@ def _propensity_probs(
     roles = list(dict.fromkeys(roles))
     probs = {}
     for role, (_, p) in zip(roles, _predictions(dataset, [(fits[role], None) for role in roles])):
-        probs[role], n_clipped = _clip_probs(p, clip, role, weights, failures)
+        probs[role], n_clipped = _clip_probs(p, clip, role, fits.weights, failures)
         if np.count_nonzero(n_clipped):
             clip_counts[role] = n_clipped
     return probs
@@ -640,6 +641,7 @@ class NuisanceComponents:
     y0_marginal: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
+    weights: np.ndarray | None = None  # the fits', every estimator's; others enter by replace(comp, weights=...)
 
 
 def compute_components(
@@ -648,7 +650,6 @@ def compute_components(
     *,
     stabilize: StabilizeFlags = StabilizeFlags(),
     clip: tuple[float, float] | None = DEFAULT_CLIP,
-    weights: np.ndarray | None = None,
 ) -> NuisanceComponents:
     """Evaluate ratios, propensities, and nested means for every record.
 
@@ -659,13 +660,13 @@ def compute_components(
 
     ``diagnostics`` holds the clip counts, per propensity role
     (``clip_counts``) and in total (``clip_count``); the arm weights'
-    extremes are ``estimators.weight_diagnostics``'.  Batch fits
-    (``fit_nuisances`` with ``(B, n)`` weights, passed here too) give every
-    per-record array and clip count a leading replicate axis.
+    extremes are ``estimators.weight_diagnostics``'.  ``weights`` are the
+    fits'; batch fits, of ``(B, n)`` weights, give every per-record array
+    and clip count a leading replicate axis.
     ``failures`` holds each failed replicate's first message in evaluation
     order: the fits', positivity and stabilization, then the estimators'.
     """
-    coding = fits.coding
+    coding, weights = fits.coding, fits.weights
     diagnostics: dict = {"clip_counts": {}}
     failures = dict(fits.failures)
     ind_comp = coding.ind_comparison(dataset.e)
@@ -676,7 +677,7 @@ def compute_components(
         mr, cr = np.ones(dataset.n), np.ones(dataset.n)
     else:
         roles = [ROLE_PROP_BASE, *fits.m_ratio_roles(), *fits.c1_ratio_roles()]
-        probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], weights, failures)
+        probs = _propensity_probs(fits, dataset, roles, clip, diagnostics["clip_counts"], failures)
         p_comparison = probs[ROLE_PROP_BASE]
         if stabilize.base:
             p_comparison = stabilize_probabilities(p_comparison, ind_comp, weights, failures)
@@ -701,6 +702,7 @@ def compute_components(
         y0_marginal=y0,
         diagnostics=diagnostics,
         failures=failures,
+        weights=weights,
     )
 
 

@@ -477,6 +477,8 @@ def run_monte_carlo(
     kinds = tuple(estimators)
     if spec.n < 1:
         raise SimulationError(f"n must be at least 1, got {spec.n}")
+    if spec.replications < 2:
+        raise SimulationError(f"replications must be at least 2, got {spec.replications}")
     if not kinds:
         raise SimulationError("no estimator requested")
     for kind in kinds:

@@ -248,9 +248,10 @@ def test_criterion_4_identity_collapse():
         comp = compute_components(rec, replace(fits, coding=id_coding),
                                   stabilize=StabilizeFlags.all_on())
         for w in (None, np.random.default_rng(seed).exponential(1.0, rec.n)):
-            assert abs(beta_a(rec, comp, w) - delta_ipw(rec, comp, w)) < 1e-10
+            weighted = replace(comp, weights=w)
+            assert abs(beta_a(rec, weighted) - delta_ipw(rec, weighted)) < 1e-10
             assert abs(
-                beta_mr(rec, comp, w) - delta_aipw(rec, replace(comp, y0_marginal=comp.b_doubleprime), w)
+                beta_mr(rec, weighted) - delta_aipw(rec, replace(weighted, y0_marginal=comp.b_doubleprime))
             ) < 1e-10
     print("\nACCEPTANCE 4 PASS: identity-mode collapses exact to 1e-10")
 
@@ -324,9 +325,7 @@ def test_criterion_8_sandwich_matches_bootstrap():
     analytic = mle_sandwich_variance(ds, fits)
 
     def statistic(data, weights):
-        f = fit_nuisances(data, models.working_set, CODING, weights=weights)
-        comp = compute_components(data, f)
-        return beta_mle(data, comp)
+        return beta_mle(data, compute_components(data, fit_nuisances(data, models.working_set, CODING, weights)))
 
     boot = bootstrap(ds, statistic, BootstrapSpec(kind="nonparametric", replicates=500, seed=81))
     rel = abs(analytic - boot.se**2) / boot.se**2
@@ -340,9 +339,8 @@ def test_criterion_9_bootstrap_coverage():
     models = working_models_for("int", include_marginal=True)
 
     def effect_and_failures(data, weights):
-        f = fit_nuisances(data, models.working_set, CODING, weights=weights)
-        comp = compute_components(data, f, weights=weights)
-        return beta_mr(data, comp, weights) - delta_aipw(data, comp, weights), comp.failures
+        comp = compute_components(data, fit_nuisances(data, models.working_set, CODING, weights))
+        return beta_mr(data, comp) - delta_aipw(data, comp), comp.failures
 
     covered = 0
     outer = 200

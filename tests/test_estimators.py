@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pathfx.estimators as estimators_mod
-from pathfx.core import DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair
+from pathfx.core import DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair, wmean
 from pathfx.estimators import (
     EstimationError,
     beta_a,
@@ -83,10 +83,10 @@ class TestIdentityCollapse:
 
     def test_collapse_holds_under_weights(self):
         rec, comp = self._identity_components(72)
-        w = np.random.default_rng(1).exponential(1.0, rec.n)
-        assert abs(beta_a(rec, comp, w) - delta_ipw(rec, comp, w)) < 1e-10
+        comp = replace(comp, weights=np.random.default_rng(1).exponential(1.0, rec.n))
+        assert abs(beta_a(rec, comp) - delta_ipw(rec, comp)) < 1e-10
         nested = replace(comp, y0_marginal=comp.b_doubleprime)
-        assert abs(beta_mr(rec, comp, w) - delta_aipw(rec, nested, w)) < 1e-10
+        assert abs(beta_mr(rec, comp) - delta_aipw(rec, nested)) < 1e-10
 
     def test_beta_b_with_saturated_regression_equals_delta_ipw(self):
         # when the outcome regression reproduces Y exactly, the comparison-arm
@@ -103,6 +103,47 @@ class TestIdentityCollapse:
         fits = fit_nuisances(rec, models.working_set, id_coding)
         comp = compute_components(rec, fits)
         assert beta_mle(rec, comp) == pytest.approx(delta_gformula(rec, comp), abs=0.25)
+
+
+class TestWeightsEnterOnce:
+    """The weights given to ``fit_nuisances`` reach every estimator through
+    the components: each value is bitwise the mean of its summands under
+    them."""
+
+    @pytest.mark.parametrize("shape", ["single", "batch"])
+    def test_every_estimator_means_under_the_fit_weights(self, shape, monkeypatch):
+        ds = draw_dataset(1000, 3)
+        working_set = working_models_for("int", include_marginal=True).working_set
+        w = np.random.default_rng(1).exponential(1.0, (3, ds.n) if shape == "batch" else ds.n)
+        comp = compute_components(ds, fit_nuisances(ds, working_set, CODING, w))
+        w_base, w_comp = comp.ind_baseline / comp.p_baseline, comp.ind_comparison / comp.p_comparison
+        summands = {
+            beta_mle: comp.b_doubleprime,
+            beta_a: w_base * comp.m_ratio * ds.y,
+            beta_b: w_comp / comp.c1_ratio * comp.b,
+            beta_mr: influence_values(ds, comp, 0.0),
+            delta_gformula: comp.y0_marginal,
+            delta_ipw: comp.ind_baseline * ds.y / comp.p_baseline,
+            delta_aipw: w_base * (ds.y - comp.y0_marginal) + comp.y0_marginal,
+        }
+        for estimator, values in summands.items():
+            assert np.array_equal(estimator(ds, comp), wmean(values, w)), estimator.__name__
+        assert comp.weights is w
+
+        # mr_seq's residual terms and its value are means of the refits'
+        # summands, each under the fit weights
+        means = []
+
+        def recording_wmean(values, weights):
+            means.append((values, weights))
+            return wmean(values, weights)
+
+        monkeypatch.setattr(estimators_mod, "wmean", recording_wmean)
+        seq = beta_mr_sequential(ds, working_set, CODING, comp=comp)
+        assert len(means) == 4
+        for _, weights in means:
+            assert np.array_equal(weights, w)
+        assert np.array_equal(seq.value, wmean(means[-1][0], w))
 
 
 class TestNullAndLinearity:
@@ -309,8 +350,8 @@ class TestSequential:
         models = working_models_for("int")
         w = np.random.default_rng(2).exponential(1.0, ds.n)
         comp = compute_components(ds, fit_nuisances(ds, models.working_set, CODING, w),
-                                  stabilize=StabilizeFlags.all_on(), weights=w)
-        seq = beta_mr_sequential(ds, models.working_set, CODING, weights=w, comp=comp)
+                                  stabilize=StabilizeFlags.all_on())
+        seq = beta_mr_sequential(ds, models.working_set, CODING, comp=comp)
         for term in seq.term_values:
             assert abs(term) < 1e-8
 
@@ -323,14 +364,12 @@ class TestSequential:
         comp = compute_components(rec, fits)
         assert seq.value == pytest.approx(beta_mle(rec, comp), abs=1e-10)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_given_components_match_the_default_fit(self, weighted):
+    def test_given_components_match_the_default_fit(self):
         ds = draw_dataset(700, 93)
         models = working_models_for("b")
-        w = np.random.default_rng(3).exponential(1.0, ds.n) if weighted else None
-        comp = compute_components(ds, fit_nuisances(ds, models.working_set, CODING, w), weights=w)
-        given = beta_mr_sequential(ds, models.working_set, CODING, weights=w, comp=comp)
-        default = beta_mr_sequential(ds, models.working_set, CODING, weights=w)
+        comp = compute_components(ds, fit_nuisances(ds, models.working_set, CODING))
+        given = beta_mr_sequential(ds, models.working_set, CODING, comp=comp)
+        default = beta_mr_sequential(ds, models.working_set, CODING)
         assert given.value == default.value
         assert given.term_values == default.term_values
 
@@ -340,13 +379,12 @@ class TestSequential:
         ds = draw_dataset(500, 96)
         working_set = working_models_for("int").working_set
         W = np.random.default_rng(97).exponential(1.0, (4, ds.n))
-        comp = compute_components(ds, fit_nuisances(ds, working_set, CODING, weights=W), weights=W)
-        clean = beta_mr_sequential(ds, working_set, CODING, weights=W, comp=comp)
+        comp = compute_components(ds, fit_nuisances(ds, working_set, CODING, weights=W))
+        clean = beta_mr_sequential(ds, working_set, CODING, comp=comp)
         for field in ("m_ratio", "c1_ratio", "p_baseline"):
             broken = getattr(comp, field).copy()
             broken[1, 7] = np.nan
-            seq = beta_mr_sequential(ds, working_set, CODING, weights=W,
-                                     comp=replace(comp, **{field: broken}))
+            seq = beta_mr_sequential(ds, working_set, CODING, comp=replace(comp, **{field: broken}))
             assert np.isnan(seq.value[1]), field
             assert np.array_equal(seq.value[[0, 2, 3]], clean.value[[0, 2, 3]]), field
 

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 import pathfx.inference as inference_mod
 import pathfx.nuisance as nuisance_mod
 from pathfx.core import (
+    Dataset,
     DesignSpec,
     PairCoding,
     TreatmentPair,
@@ -455,6 +456,29 @@ class TestSandwichVariance:
         with pytest.raises(InferenceError, match=r"^outcome: design matrix is rank deficient at c0_1 "
                                                  r"\(relative pivot magnitude [0-9.e+-]+\)$"):
             mle_sandwich_variance(flat, fits)
+
+    @pytest.mark.parametrize("case", ["weighted", "batch", "stacked"])
+    def test_fits_it_cannot_handle_are_refused_before_any_design(self, case, monkeypatch):
+        # weighted fits would get the unweighted variance; the batch fits of
+        # (B, n) weights or of a stacked Monte Carlo chunk have (B, p)
+        # coefficients
+        ds = draw_dataset(600, 28)
+        working_set = working_models_for("int").working_set
+        if case == "stacked":
+            drawn = [draw_dataset(300, 28, rep=r) for r in (1, 2)]
+            ds = Dataset(**{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(Dataset)})
+            fits, message = fit_nuisances(ds, working_set, CODING), r"^outcome: .*one dataset, not a batch$"
+        else:
+            w = np.random.default_rng(28).exponential(1.0, (3, ds.n) if case == "batch" else ds.n)
+            fits, message = fit_nuisances(ds, working_set, CODING, w), r"^the analytic variance is defined for unweighted fits$"
+
+        def no_design(*args, **kwargs):
+            raise AssertionError("a design was built")
+
+        for module in (inference_mod, nuisance_mod):
+            monkeypatch.setattr(module, "build_design_matrix", no_design)
+        with pytest.raises(InferenceError, match=message):
+            mle_sandwich_variance(ds, fits)
 
     def test_discrete_pathway_is_refused(self):
         ds = draw_dataset(300, 26)

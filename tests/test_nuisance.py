@@ -502,7 +502,7 @@ class TestComponents:
         rec, id_coding = recode_pair(draw_dataset(300, 62), TreatmentPair(1, 1), allow_identity=True)
         W = np.random.default_rng(62).exponential(1.0, (4, rec.n)) if batch else None
         fits = fit_nuisances(rec, working_models_for("int").working_set, id_coding, weights=W)
-        comp = compute_components(rec, fits, stabilize=StabilizeFlags.all_on(), clip=None, weights=W)
+        comp = compute_components(rec, fits, stabilize=StabilizeFlags.all_on(), clip=None)
         for arr in (comp.p_baseline, comp.p_comparison, comp.m_ratio, comp.c1_ratio):
             assert np.array_equal(arr, np.ones(rec.n))
         assert comp.b.shape == ((4, rec.n) if batch else (rec.n,))
@@ -530,7 +530,7 @@ def _role_by_role_fits(ds, working_set, weights, start):
         fit = fit_glm(build_design_matrix(ds, spec.design), _response_for(role, ds), spec.family, weights,
                       design=spec.design, start=None if start is None else start[role].coef)
         fits[role] = replace(fit, family=spec.predict_family) if spec.predict_family else fit
-    return NuisanceFits(fits=fits, coding=CODING, pathway="linear", d1=ds.d1)
+    return NuisanceFits(fits=fits, coding=CODING, pathway="linear", d1=ds.d1, weights=weights)
 
 
 def _one_at_a_time(dataset, requests):
@@ -569,15 +569,15 @@ class TestSharedBuilds:
         ds, weights = self._case(mode)
         start = fit_nuisances(draw_dataset(400, 81), working_set, CODING) if mode == "weighted" else None
         fits = fit_nuisances(ds, working_set, CODING, weights=weights, start=start)
-        comp = compute_components(ds, fits, weights=weights)
-        seq = beta_mr_sequential(ds, working_set, CODING, weights=weights, comp=comp)
+        comp = compute_components(ds, fits)
+        seq = beta_mr_sequential(ds, working_set, CODING, comp=comp)
 
         reference = _role_by_role_fits(ds, working_set, weights, start)
         monkeypatch.setattr(nuisance_mod, "_predictions", _one_at_a_time)
         monkeypatch.setattr(estimators_mod, "_least_squares", lambda X, ys, w, *, design: [
             fit_glm(X, y, Family.GAUSSIAN, w, design=design) for y in ys])
-        ref_comp = compute_components(ds, reference, weights=weights)
-        ref_seq = beta_mr_sequential(ds, working_set, CODING, weights=weights, comp=ref_comp)
+        ref_comp = compute_components(ds, reference)
+        ref_seq = beta_mr_sequential(ds, working_set, CODING, comp=ref_comp)
 
         assert list(fits.fits) == list(working_set.roles())
         for role in working_set.roles():

@@ -212,6 +212,16 @@ class TestMonteCarloRunner:
             run_monte_carlo(SimulationSpec(regime="int", n=n, replications=5, seed=1), estimators=estimators)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("replications", [1, 0])
+    def test_too_few_replications_raise_before_any_replicate(self, replications, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", no_draw)
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(SimulationSpec(regime="int", n=200, replications=replications, seed=1))
+        assert str(err.value) == f"replications must be at least 2, got {replications}"
+
     def test_sequential_estimator_supported(self):
         spec = SimulationSpec(regime="int", n=400, replications=10, seed=7)
         rep = run_monte_carlo(spec, estimators=("mr_seq",))
