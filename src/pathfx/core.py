@@ -207,14 +207,21 @@ def _check_pair(dataset: Dataset, pair: TreatmentPair, allow_identity: bool) -> 
 
 
 def restrict_to_pair(dataset: Dataset, pair: TreatmentPair, *, allow_identity: bool = False) -> Dataset:
-    """Keep exactly the records at the pair's levels, preserving order."""
+    """Keep exactly the records at the pair's levels, preserving order.
+
+    When every record is at a pair level that is the dataset itself: its
+    arrays are locked, so sharing them is safe, and nothing is copied.
+    """
     _check_pair(dataset, pair, allow_identity)
     mask = (dataset.e == pair.comparison) | (dataset.e == pair.baseline)
-    return dataset.take(np.flatnonzero(mask))
+    return dataset if mask.all() else dataset.take(np.flatnonzero(mask))
 
 
 def recode_pair(dataset: Dataset, pair: TreatmentPair, *, allow_identity: bool = False) -> tuple[Dataset, PairCoding]:
-    """Restrict to the pair and recode treatment to the internal 0/1 scheme."""
+    """Restrict to the pair and recode treatment to the internal 0/1 scheme.
+
+    Only the recoded ``e`` is new; the other columns are the restricted
+    dataset's, shared with ``dataset`` when the pair keeps every record."""
     restricted = restrict_to_pair(dataset, pair, allow_identity=allow_identity)
     e = (restricted.e == pair.comparison).astype(int)
     return replace(restricted, e=e), PairCoding(pair=pair)

@@ -17,10 +17,13 @@ score vanishes on separated responses (``_separation``) raises
 ``(B, n, p)`` a chunk of Monte Carlo datasets.  ``_least_squares`` fits
 several gaussian responses on one design and weights from one system
 each.  One solver (``_solve``) forms every p x p system X' diag(w) X as
-one matrix product of the weighted X' with X per system, X' being the view
-``X.T``, which is C-contiguous for the column-major designs of
-``build_design_matrix``: no copy of X is made, and a system serves any
-number of right-hand sides.  It solves each system by one rule: from its
+a sum over row blocks of ``GRAM_BLOCK // p`` rows (``_gram``), one matrix
+product of the weighted block of X' with the block of X per block and
+system, X' being the view ``X.T``, which is C-contiguous for the
+column-major designs of ``build_design_matrix``: no copy of X and no
+weighted copy of more than a block is made, a design of one block is one
+product, and a system serves any number of right-hand sides.  It solves
+each system by one rule: from its
 inverse when the exact 1-norm reciprocal condition passes
 ``CHOL_RCOND_MIN`` (``_inverse_steps``), and otherwise from a Householder
 QR of sqrt(W) X with column pivoting (``_pivoted_qr``), which names the
@@ -28,7 +31,7 @@ offending column on rank loss.  A system with a NaN, an inf or an overflow in X'
 the guard and raises ``GlmError`` in place of the QR; least squares also
 checks its p coefficients, since a finite X'WX passes the guard whatever
 its right-hand side.  Least squares is one such solve; each Newton step is
-another.  Every per-replicate product, Gram included, is
+another.  Every per-replicate product, each Gram block included, is
 its own BLAS call of a fixed shape (a stacked matmul, or the same call in
 2-D for a single system), never a row of one (B, n) matrix product, whose
 rounding depends on B: a replicate's fit depends only on its own weights,
@@ -92,6 +95,26 @@ CHOL_RCOND_MIN = 1e-10
 # n = 1,000), 0 logit and 69 probit fits have a row below 1e-8, and on none
 # do the live rows lose rank.
 DEAD_INFO = 1e-8
+# Every Gram X' diag(w) X is summed over blocks of GRAM_BLOCK // p rows
+# (``_gram``): no weighted copy of a tall X is made, and the weighted block
+# stays in cache.  A block counts elements, not rows, because a fixed 4,096
+# rows slowed narrow designs.  Microseconds per weighted Gram of a
+# column-major X, best of 15 (2-core x86 host, one OpenBLAS thread), as one
+# product ("one") and over blocks of E elements or of 4,096 rows:
+#
+#          n = 25,000: one  2^14  2^15  2^16  2^17  4096 | n = 200,000: one  2^14  2^15  2^16  2^17  4096
+#   p = 2              43    52    44    42    43    60 |               624   424   389   353   482   483
+#       4              90   102    91    85    89   100 |              2220   898   799   797   936   858
+#       6             222   266   164   163   197   183 |              3376  2177  1358  1276  1610  1454
+#       8             376   350   239   234   320   237 |              4862  2873  1952  1921  3026  1954
+#       9             560   433   305   313   448   319 |              6230  3490  2502  2431  4383  2526
+#      11             850   597   422   442   808   444 |              9873  4789  3298  3317  6725  3552
+#      14             919   759   670   579   886   590 |             10344  6046  5429  4401  7208  4516
+#
+# 2^16 keeps every design of 4,681 rows or fewer (p <= 14) in one block, so
+# the Grams of the paper's study (n = 1,000) and of bootstraps of a few
+# thousand records are one product each.
+GRAM_BLOCK = 2**16
 
 
 class Family(enum.Enum):
@@ -123,8 +146,7 @@ class NonConvergenceError(GlmError):
     def __init__(self, iterations: int, score_norm: float, coef_norm: float, separation: str | None = None):
         norms = f"max|score|={score_norm:.3e}, |coef|={coef_norm:.3e}"
         super().__init__(
-            f"no convergence after {iterations} iterations: {norms} (a large coefficient norm with a "
-            "flat score suggests separation)" if separation is None else
+            f"no convergence after {iterations} iterations: {norms}" if separation is None else
             f"the responses are separated: {separation} (after {iterations} iterations: {norms})")
         self.iterations = iterations
         self.score_norm = score_norm
@@ -244,6 +266,28 @@ def _not_finite() -> GlmError:
                     "(a NaN, an inf or an overflowing value in the design, response or weights)")
 
 
+def _gram(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """X' diag(w) X, summed over row blocks of ``GRAM_BLOCK // p`` rows in
+    order: X (n, p) with weights ``w`` (n,) gives one system, and X (n, p)
+    or a stack (B, n, p) with ``w`` (B, 1, n) one per weight row; ``w`` None
+    stands for unit weights.  Each block is one matrix product of the
+    weighted block of the view X' with the block of X, so no weighted copy
+    of more than a block exists; a design of one block is one product."""
+    rows = GRAM_BLOCK // max(X.shape[-1], 1)
+    Xt = X.swapaxes(-1, -2)
+    if X.shape[-2] <= rows:
+        return np.matmul(Xt if w is None else Xt * w, X)
+    H = None
+    for i in range(0, X.shape[-2], rows):
+        Xt_b = Xt[..., i:i + rows]
+        G = np.matmul(Xt_b if w is None else Xt_b * w[..., i:i + rows], X[..., i:i + rows, :])
+        if H is None:
+            H = G
+        else:
+            H += G
+    return H
+
+
 def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None):
     """The solve of every fit on the column-major design X: for each
     right-hand side ``score`` (B, p) of ``scores``, the steps delta[b] of
@@ -255,11 +299,13 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
     which form no weighted copy of X.  With ``qr_weights``, a row's QR step
     takes the weights ``qr_weights(b)`` in place of ``ww[b]``.
 
-    Every weighted Gram is one matrix product of X' diag(ww[b]) with X, X'
-    being the transpose view of X, C-contiguous for a column-major X (a
-    strided one of a caller's C-ordered X, taken as it is, in its own
-    rounding): a stacked matmul for a batch, and the same product as a 2-D
-    call for a single system on a 2-D X, which gives the same bits.  The
+    Every Gram is ``_gram``'s sum over row blocks, in order, of the
+    products of X_b' diag(ww[b]) with X_b, X' being the transpose view of
+    X, C-contiguous for a column-major X (a strided one of a caller's
+    C-ordered X, taken as it is, in its own rounding): a stacked matmul per
+    block for a batch, and the same product as a 2-D call for a single
+    system on a 2-D X, which gives the same bits; the blocks depend on n
+    and p alone, so a batch row is summed as its single fit is.  The
     systems are formed, inverted and guarded once for all right-hand sides,
     and each right-hand side's product with the inverse is its own call, as
     it would be alone.  ``_inverse_steps`` solves the systems that pass its
@@ -270,14 +316,13 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
     """
     with np.errstate(all="ignore"):
         if len(scores[0]) == 1 and X.ndim == 2:
-            H = X.T @ X if ww is None else (X.T * ww[0]) @ X
+            H = _gram(X, None if ww is None else ww[0])
             deltas, passed = _inverse_steps(H, [score[0] for score in scores])
             if passed:
                 return [(delta[None], {}) for delta in deltas]
             deltas, failed, H = [delta[None] for delta in deltas], [0], H[None]
         else:
-            Xt = X.swapaxes(-1, -2)
-            H = np.matmul(Xt if ww is None else Xt * ww[:, None, :], X)
+            H = _gram(X, None if ww is None else ww[:, None, :])
             deltas, passed = _inverse_steps(H, scores)
             failed = np.flatnonzero(~passed)
     out = []

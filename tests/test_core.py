@@ -119,6 +119,25 @@ class TestRestrictToPair:
         assert list(recoded.e) == [0, 1, 0, 1]
         assert coding.comparison_internal == 1 and coding.baseline_internal == 0
 
+    def test_a_pair_that_keeps_every_record_shares_the_columns(self):
+        ds = self._dataset([3, 5, 3, 5])
+        assert restrict_to_pair(ds, TreatmentPair(5, 3)) is ds
+        recoded, _ = recode_pair(ds, TreatmentPair(5, 3))
+        for name in ("c0", "c1", "m", "y"):
+            assert np.shares_memory(getattr(recoded, name), getattr(ds, name)), name
+        assert not np.shares_memory(recoded.e, ds.e)
+        for name in ("c0", "e", "c1", "m", "y"):
+            assert not getattr(recoded, name).flags.writeable, name
+            assert not getattr(ds, name).flags.writeable, name
+        assert list(ds.e) == [3, 5, 3, 5] and list(recoded.e) == [0, 1, 0, 1]
+
+    def test_a_proper_subset_is_taken(self):
+        ds = self._dataset([3, 5, 4, 5])
+        recoded, _ = recode_pair(ds, TreatmentPair(5, 3))
+        for name in ("c0", "c1", "m", "y"):
+            assert not np.shares_memory(getattr(recoded, name), getattr(ds, name)), name
+        assert list(recoded.c0[:, 0]) == [0.0, 1.0, 3.0]
+
     def test_recode_identity_mode(self):
         ds = self._dataset([3, 5, 3])
         recoded, coding = recode_pair(ds, TreatmentPair(3, 3), allow_identity=True)

@@ -311,6 +311,17 @@ class TestIrls:
             fit_glm_irls(X, y, Family.LOGIT)
         assert err.value.coef_norm > 1.0
 
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_the_iteration_limit_claims_no_separation(self, family, monkeypatch):
+        # a well-posed fit stopped early reports its iterations and norms
+        # only: separation is named by the rank test, where it is real
+        rng, X, y, _ = TestBatchFit._case(seed=22)
+        monkeypatch.setattr(glm_mod, "DEFAULT_MAX_ITER", 2)
+        with pytest.raises(NonConvergenceError) as err:
+            fit_glm_irls(X, y, family)
+        assert str(err.value).startswith("no convergence after 2 iterations: max|score|=")
+        assert "separat" not in str(err.value)
+
     def test_binary_response_required(self):
         with pytest.raises(GlmError, match=r"\[0, 1\]"):
             fit_glm_irls(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), Family.LOGIT)
@@ -909,6 +920,86 @@ class TestLayout:
         column_major = fit_glm(X, response, family, w).coef
         row_major = fit_glm(np.ascontiguousarray(X), response, family, w).coef
         assert np.max(np.abs(row_major - column_major)) <= 1e-12 * np.max(np.abs(column_major))
+
+
+class TestGramBlocks:
+    """Every Gram is summed over row blocks of ``GRAM_BLOCK // p`` rows."""
+
+    P = 14
+
+    @classmethod
+    def _tall_case(cls, seed=71):
+        # three whole blocks and a ragged fourth
+        rows = glm_mod.GRAM_BLOCK // cls.P
+        n = 3 * rows + rows // 3
+        rng = np.random.default_rng(seed)
+        X = np.empty((cls.P, n)).T  # column-major, as build_design_matrix makes them
+        X[:, 0] = 1.0
+        X[:, 1:] = rng.standard_normal((n, cls.P - 1))
+        eta = X @ (0.15 * rng.standard_normal(cls.P))
+        y = (rng.random(n) < expit(eta)).astype(float)
+        return rng, X, y, eta + rng.standard_normal(n)
+
+    def test_a_tall_design_spans_several_blocks(self):
+        _, X, _, _ = self._tall_case()
+        assert X.shape[0] // (glm_mod.GRAM_BLOCK // self.P) == 3
+        assert X.shape[0] % (glm_mod.GRAM_BLOCK // self.P) > 0
+        # a bootstrap or Monte Carlo design of the paper's sizes fits in one
+        assert 1500 <= glm_mod.GRAM_BLOCK // self.P
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_the_gram_matches_an_extended_precision_sum(self, weighted):
+        rng, X, _, _ = self._tall_case()
+        n = X.shape[0]
+        w = rng.exponential(1.0, n) if weighted else None
+        H = glm_mod._gram(X, w)
+        Xl = X.astype(np.longdouble)
+        ref = (Xl.T * (1 if w is None else w.astype(np.longdouble))) @ Xl
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))  # |H_jk| <= sqrt(H_jj H_kk)
+        assert np.max(np.abs(H - ref) / scale) < 1e-13
+        # the blocks are summed, not one product over every row
+        assert not np.array_equal(H, X.T @ X if w is None else (X.T * w) @ X)
+
+    @pytest.mark.parametrize("p", [2, 7, 14])
+    def test_a_design_of_one_block_is_the_single_product(self, p):
+        rng = np.random.default_rng(72)
+        n = glm_mod.GRAM_BLOCK // p
+        X = np.asfortranarray(rng.standard_normal((n, p)))
+        w = rng.exponential(1.0, n)
+        assert np.array_equal(glm_mod._gram(X, w), (X.T * w) @ X)
+        assert np.array_equal(glm_mod._gram(X, None), X.T @ X)
+        W = rng.exponential(1.0, (3, n))
+        assert np.array_equal(glm_mod._gram(X, W[:, None, :]), np.matmul(X.T * W[:, None, :], X))
+
+    def test_no_weighted_copy_of_a_tall_design(self):
+        rng, X, _, _ = self._tall_case()
+        w = rng.exponential(1.0, X.shape[0])
+        tracemalloc.start()
+        try:
+            glm_mod._gram(X, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * X.nbytes
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN], ids=lambda f: f.name.lower())
+    def test_batch_and_stacked_rows_are_their_single_fits(self, family):
+        rng, X, y, yg = self._tall_case()
+        response = yg if family is Family.GAUSSIAN else y
+        n = X.shape[0]
+        W = rng.exponential(1.0, (3, n))
+        batch = fit_glm(X, response, family, W)
+        stack = np.empty((3, self.P, n)).swapaxes(-1, -2)
+        stack[...] = X
+        stacked = fit_glm(stack, np.stack([response] * 3), family, W)
+        assert batch.converged.all() and stacked.converged.all()
+        for b in range(3):
+            single = fit_glm(X, response, family, W[b]).coef
+            assert np.array_equal(batch.coef[b], single)
+            assert np.array_equal(stacked.coef[b], single)
+        if family is Family.GAUSSIAN:
+            alone = fit_glm(X, response, family).coef
+            assert np.allclose(alone, np.linalg.lstsq(X, response, rcond=None)[0], rtol=1e-12, atol=1e-13)
 
 
 def _nonfinite_case(kind, n=200):

@@ -310,6 +310,40 @@ class TestStabilization:
         with pytest.raises(NuisanceError, match="share"):
             stabilize_probabilities(p, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("flags, calls", [
+        (StabilizeFlags(m_ratio=True, c1_ratio=True), 3),  # the CLI default: prop_c1 is in both ratios
+        (StabilizeFlags.all_on(), 3),  # prop_base is p_comparison and the c1 ratio's denominator
+        (StabilizeFlags(c1_ratio=True), 2),
+    ], ids=["ratios", "all", "c1-ratio"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_each_role_is_stabilized_once_per_call(self, flags, calls, batch, monkeypatch):
+        ds = draw_dataset(500, 64)
+        W = np.random.default_rng(64).exponential(1.0, (4, ds.n)) if batch else None
+        fits = fit_nuisances(ds, working_models_for("int").working_set, CODING, weights=W)
+        stabilized = []
+        real = nuisance_mod.stabilize_probabilities
+        monkeypatch.setattr(nuisance_mod, "stabilize_probabilities",
+                            lambda p, *args: stabilized.append(p) or real(p, *args))
+        comp = compute_components(ds, fits, stabilize=flags)
+        assert len(stabilized) == calls
+        monkeypatch.undo()
+        # a role stabilized for one place is stabilized wherever it is read
+        # under an enabled flag, and read as fitted under a disabled one
+        ind = CODING.ind_comparison(ds.e)
+        fitted = {role: np.clip(predict_mean(fits[role], build_design_matrix(ds, fits[role].design)),
+                                *nuisance_mod.DEFAULT_CLIP) for role in (ROLE_PROP_BASE, ROLE_PROP_C1, ROLE_PROP_M)}
+
+        def prob(role, on):
+            return stabilize_probabilities(fitted[role], ind, W) if on else fitted[role]
+
+        def ratio(num, den, on):
+            p_num, p_den = prob(num, on), prob(den, on)
+            return p_num / (1.0 - p_num) * (1.0 - p_den) / p_den
+
+        assert np.array_equal(comp.p_comparison, prob(ROLE_PROP_BASE, flags.base))
+        assert np.array_equal(comp.m_ratio, ratio(ROLE_PROP_M, ROLE_PROP_C1, flags.m_ratio))
+        assert np.array_equal(comp.c1_ratio, ratio(ROLE_PROP_C1, ROLE_PROP_BASE, flags.c1_ratio))
+
 
 def _nested(fits, ds):
     """(b, b', b'') as ``compute_components`` reports them.  The nested means
