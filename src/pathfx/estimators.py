@@ -19,20 +19,17 @@ import numpy as np
 from .core import Dataset, PairCoding, TreatmentPair, build_design_matrix, wmean
 from .glm import _least_squares, predict_mean
 from .nuisance import (
-    DEFAULT_CLIP,
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
     NuisanceComponents,
     NuisanceError,
-    StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    _PROP_ROLES,
     _compose_linear,
-    _fit_roles,
-    _propensities,
     _reject,
     _tagged,
+    compute_components,
+    fit_nuisances,
 )
 
 __all__ = [
@@ -241,13 +238,10 @@ def beta_mr_sequential(
     in every mean model.  The propensities and density ratios come from
     ``comp``, the components of a maximum-likelihood fit of ``working_set``
     on the same data, and the outer weights are that fit's
-    (``comp.weights``).  Without ``comp`` only the propensity models are
-    fitted here, unweighted, and only the propensity half of the components
-    is formed, with the defaults of ``compute_components``: the mean models'
-    fits would never be read, and a failing mean model fails in its refit.
-    A weighted, stabilized or unclipped ``mr_seq`` passes its ``comp``.
-    Each mean model is then refitted on its arm (every row weighted, the
-    other arm's by zero) with
+    (``comp.weights``); without ``comp`` an unweighted fit is made here,
+    with the defaults of ``compute_components``.  A weighted, stabilized or
+    unclipped ``mr_seq`` passes its ``comp``.  Each mean model is then
+    refitted on its arm (every row weighted, the other arm's by zero) with
     the weight its residual term carries, which makes that term a
     weighted-least-squares orthogonality condition equal to zero.  The d1
     post-treatment refits share the arm and the weight, so those on one
@@ -266,17 +260,14 @@ def beta_mr_sequential(
     for role in roles:
         if not working_set[role].design.has_intercept():
             raise EstimationError(f"{role}: sequential refitting requires an intercept term")
-    if comp is None:  # the mean models are refitted below: only the propensities are fitted
-        fits = _fit_roles(dataset, working_set, coding, _PROP_ROLES)
-        failures, w_outer = {}, np.ones(dataset.n)
-        ind_comp, ind_base = coding.ind_comparison(dataset.e), coding.ind_baseline(dataset.e)
-        p_base, p_comp, mr, cr = _propensities(dataset, fits, StabilizeFlags(), DEFAULT_CLIP, {}, failures)
-    else:
-        failures = comp.failures
-        w_outer = np.ones(dataset.n) if comp.weights is None else np.asarray(comp.weights, dtype=float)
-        ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
-        p_base, p_comp, mr, cr = comp.p_baseline, comp.p_comparison, comp.m_ratio, comp.c1_ratio
+    if comp is None:
+        comp = compute_components(dataset, fit_nuisances(dataset, working_set, coding))
+
+    w_outer = np.ones(dataset.n) if comp.weights is None else np.asarray(comp.weights, dtype=float)
     icomp, ibase = coding.comparison_internal, coding.baseline_internal
+    ind_comp, ind_base = comp.ind_comparison, comp.ind_baseline
+    p_base, p_comp = comp.p_baseline, comp.p_comparison
+    mr, cr = comp.m_ratio, comp.c1_ratio
 
     # (arm level, arm indicator, weight of the residual term, roles and
     # responses): the outcome carries the first term, the mediator the
@@ -304,7 +295,7 @@ def beta_mr_sequential(
             except Exception as exc:  # re-tag with the refit stage
                 raise NuisanceError(f"{group[0][0]}: {exc}") from exc
             for (role, _), fit in zip(group, fits):
-                refitted[role] = (_tagged(role, fit, failures), np.asarray(predict_mean(fit, X)))
+                refitted[role] = (_tagged(role, fit, comp.failures), np.asarray(predict_mean(fit, X)))
             del X
     b, b_prime, b_dd = _compose_linear(coding, dataset, [refitted[role] for role in roles])[:3]
     term1 = wmean(ind_base * mr / p_base * (dataset.y - b), w_outer)

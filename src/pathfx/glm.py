@@ -275,16 +275,10 @@ def _gram(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     of more than a block exists; a design of one block is one product."""
     rows = GRAM_BLOCK // max(X.shape[-1], 1)
     Xt = X.swapaxes(-1, -2)
-    if X.shape[-2] <= rows:
-        return np.matmul(Xt if w is None else Xt * w, X)
-    H = None
-    for i in range(0, X.shape[-2], rows):
-        Xt_b = Xt[..., i:i + rows]
-        G = np.matmul(Xt_b if w is None else Xt_b * w[..., i:i + rows], X[..., i:i + rows, :])
-        if H is None:
-            H = G
-        else:
-            H += G
+    H = np.matmul(Xt[..., :rows] if w is None else Xt[..., :rows] * w[..., :rows], X[..., :rows, :])
+    for i in range(rows, X.shape[-2], rows):
+        H += np.matmul(Xt[..., i:i + rows] if w is None else Xt[..., i:i + rows] * w[..., i:i + rows],
+                       X[..., i:i + rows, :])
     return H
 
 

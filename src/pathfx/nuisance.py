@@ -292,16 +292,9 @@ def fit_nuisances(
             raise NuisanceError("mediator_mean: discrete pathway requires a binary mediator")
         if not set(np.unique(dataset.c1)) <= {0.0, 1.0}:
             raise NuisanceError("c1_mean: discrete pathway requires binary post-treatment components")
-    return _fit_roles(dataset, working_set, coding, working_set.roles(), weights, pathway=pathway, start=start)
-
-
-def _fit_roles(dataset: Dataset, working_set: WorkingModelSet, coding: PairCoding, roles: Iterable[str],
-               weights=None, *, pathway: str = "linear", start: NuisanceFits | None = None) -> NuisanceFits:
-    """``fit_nuisances``' fits of those of ``roles`` in the working set, a
-    set that it has validated; an identity pair fits no propensity role."""
     designs, groups = {}, {}
     for role in working_set.roles():
-        if role not in roles or coding.is_identity and role in _PROP_ROLES:
+        if coding.is_identity and role in _PROP_ROLES:
             continue
         design = working_set[role].design
         if coding.is_identity and "e" in design.refs():
@@ -463,40 +456,6 @@ def _propensity_probs(
 def _ratio(p_num: np.ndarray, p_den: np.ndarray) -> np.ndarray:
     """(numerator-model odds of comparison vs baseline) x (denominator-model inverse odds)."""
     return p_num / (1.0 - p_num) * (1.0 - p_den) / p_den
-
-
-def _propensities(
-    dataset: Dataset,
-    fits: NuisanceFits,
-    stabilize: StabilizeFlags,
-    clip: tuple[float, float] | None,
-    clip_counts: dict,
-    failures: dict,
-):
-    """The propensity half of the components: ``(p_baseline, p_comparison,
-    m_ratio, c1_ratio)``, all ones for an identity pair, which fits no
-    propensity model.
-
-    Each role is predicted and clipped once (``_propensity_probs``), and a
-    role that an enabled flag stabilizes is stabilized once, however many
-    of the ratios and ``p_comparison`` read it.
-    """
-    if fits.coding.is_identity:
-        return np.ones(dataset.n), np.ones(dataset.n), np.ones(dataset.n), np.ones(dataset.n)
-    ind_comp = fits.coding.ind_comparison(dataset.e)
-    m_roles, c1_roles = fits.m_ratio_roles(), fits.c1_ratio_roles()
-    probs = _propensity_probs(fits, dataset, [ROLE_PROP_BASE, *m_roles, *c1_roles], clip, clip_counts, failures)
-    stabilized = {}
-
-    def prob(role: str, on: bool) -> np.ndarray:
-        if on and role not in stabilized:
-            stabilized[role] = stabilize_probabilities(probs[role], ind_comp, fits.weights, failures)
-        return stabilized[role] if on else probs[role]
-
-    p_comparison = prob(ROLE_PROP_BASE, stabilize.base)
-    mr = _ratio(*(prob(role, stabilize.m_ratio) for role in m_roles))
-    cr = _ratio(*(prob(role, stabilize.c1_ratio) for role in c1_roles))
-    return 1.0 - p_comparison, p_comparison, mr, cr
 
 
 # ---------------------------------------------------------------------------
@@ -696,18 +655,39 @@ def compute_components(
     ``failures`` holds each failed replicate's first message in evaluation
     order: the fits', positivity and stabilization, then the estimators'.
     """
+    coding, weights = fits.coding, fits.weights
     diagnostics: dict = {"clip_counts": {}}
     failures = dict(fits.failures)
-    # the propensities' intermediates are dropped on return: a batch reaches
-    # its peak memory in the nested means
-    p_baseline, p_comparison, mr, cr = _propensities(dataset, fits, stabilize, clip, diagnostics["clip_counts"],
-                                                     failures)
+    ind_comp = coding.ind_comparison(dataset.e)
+    ind_base = coding.ind_baseline(dataset.e)
+
+    if coding.is_identity:
+        p_baseline, p_comparison = np.ones(dataset.n), np.ones(dataset.n)
+        mr, cr = np.ones(dataset.n), np.ones(dataset.n)
+    else:
+        m_roles, c1_roles = fits.m_ratio_roles(), fits.c1_ratio_roles()
+        probs = _propensity_probs(fits, dataset, [ROLE_PROP_BASE, *m_roles, *c1_roles], clip,
+                                  diagnostics["clip_counts"], failures)
+        stabilized = {}
+
+        def prob(role: str, on: bool) -> np.ndarray:
+            # a role is stabilized once, however many places an enabled flag reads it
+            if on and role not in stabilized:
+                stabilized[role] = stabilize_probabilities(probs[role], ind_comp, weights, failures)
+            return stabilized[role] if on else probs[role]
+
+        p_comparison = prob(ROLE_PROP_BASE, stabilize.base)
+        p_baseline = 1.0 - p_comparison
+        mr = _ratio(*(prob(role, stabilize.m_ratio) for role in m_roles))
+        cr = _ratio(*(prob(role, stabilize.c1_ratio) for role in c1_roles))
+        del probs, stabilized  # a batch reaches its peak memory in the nested means
+
     b, b_prime, b_dd, y0 = _nested_means(fits, dataset)
 
     diagnostics["clip_count"] = sum(diagnostics["clip_counts"].values())
     return NuisanceComponents(
-        ind_comparison=fits.coding.ind_comparison(dataset.e),
-        ind_baseline=fits.coding.ind_baseline(dataset.e),
+        ind_comparison=ind_comp,
+        ind_baseline=ind_base,
         p_baseline=p_baseline,
         p_comparison=p_comparison,
         m_ratio=mr,
@@ -718,7 +698,7 @@ def compute_components(
         y0_marginal=y0,
         diagnostics=diagnostics,
         failures=failures,
-        weights=fits.weights,
+        weights=weights,
     )
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import pathfx.estimators as estimators_mod
-import pathfx.nuisance as nuisance_mod
 from pathfx.core import DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair, wmean
 from pathfx.estimators import (
     EstimationError,
@@ -373,46 +372,6 @@ class TestSequential:
         default = beta_mr_sequential(ds, models.working_set, CODING)
         assert given.value == default.value
         assert given.term_values == default.term_values
-
-    @pytest.mark.parametrize("pair", [TreatmentPair(1, 0), TreatmentPair(1, 1)], ids=["pair", "identity"])
-    def test_without_components_only_the_propensities_are_fitted(self, pair, monkeypatch):
-        # the mean models are refitted, so their own fits would never be
-        # read: no design of theirs is built before the refits, an identity
-        # pair builds none at all, and the value is the full fit's
-        ds, coding = recode_pair(draw_dataset(700, 98), pair, allow_identity=True)
-        working_set = working_models_for("int", include_marginal=True).working_set
-        built = []
-        for module in (nuisance_mod, estimators_mod):
-            def recording_build(data, design, overrides=None, module=module, real=module.build_design_matrix):
-                built.append((module, design))
-                return real(data, design, overrides)
-            monkeypatch.setattr(module, "build_design_matrix", recording_build)
-        seq = beta_mr_sequential(ds, working_set, coding)
-        first_refit = [module for module, _ in built].index(estimators_mod)
-        assert all(module is estimators_mod for module, _ in built[first_refit:])
-        propensity = {working_set[role].design for role in ("prop_base", "prop_c1", "prop_m")}
-        assert {design for _, design in built[:first_refit]} == (set() if pair.is_identity else propensity)
-        monkeypatch.undo()
-        comp = compute_components(ds, fit_nuisances(ds, working_set, coding))
-        given = beta_mr_sequential(ds, working_set, coding, comp=comp)
-        assert seq.value == given.value
-        assert seq.term_values == given.term_values
-
-    @pytest.mark.parametrize("role, design", [
-        ("outcome", "1, c0_1, e, c1_1, c1_2, c1_3, m, c0_1^2"),
-        ("mediator_mean", "1, c0_1, e, c1_1, c1_2, c1_3, c0_1^2"),
-        ("c1_mean_1", "1, c0_1, e, c0_1^2"),
-    ])
-    def test_a_failing_mean_model_fails_in_its_refit(self, role, design):
-        # c0_1 takes two values, +-1, so c0_1^2 repeats the intercept
-        ds = draw_dataset(600, 5)
-        split = dataset_from_arrays(np.where(ds.c0 > np.median(ds.c0), 1.0, -1.0), ds.e, ds.c1, ds.m, ds.y)
-        models = dict(working_models_for("int").working_set.models)
-        models["prop_c1"] = ModelSpec(Family.LOGIT, DesignSpec.parse("1, c0_1, c1_1, c1_2, c1_3"))
-        models["prop_m"] = ModelSpec(Family.LOGIT, DesignSpec.parse("1, c0_1, c1_1, c1_2, c1_3, m"))
-        models[role] = ModelSpec(Family.GAUSSIAN, DesignSpec.parse(design))
-        with pytest.raises(NuisanceError, match=rf"^{role}: design matrix is rank deficient at "):
-            beta_mr_sequential(split, WorkingModelSet(models), CODING)
 
     def test_a_failed_replicate_leaves_its_batch_mates(self):
         # a replicate whose nuisances failed carries NaN components into the

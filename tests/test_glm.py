@@ -940,13 +940,6 @@ class TestGramBlocks:
         y = (rng.random(n) < expit(eta)).astype(float)
         return rng, X, y, eta + rng.standard_normal(n)
 
-    def test_a_tall_design_spans_several_blocks(self):
-        _, X, _, _ = self._tall_case()
-        assert X.shape[0] // (glm_mod.GRAM_BLOCK // self.P) == 3
-        assert X.shape[0] % (glm_mod.GRAM_BLOCK // self.P) > 0
-        # a bootstrap or Monte Carlo design of the paper's sizes fits in one
-        assert 1500 <= glm_mod.GRAM_BLOCK // self.P
-
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_the_gram_matches_an_extended_precision_sum(self, weighted):
         rng, X, _, _ = self._tall_case()
