@@ -273,12 +273,13 @@ def beta_mr_sequential(
     # responses): the outcome carries the first term, the mediator the
     # second and the post-treatment components, with one weight, the third.
     refits = [
-        (ibase, ind_base, mr / p_base * w_outer, [(ROLE_OUTCOME, dataset.y)]),
-        (icomp, ind_comp, 1.0 / cr / p_comp * w_outer, [(ROLE_MEDIATOR, dataset.m)]),
-        (ibase, ind_base, 1.0 / p_base * w_outer, [(role, dataset.c1[..., j]) for j, role in enumerate(roles[2:])]),
+        ("baseline", ibase, ind_base, mr / p_base * w_outer, [(ROLE_OUTCOME, dataset.y)]),
+        ("comparison", icomp, ind_comp, 1.0 / cr / p_comp * w_outer, [(ROLE_MEDIATOR, dataset.m)]),
+        ("baseline", ibase, ind_base, 1.0 / p_base * w_outer,
+         [(role, dataset.c1[..., j]) for j, role in enumerate(roles[2:])]),
     ]
     refitted = {}
-    for level, ind, w, members in refits:
+    for arm, level, ind, w, members in refits:
         # Each refit is held to its arm by zero weights on the other rows,
         # which serves a stacked dataset, whose replicates have different
         # arms.  The refits on one reduced design share its build and one
@@ -290,6 +291,13 @@ def beta_mr_sequential(
             groups.setdefault(working_set[role].design.reduce_at_e(level), []).append((role, response))
         for design, group in groups.items():
             X = build_design_matrix(dataset, design)
+            # an arm with fewer records of positive weight than columns
+            # leaves the refit rank deficient whatever its values: say so,
+            # rather than name the column at which rounding ends the QR
+            records = np.count_nonzero(ww > 0, axis=-1)
+            _reject(records < X.shape[-1], lambda b: NuisanceError(
+                f"{group[0][0]} (mr_seq refit, {arm} arm): {records[b]} records for {X.shape[-1]} columns"),
+                comp.failures)
             try:
                 fits = _least_squares(X, [response for _, response in group], ww, design=design)
             except Exception as exc:  # re-tag with the refit stage

@@ -9,9 +9,13 @@ row.  For logit that is the expected information, so logit steps are
 Fisher scoring; probit, the one non-canonical link, converges
 quadratically where Fisher scoring converged linearly.  A probit step that
 falls to the QR fallback below takes the expected information, so that
-ill-conditioned systems get Fisher scoring's rank verdicts.  A fit whose
-score vanishes on separated responses (``_separation``) raises
-``NonConvergenceError`` naming the column whose coefficient diverges.
+ill-conditioned systems get Fisher scoring's rank verdicts.  A replicate
+stops on its Newton decrement score' H^-1 score, which the solve already
+gives (``DECREMENT_RTOL``): its last step is taken without the link terms
+at its end, and the rule moves neither with n nor with a column's units.
+A fit whose score vanishes stops when max|score| < ``DEFAULT_TOL``; on
+separated responses (``_separation``) it raises ``NonConvergenceError``
+naming the column whose coefficient diverges.
 ``fit_ols`` and ``fit_glm_irls`` are the batch of one; ``fit_glm`` with
 ``(B, n)`` weights fits a bootstrap chunk, and on a stack of designs
 ``(B, n, p)`` a chunk of Monte Carlo datasets.  ``_least_squares`` fits
@@ -76,7 +80,21 @@ __all__ = [
     "predict_mean",
 ]
 
+# A binomial fit also stops when its largest absolute score component is
+# below DEFAULT_TOL.  That absolute test is what stops a fit whose score
+# vanishes: a separated one (see ``_separation``), whose decrement stays near
+# 2 |ll| as ll -> 0; one whose steps take the QR fallback; and a start
+# already at the maximum.
 DEFAULT_TOL = 1e-10
+# A fit whose step comes from the inverse of H = X'WX, not the QR fallback,
+# stops on its Newton decrement lambda^2 = score' H^-1 score (Boyd &
+# Vandenberghe, 2004, Convex Optimization, 9.5): when lambda^2 <=
+# DECREMENT_RTOL |ll|, the step is taken and the fit stops.  lambda^2 / 2
+# estimates the gain in ll left, here below the rounding of ll; lambda^2
+# does not move when a column is rescaled, and the bound grows with |ll| as
+# n does.  So cohort-sized fits stop where the absolute score test, whose
+# rounding floor grows with n and with the covariates' units, never passes.
+DECREMENT_RTOL = 2.0**-52
 DEFAULT_MAX_ITER = 100
 RANK_RTOL = 1e-10
 # A step is taken from the inverse of X'WX only when its exact 1-norm
@@ -288,7 +306,9 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
     (X' diag(ww[b]) X) delta[b] = score[b] for the rows of ``ww`` (B, n),
     and ``{b: GlmError}`` for the rows whose system is rank deficient
     (``RankDeficiencyError``) or not finite (their steps are NaN), as one
-    ``(delta, errors)`` pair per right-hand side.  A stack X (B, n, p) gives
+    ``(delta, errors)`` pair per right-hand side, and the rows whose system
+    failed the inverse's guard (their steps, if any, are QR steps), as
+    ``(pairs, fallback)``.  A stack X (B, n, p) gives
     each row its own design X[b].  ``ww`` None stands for unit weights,
     which form no weighted copy of X.  With ``qr_weights``, a row's QR step
     takes the weights ``qr_weights(b)`` in place of ``ww[b]``.
@@ -313,7 +333,7 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
             H = _gram(X, None if ww is None else ww[0])
             deltas, passed = _inverse_steps(H, [score[0] for score in scores])
             if passed:
-                return [(delta[None], {}) for delta in deltas]
+                return [(delta[None], {}) for delta in deltas], []
             deltas, failed, H = [delta[None] for delta in deltas], [0], H[None]
         else:
             H = _gram(X, None if ww is None else ww[:, None, :])
@@ -332,13 +352,13 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
                 delta[b] = np.nan
                 errors[int(b)] = exc
         out.append((delta, errors))
-    return out
+    return out, failed
 
 
 def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
     """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit
     weights) with ``_solve``, raising its ``GlmError``."""
-    [(delta, errors)] = _solve(X, None if ww is None else ww[None], [score[None]], labels)
+    [(delta, errors)], _ = _solve(X, None if ww is None else ww[None], [score[None]], labels)
     if errors:
         raise errors[0]
     return delta[0]
@@ -362,7 +382,7 @@ def _least_squares(X, ys, weights=None, *, design: DesignSpec | None = None) -> 
     with np.errstate(all="ignore"):  # a right-hand side that is not finite fails in _solve
         rhs = [_times_rows(y if W is None else W * y, X) for y in ys]
     out = []
-    for coef, errors in _solve(X, W, rhs, labels):
+    for coef, errors in _solve(X, W, rhs, labels)[0]:
         # a finite X'WX passes the guard whatever its right-hand side
         for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
             errors.setdefault(int(b), _not_finite())
@@ -708,9 +728,18 @@ def _score_batch(X, y, family, prior, start, labels):
     linear predictor X @ start and the link terms at it (``_binomial_terms``
     on n rows) are formed once, and only their weighting is per replicate:
     the same products and sums that each replicate alone would form.  Each
-    replicate runs its own score test, step halving, separation test and
-    Newton step; a converged or failed replicate is frozen and leaves the
-    batch, and a stack's X and y are subset to the replicates left.
+    replicate runs its own score test, Newton step, decrement test, step
+    halving and separation test; a converged or failed replicate is frozen
+    and leaves the batch, and a stack's X and y are subset to the replicates
+    left.  A replicate stops at the top of an iteration when max|score| <
+    ``DEFAULT_TOL``, or after a step from the inverse (not the QR fallback:
+    probit QR steps are Fisher scoring, which converges only linearly, and
+    a near-collinear QR fit is fixed only up to rounding) whose decrement
+    lambda^2 = score . delta is at most ``DECREMENT_RTOL`` |ll|: that step is
+    taken with no link terms at its end, since its gain lambda^2 / 2 is
+    below the rounding of ll and the halving test would accept it.  Both
+    stops run the same dead-row test, on the information at the point the
+    stop was decided, and ``iterations`` counts the steps taken.
     Returns the (B, p) fits, the iterations per replicate and ``{b:
     GlmError}`` for the failed ones, whose coefficients are NaN.
     """
@@ -736,6 +765,21 @@ def _score_batch(X, y, family, prior, start, labels):
         """The design and response of the scoring replicates ``rows``."""
         return (X[rows], y[rows]) if stacked else (X, y)
 
+    def stop(rows, steps):
+        """Freeze the scoring replicates ``rows`` after ``steps`` steps.
+        Never return silently diverged coefficients: one comparison of the
+        information ``info`` at the point the stop was decided finds the
+        stopping replicates with a dead row, and only those take the rank
+        test of ``_separation``."""
+        iterations[act[rows]] = steps
+        dead = (info if rows.size == act.size else info[rows]) < DEAD_INFO
+        for k in np.flatnonzero(dead.any(axis=1)):
+            b = rows[k]
+            separation = _separation(X[b] if stacked else X, w[b] > 0, dead[k], labels)
+            if separation:
+                fail([b], lambda k: NonConvergenceError(
+                    steps, float(score_max[k]), float(np.linalg.norm(coef[act[k]])), separation))
+
     for iteration in range(1, DEFAULT_MAX_ITER + 1):
         if not act.size:
             break
@@ -743,37 +787,38 @@ def _score_batch(X, y, family, prior, start, labels):
         score_max = np.abs(score).max(axis=1)
         if np.fmin.reduce(score_max) < DEFAULT_TOL:  # a NaN score, of a row that fails below, is not done
             done = score_max < DEFAULT_TOL
-            # never return silently diverged coefficients: one comparison finds
-            # the stopping replicates with a dead row, and only those take the
-            # rank test of ``_separation``
             everyone = done.all()
             rows = np.arange(act.size) if everyone else np.flatnonzero(done)
-            dead = (info if everyone else info[rows]) < DEAD_INFO
-            for k in np.flatnonzero(dead.any(axis=1)):
-                b = rows[k]
-                separation = _separation(X[b] if stacked else X, w[b] > 0, dead[k], labels)
-                if separation:
-                    fail([b], lambda k: NonConvergenceError(
-                        iteration - 1, float(score_max[k]), float(np.linalg.norm(coef[act[k]])), separation))
+            stop(rows, iteration - 1)
             if everyone:
-                iterations[act] = iteration - 1
                 break
-            iterations[act[rows]] = iteration - 1
             keep = ~done
-            act, w, eta, ll, s, info, score = (
-                act[keep], w[keep], eta[keep], ll[keep], s[keep], info[keep], score[keep])
+            act, w, eta, ll, s, info, score, score_max = (
+                act[keep], w[keep], eta[keep], ll[keep], s[keep], info[keep], score[keep], score_max[keep])
             X, y = data(keep)
         # a probit step sent to the QR fallback takes the expected
         # information, so that the rank check judges Fisher scoring's system
         qr_weights = None if family is Family.LOGIT else lambda b: w[b] * _probit_fisher(eta[b])
-        [(delta, rank_errors)] = _solve(X, w * info, [score], labels, qr_weights)
+        [(delta, rank_errors)], fallback = _solve(X, w * info, [score], labels, qr_weights)
+        # the Newton decrement score' H^-1 score of each step from the inverse
+        # (see DECREMENT_RTOL; a failed step's is NaN, and stops nothing)
+        decrement = np.add.reduce(score * delta, axis=1)
+        if len(fallback):
+            decrement[fallback] = np.nan
+        stopped = (decrement <= ll * -DECREMENT_RTOL).nonzero()[0]  # ll <= 0: DECREMENT_RTOL |ll|
+        if stopped.size:
+            coef[act[stopped]] += delta[stopped]
+            stop(stopped, iteration)
         eta = s = info = None  # the accepted trials' terms replace them
-        if rank_errors:
+        if stopped.size or rank_errors:
             keep = np.ones(act.size, dtype=bool)
+            keep[stopped] = False
             keep[list(rank_errors)] = False
             fail(list(rank_errors), rank_errors.__getitem__)
             act, w, ll, delta = act[keep], w[keep], ll[keep], delta[keep]
             X, y = data(keep)
+            if not act.size:
+                continue
         # Halve each replicate's step up to 40 times while it lowers that
         # replicate's likelihood; the accepted trials' terms carry into the
         # next iteration.
@@ -838,8 +883,12 @@ def fit_glm_irls(
     exceeds ``CHOL_RCOND_MIN``.  Otherwise the step comes from a Householder
     QR of sqrt(W) X with column pivoting, W the expected information, whose
     rank check raises ``RankDeficiencyError`` naming the offending column.
-    Convergence requires the largest absolute score component to fall below
-    ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations.  Steps that lower
+    A fit converges within ``DEFAULT_MAX_ITER`` iterations when a step from
+    the inverse has a Newton decrement score' H^-1 score of at most
+    ``DECREMENT_RTOL`` times |log-likelihood| (that step is taken), or when
+    the largest absolute score component falls below ``DEFAULT_TOL``, which
+    is how fits whose score vanishes stop: separated ones, those stepping by
+    the QR fallback, and a start at the maximum.  Steps that lower
     the log-likelihood are halved; running out of iterations raises
     ``NonConvergenceError`` with the final score and coefficient norms.  So
     does a vanished score on separated responses (``_separation``), whose
@@ -853,8 +902,8 @@ def fit_glm_irls(
 
     Scoring starts from ``start`` (copied, never written to) or, when it is
     None, from zero.  A bootstrap replicate started from the point fit's
-    coefficients needs fewer iterations and converges to the same maximum
-    within the score tolerance.  This is the batch of one of the scoring
+    coefficients needs fewer iterations and stops by the same rules at the
+    same maximum.  This is the batch of one of the scoring
     that ``fit_glm`` runs over a ``(B, n)`` weight matrix.
     """
     if not family.is_binomial:

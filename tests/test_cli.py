@@ -938,6 +938,29 @@ class TestFailureParity:
         # and a replicate that the batch keeps evaluates alone without raising
         alone(min(set(range(max(reasons) + 2)) - set(reasons)))
 
+    def test_a_refit_short_of_records_names_its_arm_and_count(self):
+        # The near-separation test's nonparametric data (seed 1): 8 of its
+        # 200 records are in the baseline arm, where the outcome's refit has
+        # 6 columns.  The resamples that draw fewer of them are the ones that
+        # failed before the count was checked, when the QR named the column
+        # at which rounding ended it.
+        data = _steep_data(1)
+        reasons, _ = self._bootstrap_case(data, "nonparametric", estimators=("mle", "a", "b", "mr", "mr_seq"))
+        ds, coding = cli_mod.recode_pair(data, cli_mod.TreatmentPair(1, 0))
+        base = ds.e == coding.baseline_internal
+        records = [np.count_nonzero(base[np.unique(derived_rng(3, r).integers(0, ds.n, size=ds.n))])
+                   for r in range(40)]
+        assert sorted(reasons) == [0, 1, 2, 4, 10, 11, 12, 15, 17, 18, 19, 20, 26, 27, 29, 30, 31, 32, 34, 35,
+                                   36, 37, 38]
+        assert reasons == {r: f"outcome (mr_seq refit, baseline arm): {records[r]} records for 6 columns"
+                           for r in reasons}
+        # an evaluation alone says the same
+        cfg = cli_mod.EstimateConfig(working_set=cli_mod.default_working_set(ds.d0, ds.d1))
+        kept = np.r_[np.flatnonzero(~base), np.flatnonzero(base)[:5]]
+        with pytest.raises(cli_mod.NuisanceError, match=r"^outcome \(mr_seq refit, baseline arm\): 5 records for 6 "
+                                                        r"columns$"):
+            cli_mod._estimates(ds.take(kept), coding, cfg, [("mr_seq", cli_mod.DEFAULT_DELTA_FOR["mr_seq"])])
+
     def test_a_batch_stabilizes_each_replicate_as_alone(self):
         P, ind, W = self._stabilization_batch()
         failures = {}

@@ -131,6 +131,41 @@ def _qr_irls_reference(X, y, family, w=None):
     raise NonConvergenceError(100, 0.0, 0.0)
 
 
+def _mp_newton_eta(X, y, family, w, dps=40):
+    """The linear predictors at the maximum likelihood, by Newton steps with
+    the observed information in ``dps``-digit arithmetic from zero, until a
+    step moves the coefficients by at most 10^(5 - dps) of the largest."""
+    p = X.shape[1]
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(float(v)) for v in row] for row in X]
+        weights = [mpmath.mpf(float(v)) for v in w]
+        beta = [mpmath.mpf(0)] * p
+        for _ in range(30):
+            score = [mpmath.mpf(0)] * p
+            H = [[mpmath.mpf(0)] * p for _ in range(p)]
+            for x, wi, yi in zip(rows, weights, y):
+                eta = mpmath.fdot(x, beta)
+                if family is Family.LOGIT:
+                    mu = 1 / (1 + mpmath.exp(-eta))
+                    s, h = yi - mu, mu * (1 - mu)
+                else:  # the Mills ratio of the observed side
+                    side = 1 if yi else -1
+                    r = mpmath.npdf(eta) / mpmath.ncdf(side * eta)
+                    s, h = side * r, r * (r + side * eta)
+                for j in range(p):
+                    score[j] += wi * s * x[j]
+                    for k in range(j + 1):
+                        H[j][k] += wi * h * x[j] * x[k]
+            for j in range(p):
+                for k in range(j):
+                    H[k][j] = H[j][k]
+            step = mpmath.lu_solve(mpmath.matrix(H), mpmath.matrix(score))
+            beta = [b + d for b, d in zip(beta, step)]
+            if max(abs(d) for d in step) <= mpmath.mpf(10) ** (5 - dps) * max(abs(b) for b in beta):
+                return np.array([float(mpmath.fdot(x, beta)) for x in rows])
+    raise AssertionError("the high-precision Newton solve did not converge")
+
+
 def _fallback_fixtures():
     """Adversarial IRLS fixtures: near-separation, n close to p, extreme
     prior weights and near-collinear columns, each logit and probit."""
@@ -413,7 +448,19 @@ class TestFisherStep:
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
     @pytest.mark.parametrize("case", _fallback_fixtures(), ids=lambda c: c[0])
     def test_matches_the_qr_reference_or_raises_alike(self, family, case):
-        _, X, y, w = case
+        name, X, y, w = case
+        if name == "extreme-weights-5":
+            # The prior weights span 12 orders, so the absolute score test
+            # never passes (max|score| bottoms out at 3.6e-10 logit, 6.5e-10
+            # probit) and the reference runs out of iterations; the engine
+            # stops on the Newton decrement, at the maximum of a 40-digit
+            # Newton solve.  Measured: <= 2.0e-16.
+            with pytest.raises(NonConvergenceError):
+                _qr_irls_reference(X, y, family, w)
+            fit = fit_glm_irls(X, y, family, w)
+            eta = _mp_newton_eta(X, y, family, w)
+            assert np.max(np.abs(X @ fit.coef - eta)) <= 1e-10 * max(1.0, np.max(np.abs(eta)))
+            return
         try:
             reference = _qr_irls_reference(X, y, family, w)
         except GlmError as exc:
@@ -578,6 +625,88 @@ class TestSeparationRule:
         info = glm_mod._binomial_terms(family, X @ fit.coef, y, np.ones(n))[2]
         assert (info[:3] < glm_mod.DEAD_INFO).all() and (info[3:] >= glm_mod.DEAD_INFO).all()
         assert qr_calls == [(n - 3, 2)]  # the rank test of the live rows, and nothing else
+
+
+def _cd4_fixture(n, seed=11):
+    """A treatment-programme cohort: an intercept, CD4 count |N(300, 200)|,
+    age N(38, 9) and weight N(60, 12), and a logit, then a probit, response
+    on the index -0.6 + 0.002 cd4 - 0.01 age + 0.005 weight."""
+    rng = np.random.default_rng(seed)
+    covariates = rng.normal([300.0, 38.0, 60.0], [200.0, 9.0, 12.0], (n, 3))
+    covariates[:, 0] = np.abs(covariates[:, 0])
+    X = np.column_stack([np.ones(n), covariates])
+    eta = X @ np.array([-0.6, 0.002, -0.01, 0.005])
+    return X, {family: (rng.random(n) < mean(eta)).astype(float)
+               for family, mean in ((Family.LOGIT, expit), (Family.PROBIT, ndtr))}
+
+
+class TestDecrementStop:
+    """A fit whose steps come from the inverse stops on its Newton
+    decrement: the last step is taken without the link terms at its end."""
+
+    def test_a_cohort_sized_probit_fit_converges(self):
+        # The absolute score test's rounding floor grows with n and with the
+        # covariates' units: here max|score| stalls at 6.2e-10, and the score
+        # test alone ran out of its 100 iterations
+        X, ys = _cd4_fixture(100_000)
+        y = ys[Family.PROBIT]
+        fit = fit_glm_irls(X, y, Family.PROBIT)
+        assert fit.iterations <= 6
+        # at the maximum of an independent Fisher scoring; measured 5.8e-16
+        eta = X @ _probit_fisher_oracle(X, y, iters=30)
+        assert np.max(np.abs(X @ fit.coef - eta)) <= 1e-12 * np.max(np.abs(eta))
+        W = np.random.default_rng(12).exponential(1.0, (2, len(y)))
+        batch = fit_glm(X, y, Family.PROBIT, W)
+        assert batch.converged.all()
+        for b in range(2):
+            single = fit_glm_irls(X, y, Family.PROBIT, W[b])
+            assert np.array_equal(batch.coef[b], single.coef)
+            assert batch.iterations[b] == single.iterations <= 6
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_the_last_step_evaluates_no_link_terms(self, family, monkeypatch):
+        # the study's prop_m fit: the start's terms, then one trial per step
+        # but the last, where the score test evaluated iterations + 1
+        ds = draw_dataset(1500, 1)
+        X = build_design_matrix(ds, DesignSpec.parse("1, c0_1, c1_1, c1_2, c1_3, m"))
+        calls = []
+        terms = glm_mod._binomial_terms
+        monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].shape) or terms(*a))
+        fit = fit_glm_irls(X, ds.e.astype(float), family)
+        assert len(calls) == fit.iterations == 6
+
+    def test_a_qr_fallback_fit_stops_on_the_score(self, monkeypatch):
+        # the badly scaled covariate of the QR-step test: probit QR steps are
+        # Fisher scoring, and its decrement would stop short of the maximum
+        rng = np.random.default_rng(22)
+        n = 400
+        x, z = rng.standard_normal(n), rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x, 1e-7 * z])
+        y = (rng.random(n) < expit(0.3 + 0.8 * x - 0.5 * z)).astype(float)
+        calls = []
+        terms = glm_mod._binomial_terms
+        monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].shape) or terms(*a))
+        for family in (Family.LOGIT, Family.PROBIT):
+            calls.clear()
+            fit = fit_glm_irls(X, y, family)
+            assert len(calls) == fit.iterations + 1
+            assert np.max(np.abs(_binomial_score(family, X, y, fit.coef))) < glm_mod.DEFAULT_TOL
+
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
+    def test_quasi_separation_stops_on_the_score(self, family, monkeypatch):
+        # the DEAD_INFO fixture, y ~ 1 + d with every d = 1 row at y = 1: the
+        # score vanishes with the dead rows' weight while the decrement stays
+        # above DECREMENT_RTOL |ll|, so the score test stops it, at the point
+        # whose link terms it evaluated, and the rank test names the column
+        X, y = TestBatchFit._quasi_separated()
+        calls = []
+        terms = glm_mod._binomial_terms
+        monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].shape) or terms(*a))
+        with pytest.raises(NonConvergenceError) as err:
+            fit_glm_irls(X, y, family)
+        assert str(err.value).startswith("the responses are separated: the coefficient of column 1 diverges (after ")
+        assert err.value.score_norm < glm_mod.DEFAULT_TOL
+        assert len(calls) == err.value.iterations + 1
 
 
 class TestBatchFit:
