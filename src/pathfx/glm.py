@@ -48,14 +48,18 @@ The link functions are numpy code.  The logistic mean is formed from the
 exponential of the softplus log(1 + e^eta) = max(eta, 0) + log1p(e^-|eta|),
 which the log-likelihood uses too.  The probit terms come from one scaled
 complementary error function erfcx(t) = e^(t^2) erfc(t) per element, at
-t = |eta| / sqrt(2): Cephes' rational approximations (S. L. Moshier, after
-W. J. Cody, "Rational Chebyshev approximations for the error function",
-1969).  The tail probability Phi(-|eta|) is erfcx(t) e^(-t^2) / 2, its log
-log(erfcx(t) / 2) - t^2 never underflows, and the tail's Mills ratio is
-sqrt(2 / pi) / erfcx(t) exactly.  The observed information is formed from
-the two Mills ratios; the tail's, minus |eta|, cancels to about 1 / |eta|,
-which costs about |eta|^2 ulp (2.8e-13 relative at |eta| 27), and the
-term is clipped to its range [0, 1] where that leaves only rounding.
+t = |eta| / sqrt(2): Cephes' rational approximations on [0, 1), [1, 8) and
+[8, inf) (S. L. Moshier, after W. J. Cody, "Rational Chebyshev
+approximations for the error function", 1969).  The first runs over every
+element, at t clipped to 1; the elements with t >= 1, about an eighth of a
+propensity fit's, are gathered once, and each later range runs on its own
+elements alone and is written back by index.  The tail probability
+Phi(-|eta|) is erfcx(t) e^(-t^2) / 2, its log log(erfcx(t) / 2) - t^2
+never underflows, and the tail's Mills ratio is sqrt(2 / pi) / erfcx(t)
+exactly.  The observed information is formed from the two Mills ratios;
+the tail's, minus |eta|, cancels to about 1 / |eta|, which costs about
+|eta|^2 ulp (2.8e-13 relative at |eta| 27), and the term is clipped to its
+range [0, 1] where that leaves only rounding.
 """
 
 from __future__ import annotations
@@ -418,31 +422,30 @@ def fit_ols(
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on [0, 1), erfcx(x) = P(x) / Q(x)
-# on [1, 8) and R(x) / S(x) from 8 up.  Each row pairs a numerator with its
-# denominator, highest power first, so that one Horner pass evaluates both;
-# Q, S and U are monic, and T and R are padded with a leading zero.  R / S
-# is evaluated in v = 1 / x, with the padded coefficients reversed, so that
-# no power of a large x overflows.
-_ERF_TU = np.array([
+# on [1, 8) and R(x) / S(x) from 8 up.  Each pair is a numerator and its
+# denominator, highest power first; Q, S and U are monic, and T and R are
+# padded with a leading zero.  R / S is evaluated in v = 1 / x, with the
+# padded coefficients reversed, so that no power of a large x overflows.
+_ERF_TU = (
     (0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
      7.00332514112805075473e3, 5.55923013010394962768e4),
     (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
      2.26290000613890934246e4, 4.92673942608635921086e4),
-]).T
-_ERFCX_PQ = np.array([
+)
+_ERFCX_PQ = (
     (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
     (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
      1.65666309194161350182e3, 5.57535340817727675546e2),
-]).T
-_ERFCX_RS = np.array([
+)
+_ERFCX_RS = tuple(c[::-1] for c in (
     (0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0),
     (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0),
-]).T[::-1]
+))
 # |eta| is capped here, so that eta^2 stays finite; every term is at its
 # limit long before
 _ETA_CAP = 1e154
@@ -452,86 +455,73 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _rational(coef: np.ndarray, x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Numerator over denominator of the rows of ``coef`` at ``x``, into
-    ``out``; ``work`` has shape (2,) + x.shape."""
-    coef = coef.reshape(coef.shape + (1,) * x.ndim)
-    np.multiply(x, coef[0], out=work)
-    work += coef[1]
-    for c in coef[2:]:
-        work *= x
-        work += c
-    return np.divide(work[0], work[1], out=out)
-
-
-def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``a`` where ``mask`` (0 or 1) is 1 and ``b`` where it is 0, into ``b``;
-    both must be finite.  Each product is exact and one addend is zero, so
-    the choice is exact; ``a`` is overwritten."""
-    np.subtract(1.0, mask, out=work)
-    b *= work
-    a *= mask
-    b += a
-    return b
+def _rational(coef, x: np.ndarray) -> np.ndarray:
+    """Numerator over denominator of the pair ``coef`` at the 1-D ``x``, each
+    by Horner's rule.  A leading 0 or 1 and a trailing 0 cost no operation,
+    which is exact for the finite or NaN ``x`` each range sees: 0 x + c = c,
+    1 x = x, and the one trailing 0, R's in v, follows a positive p v."""
+    out = []
+    for c in coef:
+        c = c[1:] if c[0] == 0.0 else c
+        if c[0] == 1.0:
+            p = x + c[1]
+        else:
+            p = x * c[0]
+            p += c[1]
+        for ci in c[2:]:
+            p *= x
+            if ci != 0.0:
+                p += ci
+        out.append(p)
+    num, den = out
+    num /= den
+    return num
 
 
 def _erfcx_at(eta: np.ndarray):
     """``(t2, g)`` at t = |eta| / sqrt(2), |eta| capped at ``_ETA_CAP``:
     t2 = eta^2 / 2 and g = erfcx(t), so that Phi(-|eta|) = g e^(-t2) / 2.
 
-    Each range's approximation runs over every element at its argument
-    clipped into the range, where it stays finite, and the exact choice of
-    ``_select`` keeps the right one: no masked gather, and no warning for
-    any finite ``eta``.  A range that no element reaches is skipped.
+    The [0, 1) approximation runs over every element at its argument
+    clipped to 1, where it stays finite; the elements with t >= 1 (never a
+    NaN) are gathered once, and the [1, 8) and [8, inf) approximations
+    run on theirs alone and are written back by index, so no range warns
+    for any ``eta``.
     """
-    a = np.abs(eta)
-    # bounds of the elements that are not NaN (a NaN passes through every
-    # range as NaN); with no such element no range runs
-    lo, hi = np.fmin.reduce(a, axis=None, initial=np.inf), np.fmax.reduce(a, axis=None, initial=0.0)
+    a = np.abs(eta).reshape(-1)  # 1-D, so that a 0-d eta is written back too
+    # the largest |eta| that is not NaN
+    hi = np.fmax.reduce(a, initial=0.0)
     if hi > _ETA_CAP:
         np.minimum(a, _ETA_CAP, out=a)
     t2 = a * a
     t2 *= 0.5
     t = a
     t *= _SQRT_HALF
-    lo, hi = lo * _SQRT_HALF, hi * _SQRT_HALF  # the bounds of t, rounded as t is
-    g, x, mask = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    work = np.empty((2,) + t.shape)
-    first = True
-    if lo < 1.0:  # e^(x^2) (1 - erf(x)) on [0, 1)
-        np.minimum(t, 1.0, out=x)
-        z = np.multiply(x, x, out=mask)
-        _rational(_ERF_TU, z, work, g)
-        g *= x
-        np.subtract(1.0, g, out=g)
-        g *= np.exp(z, out=z)
-        first = False
-    if hi >= 1.0 and lo < 8.0:
-        pq = _rational(_ERFCX_PQ, np.clip(t, 1.0, 8.0, out=x), work, g if first else work[0])
-        if not first:
-            _select(np.greater_equal(t, 1.0, out=mask), pq, g, x)
-        first = False
-    if hi >= 8.0:
-        v = np.maximum(t, 8.0, out=x)
-        np.divide(1.0, v, out=v)
-        rs = _rational(_ERFCX_RS, v, work, g if first else work[0])
-        if not first:
-            _select(np.greater_equal(t, 8.0, out=mask), rs, g, x)
-        first = False
-    if first:
-        g.fill(np.nan)
-    return t2, g
+    x = np.minimum(t, 1.0)  # e^(x^2) (1 - erf(x)) on [0, 1)
+    z = np.multiply(x, x)
+    g = _rational(_ERF_TU, z)
+    g *= x
+    np.subtract(1.0, g, out=g)
+    g *= np.exp(z, out=z)
+    far = np.flatnonzero(t >= 1.0)
+    tf = t[far]
+    if hi * _SQRT_HALF >= 8.0:  # the largest t, rounded as t is, reaches 8
+        tail = tf >= 8.0
+        g[far[tail]] = _rational(_ERFCX_RS, np.divide(1.0, tf[tail]))
+        far, tf = far[~tail], tf[~tail]
+    if far.size:
+        g[far] = _rational(_ERFCX_PQ, tf)
+    return t2.reshape(np.shape(eta)), g.reshape(np.shape(eta))
 
 
 def _ndtr(eta: np.ndarray) -> np.ndarray:
     """The standard normal CDF Phi(eta)."""
     eta = np.asarray(eta, dtype=float)
-    flat = eta.reshape(-1)
-    t2, g = _erfcx_at(flat)
+    t2, g = _erfcx_at(eta)
     np.negative(t2, out=t2)
     g *= 0.5
     g *= np.exp(t2, out=t2)  # Phi(-|eta|)
-    return np.where(flat < 0.0, g, 1.0 - g).reshape(eta.shape)
+    return np.where(eta < 0.0, g, 1.0 - g)
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:

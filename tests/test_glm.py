@@ -1322,6 +1322,47 @@ def _relative_error(got, want):
     return rel, np.max(np.abs(got[~normal] - want[~normal]), initial=0.0)
 
 
+def _rational_every(coef, x):
+    """Numerator over denominator of the pair ``coef`` at x, each by Horner's
+    rule with every coefficient, padded zeros and monic ones too."""
+    values = []
+    for c in coef:
+        p = x * c[0] + c[1]
+        for ci in c[2:]:
+            p = p * x + ci
+        values.append(p)
+    return values[0] / values[1]
+
+
+def _erfcx_every_range(eta):
+    """The reference ``_erfcx_at``: every range's approximation on every
+    element, at its argument clipped into the range, chosen by ``np.where``."""
+    a = np.minimum(np.abs(eta), glm_mod._ETA_CAP)
+    t2, t = a * a * 0.5, a * glm_mod._SQRT_HALF
+    x = np.minimum(t, 1.0)
+    z = x * x
+    low = (1.0 - _rational_every(glm_mod._ERF_TU, z) * x) * np.exp(z)
+    mid = _rational_every(glm_mod._ERFCX_PQ, np.clip(t, 1.0, 8.0))
+    high = _rational_every(glm_mod._ERFCX_RS, 1.0 / np.maximum(t, 8.0))
+    return t2, np.where(t >= 8.0, high, np.where(t >= 1.0, mid, low))
+
+
+def _assert_bitwise(got, want):
+    """Equal shapes, NaN where ``want`` is NaN, and the same bits elsewhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def _eta_at_t(t):
+    """The |eta| whose t = |eta| / sqrt(2), rounded as the kernel rounds it, is ``t``."""
+    a = t / glm_mod._SQRT_HALF
+    assert a * glm_mod._SQRT_HALF == t
+    return a
+
+
 class TestKernels:
     """The numpy link kernels against mpmath (40 digits) and scipy."""
 
@@ -1394,6 +1435,73 @@ class TestKernels:
                     assert np.all(np.isfinite(info)) and np.all((info >= 0.0) & (info <= 1.0))
             for f in (glm_mod._ndtr, _log_ndtr, glm_mod._expit):
                 assert not np.isnan(f(eta)).any()
+
+    def test_bitwise_the_every_range_reference(self, monkeypatch):
+        # each range evaluated on its own elements, by scalar Horner passes,
+        # against every range on every element: the same bits, for the
+        # kernel and for the probit terms and CDF built on it
+        edges = [_eta_at_t(1.0), _eta_at_t(8.0)]
+        edges += [np.nextafter(a, side) for a in edges for side in (0.0, np.inf)]
+        cases = {
+            "grid": np.r_[0.0, -0.0, 1e-300, -1e-300, edges, -np.array(edges), np.inf, -np.inf,
+                          glm_mod._ETA_CAP, np.nextafter(glm_mod._ETA_CAP, np.inf), -1e200, 1.7e308, np.nan],
+            "nan rows": np.r_[[np.full(4, np.nan)], [[0.5, -2.0, 20.0, np.nan]]],
+            "[0, 1) only": np.array([0.0, -0.7, 1.2, -_eta_at_t(1.0) / 2.0]),
+            "[1, inf) only": np.array([_eta_at_t(1.0), -3.0, 11.0, -40.0, 1e200]),
+            "[1, 8) only": np.array([-_eta_at_t(1.0), 2.0, np.nextafter(_eta_at_t(8.0), 0.0)]),
+            "all three": np.array([0.3, -2.0, 30.0, -0.0, _eta_at_t(8.0)]),
+        }
+        rng = np.random.default_rng(27)
+        for scale in (0.3, 1.0, 3.0, 10.0, 30.0):
+            cases[f"scale {scale}"] = scale * rng.standard_normal((4, 300))
+        for eta in cases.values():
+            rows = eta if eta.ndim == 2 else eta[:, None]  # one row per replicate: no sum overflows
+            y = (rng.random(rows.shape[-1]) < 0.4).astype(float)
+            w = rng.exponential(1.0, rows.shape)
+            t2, g = glm_mod._erfcx_at(eta)
+            want_t2, want_g = _erfcx_every_range(eta)
+            _assert_bitwise(t2, want_t2)
+            _assert_bitwise(g, want_g)
+            with np.errstate(invalid="ignore"):  # NaN rows
+                got = (glm_mod._ndtr(eta), *glm_mod._binomial_terms(Family.PROBIT, rows, y, w))
+                with monkeypatch.context() as m:
+                    m.setattr(glm_mod, "_erfcx_at", _erfcx_every_range)
+                    want = (glm_mod._ndtr(eta), *glm_mod._binomial_terms(Family.PROBIT, rows, y, w))
+            for a, b in zip(got, want):
+                _assert_bitwise(a, b)
+
+    def test_later_ranges_run_on_their_own_elements(self, monkeypatch):
+        sizes = []
+        rational = glm_mod._rational
+
+        def recorded(coef, x):
+            sizes.append((coef, x.size))
+            return rational(coef, x)
+
+        monkeypatch.setattr(glm_mod, "_rational", recorded)
+        t = np.r_[np.full(5, 0.5), np.full(3, 2.0), np.full(2, 20.0), np.nan]
+        glm_mod._erfcx_at(np.sqrt(2.0) * np.r_[[t], [-t]])
+        assert sizes == [(glm_mod._ERF_TU, 22), (glm_mod._ERFCX_RS, 4), (glm_mod._ERFCX_PQ, 6)]
+        sizes.clear()
+        glm_mod._erfcx_at(np.sqrt(2.0) * t[:8])  # no t >= 8: its range does not run
+        assert sizes == [(glm_mod._ERF_TU, 8), (glm_mod._ERFCX_PQ, 3)]
+        sizes.clear()
+        glm_mod._erfcx_at(np.sqrt(2.0) * t[:5])
+        assert sizes == [(glm_mod._ERF_TU, 5)]
+
+    def test_zero_dimensional_and_empty_input(self):
+        # a ufunc returns a scalar on 0-d input, so the write-back of the
+        # later ranges must not land in a copy
+        for eta in (0.5, -2.0, 20.0, np.nan):
+            t2, g = glm_mod._erfcx_at(np.asarray(eta))
+            want_t2, want_g = glm_mod._erfcx_at(np.array([eta]))
+            assert t2.shape == g.shape == ()
+            _assert_bitwise(t2, want_t2[0])
+            _assert_bitwise(g, want_g[0])
+            _assert_bitwise(glm_mod._ndtr(np.float64(eta)), glm_mod._ndtr(np.array([eta]))[0])
+        for shape in ((0,), (3, 0)):
+            t2, g = glm_mod._erfcx_at(np.empty(shape))
+            assert t2.shape == g.shape == shape
 
 
 def _mp_t_critical(df, alpha, guess):
