@@ -40,13 +40,15 @@ from .nuisance import (
     c1_mean_role,
     components_from_functions,
     compute_components,
+    default_working_set,
     fit_nuisances,
     stabilize_probabilities,
 )
 from .estimators import (
     DEFAULT_DELTA_FOR,
-    EstimateResult,
+    Analysis,
     EstimationError,
+    Evaluation,
     beta_a,
     beta_b,
     beta_mle,
@@ -56,6 +58,7 @@ from .estimators import (
     delta_aipw,
     delta_gformula,
     delta_ipw,
+    evaluate,
     influence_values,
 )
 from .inference import (

@@ -12,11 +12,10 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import (
     DataError,
-    Dataset,
     DesignSpec,
     TreatmentPair,
     read_csv,
@@ -25,18 +24,15 @@ from .core import (
 from .estimators import (
     BETA_KINDS,
     DEFAULT_DELTA_FOR,
-    DELTA_FUNCS,
     DELTA_KINDS,
-    EstimateResult,
+    Analysis,
     EstimationError,
-    beta_of_kind,
-    combine_effect,
+    evaluate,
     weight_diagnostics,
 )
 from .glm import Family, GlmError
 from .inference import BootstrapSpec, InferenceError, bootstrap
 from .nuisance import (
-    DEFAULT_CLIP,
     ROLE_MARGINAL,
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -50,8 +46,7 @@ from .nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    compute_components,
-    fit_nuisances,
+    default_working_set,
 )
 from .simulation import (
     REGIMES,
@@ -101,34 +96,6 @@ def _fmt(v: float) -> str:
 # estimate configuration
 
 
-@dataclass
-class EstimateConfig:
-    working_set: WorkingModelSet
-    pathway: str = "linear"
-    scale: str = "mean_difference"
-    stabilize: StabilizeFlags = StabilizeFlags(m_ratio=True, c1_ratio=True)
-    clip: tuple[float, float] | None = DEFAULT_CLIP
-
-
-def default_working_set(d0: int, d1: int) -> WorkingModelSet:
-    """Main-effects working models, with the treatment-by-mediator interaction
-    in the outcome.  A starting point to inspect (``--print-models``), not to
-    trust silently."""
-    c0s = ", ".join(f"c0_{j}" for j in range(1, d0 + 1))
-    c1s = ", ".join(f"c1_{j}" for j in range(1, d1 + 1))
-    models = {
-        ROLE_OUTCOME: ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e, {c1s}, m, e*m")),
-        ROLE_MEDIATOR: ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e, {c1s}")),
-        ROLE_PROP_BASE: ModelSpec(Family.LOGIT, DesignSpec.parse(f"1, {c0s}")),
-        ROLE_PROP_C1: ModelSpec(Family.LOGIT, DesignSpec.parse(f"1, {c0s}, {c1s}")),
-        ROLE_PROP_M: ModelSpec(Family.LOGIT, DesignSpec.parse(f"1, {c0s}, {c1s}, m")),
-        ROLE_MARGINAL: ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e")),
-    }
-    for j in range(1, d1 + 1):
-        models[c1_mean_role(j)] = ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e"))
-    return WorkingModelSet(models)
-
-
 def _parse_model_line(role: str, text: str) -> ModelSpec:
     family_name, sep, terms = text.partition(":")
     if not sep:
@@ -143,7 +110,7 @@ def _parse_model_line(role: str, text: str) -> ModelSpec:
     return ModelSpec(_FAMILIES[family_name], design)
 
 
-def load_config_file(path, d0: int, d1: int, base: EstimateConfig) -> EstimateConfig:
+def load_config_file(path, d0: int, d1: int, base: Analysis) -> Analysis:
     """Merge a sectioned ``key = value`` config file over the defaults.
 
     Section ``[models]`` holds ``role = family: term, ...`` lines, where a
@@ -230,35 +197,21 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
 
 
 def _parse_estimators(text: str) -> tuple[str, ...]:
-    """The comma list of ``--estimator``/``--estimators``: one or more of ``BETA_KINDS``."""
+    """The comma list of ``--estimator``/``--estimators``: one or more of
+    ``BETA_KINDS``, each named once."""
     kinds = tuple(k.strip() for k in text.split(",") if k.strip())
     if not kinds:
         raise UsageError(f"no estimator given; expected a comma list of {', '.join(BETA_KINDS)}")
     for k in kinds:
         if k not in BETA_KINDS:
             raise UsageError(f"unknown estimator {k!r}; expected one of {BETA_KINDS}")
+        if kinds.count(k) > 1:
+            raise UsageError(f"estimator {k!r} is named twice")
     return kinds
 
 
 # ---------------------------------------------------------------------------
 # estimate command
-
-
-def _estimates(ds, coding, cfg: EstimateConfig, pairs, weights=None, start=None):
-    """(beta, delta, effect) of each (estimator, delta estimator) pair, all from
-    one fit of the working models, then that fit's components and the fits.
-
-    ``(B, n)`` weights evaluate a batch of bootstrap replicates: every value
-    then has one entry per replicate, and ``comp.failures`` the failed ones.
-    """
-    fits = fit_nuisances(ds, cfg.working_set, coding, weights=weights, pathway=cfg.pathway, start=start)
-    comp = compute_components(ds, fits, stabilize=cfg.stabilize, clip=cfg.clip)
-    out = []
-    for kind, delta_kind in pairs:
-        beta = beta_of_kind(kind, ds, comp, working_set=cfg.working_set, coding=coding)
-        delta = DELTA_FUNCS[delta_kind](ds, comp)
-        out.append((beta, delta, combine_effect(beta, delta, cfg.scale, comp.failures)))
-    return out, comp, fits
 
 
 def cmd_estimate(args) -> int:
@@ -276,91 +229,69 @@ def cmd_estimate(args) -> int:
         raise UsageError(
             "comparison equals baseline; pass --identity-check if this is intentional"
         )
-    cfg = EstimateConfig(working_set=default_working_set(dataset.d0, dataset.d1))
+    # estimate stabilizes the two ratios' propensities unless told otherwise
+    analysis = Analysis(
+        working_set=default_working_set(dataset.d0, dataset.d1),
+        pairs=tuple((kind, args.delta or DEFAULT_DELTA_FOR[kind]) for kind in kinds),
+        stabilize=StabilizeFlags(m_ratio=True, c1_ratio=True),
+    )
     if args.config:
-        cfg = load_config_file(args.config, dataset.d0, dataset.d1, cfg)
+        analysis = load_config_file(args.config, dataset.d0, dataset.d1, analysis)
     if args.scale:
-        cfg = replace(cfg, scale=_parse_scale(args.scale))
+        analysis = replace(analysis, scale=_parse_scale(args.scale))
     if args.pathway:
-        cfg = replace(cfg, pathway=args.pathway)
+        analysis = replace(analysis, pathway=args.pathway)
     if args.stabilize is not None:
-        cfg = replace(cfg, stabilize=_parse_stabilize(args.stabilize))
+        analysis = replace(analysis, stabilize=_parse_stabilize(args.stabilize))
     if args.clip is not None:
-        cfg = replace(cfg, clip=_parse_clip(args.clip))
+        analysis = replace(analysis, clip=_parse_clip(args.clip))
 
     if args.print_models:
-        for role in sorted(cfg.working_set.roles()):
-            spec = cfg.working_set[role]
+        for role in sorted(analysis.working_set.roles()):
+            spec = analysis.working_set[role]
             fam = {v: k for k, v in _FAMILIES.items()}[spec.family]
             print(f"{role} = {fam}: {', '.join(spec.design.labels)}")
         return EXIT_OK
 
     ds, coding = recode_pair(dataset, pair, allow_identity=args.identity_check)
-    pairs = [(kind, args.delta or DEFAULT_DELTA_FOR[kind]) for kind in kinds]
-    estimates, comp, fits = _estimates(ds, coding, cfg, pairs)
-    diagnostics = weight_diagnostics(comp)
-    results = [
-        EstimateResult(
-            kind=kind,
-            delta_kind=delta_kind,
-            scale=cfg.scale,
-            pair=pair,
-            beta_hat=beta,
-            delta_hat=delta,
-            effect=effect,
-            n_used=ds.n,
-            diagnostics=diagnostics,
-        )
-        for (kind, delta_kind), (beta, delta, effect) in zip(pairs, estimates)
-    ]
+    point = evaluate(ds, analysis, coding)
+    interval = None
     if args.bootstrap != "none":
         spec = BootstrapSpec(
             kind=args.bootstrap, replicates=args.reps, seed=args.seed, ci_level=args.ci_level
         )
 
         # replicates start their binomial fits from the point fit's coefficients
-        def effects(data: Dataset, weights):
-            out, comp, _ = _estimates(data, coding, cfg, pairs, weights, fits)
-            return [effect for _, _, effect in out], comp.failures
+        def replicates(data, weights):
+            return evaluate(data, analysis, coding, weights=weights, start=point.fits)
 
-        point = [effect for _, _, effect in estimates]
-        interval = bootstrap(ds, lambda data, weights: effects(data, weights)[0], spec, point=point,
-                             batch=lambda weights: effects(ds, weights))
+        def batch(weights):
+            evaluation = replicates(ds, weights)
+            return evaluation.effect.T, evaluation.failures
+
+        interval = bootstrap(ds, lambda data, weights: replicates(data, weights).effect, spec,
+                             point=point.effect, batch=batch)
         if interval.errors:
             print(
                 f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "
                 f"first: {interval.errors[0]}",
                 file=sys.stderr,
             )
-        for k, result in enumerate(results):
-            result.ci_lower = float(interval.lower[k])
-            result.ci_upper = float(interval.upper[k])
-            result.se = float(interval.se[k])
 
-    _print_estimates(results)
+    diagnostics = weight_diagnostics(point.comp)
+    scale = {"mean_difference": "diff", "log_risk_ratio": "logrr"}[analysis.scale]
+    rows = []
+    for k, (kind, delta_kind) in enumerate(analysis.pairs):
+        ci = [""] * 3 if interval is None else [_fmt(v[k]) for v in (interval.lower, interval.upper, interval.se)]
+        rows.append([kind, delta_kind, scale, str(pair.comparison), str(pair.baseline), _fmt(point.beta[k]),
+                     _fmt(point.delta[k]), _fmt(point.effect[k]), *ci, str(ds.n),
+                     _fmt(diagnostics["max_weight_baseline"]), str(diagnostics["clip_count"])])
+    _print_table(_ESTIMATE_HEADER, rows)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_estimates_csv(results, os.path.join(args.out, "estimates.csv"))
+        with open(os.path.join(args.out, "estimates.csv"), "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([_ESTIMATE_HEADER, *rows])
     return EXIT_OK
-
-
-def _estimate_fields(r: EstimateResult) -> list[str]:
-    return [
-        r.kind,
-        r.delta_kind,
-        {"mean_difference": "diff", "log_risk_ratio": "logrr"}[r.scale],
-        str(r.pair.comparison),
-        str(r.pair.baseline),
-        _fmt(r.beta_hat),
-        _fmt(r.delta_hat),
-        _fmt(r.effect),
-        _fmt(r.ci_lower) if r.ci_lower is not None else "",
-        _fmt(r.ci_upper) if r.ci_upper is not None else "",
-        _fmt(r.se) if r.se is not None else "",
-        str(r.n_used),
-        _fmt(r.diagnostics.get("max_weight_baseline", float("nan"))),
-        str(r.diagnostics.get("clip_count", 0)),
-    ]
 
 
 _ESTIMATE_HEADER = [
@@ -370,20 +301,11 @@ _ESTIMATE_HEADER = [
 ]
 
 
-def _print_estimates(results: list[EstimateResult]) -> None:
-    rows = [_estimate_fields(r) for r in results]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(_ESTIMATE_HEADER)]
-    print("  ".join(h.ljust(w) for h, w in zip(_ESTIMATE_HEADER, widths)))
+def _print_table(header: list[str], rows: list[list[str]]) -> None:
+    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-
-
-def _write_estimates_csv(results: list[EstimateResult], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ESTIMATE_HEADER)
-        for r in results:
-            writer.writerow(_estimate_fields(r))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +333,9 @@ def cmd_simulate(args) -> int:
          _fmt(s.t), "yes" if s.reject else "no", str(s.n_ok)]
         for s in report.summaries
     ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
     print(f"regime={report.regime} n={report.n} reps={report.replications} "
           f"alpha={report.alpha} target={_fmt(report.hypothesized)}")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+    _print_table(header, rows)
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

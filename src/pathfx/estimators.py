@@ -8,21 +8,27 @@ reweighted variant zeroes the influence-function residual terms by
 construction.  Three companion estimators target the all-baseline mean.
 Every estimator is a mean under the fits' weights, ``comp.weights``; batch
 components (of ``(B, n)`` weights) give one value per replicate.
+``evaluate`` composes the pipeline: one fit of an ``Analysis``' working
+models, their components, and every estimator and effect it asks for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PairCoding, TreatmentPair, build_design_matrix, wmean
+from .core import Dataset, PairCoding, build_design_matrix, wmean
 from .glm import _least_squares, predict_mean
 from .nuisance import (
+    DEFAULT_CLIP,
+    ROLE_MARGINAL,
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
     NuisanceComponents,
     NuisanceError,
+    NuisanceFits,
+    StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
     _compose_linear,
@@ -37,13 +43,14 @@ __all__ = [
     "DELTA_KINDS",
     "DEFAULT_DELTA_FOR",
     "EstimationError",
-    "EstimateResult",
+    "Analysis",
+    "Evaluation",
+    "evaluate",
     "beta_mle",
     "beta_a",
     "beta_b",
     "beta_mr",
     "beta_mr_sequential",
-    "beta_of_kind",
     "SequentialFit",
     "delta_gformula",
     "delta_ipw",
@@ -174,24 +181,6 @@ def combine_effect(beta_hat, delta_hat, scale: str, failures: dict | None = None
     raise EstimationError(f"unknown effect scale {scale!r}")
 
 
-@dataclass
-class EstimateResult:
-    """A single estimator's output on one treatment pair."""
-
-    kind: str
-    delta_kind: str
-    scale: str
-    pair: TreatmentPair
-    beta_hat: float
-    delta_hat: float
-    effect: float
-    n_used: int
-    diagnostics: dict = field(default_factory=dict)
-    ci_lower: float | None = None
-    ci_upper: float | None = None
-    se: float | None = None
-
-
 def weight_diagnostics(comp: NuisanceComponents) -> dict:
     """Extrema and effective sizes of the two arm-weight families."""
     w_base = comp.ind_baseline / comp.p_baseline * comp.m_ratio
@@ -313,17 +302,81 @@ def beta_mr_sequential(
     return SequentialFit(value=wmean(b_dd, w_outer), term_values=(term1, term2, term3))
 
 
-def beta_of_kind(
-    kind: str,
+# ---------------------------------------------------------------------------
+# the pipeline: one fit of the working models feeds every estimator
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What one evaluation fits and estimates.
+
+    ``pairs`` holds (contrast estimator, baseline-mean estimator) pairs, one
+    of ``BETA_KINDS`` with one of ``DELTA_KINDS`` or ``None`` for the
+    contrast mean alone.  ``scale`` is ``combine_effect``'s, and
+    ``stabilize`` and ``clip`` are ``compute_components``', with its
+    defaults: no stabilization and the ``DEFAULT_CLIP`` clip.
+    """
+
+    working_set: WorkingModelSet
+    pairs: tuple[tuple[str, str | None], ...]
+    pathway: str = "linear"
+    scale: str = "mean_difference"
+    stabilize: StabilizeFlags = StabilizeFlags()
+    clip: tuple[float, float] | None = DEFAULT_CLIP
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The contrast mean, the baseline mean and the effect of each of an
+    analysis' pairs, along the last axis, and the fits and components they
+    came from.  A batch adds a leading replicate axis, and ``failures``
+    (``comp.failures``) gives each failed replicate's first reason.  A pair
+    without a baseline-mean estimator has NaN for its baseline mean and effect."""
+
+    beta: np.ndarray
+    delta: np.ndarray
+    effect: np.ndarray
+    failures: dict
+    comp: NuisanceComponents
+    fits: NuisanceFits
+
+
+def evaluate(
     dataset: Dataset,
-    comp: NuisanceComponents,
-    *,
-    working_set: WorkingModelSet,
+    analysis: Analysis,
     coding: PairCoding,
-):
-    """The contrast estimate of estimator ``kind`` (one of ``BETA_KINDS``)
-    from the components ``comp``, under their weights; ``mr_seq`` also
-    refits the mean models of ``working_set`` (see ``beta_mr_sequential``)."""
-    if kind == "mr_seq":
-        return beta_mr_sequential(dataset, working_set, coding, comp=comp).value
-    return BETA_FUNCS[kind](dataset, comp)
+    *,
+    weights: np.ndarray | None = None,
+    start: NuisanceFits | None = None,
+) -> Evaluation:
+    """Fit the working models once, and estimate every pair from that fit.
+
+    ``weights`` and ``start`` are ``fit_nuisances``'; the marginal outcome
+    model is fitted only if some pair has a baseline-mean estimator.  Each
+    estimator runs once, however many pairs name it.  ``(B, n)`` weights, or
+    a stacked dataset, evaluate a batch: a replicate whose fits or
+    components fail is NaN for every pair, one whose ``mr_seq`` refit fails
+    or whose log risk ratio is undefined for that pair alone.
+    """
+    working_set = analysis.working_set
+    if ROLE_MARGINAL in working_set and all(delta_kind is None for _, delta_kind in analysis.pairs):
+        working_set = WorkingModelSet({role: spec for role, spec in working_set.models.items()
+                                       if role != ROLE_MARGINAL})
+    fits = fit_nuisances(dataset, working_set, coding, weights=weights, pathway=analysis.pathway, start=start)
+    comp = compute_components(dataset, fits, stabilize=analysis.stabilize, clip=analysis.clip)
+    unfitted = list(comp.failures)
+    betas, deltas, rows = {}, {}, []
+    for kind, delta_kind in analysis.pairs:
+        if kind not in betas:
+            betas[kind] = (beta_mr_sequential(dataset, working_set, coding, comp=comp).value
+                           if kind == "mr_seq" else BETA_FUNCS[kind](dataset, comp))
+        if delta_kind not in deltas:
+            deltas[delta_kind] = (np.full(np.shape(betas[kind]), np.nan) if delta_kind is None
+                                  else DELTA_FUNCS[delta_kind](dataset, comp))
+        beta, delta = betas[kind], deltas[delta_kind]
+        rows.append((beta, delta, delta if delta_kind is None
+                     else combine_effect(beta, delta, analysis.scale, comp.failures)))
+    beta, delta, effect = (np.stack(column, axis=-1) for column in zip(*rows))
+    for values in (beta, delta, effect):
+        values[unfitted] = np.nan
+    return Evaluation(beta=beta, delta=delta, effect=effect, failures=comp.failures, comp=comp, fits=fits)

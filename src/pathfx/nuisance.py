@@ -45,6 +45,7 @@ __all__ = [
     "c1_mean_role",
     "ModelSpec",
     "WorkingModelSet",
+    "default_working_set",
     "NuisanceError",
     "PositivityError",
     "NuisanceFits",
@@ -207,6 +208,25 @@ class WorkingModelSet:
         for role, spec in self.models.items():
             if role.startswith("c1_mean_") and spec.family is not Family.GAUSSIAN:
                 raise NuisanceError(f"{role}: linear pathway requires a gaussian mean model")
+
+
+def default_working_set(d0: int, d1: int) -> WorkingModelSet:
+    """Main-effects working models, with the treatment-by-mediator interaction
+    in the outcome.  A starting point to inspect (``--print-models``), not to
+    trust silently."""
+    c0s = ", ".join(f"c0_{j}" for j in range(1, d0 + 1))
+    c1s = ", ".join(f"c1_{j}" for j in range(1, d1 + 1))
+    models = {
+        ROLE_OUTCOME: ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e, {c1s}, m, e*m")),
+        ROLE_MEDIATOR: ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e, {c1s}")),
+        ROLE_PROP_BASE: ModelSpec(Family.LOGIT, DesignSpec.parse(f"1, {c0s}")),
+        ROLE_PROP_C1: ModelSpec(Family.LOGIT, DesignSpec.parse(f"1, {c0s}, {c1s}")),
+        ROLE_PROP_M: ModelSpec(Family.LOGIT, DesignSpec.parse(f"1, {c0s}, {c1s}, m")),
+        ROLE_MARGINAL: ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e")),
+    }
+    for j in range(1, d1 + 1):
+        models[c1_mean_role(j)] = ModelSpec(Family.GAUSSIAN, DesignSpec.parse(f"1, {c0s}, e"))
+    return WorkingModelSet(models)
 
 
 @dataclass(frozen=True)

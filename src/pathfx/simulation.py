@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import Dataset, DesignSpec, PairCoding, TreatmentPair
-from .estimators import BETA_KINDS, beta_of_kind
+from .estimators import BETA_KINDS, Analysis, evaluate
 from .glm import Family, _expit
 from .inference import derived_rng, mc_t_test, _run_chunked
 from .nuisance import (
@@ -35,8 +35,6 @@ from .nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
-    compute_components,
-    fit_nuisances,
 )
 
 __all__ = [
@@ -456,21 +454,19 @@ def run_monte_carlo(
     Replicates run in chunks of ``max(1, CHUNK_ELEMENTS // n)`` (see
     ``inference._run_chunked``): a chunk's datasets, each drawn as
     ``draw_dataset(n, seed, rep=r + 1)``, are stacked on a leading replicate
-    axis, and one fit of the working models, one set of components and one
-    pass of each estimator serve the whole chunk.  Every fit and product of
-    a stacked replicate is the same BLAS call as on its dataset alone, so a
-    replicate's values depend on the seed and its index only, not on the
-    replicate count or its chunk-mates.  A replicate that fails a fit or
-    a component check is NaN for every estimator, one whose ``mr_seq``
-    refit fails for ``mr_seq``.  Per-replicate failures are tolerated up to
-    1% of the runs; failed replicates are dropped from the summaries, and
-    the report's ``errors`` gives each one's reason.  The failure an error
+    axis, and one ``evaluate`` call serves the whole chunk, a failed
+    replicate NaN as it says.  Every fit and product of a stacked replicate
+    is the same BLAS call as on its dataset alone, so a replicate's values
+    depend on the seed and its index only, not on the replicate count or
+    its chunk-mates.  Per-replicate failures are tolerated up to 1% of the
+    runs; failed replicates are dropped from the summaries, and the
+    report's ``errors`` gives each one's reason.  The failure an error
     quotes first is the lowest-numbered one.
 
-    The study runs unstabilized by default: the propensities here are
-    bounded well away from 0/1, and the logit shift visibly perturbs the
-    weighted estimators' small-sample centering (and absorbs most of regime
-    c's deliberate link misspecification).
+    The study runs unstabilized by default, as ``Analysis`` does: the
+    propensities here are bounded well away from 0/1, and the logit shift
+    visibly perturbs the weighted estimators' small-sample centering (and
+    absorbs most of regime c's deliberate link misspecification).
     """
     models = working_models_for(spec.regime)
     coding = PairCoding(pair=TreatmentPair(1, 0))
@@ -484,17 +480,16 @@ def run_monte_carlo(
     for kind in kinds:
         if kind not in BETA_KINDS:
             raise SimulationError(f"unknown estimator kind {kind!r}")
+        if kinds.count(kind) > 1:
+            raise SimulationError(f"estimator kind {kind!r} requested twice")
+    analysis = Analysis(models.working_set, tuple((kind, None) for kind in kinds), stabilize=stabilize)
 
     def chunk(lo: int, hi: int):
         drawn = [draw_dataset(spec.n, spec.seed, rep=r + 1) for r in range(lo, hi)]
         ds = Dataset(**{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(Dataset)})
         del drawn
-        comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding), stabilize=stabilize)
-        unfitted = list(comp.failures)
-        out = np.stack([beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
-                        for kind in kinds], axis=-1)
-        out[unfitted] = np.nan
-        return out, comp.failures
+        evaluation = evaluate(ds, analysis, coding)
+        return evaluation.beta, evaluation.failures
 
     table = np.full((spec.replications, len(kinds)), np.nan)  # replicate x estimator
     failures = _run_chunked(spec.replications, spec.n, chunk, table)

@@ -24,12 +24,14 @@ from pathfx.core import (
     write_csv,
 )
 from pathfx.estimators import (
+    Analysis,
     beta_a,
     beta_mle,
     beta_mr,
     beta_mr_sequential,
     delta_aipw,
     delta_ipw,
+    evaluate,
     influence_values,
 )
 from pathfx.glm import Family, fit_glm_irls, fit_ols, predict_mean
@@ -336,11 +338,11 @@ def test_criterion_8_sandwich_matches_bootstrap():
 
 @pytest.mark.slow
 def test_criterion_9_bootstrap_coverage():
-    models = working_models_for("int", include_marginal=True)
+    analysis = Analysis(working_models_for("int", include_marginal=True).working_set, (("mr", "aipw"),))
 
     def effect_and_failures(data, weights):
-        comp = compute_components(data, fit_nuisances(data, models.working_set, CODING, weights))
-        return beta_mr(data, comp) - delta_aipw(data, comp), comp.failures
+        evaluation = evaluate(data, analysis, CODING, weights=weights)
+        return evaluation.effect[..., 0], evaluation.failures
 
     covered = 0
     outer = 200

@@ -9,15 +9,16 @@ import pytest
 from scipy.special import expit
 
 import pathfx.cli as cli_mod
+import pathfx.estimators as estimators_mod
 import pathfx.glm as glm_mod
 import pathfx.inference as inference_mod
 import pathfx.simulation as simulation_mod
 from pathfx.cli import main
 from pathfx.core import PairCoding, TreatmentPair, build_design_matrix, dataset_from_arrays, write_csv
-from pathfx.estimators import beta_of_kind
+from pathfx.estimators import DEFAULT_DELTA_FOR, Analysis, evaluate
 from pathfx.glm import predict_mean
 from pathfx.inference import derived_rng
-from pathfx.nuisance import compute_components, fit_nuisances, stabilize_probabilities
+from pathfx.nuisance import StabilizeFlags, WorkingModelSet, default_working_set, stabilize_probabilities
 from pathfx.simulation import draw_dataset
 
 
@@ -91,6 +92,7 @@ class TestSimulateCommand:
         (",", "no estimator given; expected a comma list of mle, a, b, mr, mr_seq"),
         ("foo", "unknown estimator 'foo'; expected one of ('mle', 'a', 'b', 'mr', 'mr_seq')"),
         ("mle, foo", "unknown estimator 'foo'; expected one of ('mle', 'a', 'b', 'mr', 'mr_seq')"),
+        ("mr,mle,mr", "estimator 'mr' is named twice"),
     ])
     def test_unusable_estimators_exit_2_before_any_replicate(self, estimators, message, tmp_path, monkeypatch,
                                                              capsys):
@@ -278,6 +280,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("estimator, message", [
         (",", "no estimator given; expected a comma list of mle, a, b, mr, mr_seq"),
         ("mr,zeta", "unknown estimator 'zeta'; expected one of ('mle', 'a', 'b', 'mr', 'mr_seq')"),
+        ("mr,mr", "estimator 'mr' is named twice"),
     ])
     def test_unusable_estimators_exit_2_before_reading_data(self, estimator, message, tmp_path, monkeypatch,
                                                             capsys):
@@ -442,7 +445,7 @@ def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
     it was given; ``cold`` drops the start so every replicate fits from zero,
     and ``batched=False`` evaluates every replicate on its own."""
     intervals, starts, fitted, weights = [], [], [], []
-    real_bootstrap, real_fit = cli_mod.bootstrap, cli_mod.fit_nuisances
+    real_bootstrap, real_fit = cli_mod.bootstrap, estimators_mod.fit_nuisances
 
     def spy_bootstrap(ds, statistic, spec, *, batch, **kwargs):
         intervals.append(real_bootstrap(ds, statistic, spec, batch=batch if batched else None, **kwargs))
@@ -456,7 +459,7 @@ def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
 
     with monkeypatch.context() as m:
         m.setattr(cli_mod, "bootstrap", spy_bootstrap)
-        m.setattr(cli_mod, "fit_nuisances", spy_fit)
+        m.setattr(estimators_mod, "fit_nuisances", spy_fit)
         assert main(argv) == 0
     return intervals[0], starts, fitted, weights
 
@@ -654,7 +657,7 @@ class TestBootstrapWarmStart:
         argv = ["estimate", "--data", path, "--comparison", "1", "--baseline", "0",
                 "--estimator", "mle,mr", "--bootstrap", "nonparametric", "--reps", "40", "--seed", "3"]
         batch_errors, weights = [], []
-        real_score_batch, real_fit = glm_mod._score_batch, cli_mod.fit_nuisances
+        real_score_batch, real_fit = glm_mod._score_batch, estimators_mod.fit_nuisances
 
         def spy_score_batch(X, y, family, prior, start, labels):
             out = real_score_batch(X, y, family, prior, start, labels)
@@ -667,7 +670,7 @@ class TestBootstrapWarmStart:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(glm_mod, "_score_batch", spy_score_batch)
-        monkeypatch.setattr(cli_mod, "fit_nuisances", spy_fit)
+        monkeypatch.setattr(estimators_mod, "fit_nuisances", spy_fit)
         assert main(argv) == 3
         assert "16/40 bootstrap replicates failed" in capsys.readouterr().err
         drawn = weights[1][:, :3] > 0
@@ -814,25 +817,23 @@ class TestFailureParity:
         bootstrap of ``estimate``'s statistic (``estimators`` with their
         default delta estimators) on ``data``; ``zero`` maps replicates to
         records whose wild weight is set to zero."""
-        ds, coding = cli_mod.recode_pair(data, cli_mod.TreatmentPair(1, 0))
-        cfg = cli_mod.EstimateConfig(working_set=cli_mod.default_working_set(ds.d0, ds.d1), **options)
-        if config:
-            models = dict(cfg.working_set.models)
-            for line in config.strip().splitlines():
-                role, text = line.split("=", 1)
-                models[role.strip()] = cli_mod._parse_model_line(role.strip(), text)
-            cfg = cli_mod.replace(cfg, working_set=cli_mod.WorkingModelSet(models))
-        pairs = [(beta, cli_mod.DEFAULT_DELTA_FOR[beta]) for beta in estimators]
+        ds, coding = cli_mod.recode_pair(data, TreatmentPair(1, 0))
+        models = dict(default_working_set(ds.d0, ds.d1).models)
+        for line in config.strip().splitlines():
+            role, text = line.split("=", 1)
+            models[role.strip()] = cli_mod._parse_model_line(role.strip(), text)
+        analysis = Analysis(WorkingModelSet(models), tuple((beta, DEFAULT_DELTA_FOR[beta]) for beta in estimators),
+                            stabilize=StabilizeFlags(m_ratio=True, c1_ratio=True), **options)
         if kind == "wild_exp1":
             W = np.array([derived_rng(seed, r).exponential(1.0, ds.n) for r in range(reps)])
             for r, rows in (zero or {}).items():
                 W[r, rows] = 0.0
-            alone = lambda r: cli_mod._estimates(ds, coding, cfg, pairs, W[r])
+            alone = lambda r: evaluate(ds, analysis, coding, weights=W[r])
         else:
             drawn = [derived_rng(seed, r).integers(0, ds.n, size=ds.n) for r in range(reps)]
             W = np.array([np.bincount(x, minlength=ds.n) for x in drawn], dtype=float)
-            alone = lambda r: cli_mod._estimates(ds.take(drawn[r]), coding, cfg, pairs)
-        return cli_mod._estimates(ds, coding, cfg, pairs, W)[1].failures, alone
+            alone = lambda r: evaluate(ds.take(drawn[r]), analysis, coding)
+        return evaluate(ds, analysis, coding, weights=W).failures, alone
 
     @staticmethod
     def _monte_carlo_case(monkeypatch, change, estimators):
@@ -847,15 +848,9 @@ class TestFailureParity:
             simulation_mod.run_monte_carlo(spec, estimators=estimators)
         head, reason = str(err.value).split("; first: replicate 3: ", 1)
         assert head == "1/12 replicates failed"
-        models = simulation_mod.working_models_for("int")
-        coding = PairCoding(pair=TreatmentPair(1, 0))
-
-        def alone(r):
-            ds = draw(spec.n, spec.seed, rep=r)
-            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding))
-            for kind in estimators:
-                beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
-
+        analysis = Analysis(simulation_mod.working_models_for("int").working_set,
+                            tuple((kind, None) for kind in estimators))
+        alone = lambda r: evaluate(draw(spec.n, spec.seed, rep=r), analysis, PairCoding(pair=TreatmentPair(1, 0)))
         return {3: reason}, alone
 
     # case: (the batch's reasons and the evaluation alone, what every reason says)
@@ -955,11 +950,12 @@ class TestFailureParity:
         assert reasons == {r: f"outcome (mr_seq refit, baseline arm): {records[r]} records for 6 columns"
                            for r in reasons}
         # an evaluation alone says the same
-        cfg = cli_mod.EstimateConfig(working_set=cli_mod.default_working_set(ds.d0, ds.d1))
+        analysis = Analysis(default_working_set(ds.d0, ds.d1), (("mr_seq", DEFAULT_DELTA_FOR["mr_seq"]),),
+                            stabilize=StabilizeFlags(m_ratio=True, c1_ratio=True))
         kept = np.r_[np.flatnonzero(~base), np.flatnonzero(base)[:5]]
         with pytest.raises(cli_mod.NuisanceError, match=r"^outcome \(mr_seq refit, baseline arm\): 5 records for 6 "
                                                         r"columns$"):
-            cli_mod._estimates(ds.take(kept), coding, cfg, [("mr_seq", cli_mod.DEFAULT_DELTA_FOR["mr_seq"])])
+            evaluate(ds.take(kept), analysis, coding)
 
     def test_a_batch_stabilizes_each_replicate_as_alone(self):
         P, ind, W = self._stabilization_batch()

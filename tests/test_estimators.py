@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import pathfx.estimators as estimators_mod
-from pathfx.core import DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair, wmean
+from pathfx.core import Dataset, DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair, wmean
 from pathfx.estimators import (
+    BETA_KINDS,
+    DEFAULT_DELTA_FOR,
+    Analysis,
     EstimationError,
     beta_a,
     beta_b,
@@ -17,11 +20,13 @@ from pathfx.estimators import (
     delta_aipw,
     delta_gformula,
     delta_ipw,
+    evaluate,
     influence_values,
     weight_diagnostics,
 )
 from pathfx.glm import Family
 from pathfx.nuisance import (
+    ROLE_MARGINAL,
     ModelSpec,
     NuisanceComponents,
     NuisanceError,
@@ -30,6 +35,7 @@ from pathfx.nuisance import (
     WorkingModelSet,
     components_from_functions,
     compute_components,
+    default_working_set,
     fit_nuisances,
 )
 from pathfx.simulation import (
@@ -465,3 +471,94 @@ class TestDiagnostics:
         assert diag["max_weight_baseline"] > 0
         assert 0 < diag["ess_baseline"] <= ds.n
         assert 0 < diag["ess_comparison"] <= ds.n
+
+
+class TestEvaluate:
+    # every estimator with its default baseline mean, and mr alone
+    PAIRS = tuple((kind, DEFAULT_DELTA_FOR[kind]) for kind in BETA_KINDS) + (("mr", None),)
+
+    @staticmethod
+    def _assert_rows_are_alone(batch, alone):
+        for b, single in enumerate(alone):
+            for field in ("beta", "delta", "effect"):
+                assert np.array_equal(getattr(batch, field)[b], getattr(single, field), equal_nan=True), (b, field)
+
+    def test_a_wild_batch_row_is_its_single_evaluation(self):
+        ds = draw_dataset(400, 31)
+        analysis = Analysis(working_models_for("int", include_marginal=True).working_set, self.PAIRS,
+                            stabilize=StabilizeFlags(m_ratio=True, c1_ratio=True))
+        W = np.random.default_rng(32).exponential(1.0, (3, ds.n))
+        batch = evaluate(ds, analysis, CODING, weights=W)
+        assert batch.beta.shape == batch.delta.shape == batch.effect.shape == (3, len(self.PAIRS))
+        assert batch.failures == {}
+        self._assert_rows_are_alone(batch, [evaluate(ds, analysis, CODING, weights=w) for w in W])
+
+    def test_a_stacked_chunk_row_is_its_dataset_evaluated_alone(self):
+        drawn = [draw_dataset(300, 4, rep=r) for r in (1, 2, 3)]
+        stacked = Dataset(**{f: np.stack([getattr(d, f) for d in drawn]) for f in Dataset.__dataclass_fields__})
+        analysis = Analysis(working_models_for("a", include_marginal=True).working_set, self.PAIRS)
+        batch = evaluate(stacked, analysis, CODING)
+        assert batch.beta.shape == (3, len(self.PAIRS))
+        self._assert_rows_are_alone(batch, [evaluate(d, analysis, CODING) for d in drawn])
+
+    def test_a_replicate_that_fails_its_components_is_nan_for_every_pair(self):
+        # the steep exposure, e ~ expit(5 c0_1), unclipped: some wild
+        # replicates' fitted propensities reach 1
+        rng = np.random.default_rng(2)
+        ds = draw_dataset(200, 2)
+        ds = dataset_from_arrays(ds.c0, (rng.random(ds.n) < 1.0 / (1.0 + np.exp(-5.0 * ds.c0[:, 0]))).astype(int),
+                                 ds.c1, ds.m, ds.y)
+        W = np.random.default_rng(3).exponential(1.0, (40, ds.n))
+        analysis = Analysis(default_working_set(ds.d0, ds.d1), (("mle", "gformula"), ("mr", "aipw")), clip=None)
+        batch = evaluate(ds, analysis, CODING, weights=W)
+        failed = sorted(batch.failures)
+        assert failed and all("positivity is violated" in batch.failures[b] for b in failed)
+        kept = np.setdiff1d(np.arange(40), failed)
+        for field in ("beta", "delta", "effect"):
+            values = getattr(batch, field)
+            assert np.isnan(values[failed]).all(), field
+            assert np.isfinite(values[kept]).all(), field
+
+    def test_a_refit_failure_is_nan_for_mr_seq_alone(self):
+        # c1_2 is zero on the baseline arm but for three records, which
+        # replicate 1 weights by zero: its outcome refit there loses rank
+        ds = draw_dataset(400, 12)
+        base = np.flatnonzero(ds.e == 0)
+        c1 = ds.c1.copy()
+        c1[base[3:], 1] = 0.0
+        ds = dataset_from_arrays(ds.c0, ds.e, c1, ds.m, ds.y)
+        W = np.random.default_rng(13).exponential(1.0, (3, ds.n))
+        W[1, base[:3]] = 0.0
+        analysis = Analysis(working_models_for("int", include_marginal=True).working_set, self.PAIRS)
+        batch = evaluate(ds, analysis, CODING, weights=W)
+        assert list(batch.failures) == [1]
+        assert batch.failures[1].startswith("outcome: design matrix is rank deficient at c1_2")
+        seq = BETA_KINDS.index("mr_seq")
+        for field in ("beta", "effect"):
+            values = getattr(batch, field)
+            assert np.isnan(values[1, seq]), field
+            assert np.isfinite(np.delete(values[1], [seq, len(self.PAIRS) - 1])).all(), field
+        assert np.isfinite(batch.beta[[0, 2]]).all()
+
+    def test_pairs_that_share_a_baseline_mean_compute_it_once(self, monkeypatch):
+        calls = []
+        real = estimators_mod.DELTA_FUNCS["aipw"]
+        monkeypatch.setitem(estimators_mod.DELTA_FUNCS, "aipw", lambda *args: calls.append(1) or real(*args))
+        ds = draw_dataset(300, 34)
+        analysis = Analysis(default_working_set(ds.d0, ds.d1), (("b", "aipw"), ("mr", "aipw")))
+        evaluation = evaluate(ds, analysis, CODING)
+        assert len(calls) == 1
+        assert evaluation.delta[0] == evaluation.delta[1]
+
+    def test_the_default_analysis_is_compute_components_default(self):
+        ds = draw_dataset(500, 35)
+        working_set = default_working_set(ds.d0, ds.d1)
+        comp = compute_components(ds, fit_nuisances(ds, working_set, CODING))
+        evaluation = evaluate(ds, Analysis(working_set, (("mr", "aipw"),)), CODING)
+        assert evaluation.beta[0] == beta_mr(ds, comp)
+        assert evaluation.delta[0] == delta_aipw(ds, comp)
+        # without a baseline mean to estimate, the marginal outcome model is not fitted
+        alone = evaluate(ds, Analysis(working_set, (("mr", None),)), CODING)
+        assert ROLE_MARGINAL not in alone.fits
+        assert alone.beta[0] == beta_mr(ds, comp)
+        assert np.isnan(alone.delta[0]) and np.isnan(alone.effect[0])

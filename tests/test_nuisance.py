@@ -7,7 +7,6 @@ from scipy.special import expit, logit
 
 import pathfx.estimators as estimators_mod
 import pathfx.nuisance as nuisance_mod
-from pathfx.cli import default_working_set
 from pathfx.core import (
     Dataset,
     DesignSpec,
@@ -34,6 +33,7 @@ from pathfx.nuisance import (
     WorkingModelSet,
     c1_mean_role,
     compute_components,
+    default_working_set,
     fit_nuisances,
     stabilize_probabilities,
     _response_for,

@@ -9,7 +9,7 @@ from scipy.special import expit
 import pathfx.inference as inference_mod
 import pathfx.simulation as simulation_mod
 from pathfx.core import DesignSpec, PairCoding, TreatmentPair
-from pathfx.estimators import BETA_KINDS, beta_of_kind
+from pathfx.estimators import BETA_KINDS, Analysis, evaluate
 from pathfx.glm import Family, fit_ols
 from pathfx.nuisance import (
     ROLE_MEDIATOR,
@@ -21,7 +21,6 @@ from pathfx.nuisance import (
     ROLE_PROP_M,
     NuisanceError,
     c1_mean_role,
-    compute_components,
     fit_nuisances,
 )
 from pathfx.simulation import (
@@ -202,6 +201,7 @@ class TestMonteCarloRunner:
         (0, ("mle",), "n must be at least 1, got 0"),
         (-3, ("mle",), "n must be at least 1, got -3"),
         (300, (), "no estimator requested"),
+        (300, ("mr", "mle", "mr"), "estimator kind 'mr' requested twice"),
     ])
     def test_unusable_spec_raises_before_any_replicate(self, n, estimators, message, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -308,14 +308,12 @@ class TestMonteCarloChunks:
         # as on its dataset alone, so the values agree bitwise
         spec = SimulationSpec(regime=regime, n=300, replications=6, seed=4)
         report = run_monte_carlo(spec, estimators=BETA_KINDS)
-        models = working_models_for(regime)
+        analysis = Analysis(working_models_for(regime).working_set, tuple((kind, None) for kind in BETA_KINDS))
         coding = PairCoding(pair=TreatmentPair(1, 0))
         for r in range(spec.replications):
-            ds = draw_dataset(spec.n, spec.seed, rep=r + 1)
-            comp = compute_components(ds, fit_nuisances(ds, models.working_set, coding))
-            for kind in BETA_KINDS:
-                alone = beta_of_kind(kind, ds, comp, working_set=models.working_set, coding=coding)
-                assert report.values[kind][r] == alone, (r, kind)
+            alone = evaluate(draw_dataset(spec.n, spec.seed, rep=r + 1), analysis, coding).beta
+            for k, kind in enumerate(BETA_KINDS):
+                assert report.values[kind][r] == alone[k], (r, kind)
 
     @pytest.mark.parametrize("estimators", [("mle", "a", "b", "mr"), BETA_KINDS])
     def test_a_failed_replicate_is_evaluated_once(self, estimators, monkeypatch):
