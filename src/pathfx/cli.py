@@ -267,7 +267,7 @@ def cmd_estimate(args) -> int:
 
         def batch(weights):
             evaluation = replicates(ds, weights)
-            return evaluation.effect.T, evaluation.failures
+            return evaluation.effect.T, evaluation.comp.failures
 
         interval = bootstrap(ds, lambda data, weights: replicates(data, weights).effect, spec,
                              point=point.effect, batch=batch)

@@ -22,7 +22,6 @@ from .core import Dataset, PairCoding, build_design_matrix, wmean
 from .glm import _least_squares, predict_mean
 from .nuisance import (
     DEFAULT_CLIP,
-    ROLE_MARGINAL,
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
     NuisanceComponents,
@@ -329,14 +328,13 @@ class Analysis:
 class Evaluation:
     """The contrast mean, the baseline mean and the effect of each of an
     analysis' pairs, along the last axis, and the fits and components they
-    came from.  A batch adds a leading replicate axis, and ``failures``
-    (``comp.failures``) gives each failed replicate's first reason.  A pair
+    came from.  A batch adds a leading replicate axis, and
+    ``comp.failures`` gives each failed replicate's first reason.  A pair
     without a baseline-mean estimator has NaN for its baseline mean and effect."""
 
     beta: np.ndarray
     delta: np.ndarray
     effect: np.ndarray
-    failures: dict
     comp: NuisanceComponents
     fits: NuisanceFits
 
@@ -351,24 +349,20 @@ def evaluate(
 ) -> Evaluation:
     """Fit the working models once, and estimate every pair from that fit.
 
-    ``weights`` and ``start`` are ``fit_nuisances``'; the marginal outcome
-    model is fitted only if some pair has a baseline-mean estimator.  Each
-    estimator runs once, however many pairs name it.  ``(B, n)`` weights, or
-    a stacked dataset, evaluate a batch: a replicate whose fits or
-    components fail is NaN for every pair, one whose ``mr_seq`` refit fails
-    or whose log risk ratio is undefined for that pair alone.
+    ``weights`` and ``start`` are ``fit_nuisances``'.  Each estimator runs
+    once, however many pairs name it.  ``(B, n)`` weights, or a stacked
+    dataset, evaluate a batch: a replicate whose fits or components fail is
+    NaN for every pair, one whose ``mr_seq`` refit fails or whose log risk
+    ratio is undefined for that pair alone.
     """
-    working_set = analysis.working_set
-    if ROLE_MARGINAL in working_set and all(delta_kind is None for _, delta_kind in analysis.pairs):
-        working_set = WorkingModelSet({role: spec for role, spec in working_set.models.items()
-                                       if role != ROLE_MARGINAL})
-    fits = fit_nuisances(dataset, working_set, coding, weights=weights, pathway=analysis.pathway, start=start)
+    fits = fit_nuisances(dataset, analysis.working_set, coding, weights=weights,
+                         pathway=analysis.pathway, start=start)
     comp = compute_components(dataset, fits, stabilize=analysis.stabilize, clip=analysis.clip)
     unfitted = list(comp.failures)
     betas, deltas, rows = {}, {}, []
     for kind, delta_kind in analysis.pairs:
         if kind not in betas:
-            betas[kind] = (beta_mr_sequential(dataset, working_set, coding, comp=comp).value
+            betas[kind] = (beta_mr_sequential(dataset, analysis.working_set, coding, comp=comp).value
                            if kind == "mr_seq" else BETA_FUNCS[kind](dataset, comp))
         if delta_kind not in deltas:
             deltas[delta_kind] = (np.full(np.shape(betas[kind]), np.nan) if delta_kind is None
@@ -379,4 +373,4 @@ def evaluate(
     beta, delta, effect = (np.stack(column, axis=-1) for column in zip(*rows))
     for values in (beta, delta, effect):
         values[unfitted] = np.nan
-    return Evaluation(beta=beta, delta=delta, effect=effect, failures=comp.failures, comp=comp, fits=fits)
+    return Evaluation(beta=beta, delta=delta, effect=effect, comp=comp, fits=fits)

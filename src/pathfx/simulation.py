@@ -489,7 +489,7 @@ def run_monte_carlo(
         ds = Dataset(**{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(Dataset)})
         del drawn
         evaluation = evaluate(ds, analysis, coding)
-        return evaluation.beta, evaluation.failures
+        return evaluation.beta, evaluation.comp.failures
 
     table = np.full((spec.replications, len(kinds)), np.nan)  # replicate x estimator
     failures = _run_chunked(spec.replications, spec.n, chunk, table)

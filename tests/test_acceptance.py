@@ -342,7 +342,7 @@ def test_criterion_9_bootstrap_coverage():
 
     def effect_and_failures(data, weights):
         evaluation = evaluate(data, analysis, CODING, weights=weights)
-        return evaluation.effect[..., 0], evaluation.failures
+        return evaluation.effect[..., 0], evaluation.comp.failures
 
     covered = 0
     outer = 200

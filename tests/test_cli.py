@@ -833,7 +833,7 @@ class TestFailureParity:
             drawn = [derived_rng(seed, r).integers(0, ds.n, size=ds.n) for r in range(reps)]
             W = np.array([np.bincount(x, minlength=ds.n) for x in drawn], dtype=float)
             alone = lambda r: evaluate(ds.take(drawn[r]), analysis, coding)
-        return evaluate(ds, analysis, coding, weights=W).failures, alone
+        return evaluate(ds, analysis, coding, weights=W).comp.failures, alone
 
     @staticmethod
     def _monte_carlo_case(monkeypatch, change, estimators):

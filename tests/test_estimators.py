@@ -26,7 +26,6 @@ from pathfx.estimators import (
 )
 from pathfx.glm import Family
 from pathfx.nuisance import (
-    ROLE_MARGINAL,
     ModelSpec,
     NuisanceComponents,
     NuisanceError,
@@ -490,7 +489,7 @@ class TestEvaluate:
         W = np.random.default_rng(32).exponential(1.0, (3, ds.n))
         batch = evaluate(ds, analysis, CODING, weights=W)
         assert batch.beta.shape == batch.delta.shape == batch.effect.shape == (3, len(self.PAIRS))
-        assert batch.failures == {}
+        assert batch.comp.failures == {}
         self._assert_rows_are_alone(batch, [evaluate(ds, analysis, CODING, weights=w) for w in W])
 
     def test_a_stacked_chunk_row_is_its_dataset_evaluated_alone(self):
@@ -511,8 +510,8 @@ class TestEvaluate:
         W = np.random.default_rng(3).exponential(1.0, (40, ds.n))
         analysis = Analysis(default_working_set(ds.d0, ds.d1), (("mle", "gformula"), ("mr", "aipw")), clip=None)
         batch = evaluate(ds, analysis, CODING, weights=W)
-        failed = sorted(batch.failures)
-        assert failed and all("positivity is violated" in batch.failures[b] for b in failed)
+        failed = sorted(batch.comp.failures)
+        assert failed and all("positivity is violated" in batch.comp.failures[b] for b in failed)
         kept = np.setdiff1d(np.arange(40), failed)
         for field in ("beta", "delta", "effect"):
             values = getattr(batch, field)
@@ -531,8 +530,8 @@ class TestEvaluate:
         W[1, base[:3]] = 0.0
         analysis = Analysis(working_models_for("int", include_marginal=True).working_set, self.PAIRS)
         batch = evaluate(ds, analysis, CODING, weights=W)
-        assert list(batch.failures) == [1]
-        assert batch.failures[1].startswith("outcome: design matrix is rank deficient at c1_2")
+        assert list(batch.comp.failures) == [1]
+        assert batch.comp.failures[1].startswith("outcome: design matrix is rank deficient at c1_2")
         seq = BETA_KINDS.index("mr_seq")
         for field in ("beta", "effect"):
             values = getattr(batch, field)
@@ -551,14 +550,19 @@ class TestEvaluate:
         assert evaluation.delta[0] == evaluation.delta[1]
 
     def test_the_default_analysis_is_compute_components_default(self):
+        # each pair's column holds its own estimators' values on
+        # compute_components(ds, fits)' defaults
         ds = draw_dataset(500, 35)
         working_set = default_working_set(ds.d0, ds.d1)
         comp = compute_components(ds, fit_nuisances(ds, working_set, CODING))
-        evaluation = evaluate(ds, Analysis(working_set, (("mr", "aipw"),)), CODING)
-        assert evaluation.beta[0] == beta_mr(ds, comp)
-        assert evaluation.delta[0] == delta_aipw(ds, comp)
-        # without a baseline mean to estimate, the marginal outcome model is not fitted
-        alone = evaluate(ds, Analysis(working_set, (("mr", None),)), CODING)
-        assert ROLE_MARGINAL not in alone.fits
-        assert alone.beta[0] == beta_mr(ds, comp)
-        assert np.isnan(alone.delta[0]) and np.isnan(alone.effect[0])
+        evaluation = evaluate(ds, Analysis(working_set, self.PAIRS), CODING)
+        for k, (kind, delta_kind) in enumerate(self.PAIRS):
+            beta = (beta_mr_sequential(ds, working_set, CODING, comp=comp).value if kind == "mr_seq"
+                    else estimators_mod.BETA_FUNCS[kind](ds, comp))
+            assert evaluation.beta[k] == beta, (kind, delta_kind)
+            if delta_kind is None:
+                assert np.isnan(evaluation.delta[k]) and np.isnan(evaluation.effect[k]), kind
+                continue
+            delta = estimators_mod.DELTA_FUNCS[delta_kind](ds, comp)
+            assert evaluation.delta[k] == delta, (kind, delta_kind)
+            assert evaluation.effect[k] == beta - delta, (kind, delta_kind)
