@@ -24,8 +24,9 @@ each.  One solver (``_solve``) forms every p x p system X' diag(w) X as
 a sum over row blocks of ``GRAM_BLOCK // p`` rows (``_gram``), one matrix
 product of the weighted block of X' with the block of X per block and
 system, X' being the view ``X.T``, which is C-contiguous for the
-column-major designs of ``build_design_matrix``: no copy of X and no
-weighted copy of more than a block is made, a design of one block is one
+column-major designs of ``build_design_matrix``: no copy of X is made,
+the weighted copy is of one block per system (a batch of B systems
+weights its B blocks at once, (B, p, rows)), a design of one block is one
 product, and a system serves any number of right-hand sides.  It solves
 each system by one rule: from its
 inverse when the exact 1-norm reciprocal condition passes
@@ -118,11 +119,12 @@ CHOL_RCOND_MIN = 1e-10
 # do the live rows lose rank.
 DEAD_INFO = 1e-8
 # Every Gram X' diag(w) X is summed over blocks of GRAM_BLOCK // p rows
-# (``_gram``): no weighted copy of a tall X is made, and the weighted block
-# stays in cache.  A block counts elements, not rows, because a fixed 4,096
-# rows slowed narrow designs.  Microseconds per weighted Gram of a
-# column-major X, best of 15 (2-core x86 host, one OpenBLAS thread), as one
-# product ("one") and over blocks of E elements or of 4,096 rows:
+# (``_gram``): no weighted copy of a tall X is made, and a single system's
+# weighted block stays in cache.  A block counts elements, not rows,
+# because a fixed 4,096 rows slowed narrow designs.  Microseconds per
+# weighted Gram of a column-major X, best of 15 (2-core x86 host, one
+# OpenBLAS thread), as one product ("one") and over blocks of E elements
+# or of 4,096 rows:
 #
 #          n = 25,000: one  2^14  2^15  2^16  2^17  4096 | n = 200,000: one  2^14  2^15  2^16  2^17  4096
 #   p = 2              43    52    44    42    43    60 |               624   424   389   353   482   483
@@ -293,8 +295,15 @@ def _gram(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     order: X (n, p) with weights ``w`` (n,) gives one system, and X (n, p)
     or a stack (B, n, p) with ``w`` (B, 1, n) one per weight row; ``w`` None
     stands for unit weights.  Each block is one matrix product of the
-    weighted block of the view X' with the block of X, so no weighted copy
-    of more than a block exists; a design of one block is one product."""
+    weighted block of the view X' with the block of X, so the weighted copy
+    holds one block per system: (p, rows) for one, (B, p, rows) for a
+    batch, 1.76 MB at B = 21, p = 7, n = 1,500.  A design of one block is
+    one product."""
+    # The weighted copy is not bounded across replicates too: that is
+    # bitwise the same, but on a 2-core x86 it made ``boot_np`` 22% slower,
+    # at 8,780 minor page faults per pass against 4.  glibc's mmap threshold
+    # rises to the largest mapped block freed; with smaller copies it stayed
+    # low, and the batch's (B, n) arrays were mapped afresh on every use.
     rows = GRAM_BLOCK // max(X.shape[-1], 1)
     Xt = X.swapaxes(-1, -2)
     H = np.matmul(Xt[..., :rows] if w is None else Xt[..., :rows] * w[..., :rows], X[..., :rows, :])

@@ -89,28 +89,36 @@ def _draw_wild_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.exponential(1.0, n)
 
 
-# Rows' worth of replicates per batch chunk, for both chunked loops
-# (``_run_chunked``): a bootstrap chunk's (B, n) weight matrix and a Monte
-# Carlo chunk's stacked (R, n) datasets hold CHUNK_ELEMENTS // n replicates
-# (at least one), so each (B, n) array a batch keeps live stays within 128
-# KB whatever the replicate count, for n up to 2**14.  A batch holds about a
-# dozen such arrays at its peak (a Monte Carlo chunk's designs add p of
-# them each), and all of it adds to the process's peak memory.
-CHUNK_ELEMENTS = 2**14
+# Elements per batch chunk (``_run_chunked``): a chunk holds
+# CHUNK_ELEMENTS // e replicates, at least one, e being the elements one
+# replicate adds: its n weights for a bootstrap (21 replicates at n = 1,500),
+# 2n for a Monte Carlo replicate, which carries its own stacked dataset and
+# designs (16 at n = 1,000).  Each batch pays a fixed cost, the Python-level
+# work of its IRLS iterations, components and estimators, which a larger
+# chunk spreads over more replicates; its peak memory, about a dozen (B, n)
+# arrays and the Gram's (B, p, rows) weighted copy, grows with the chunk.
+# On a 2-core x86, 2**15 took 10% off ``boot_np``'s time per pass at a 3%
+# higher peak RSS than 2**14; 2**16 raised that peak 3.6 MB more, and
+# counting a Monte Carlo replicate as n raised ``simulate --n 1000 --reps
+# 200``'s from 43 to 50 MB, neither with a time gain that showed.
+CHUNK_ELEMENTS = 2**15
 
 
-def _run_chunked(count: int, n: int, batch: Callable[[int, int], tuple[np.ndarray, dict]],
+def _run_chunked(count: int, elements: int, batch: Callable[[int, int], tuple[np.ndarray, dict]],
                  values: np.ndarray) -> dict[int, str]:
     """Fill ``values`` (count, ...) one chunk of replicates at a time, and
     return the ``{r: reason}`` of the failed replicates in replicate order.
 
-    A chunk holds ``max(1, CHUNK_ELEMENTS // n)`` replicates of n rows, so
-    its size depends on n alone.  ``batch(lo, hi)`` returns the values of
-    replicates lo to hi - 1 and the ``{r - lo: reason}`` of those that
-    failed.  A chunk whose batch raises fails all its replicates with that
-    text.  Each replicate is evaluated once.
+    A chunk holds ``max(1, CHUNK_ELEMENTS // elements)`` replicates, where
+    ``elements`` is what one replicate adds to the batch: n for a bootstrap
+    replicate's weights, 2n for a Monte Carlo replicate's dataset and
+    designs.  So a chunk's size does not depend on ``count``.
+    ``batch(lo, hi)`` returns the values of replicates lo to hi - 1 and the
+    ``{r - lo: reason}`` of those that failed.  A chunk whose batch raises
+    fails all its replicates with that text.  Each replicate is evaluated
+    once.
     """
-    size = max(1, CHUNK_ELEMENTS // n)
+    size = max(1, CHUNK_ELEMENTS // elements)
     reasons: dict[int, str] = {}
     for lo in range(0, count, size):
         hi = min(lo + size, count)

@@ -451,10 +451,11 @@ def run_monte_carlo(
 ) -> RegimeReport:
     """Replicate the study: draw, fit the regime's models, estimate, test.
 
-    Replicates run in chunks of ``max(1, CHUNK_ELEMENTS // n)`` (see
-    ``inference._run_chunked``): a chunk's datasets, each drawn as
-    ``draw_dataset(n, seed, rep=r + 1)``, are stacked on a leading replicate
-    axis, and one ``evaluate`` call serves the whole chunk, a failed
+    Replicates run in chunks of ``max(1, CHUNK_ELEMENTS // (2 n))``, 16 at
+    n = 1,000 (see ``inference._run_chunked``; a replicate's dataset and
+    designs count twice its weights): a chunk's datasets, each drawn as
+    ``draw_dataset(n, seed, rep=r + 1)``, are stacked on a leading
+    replicate axis, and one ``evaluate`` call serves the whole chunk, a failed
     replicate NaN as it says.  Every fit and product of a stacked replicate
     is the same BLAS call as on its dataset alone, so a replicate's values
     depend on the seed and its index only, not on the replicate count or
@@ -492,7 +493,7 @@ def run_monte_carlo(
         return evaluation.beta, evaluation.comp.failures
 
     table = np.full((spec.replications, len(kinds)), np.nan)  # replicate x estimator
-    failures = _run_chunked(spec.replications, spec.n, chunk, table)
+    failures = _run_chunked(spec.replications, 2 * spec.n, chunk, table)
     values = dict(zip(kinds, np.ascontiguousarray(table.T)))
 
     errors = [f"replicate {r + 1}: {reason}" for r, reason in failures.items()]

@@ -489,6 +489,7 @@ class TestBootstrapWarmStart:
             config = tmp_path / "probit.ini"
             config.write_text(PROBIT_PROPENSITIES)
             argv += ["--config", str(config)]
+        monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", 10 * 1500)
         warm, starts, fitted, weights = _bootstrap_run(argv, monkeypatch)
         cold, _, _, _ = _bootstrap_run(argv, monkeypatch, cold=True)
         capsys.readouterr()
@@ -745,6 +746,7 @@ class TestBatchedBootstrap:
                                             monkeypatch, capsys):
         data = binary_csv if "discrete" in options else study_csv
         argv = self._argv(data, kind, options, tmp_path)
+        monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", 10 * 1500)  # 12 replicates in chunks of 10 and 2
         batched, _, _, weights = _bootstrap_run(argv, monkeypatch)
         alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
         capsys.readouterr()
@@ -758,6 +760,7 @@ class TestBatchedBootstrap:
 
     def test_a_failed_replicate_leaves_its_chunk_mates_alone(self, study_csv, tmp_path, monkeypatch, capsys):
         argv = self._argv(study_csv, "wild_exp1", [], tmp_path, reps=20)
+        monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", 10 * 1500)  # two chunks of 10 replicates
         clean, _, _, _ = _bootstrap_run(argv, monkeypatch)
         ds = cli_mod.recode_pair(cli_mod.read_csv(study_csv), cli_mod.TreatmentPair(1, 0))[0]
         spec = cli_mod.BootstrapSpec(kind="wild_exp1", replicates=20, seed=5)
@@ -781,13 +784,20 @@ class TestBatchedBootstrap:
         kept = np.arange(20) != 13
         assert np.array_equal(failing.replicate_values[kept], clean.replicate_values[kept])
 
+    @pytest.mark.parametrize("size", [1, 7, 40])
     @pytest.mark.parametrize("kind", ["wild_exp1", "nonparametric"])
-    def test_values_do_not_depend_on_the_replicate_count(self, kind, study_csv, tmp_path, monkeypatch, capsys):
+    def test_values_do_not_depend_on_the_replicate_count(self, kind, size, study_csv, tmp_path, monkeypatch,
+                                                         capsys):
         argv = self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=40)
-        many, _, _, _ = _bootstrap_run(argv, monkeypatch)
+        default, _, _, _ = _bootstrap_run(argv, monkeypatch)  # chunks of 21 replicates at n = 1,500
+        monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", size * 1500)
+        many, _, _, weights = _bootstrap_run(argv, monkeypatch)
         few, _, _, _ = _bootstrap_run(
             self._argv(study_csv, kind, ["--estimator", "mle,mr,mr_seq"], tmp_path, reps=7), monkeypatch)
         capsys.readouterr()
+        assert [len(w) for w in weights[1:]] == [size] * (40 // size) + [40 % size] * (40 % size > 0)
+        assert np.all(np.isfinite(many.replicate_values))
+        assert np.array_equal(many.replicate_values, default.replicate_values)
         assert np.array_equal(few.replicate_values, many.replicate_values[:7])
 
 

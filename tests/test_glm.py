@@ -772,7 +772,7 @@ class TestBatchFit:
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.LOGIT], ids=lambda f: f.name.lower())
     def test_a_rank_deficient_batch_of_one_is_nan(self, family):
-        # a bootstrap of more than 16,384 rows fits one replicate per chunk;
+        # a bootstrap of more than 32,768 rows fits one replicate per chunk;
         # its rank loss must fail that replicate, not raise
         _, X, y, yg = self._case()
         w = np.zeros(X.shape[0])

@@ -288,7 +288,7 @@ class TestMonteCarloChunks:
         spec = SimulationSpec(regime=regime, n=300, replications=9, seed=4)
         runs = {}
         for size in (1, 4, 9):
-            monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", size * spec.n)
+            monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", size * 2 * spec.n)
             runs[size] = run_monte_carlo(spec, estimators=BETA_KINDS).values
         for kind in BETA_KINDS:
             assert np.all(np.isfinite(runs[1][kind])), kind
