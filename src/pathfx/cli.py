@@ -262,15 +262,11 @@ def cmd_estimate(args) -> int:
         )
 
         # replicates start their binomial fits from the point fit's coefficients
-        def replicates(data, weights):
-            return evaluate(data, analysis, coding, weights=weights, start=point.fits)
-
         def batch(weights):
-            evaluation = replicates(ds, weights)
-            return evaluation.effect.T, evaluation.comp.failures
+            evaluation = evaluate(ds, analysis, coding, weights=weights, start=point.fits)
+            return evaluation.effect, evaluation.comp.failures
 
-        interval = bootstrap(ds, lambda data, weights: replicates(data, weights).effect, spec,
-                             point=point.effect, batch=batch)
+        interval = bootstrap(ds, spec=spec, point=point.effect, batch=batch)
         if interval.errors:
             print(
                 f"bootstrap: {interval.n_failed} of {spec.replicates} replicates failed; "

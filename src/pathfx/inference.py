@@ -1,8 +1,10 @@
 """Resampling and analytic inference.
 
-Bootstraps are deterministic given a seed: replicate ``r`` draws its
-randomness from a Philox counter-based generator keyed on ``(seed, r)``, so
-its value does not depend on the replicate count or the order of evaluation.
+A bootstrap evaluates its replicates in one way only: in chunks, each one
+call of the caller's batch on a ``(B, n)`` matrix of replicate weights over
+the original rows.  It is deterministic given a seed: replicate ``r`` draws
+its weights from a Philox counter-based generator keyed on ``(seed, r)``,
+so its value does not depend on the replicate count or the chunking.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ class BootstrapSpec:
 
 @dataclass
 class IntervalEstimate:
-    """A bootstrap interval; array fields for an array-valued statistic."""
+    """A percentile interval around ``point``; its fields are arrays when
+    ``point`` is, and ``replicate_values`` is ``(replicates,) +
+    shape(point)``, NaN for each failed replicate."""
 
     point: float | np.ndarray
     lower: float | np.ndarray
@@ -132,67 +136,41 @@ def _run_chunked(count: int, elements: int, batch: Callable[[int, int], tuple[np
 
 def bootstrap(
     dataset: Dataset,
-    statistic: Callable[[Dataset, np.ndarray | None], float | np.ndarray],
-    spec: BootstrapSpec,
     *,
-    point: float | list[float] | np.ndarray | None = None,
-    batch: Callable[[np.ndarray], tuple[np.ndarray, dict]] | None = None,
+    spec: BootstrapSpec,
+    point: float | list[float] | np.ndarray,
+    batch: Callable[[np.ndarray], tuple[np.ndarray, dict]],
 ) -> IntervalEstimate:
-    """Percentile bootstrap of ``statistic(dataset, weights)``.
+    """Percentile bootstrap around ``point``, the statistic on ``dataset``.
 
-    The statistic must refit everything it depends on: nonparametric
-    replicates call it on row-resampled data, wild replicates on the original
-    rows with one i.i.d. Exp(1) weight per row applied to every fit and every
-    empirical mean.  It returns a scalar or an array; replicate values have
-    shape ``(replicates,) + shape(point)``.  A replicate that raises or
-    has any NaN component fails, and is NaN, for every component; failures are tolerated
-    up to 10% and reported in ``errors``, one message per failed replicate
-    in replicate order.  A caller already holding ``statistic(dataset,
-    None)`` passes it as ``point`` to spare that evaluation.
+    ``batch(W)`` evaluates the statistic for a chunk of replicates
+    (``_run_chunked``) from their ``(B, n)`` weight matrix ``W`` on the
+    original rows, refitting everything the statistic depends on.  Wild
+    rows are i.i.d. Exp(1) draws, one per record; nonparametric rows are
+    frequency weights, the ``bincount`` of the resampled indices.  It
+    returns the replicate values, ``(B,) + shape(point)``, and the
+    ``{b: message}`` of its failed replicates.  A replicate that fails, or
+    has any NaN component, is NaN for every component; failures are
+    tolerated up to 10% and reported in ``errors``, one message per failed
+    replicate in replicate order.
 
-    ``batch(W)``, when given, evaluates the replicates instead, a chunk at
-    a time (``_run_chunked``), from their ``(B, n)`` weight matrix ``W`` on
-    the original rows: it returns what ``statistic`` returns with every
-    scalar replaced by the ``(B,)`` array of replicate values, and the
-    ``{b: message}`` of its failed replicates.  Wild rows are the Exp(1)
-    draws; nonparametric rows are frequency weights, the ``bincount`` of
-    the resampled indices.
-
-    Replicates run one after another in the calling thread.  Replicate ``r``
-    draws its weights from ``derived_rng(seed, r)``, so its value depends on
-    the seed, ``r`` and the data alone, not on the replicate count.
+    Replicate ``r`` draws its weights from ``derived_rng(seed, r)``, so its
+    value depends on the seed, ``r`` and the data alone, not on the
+    replicate count.
     """
     n = dataset.n
-    if point is None:
-        point = statistic(dataset, None)
     point = np.asarray(point, dtype=float)
 
-    def draw(r: int) -> np.ndarray:
-        rng = derived_rng(spec.seed, r)
-        if spec.kind == "nonparametric":
-            return rng.integers(0, n, size=n)
-        return _draw_wild_weights(rng, n)
+    def chunk(lo: int, hi: int):
+        W = np.empty((hi - lo, n))
+        for r in range(lo, hi):
+            rng = derived_rng(spec.seed, r)
+            W[r - lo] = (np.bincount(rng.integers(0, n, size=n), minlength=n) if spec.kind == "nonparametric"
+                         else _draw_wild_weights(rng, n))
+        return batch(W)
 
     values = np.full((spec.replicates,) + point.shape, np.nan)
-
-    if batch is None:
-        raised: dict[int, str] = {}
-        for r in range(spec.replicates):
-            x = draw(r)
-            try:
-                values[r] = statistic(dataset.take(x), None) if spec.kind == "nonparametric" else statistic(dataset, x)
-            except Exception as exc:  # noqa: BLE001 - replicate failures are data
-                raised[r] = str(exc)
-    else:
-        def chunk(lo: int, hi: int):
-            W = np.empty((hi - lo, n))
-            for r in range(lo, hi):
-                W[r - lo] = np.bincount(draw(r), minlength=n) if spec.kind == "nonparametric" else draw(r)
-            out, failed = batch(W)
-            return np.moveaxis(np.asarray(out, dtype=float), -1, 0), failed
-
-        raised = _run_chunked(spec.replicates, n, chunk, values)
-
+    raised = _run_chunked(spec.replicates, n, chunk, values)
     failed = np.isnan(values.reshape(spec.replicates, -1)).any(axis=1)
     failed[list(raised)] = True
     values[failed] = np.nan
@@ -205,7 +183,7 @@ def bootstrap(
         )
     alpha = 1.0 - spec.ci_level
     # Reduce along a contiguous last axis, so each component sums in the
-    # same order as a scalar statistic's replicates would.
+    # same order as a scalar point's replicates would.
     by_component = np.ascontiguousarray(np.moveaxis(ok, 0, -1))
     lower, upper = np.quantile(by_component, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1)
     se = np.std(by_component, axis=-1, ddof=1)

@@ -326,10 +326,12 @@ def test_criterion_8_sandwich_matches_bootstrap():
     fits = fit_nuisances(ds, models.working_set, CODING)
     analytic = mle_sandwich_variance(ds, fits)
 
-    def statistic(data, weights):
-        return beta_mle(data, compute_components(data, fit_nuisances(data, models.working_set, CODING, weights)))
+    def batch(W):
+        comp = compute_components(ds, fit_nuisances(ds, models.working_set, CODING, W))
+        return beta_mle(ds, comp), comp.failures
 
-    boot = bootstrap(ds, statistic, BootstrapSpec(kind="nonparametric", replicates=500, seed=81))
+    boot = bootstrap(ds, spec=BootstrapSpec(kind="nonparametric", replicates=500, seed=81),
+                     point=beta_mle(ds, compute_components(ds, fits)), batch=batch)
     rel = abs(analytic - boot.se**2) / boot.se**2
     assert rel < 0.15, f"analytic {analytic:.3e} vs bootstrap {boot.se**2:.3e} ({rel:.0%})"
     print(f"\nACCEPTANCE 8 PASS: analytic variance {analytic:.3e} within "
@@ -340,19 +342,16 @@ def test_criterion_8_sandwich_matches_bootstrap():
 def test_criterion_9_bootstrap_coverage():
     analysis = Analysis(working_models_for("int", include_marginal=True).working_set, (("mr", "aipw"),))
 
-    def effect_and_failures(data, weights):
-        evaluation = evaluate(data, analysis, CODING, weights=weights)
+    def effect_and_failures(weights):
+        evaluation = evaluate(ds, analysis, CODING, weights=weights)
         return evaluation.effect[..., 0], evaluation.comp.failures
 
     covered = 0
     outer = 200
     for r in range(outer):
         ds = draw_dataset(1000, 90, rep=r + 1)
-        interval = bootstrap(
-            ds, lambda data, weights: effect_and_failures(data, weights)[0],
-            BootstrapSpec(kind="nonparametric", replicates=200, seed=9000 + r),
-            batch=lambda W: effect_and_failures(ds, W),
-        )
+        interval = bootstrap(ds, spec=BootstrapSpec(kind="nonparametric", replicates=200, seed=9000 + r),
+                             point=effect_and_failures(None)[0], batch=effect_and_failures)
         if interval.lower <= TARGET_EFFECT <= interval.upper:
             covered += 1
     coverage = covered / outer

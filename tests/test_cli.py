@@ -394,7 +394,7 @@ class TestEstimateCommand:
 
         real_bootstrap = cli_mod.bootstrap
 
-        def failing_bootstrap(ds, statistic, spec, *, batch, **kwargs):
+        def failing_bootstrap(ds, *, spec, point, batch):
             replicate_of = _replicate_of(spec, ds.n)
 
             def chunk(weights):
@@ -403,15 +403,11 @@ class TestEstimateCommand:
                 values = np.array(values, dtype=float)
                 for b, row in enumerate(weights):
                     if replicate_of(row) in (4, 17):
-                        values[:, b] = np.nan
+                        values[b] = np.nan
                         failures[b] = f"synthetic failure {replicate_of(row)}"
                 return values, failures
 
-            def stat(data, weights):
-                assert weights is None, "a replicate left the batch"
-                return statistic(data, weights)
-
-            return real_bootstrap(ds, stat, spec, batch=chunk, **kwargs)
+            return real_bootstrap(ds, spec=spec, point=point, batch=chunk)
 
         monkeypatch.setattr(cli_mod, "bootstrap", failing_bootstrap)
         out = str(tmp_path / "failing")
@@ -439,16 +435,15 @@ def _replicate_of(spec, n):
     return lambda weights: first[float(weights[0])]
 
 
-def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
+def _bootstrap_run(argv, monkeypatch, *, cold=False):
     """Run ``estimate`` and return its bootstrap interval, the ``start`` each
     ``fit_nuisances`` call received, what each call returned and the weights
-    it was given; ``cold`` drops the start so every replicate fits from zero,
-    and ``batched=False`` evaluates every replicate on its own."""
+    it was given; ``cold`` drops the start so every replicate fits from zero."""
     intervals, starts, fitted, weights = [], [], [], []
     real_bootstrap, real_fit = cli_mod.bootstrap, estimators_mod.fit_nuisances
 
-    def spy_bootstrap(ds, statistic, spec, *, batch, **kwargs):
-        intervals.append(real_bootstrap(ds, statistic, spec, batch=batch if batched else None, **kwargs))
+    def spy_bootstrap(ds, **kwargs):
+        intervals.append(real_bootstrap(ds, **kwargs))
         return intervals[-1]
 
     def spy_fit(*args, start=None, **kwargs):
@@ -462,6 +457,52 @@ def _bootstrap_run(argv, monkeypatch, *, cold=False, batched=True):
         m.setattr(estimators_mod, "fit_nuisances", spy_fit)
         assert main(argv) == 0
     return intervals[0], starts, fitted, weights
+
+
+def _alone_run(argv, monkeypatch):
+    """Run ``estimate`` with every bootstrap replicate evaluated on its own,
+    and return its interval: the reference for "evaluated alone".  A wild
+    replicate is ``evaluate`` on the original rows under its weights, a
+    nonparametric one ``evaluate`` on its resampled rows in the order drawn,
+    each from the point fit; what a replicate raises is its failure.  The
+    bootstrap then takes each chunk's values and failures from these."""
+    intervals, points = [], []
+    real_evaluate, real_bootstrap = cli_mod.evaluate, cli_mod.bootstrap
+
+    def spy_evaluate(*args, **kwargs):
+        points.append((args, real_evaluate(*args, **kwargs)))
+        return points[-1][1]
+
+    def alone_bootstrap(ds, *, spec, point, batch):
+        [((_, analysis, coding), fitted)] = points
+        values = np.full((spec.replicates,) + np.shape(point), np.nan)
+        raised = {}
+        for r in range(spec.replicates):
+            rng = derived_rng(spec.seed, r)
+            try:
+                if spec.kind == "nonparametric":
+                    rows = rng.integers(0, ds.n, size=ds.n)
+                    values[r] = evaluate(ds.take(rows), analysis, coding, start=fitted.fits).effect
+                else:
+                    weights = inference_mod._draw_wild_weights(rng, ds.n)
+                    values[r] = evaluate(ds, analysis, coding, weights=weights, start=fitted.fits).effect
+            except Exception as exc:  # noqa: BLE001 - replicate failures are data
+                raised[r] = str(exc)
+        served = []
+
+        def replay(W):
+            lo = sum(served)
+            served.append(len(W))
+            return values[lo:lo + len(W)], {r - lo: raised[r] for r in raised if lo <= r < lo + len(W)}
+
+        intervals.append(real_bootstrap(ds, spec=spec, point=point, batch=replay))
+        return intervals[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "evaluate", spy_evaluate)
+        m.setattr(cli_mod, "bootstrap", alone_bootstrap)
+        assert main(argv) == 0
+    return intervals[0]
 
 
 def _steep_data(seed):
@@ -520,7 +561,7 @@ class TestBootstrapWarmStart:
         argv.append(kind)
         warm, _, warm_fits, weights = _bootstrap_run(argv, monkeypatch)
         cold, _, cold_fits, _ = _bootstrap_run(argv, monkeypatch, cold=True)
-        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        alone = _alone_run(argv, monkeypatch)
         capsys.readouterr()
         assert warm.errors
         # the point fit, then one chunk of all 40 replicates: each replicate,
@@ -533,10 +574,10 @@ class TestBootstrapWarmStart:
             return [(int(text.split(":")[0].split()[1]), re.sub(r"\d+(\.\d+)?(e[-+]\d+)?", "#", text))
                     for text in errors]
 
-        # the per-replicate path reports the same failures: byte for byte for
+        # each replicate evaluated alone fails the same way: byte for byte for
         # a wild replicate, whose batch row is bitwise its single evaluation;
-        # a nonparametric one names a record of the original rows, and the
-        # per-replicate path a row of its resample
+        # a nonparametric batch row names a record of the original rows, and
+        # its resample evaluated alone a row of the resample
         if kind == "wild_exp1":
             assert warm.errors == alone.errors
         assert kinds(warm.errors) == kinds(alone.errors)
@@ -600,7 +641,7 @@ class TestBootstrapWarmStart:
         argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0", "--estimator", "mle,mr,mr_seq",
                 "--bootstrap", "nonparametric", "--reps", "40", "--seed", "3", "--clip", "none", "--stabilize", "all"]
         batched, _, fitted, weights = _bootstrap_run(argv, monkeypatch)
-        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        alone = _alone_run(argv, monkeypatch)
         capsys.readouterr()
         fit = fitted[1]["prop_base"]
         p = predict_mean(fit, build_design_matrix(data, fit.design))
@@ -639,14 +680,14 @@ class TestBootstrapWarmStart:
         warm, _, _, weights = _bootstrap_run(argv, monkeypatch)
         assert qr_steps
         del qr_steps[:]
-        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        alone = _alone_run(argv, monkeypatch)
         assert qr_steps
         capsys.readouterr()
         unseen = np.flatnonzero(weights[1][:, :3].sum(axis=1) == 0)
         assert len(unseen) == 3
         assert warm.errors == [f"replicate {r}: outcome: design matrix is rank deficient at c0_1 "
                                "(relative pivot magnitude 0.000e+00)" for r in unseen]
-        # the per-replicate path reports the same failures, byte for byte
+        # each replicate evaluated alone fails the same way, byte for byte
         assert warm.errors == alone.errors
 
     def test_one_arm_resamples_separate_the_propensity(self, tmp_path, monkeypatch, capsys):
@@ -748,7 +789,7 @@ class TestBatchedBootstrap:
         argv = self._argv(data, kind, options, tmp_path)
         monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", 10 * 1500)  # 12 replicates in chunks of 10 and 2
         batched, _, _, weights = _bootstrap_run(argv, monkeypatch)
-        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        alone = _alone_run(argv, monkeypatch)
         capsys.readouterr()
         assert [np.ndim(w) for w in weights] == [0, 2, 2]  # the point fit, then two chunks
         assert batched.errors == alone.errors == []
@@ -774,7 +815,7 @@ class TestBatchedBootstrap:
 
         monkeypatch.setattr(inference_mod, "_draw_wild_weights", draw)
         failing, _, _, weights = _bootstrap_run(argv, monkeypatch)
-        alone, _, _, _ = _bootstrap_run(argv, monkeypatch, batched=False)
+        alone = _alone_run(argv, monkeypatch)
         capsys.readouterr()
         assert len(failing.errors) == 1 and failing.errors[0].startswith("replicate 13: ")
         assert failing.errors == alone.errors

@@ -59,103 +59,101 @@ def _toy_dataset(n=40, seed=0):
     )
 
 
+def _means(*columns):
+    """A batch of the weighted means of ``columns``: ``(B,)`` values for one
+    column, ``(B, k)`` for k, and no failures."""
+    if len(columns) == 1:
+        return lambda W: (wmean(columns[0], W), {})
+    return lambda W: (np.column_stack([wmean(c, W) for c in columns]), {})
+
+
 class TestBootstrap:
     def test_constant_statistic(self):
         ds = _toy_dataset()
-        out = bootstrap(ds, lambda d, w: 3.14, BootstrapSpec(replicates=50, seed=1))
+        out = bootstrap(ds, spec=BootstrapSpec(replicates=50, seed=1), point=3.14,
+                        batch=lambda W: (np.full(len(W), 3.14), {}))
         assert out.lower == out.upper == out.point == 3.14
         assert out.se < 1e-12
 
     def test_same_seed_bit_identical(self):
         ds = _toy_dataset()
         spec = BootstrapSpec(kind="nonparametric", replicates=60, seed=9)
-        stat = lambda d, w: float(d.y.mean())
-        a = bootstrap(ds, stat, spec)
-        b = bootstrap(ds, stat, spec)
+        a = bootstrap(ds, spec=spec, point=wmean(ds.y), batch=_means(ds.y))
+        b = bootstrap(ds, spec=spec, point=wmean(ds.y), batch=_means(ds.y))
         assert np.array_equal(a.replicate_values, b.replicate_values)
 
     def test_wild_weights_forced_to_one_reproduce_point(self, monkeypatch):
         ds = _toy_dataset()
         monkeypatch.setattr(inference_mod, "_draw_wild_weights", lambda rng, n: np.ones(n))
-        out = bootstrap(ds, lambda d, w: wmean(d.y, w), BootstrapSpec(kind="wild_exp1", replicates=25, seed=4))
+        out = bootstrap(ds, spec=BootstrapSpec(kind="wild_exp1", replicates=25, seed=4), point=wmean(ds.y),
+                        batch=_means(ds.y))
         assert np.all(out.replicate_values == out.point)
 
     def test_nonparametric_of_data_ignoring_pipeline_is_constant(self):
         ds = _toy_dataset()
-        out = bootstrap(ds, lambda d, w: 2.5, BootstrapSpec(replicates=30, seed=5))
+        out = bootstrap(ds, spec=BootstrapSpec(replicates=30, seed=5), point=2.5,
+                        batch=lambda W: (np.full(len(W), 2.5), {}))
         assert np.all(out.replicate_values == 2.5)
 
     def test_percentile_interval_monotone_in_level(self):
         ds = _toy_dataset(n=80, seed=6)
-        stat = lambda d, w: float(d.y.mean())
-        narrow = bootstrap(ds, stat, BootstrapSpec(replicates=200, seed=7, ci_level=0.8))
-        wide = bootstrap(ds, stat, BootstrapSpec(replicates=200, seed=7, ci_level=0.95))
+        narrow = bootstrap(ds, spec=BootstrapSpec(replicates=200, seed=7, ci_level=0.8), point=wmean(ds.y),
+                           batch=_means(ds.y))
+        wide = bootstrap(ds, spec=BootstrapSpec(replicates=200, seed=7, ci_level=0.95), point=wmean(ds.y),
+                         batch=_means(ds.y))
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
     @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
     def test_vector_statistic_equals_scalar_bootstraps(self, kind):
         ds = _toy_dataset(n=90, seed=8)
         spec = BootstrapSpec(kind=kind, replicates=150, seed=12)
-        first = lambda d, w: wmean(d.y, w)
-        second = lambda d, w: wmean(d.m**2, w)
-        both = bootstrap(ds, lambda d, w: np.array([first(d, w), second(d, w)]), spec)
+        columns = (ds.y, ds.m**2)
+        both = bootstrap(ds, spec=spec, point=[wmean(c) for c in columns], batch=_means(*columns))
         assert both.replicate_values.shape == (150, 2)
-        for k, stat in enumerate((first, second)):
-            one = bootstrap(ds, stat, spec)
+        for k, column in enumerate(columns):
+            one = bootstrap(ds, spec=spec, point=wmean(column), batch=_means(column))
             assert isinstance(one.lower, float) and isinstance(one.se, float)
             assert (both.point[k], both.lower[k], both.upper[k], both.se[k]) == (
                 one.point, one.lower, one.upper, one.se)
             assert np.array_equal(both.replicate_values[:, k], one.replicate_values)
 
-    @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
-    def test_given_point_spares_the_full_data_evaluation(self, kind):
-        ds = _toy_dataset(n=60, seed=9)
-        spec = BootstrapSpec(kind=kind, replicates=30, seed=13)
-        calls = []
-
-        def stat(d, w):
-            calls.append(w)
-            return np.array([wmean(d.y, w), wmean(d.m, w)])
-
-        full = bootstrap(ds, stat, spec)
-        assert len(calls) == 31
-        calls.clear()
-        given = bootstrap(ds, stat, spec, point=[wmean(ds.y, None), wmean(ds.m, None)])
-        assert len(calls) == 30
-        assert np.array_equal(given.point, full.point)
-        assert np.array_equal(given.replicate_values, full.replicate_values)
-        assert np.array_equal(given.se, full.se)
-
     def test_nan_component_fails_the_whole_replicate(self):
         ds = _toy_dataset()
-        calls = iter(range(1000))
 
-        def stat(d, w):
-            k = next(calls)
-            return np.array([1.0, np.nan if k == 3 else 2.0])
+        def batch(W):
+            values = np.column_stack([np.full(len(W), 1.0), np.full(len(W), 2.0)])
+            values[2, 1] = np.nan  # one chunk of all 20 replicates at n = 40
+            return values, {}
 
-        out = bootstrap(ds, stat, BootstrapSpec(kind="wild_exp1", replicates=20, seed=1))
+        out = bootstrap(ds, spec=BootstrapSpec(kind="wild_exp1", replicates=20, seed=1), point=[1.0, 2.0],
+                        batch=batch)
         assert out.n_failed == 1
-        assert out.errors == ["replicate 2: NaN value"]  # call 0 is the point estimate
+        assert out.errors == ["replicate 2: NaN value"]
         assert list(out.lower) == list(out.upper) == [1.0, 2.0]
 
-    def test_failed_replicates_carry_their_messages(self):
+    def test_failed_replicates_carry_their_messages(self, monkeypatch):
+        # chunks of 5 replicates: each reason is keyed by its row in its own
+        # chunk, and reaches the replicate of that row
         ds = _toy_dataset()
         spec = BootstrapSpec(kind="wild_exp1", replicates=40, seed=2)
+        monkeypatch.setattr(inference_mod, "CHUNK_ELEMENTS", 5 * ds.n)
         first_weight = {float(inference_mod.derived_rng(spec.seed, r).exponential(1.0, ds.n)[0]): r
                         for r in range(spec.replicates)}
 
-        def stat(d, w):
-            r = None if w is None else first_weight[float(w[0])]
-            if r in (9, 4):
-                raise ValueError(f"synthetic failure {r}")
-            return np.nan if r == 13 else wmean(d.y, w)
+        def batch(W):
+            values, failures = wmean(ds.y, W), {}
+            for b, r in enumerate(first_weight[float(w[0])] for w in W):
+                if r in (9, 4):
+                    failures[b] = f"synthetic failure {r}"
+                if r == 13:
+                    values[b] = np.nan
+            return values, failures
 
-        out = bootstrap(ds, stat, spec)
+        out = bootstrap(ds, spec=spec, point=wmean(ds.y), batch=batch)
         assert out.errors == ["replicate 4: synthetic failure 4", "replicate 9: synthetic failure 9",
                               "replicate 13: NaN value"]
         assert out.n_failed == 3
-        clean = bootstrap(ds, lambda d, w: wmean(d.y, w), spec)
+        clean = bootstrap(ds, spec=spec, point=wmean(ds.y), batch=_means(ds.y))
         assert clean.errors == [] and clean.n_failed == 0
 
     @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
@@ -173,13 +171,8 @@ class TestBootstrap:
                 raise ValueError("synthetic chunk failure")
             return wmean(ds.y, W), {}
 
-        def stat(d, w):
-            assert w is None and d is ds, "a replicate left the batch"
-            return wmean(d.y, w)
-
-        clean = bootstrap(ds, stat, spec, batch=lambda W: (wmean(ds.y, W), {}))
-        chunks.clear()
-        out = bootstrap(ds, stat, spec, batch=batch)
+        clean = bootstrap(ds, spec=spec, point=wmean(ds.y), batch=_means(ds.y))
+        out = bootstrap(ds, spec=spec, point=wmean(ds.y), batch=batch)
         assert chunks == list(range(11))
         assert out.errors == [f"replicate {r}: synthetic chunk failure" for r in range(10, 20)]
         assert np.isnan(out.replicate_values[10:20]).all()
@@ -193,37 +186,45 @@ class TestBootstrap:
         spec = BootstrapSpec(kind="wild_exp1", replicates=40, seed=2)
 
         def batch(W):
-            values = np.array([wmean(ds.y, W), wmean(ds.m, W)])
-            values[1, 13] = np.nan
+            values = np.column_stack([wmean(ds.y, W), wmean(ds.m, W)])
+            values[13, 1] = np.nan
             return values, {9: "synthetic failure 9", 4: "synthetic failure 4"}
 
-        out = bootstrap(ds, lambda d, w: [wmean(d.y, w), wmean(d.m, w)], spec, batch=batch)
+        out = bootstrap(ds, spec=spec, point=[wmean(ds.y), wmean(ds.m)], batch=batch)
         assert out.errors == ["replicate 4: synthetic failure 4", "replicate 9: synthetic failure 9",
                               "replicate 13: NaN value"]
         assert np.isnan(out.replicate_values[[4, 9, 13]]).all()
 
     def test_failures_tolerated_up_to_ten_percent(self):
         ds = _toy_dataset(n=40, seed=8)
-        marker = float(ds.y[7])
 
-        def stat(d, w):
-            if float(d.y[0]) == marker:  # hit with probability 1/40 per replicate
-                raise ValueError("synthetic failure")
-            return float(d.y.mean())
+        def batch(W):
+            # a resample that draws record 7 four times or more fails
+            drawn = W[:, 7] >= 4
+            return wmean(ds.y, W), {b: "synthetic failure" for b in np.flatnonzero(drawn)}
 
-        out = bootstrap(ds, stat, BootstrapSpec(replicates=200, seed=11))
+        out = bootstrap(ds, spec=BootstrapSpec(replicates=200, seed=11), point=wmean(ds.y), batch=batch)
         assert 0 < out.n_failed <= 20
 
     def test_too_many_failures_abort(self):
         ds = _toy_dataset()
 
-        def stat(d, w):
-            if d is not ds:  # every replicate resamples; the point estimate survives
-                raise ValueError("always fails")
-            return 0.0
+        def batch(W):
+            return np.zeros(len(W)), dict.fromkeys(range(len(W)), "always fails")
 
         with pytest.raises(InferenceError, match="replicates failed"):
-            bootstrap(ds, stat, BootstrapSpec(replicates=20, seed=12))
+            bootstrap(ds, spec=BootstrapSpec(replicates=20, seed=12), point=0.0, batch=batch)
+
+    def test_refuses_the_removed_statistic_surface(self):
+        # replicates are evaluated by the batch alone, around the caller's point
+        ds = _toy_dataset()
+        spec = BootstrapSpec(replicates=20, seed=1)
+        with pytest.raises(TypeError):
+            bootstrap(ds, lambda d, w: wmean(d.y, w), spec, point=wmean(ds.y), batch=_means(ds.y))
+        with pytest.raises(TypeError, match="point"):
+            bootstrap(ds, spec=spec, batch=_means(ds.y))
+        with pytest.raises(TypeError, match="batch"):
+            bootstrap(ds, spec=spec, point=wmean(ds.y))
 
     def test_replicate_stream_is_pure_function_of_seed_and_index(self):
         a = derived_rng(5, 3).standard_normal(4)
