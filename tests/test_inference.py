@@ -117,6 +117,28 @@ class TestBootstrap:
                 one.point, one.lower, one.upper, one.se)
             assert np.array_equal(both.replicate_values[:, k], one.replicate_values)
 
+    @pytest.mark.parametrize("kind", ["nonparametric", "wild_exp1"])
+    def test_given_point_spares_the_full_data_evaluation(self, kind):
+        # the caller's point is the full-data evaluation: the batch sees the
+        # replicates' weight rows alone, and the point only centres the report
+        ds = _toy_dataset(n=60, seed=9)
+        spec = BootstrapSpec(kind=kind, replicates=30, seed=13)
+        rows = []
+
+        def batch(W):
+            rows.extend(W)
+            return _means(ds.y, ds.m)(W)
+
+        point = [wmean(ds.y), wmean(ds.m)]
+        given = bootstrap(ds, spec=spec, point=point, batch=batch)
+        assert len(rows) == 30
+        assert not any(np.array_equal(w, np.ones(ds.n)) for w in rows)
+        assert np.array_equal(given.point, point)
+        shifted = bootstrap(ds, spec=spec, point=[p + 1.0 for p in point], batch=_means(ds.y, ds.m))
+        assert np.array_equal(given.replicate_values, shifted.replicate_values)
+        assert np.array_equal(given.se, shifted.se)
+        assert np.array_equal(given.lower, shifted.lower) and np.array_equal(given.upper, shifted.upper)
+
     def test_nan_component_fails_the_whole_replicate(self):
         ds = _toy_dataset()
 
