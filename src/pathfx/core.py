@@ -523,7 +523,8 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
 
     Unknown columns are an error unless ``ignore_extra`` is set.
 
-    The header is parsed by ``csv``. The data rows of a plain study file
+    A leading UTF-8 byte order mark is skipped. The header is parsed by
+    ``csv``. The data rows of a plain study file
     are parsed in one C pass by ``np.loadtxt``: comma-separated cells,
     optionally quoted with ``"`` and padded with whitespace, LF, CRLF or CR
     line ends, blank lines skipped, and every ``e`` under 16 characters.
@@ -538,7 +539,7 @@ def read_csv(path, *, ignore_extra: bool = False) -> Dataset:
     bit, and raise the same errors.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     with fh:

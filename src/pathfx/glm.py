@@ -20,30 +20,29 @@ naming the column whose coefficient diverges.
 ``(B, n)`` weights fits a bootstrap chunk, and on a stack of designs
 ``(B, n, p)`` a chunk of Monte Carlo datasets.  ``_least_squares`` fits
 several gaussian responses on one design and weights from one system
-each.  One solver (``_solve``) forms every p x p system X' diag(w) X as
-a sum over row blocks of ``GRAM_BLOCK // p`` rows (``_gram``), one matrix
-product of the weighted block of X' with the block of X per block and
-system, X' being the view ``X.T``, which is C-contiguous for the
-column-major designs of ``build_design_matrix``: no copy of X is made,
-the weighted copy is of one block per system (a batch of B systems
-weights its B blocks at once, (B, p, rows)), a design of one block is one
-product, and a system serves any number of right-hand sides.  It solves
-each system by one rule: from its
-inverse when the exact 1-norm reciprocal condition passes
-``CHOL_RCOND_MIN`` (``_inverse_steps``), and otherwise from a Householder
-QR of sqrt(W) X with column pivoting (``_pivoted_qr``), which names the
-offending column on rank loss.  A system with a NaN, an inf or an overflow in X'WX fails
-the guard and raises ``GlmError`` in place of the QR; least squares also
-checks its p coefficients, since a finite X'WX passes the guard whatever
-its right-hand side.  Least squares is one such solve; each Newton step is
-another.  Every per-replicate product, each Gram block included, is
-its own BLAS call of a fixed shape (a stacked matmul, or the same call in
-2-D for a single system), never a row of one (B, n) matrix product, whose
-rounding depends on B: a replicate's fit depends only on its own weights,
-and is bitwise the single fit on them; a response's fit is bitwise its fit
-alone, whatever responses share its system.  Fits start from zero or from
-caller-supplied coefficients, which is how bootstrap replicates start
-from the point fit.
+each.  One solver (``_solve``) takes every set of p x p systems
+X' diag(w) X as a stack (B, p, p), a single fit being the stack of one.
+It forms each as a sum over row blocks of ``GRAM_BLOCK // p`` rows
+(``_gram``), one stacked product of the weighted blocks of X' with the
+block of X per block, X' being the view ``X.T``, which is C-contiguous for
+the column-major designs of ``build_design_matrix``: no copy of X is made,
+the weighted copy is of one block per system, (B, p, rows), a design of
+one block is one product, and a system serves any number of right-hand
+sides.  It solves each system by one rule: from its inverse when the exact
+1-norm reciprocal condition passes ``CHOL_RCOND_MIN`` (``_inverse_steps``),
+and otherwise from a Householder QR of sqrt(W) X with column pivoting
+(``_pivoted_qr``), which names the offending column on rank loss.  A system
+with a NaN, an inf or an overflow in X'WX fails the guard and raises
+``GlmError`` in place of the QR; least squares also checks its p
+coefficients, since a finite X'WX passes the guard whatever its right-hand
+side.  Least squares is one such solve; each Newton step is another.
+Every per-replicate product, each Gram block included, is its own BLAS
+call of a fixed shape within a stacked matmul, never a row of one (B, n)
+matrix product, whose rounding depends on B: a replicate's fit depends
+only on its own weights, and is bitwise the single fit on them; a
+response's fit is bitwise its fit alone, whatever responses share its
+system.  Fits start from zero or from caller-supplied coefficients, which
+is how bootstrap replicates start from the point fit.
 
 The link functions are numpy code.  The logistic mean is formed from the
 exponential of the softplus log(1 + e^eta) = max(eta, 0) + log1p(e^-|eta|),
@@ -242,16 +241,12 @@ def _check_rank(R: np.ndarray, piv: np.ndarray, labels=None) -> None:
 def _rows_times(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """``X @ coef[b]`` for every row b of ``coef`` (B, p), shape (B, n); a
     stack X (B, n, p) gives ``X[b] @ coef[b]``."""
-    if X.ndim == 2 and len(coef) == 1:
-        return (X @ coef[0])[None]
     return np.matmul(X, coef[:, :, None])[:, :, 0]
 
 
 def _times_rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``v[b] @ X`` for every row b of ``v`` (B, n), shape (B, p); a stack X
     (B, n, p) gives ``v[b] @ X[b]``."""
-    if X.ndim == 2 and len(v) == 1:
-        return (X.T @ v[0])[None]
     return np.matmul(v[:, None, :], X)[:, 0, :]
 
 
@@ -267,19 +262,15 @@ def _inverse_or_nan(H: np.ndarray) -> np.ndarray:
 
 
 def _inverse_steps(H: np.ndarray, scores):
-    """The steps H^-1 score of one system ``H`` (p, p) or a stack (B, p, p)
-    for each right-hand side of ``scores``, and whether each system passes
+    """The steps H^-1 score of a stack of systems ``H`` (B, p, p) for each
+    right-hand side (B, p) of ``scores``, and whether each system passes
     the guard: an exact 1-norm reciprocal condition above
     ``CHOL_RCOND_MIN`` (an exactly singular one fails).  The systems are
     inverted and guarded once, whatever the number of right-hand sides."""
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError:  # some system is exactly singular: invert one at a time
-        Hinv = np.array([_inverse_or_nan(h) for h in H]) if H.ndim == 3 else np.full_like(H, np.nan)
-    # a cheaper bound settles most single systems: ||A||_1 <= sqrt(p) ||A||_F,
-    # so p ||H||_F ||H^-1||_F below 1 / CHOL_RCOND_MIN passes the exact test
-    if H.ndim == 2 and len(H) * math.sqrt(float(np.vdot(H, H)) * float(np.vdot(Hinv, Hinv))) < 1.0 / CHOL_RCOND_MIN:
-        return [Hinv @ score for score in scores], True
+        Hinv = np.array([_inverse_or_nan(h) for h in H])
     norms = _norm1(np.array((H, Hinv)))
     rcond = 1.0 / (norms[0] * norms[1])
     return [np.matmul(Hinv, score[..., None])[..., 0] for score in scores], rcond > CHOL_RCOND_MIN
@@ -292,13 +283,12 @@ def _not_finite() -> GlmError:
 
 def _gram(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """X' diag(w) X, summed over row blocks of ``GRAM_BLOCK // p`` rows in
-    order: X (n, p) with weights ``w`` (n,) gives one system, and X (n, p)
-    or a stack (B, n, p) with ``w`` (B, 1, n) one per weight row; ``w`` None
-    stands for unit weights.  Each block is one matrix product of the
-    weighted block of the view X' with the block of X, so the weighted copy
-    holds one block per system: (p, rows) for one, (B, p, rows) for a
-    batch, 1.76 MB at B = 21, p = 7, n = 1,500.  A design of one block is
-    one product."""
+    order, for X (n, p) or a stack (B, n, p) and weights ``w`` that
+    broadcast against X' (p, n): (B, 1, n) gives one system per weight row;
+    ``w`` None stands for unit weights.  Each block is one matrix product of
+    the weighted block of the view X' with the block of X, so the weighted
+    copy holds one block per system, (B, p, rows): 1.76 MB at B = 21,
+    p = 7, n = 1,500.  A design of one block is one product."""
     # The weighted copy is not bounded across replicates too: that is
     # bitwise the same, but on a 2-core x86 it made ``boot_np`` 22% slower,
     # at 8,780 minor page faults per pass against 4.  glibc's mmap threshold
@@ -326,32 +316,25 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
     which form no weighted copy of X.  With ``qr_weights``, a row's QR step
     takes the weights ``qr_weights(b)`` in place of ``ww[b]``.
 
-    Every Gram is ``_gram``'s sum over row blocks, in order, of the
-    products of X_b' diag(ww[b]) with X_b, X' being the transpose view of
-    X, C-contiguous for a column-major X (a strided one of a caller's
-    C-ordered X, taken as it is, in its own rounding): a stacked matmul per
-    block for a batch, and the same product as a 2-D call for a single
-    system on a 2-D X, which gives the same bits; the blocks depend on n
-    and p alone, so a batch row is summed as its single fit is.  The
-    systems are formed, inverted and guarded once for all right-hand sides,
-    and each right-hand side's product with the inverse is its own call, as
-    it would be alone.  ``_inverse_steps`` solves the systems that pass its
-    guard; of the others, a system that is not finite fails at once, and
+    The systems are always a stack (B, p, p); a single fit is the stack of
+    one, formed by the same calls as a batch.  Every Gram is ``_gram``'s
+    sum over row blocks, in order, of the products of X_b' diag(ww[b]) with
+    X_b, X' being the transpose view of X, C-contiguous for a column-major
+    X (a strided one of a caller's C-ordered X, taken as it is, in its own
+    rounding): one stacked matmul per block, whose blocks depend on n and p
+    alone, so a batch row is summed as its single fit is.  The systems are
+    formed, inverted and guarded once for all right-hand sides, and each
+    right-hand side's product with the inverse is its own call, as it would
+    be alone.  ``_inverse_steps`` solves the systems that pass its guard;
+    of the others, a system that is not finite fails at once, and
     ``_qr_step`` solves each of the rest.  Floating-point warnings are off
     while the systems are formed and inverted: a value that is not finite,
     an overflowing Gram's included, fails that check instead.
     """
     with np.errstate(all="ignore"):
-        if len(scores[0]) == 1 and X.ndim == 2:
-            H = _gram(X, None if ww is None else ww[0])
-            deltas, passed = _inverse_steps(H, [score[0] for score in scores])
-            if passed:
-                return [(delta[None], {}) for delta in deltas], []
-            deltas, failed, H = [delta[None] for delta in deltas], [0], H[None]
-        else:
-            H = _gram(X, None if ww is None else ww[:, None, :])
-            deltas, passed = _inverse_steps(H, scores)
-            failed = np.flatnonzero(~passed)
+        H = _gram(X if X.ndim == 3 else X[None], None if ww is None else ww[:, None, :])
+        deltas, passed = _inverse_steps(H, scores)
+    failed = np.flatnonzero(~passed)
     out = []
     for delta, score in zip(deltas, scores):
         errors = {}
@@ -366,15 +349,6 @@ def _solve(X: np.ndarray, ww: np.ndarray | None, scores, labels, qr_weights=None
                 errors[int(b)] = exc
         out.append((delta, errors))
     return out, failed
-
-
-def _fisher_step(X: np.ndarray, ww: np.ndarray | None, score: np.ndarray, labels) -> np.ndarray:
-    """Solve (X'WX) delta = score for the row weights ``ww`` (None: unit
-    weights) with ``_solve``, raising its ``GlmError``."""
-    [(delta, errors)], _ = _solve(X, None if ww is None else ww[None], [score[None]], labels)
-    if errors:
-        raise errors[0]
-    return delta[0]
 
 
 def _least_squares(X, ys, weights=None, *, design: DesignSpec | None = None) -> list:

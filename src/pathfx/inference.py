@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Dataset, Overrides, build_design_matrix
-from .glm import Family, GlmError, _fisher_step
+from .glm import Family, _solve
 from .nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -67,6 +67,8 @@ class BootstrapSpec:
             raise InferenceError(f"unknown bootstrap kind {self.kind!r}")
         if self.replicates < 2:
             raise InferenceError("bootstrap needs at least 2 replicates")
+        if self.seed < 0:
+            raise InferenceError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise InferenceError("ci_level must lie in (0, 1)")
 
@@ -256,7 +258,7 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
     and residuals r, the correction ``D_k' I_k^{-1} U_k`` (per-record scores
     U_k, per-observation information I_k) is ``r X (X'X/n)^{-1} D_k``: the
     error variance cancels, so an exactly fitted block contributes nothing.
-    Each block is solved by the regression engine's ``_fisher_step``, so a
+    Each block is solved by the regression engine's ``_solve``, so a
     block that is rank deficient on ``dataset`` raises ``InferenceError``
     naming the role and the column.  Every nested fit must be identity-link
     gaussian, unweighted and of one dataset; weighted or batch fits raise
@@ -283,12 +285,11 @@ def mle_sandwich_variance(dataset: Dataset, fits: NuisanceFits) -> float:
         fit = fits[role]
         X = build_design_matrix(dataset, fit.design)
         resid = _response_for(role, dataset) - X @ fit.coef
-        try:
-            # (X'X/n) sol = D, solved as X'X sol = n D without a weighted copy of X
-            sol = _fisher_step(X, None, n * D, fit.design.labels)
-        except GlmError as exc:
-            raise InferenceError(f"{role}: {exc}") from exc
-        v += resid * (X @ sol)
+        # (X'X/n) sol = D, solved as X'X sol = n D without a weighted copy of X
+        [(sol, errors)], _ = _solve(X, None, [n * D[None]], fit.design.labels)
+        if errors:
+            raise InferenceError(f"{role}: {errors[0]}") from errors[0]
+        v += resid * (X @ sol[0])
     return float(np.mean(v**2) / n)
 
 

@@ -85,6 +85,8 @@ def draw_dataset(n: int, seed: int, *, rep: int = 0) -> Dataset:
     """One synthetic dataset of size ``n``; deterministic in ``(seed, rep)``."""
     if n < 1:
         raise SimulationError("n must be at least 1")
+    if seed < 0 or rep < 0:
+        raise SimulationError(f"seed and rep must be non-negative integers, got seed={seed}, rep={rep}")
     rng_c0 = derived_rng(seed, rep, 0)
     rng_e = derived_rng(seed, rep, 1)
     rng_c1 = derived_rng(seed, rep, 2)
@@ -476,6 +478,8 @@ def run_monte_carlo(
         raise SimulationError(f"n must be at least 1, got {spec.n}")
     if spec.replications < 2:
         raise SimulationError(f"replications must be at least 2, got {spec.replications}")
+    if spec.seed < 0:
+        raise SimulationError(f"seed must be a non-negative integer, got {spec.seed}")
     if not kinds:
         raise SimulationError("no estimator requested")
     for kind in kinds:

@@ -165,6 +165,18 @@ class TestEstimateCommand:
         assert row["effect"] == printed[7]
         assert row["ci_lower"] == printed[8]
 
+    @pytest.mark.parametrize("ignore_extra", [False, True])
+    def test_a_utf8_byte_order_mark_gives_the_plain_file_s_estimates(self, tmp_path, ignore_extra, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(draw_dataset(400, 1), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, marked):
+            argv = ["estimate", "--data", str(path), "--comparison", "1", "--baseline", "0",
+                    "--bootstrap", "wild_exp1", "--reps", "5", "--seed", "1", "--out", str(tmp_path / path.stem)]
+            assert main(argv + ["--ignore-extra"] * ignore_extra) == 0
+        capsys.readouterr()
+        assert (tmp_path / "marked" / "estimates.csv").read_bytes() == (tmp_path / "plain" / "estimates.csv").read_bytes()
+
     def test_identity_pair_without_flag_exits_2(self, study_csv):
         code = main([
             "estimate", "--data", study_csv, "--comparison", "1", "--baseline", "1",

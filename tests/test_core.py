@@ -534,6 +534,17 @@ class TestCsv:
         plain.write_text(text)
         assert piped == _outcome(_c_pass, plain)
 
+    @pytest.mark.parametrize("ignore_extra", [False, True])
+    @pytest.mark.parametrize("read", [_c_pass, _row_path], ids=["c-pass", "row-path"])
+    def test_a_utf8_byte_order_mark_reads_as_the_plain_file(self, tmp_path, read, ignore_extra):
+        # Excel's "CSV UTF-8" export starts the file with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(draw_dataset(400, 1), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outcome = _outcome(read, marked, ignore_extra=ignore_extra)
+        assert not isinstance(outcome, str)
+        assert outcome == _outcome(read, plain, ignore_extra=ignore_extra)
+
 
 class TestWmean:
     def test_plain(self):

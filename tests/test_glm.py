@@ -387,6 +387,31 @@ class TestFisherStep:
             assert fit.converged
             assert np.max(np.abs(fit.coef - reference)) <= 1e-10 * np.max(np.abs(reference))
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN], ids=lambda f: f.name.lower())
+    def test_a_fallback_single_fit_is_its_batch_of_one(self, family, weighted, monkeypatch):
+        # the badly scaled covariate above: every system fails the guard
+        rng = np.random.default_rng(22)
+        n = 400
+        x, z = rng.standard_normal(n), rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x, 1e-7 * z])
+        y = (rng.random(n) < expit(0.3 + 0.8 * x - 0.5 * z)).astype(float)
+        w = rng.exponential(1.0, n) if weighted else None
+        verdicts = []
+
+        def guarded(H, scores):
+            steps, passed = inverse_steps(H, scores)
+            verdicts.append(passed)
+            return steps, passed
+
+        inverse_steps = glm_mod._inverse_steps
+        monkeypatch.setattr(glm_mod, "_inverse_steps", guarded)
+        single = fit_glm(X, y, family, w)
+        assert verdicts and not np.concatenate(verdicts).any()
+        rows = np.ones((1, n)) if w is None else w[None]
+        assert np.array_equal(fit_glm(X, y, family, rows).coef[0], single.coef)
+        assert np.array_equal(fit_glm(X[None], y[None], family, None if w is None else rows).coef[0], single.coef)
+
     def test_well_conditioned_information_takes_the_inverse_step(self, monkeypatch):
         rng = np.random.default_rng(23)
         n = 300

@@ -263,6 +263,11 @@ class TestBootstrap:
         with pytest.raises(InferenceError):
             BootstrapSpec(ci_level=1.5)
 
+    def test_a_negative_seed_is_refused_before_any_replicate(self):
+        with pytest.raises(InferenceError) as err:
+            BootstrapSpec(kind="wild_exp1", replicates=5, seed=-1)
+        assert str(err.value) == "seed must be a non-negative integer, got -1"
+
 
 class TestMcTTest:
     def test_all_equal_to_hypothesis(self):

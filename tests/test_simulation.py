@@ -86,6 +86,12 @@ class TestDrawDataset:
         with pytest.raises(SimulationError):
             draw_dataset(0, 1)
 
+    @pytest.mark.parametrize("seed, rep", [(-1, 0), (0, -2)])
+    def test_rejects_a_negative_seed_or_rep(self, seed, rep):
+        with pytest.raises(SimulationError) as err:
+            draw_dataset(10, seed, rep=rep)
+        assert str(err.value) == f"seed and rep must be non-negative integers, got seed={seed}, rep={rep}"
+
 
 class TestTruth:
     def test_closed_forms(self):
@@ -221,6 +227,15 @@ class TestMonteCarloRunner:
         with pytest.raises(SimulationError) as err:
             run_monte_carlo(SimulationSpec(regime="int", n=200, replications=replications, seed=1))
         assert str(err.value) == f"replications must be at least 2, got {replications}"
+
+    def test_a_negative_seed_raises_before_any_replicate(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", no_draw)
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(SimulationSpec(regime="int", n=200, replications=3, seed=-1))
+        assert str(err.value) == "seed must be a non-negative integer, got -1"
 
     def test_sequential_estimator_supported(self):
         spec = SimulationSpec(regime="int", n=400, replications=10, seed=7)
