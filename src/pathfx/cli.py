@@ -223,6 +223,8 @@ def cmd_estimate(args) -> int:
             raise UsageError(f"--reps must be at least 2 for a bootstrap, got {args.reps}")
         if not 0.0 < args.ci_level < 1.0:
             raise UsageError(f"--ci-level must lie in (0, 1), got {args.ci_level}")
+    if args.out:
+        _check_out(args.out, ["estimates.csv"])
     dataset = read_csv(args.data, ignore_extra=args.ignore_extra)
     pair = TreatmentPair(comparison=args.comparison, baseline=args.baseline)
     if pair.is_identity and not args.identity_check:
@@ -297,6 +299,21 @@ _ESTIMATE_HEADER = [
 ]
 
 
+def _check_out(path: str, names: list[str]) -> None:
+    """Refuse an ``--out`` that cannot become a writable directory holding
+    files ``names``, before any work."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise UsageError(f"--out {path}: {probe} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise UsageError(f"--out {path}: {probe} is not writable")
+    for name in names:
+        if os.path.isdir(os.path.join(path, name)):
+            raise UsageError(f"--out {path}: {name} is a directory")
+
+
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -315,6 +332,9 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--reps must be at least 2 for the t test, got {args.reps}")
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    out = args.out or "."
+    names = [f"replicates_{args.regime}.csv", f"summary_{args.regime}.csv"]
+    _check_out(out, names)
     spec = SimulationSpec(regime=args.regime, n=args.n, replications=args.reps,
                           seed=args.seed, alpha=args.alpha)
     report = run_monte_carlo(spec, estimators=_parse_estimators(args.estimators),
@@ -333,10 +353,9 @@ def cmd_simulate(args) -> int:
           f"alpha={report.alpha} target={_fmt(report.hypothesized)}")
     _print_table(header, rows)
 
-    out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    write_replicates_csv(report, os.path.join(out, f"replicates_{report.regime}.csv"))
-    write_summary_csv(report, os.path.join(out, f"summary_{report.regime}.csv"))
+    write_replicates_csv(report, os.path.join(out, names[0]))
+    write_summary_csv(report, os.path.join(out, names[1]))
     return EXIT_OK
 
 

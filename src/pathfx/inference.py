@@ -214,7 +214,8 @@ def _nested_mean_and_gradient(dataset: Dataset, fits: NuisanceFits) -> tuple[np.
     On the linear pathway ``b'' = X_out(e=base, m=m_hat, c1=c_hat) beta_out``
     with ``m_hat = X_med(e=comp, c1=c_hat) beta_med`` and ``c_hat_j =
     X_c1j(e=base) gamma_j`` (``nuisance._linear_nested`` evaluates these
-    from designs at zero plus slopes).  By the chain rule, per record:
+    from predictions at the data plus slopes times shifts, as
+    ``nuisance._shifted`` forms them).  By the chain rule, per record:
 
     - outcome block: ``X_out(e=base, m=m_hat, c1=c_hat)``;
     - mediator block: ``db/dm * X_med(e=comp, c1=c_hat)``;

@@ -3,11 +3,14 @@
 The generating process is a linear structural system: a uniform baseline
 covariate, a logistic treatment assignment, three jointly normal
 post-treatment covariates, and normal mediator and outcome equations with a
-treatment-by-mediator interaction.  All draws come from Philox counter-based
-generators keyed on ``(seed, replicate, variable-block)``; normals use
-numpy's ziggurat.  Every truth quantity (target values, nested means,
-density ratios, inverted propensity coefficients) is derived symbolically
-from the equation constants rather than hard-coded.
+treatment-by-mediator interaction.  The equations are written once, as
+``_Truth``'s propensity and conditional means: ``draw_dataset`` draws each
+block as its mean plus unit normals, and the closed forms, the oracles and
+the truth components read the same means.  All draws come from Philox
+counter-based generators keyed on ``(seed, replicate, variable-block)``;
+normals use numpy's ziggurat.  Every truth quantity (target values, nested
+means, density ratios, inverted propensity coefficients) is derived
+symbolically from the equation constants rather than hard-coded.
 """
 
 from __future__ import annotations
@@ -87,40 +90,11 @@ def draw_dataset(n: int, seed: int, *, rep: int = 0) -> Dataset:
         raise SimulationError("n must be at least 1")
     if seed < 0 or rep < 0:
         raise SimulationError(f"seed and rep must be non-negative integers, got seed={seed}, rep={rep}")
-    rng_c0 = derived_rng(seed, rep, 0)
-    rng_e = derived_rng(seed, rep, 1)
-    rng_c1 = derived_rng(seed, rep, 2)
-    rng_m = derived_rng(seed, rep, 3)
-    rng_y = derived_rng(seed, rep, 4)
-
-    c0 = rng_c0.uniform(C0_LOW, C0_HIGH, n)
-    p_e = _expit(E_COEF[0] + E_COEF[1] * c0)
-    e = (rng_e.random(n) < p_e).astype(int)
-    ef = e.astype(float)
-    c1 = (
-        C1_INTERCEPT
-        + np.outer(c0, C1_ON_C0)
-        + np.outer(ef, C1_ON_E)
-        + np.outer(c0 * ef, C1_ON_C0E)
-        + rng_c1.standard_normal((n, D1))
-    )
-    m = (
-        M_INTERCEPT
-        + M_ON_C0 * c0
-        + M_ON_E * ef
-        + c1 @ M_ON_C1
-        + ef * (c1 @ M_ON_EC1)
-        + rng_m.standard_normal(n)
-    )
-    y = (
-        Y_INTERCEPT
-        + Y_ON_C0 * c0
-        + Y_ON_E * ef
-        + c1 @ Y_ON_C1
-        + Y_ON_M * m
-        + Y_ON_EM * ef * m
-        + rng_y.standard_normal(n)
-    )
+    c0 = derived_rng(seed, rep, 0).uniform(C0_LOW, C0_HIGH, n)
+    e = (derived_rng(seed, rep, 1).random(n) < truth.propensity(c0)).astype(int)
+    c1 = truth.c1_mean(c0, e) + derived_rng(seed, rep, 2).standard_normal((n, D1))
+    m = truth.m_mean(c1, c0, e) + derived_rng(seed, rep, 3).standard_normal(n)
+    y = truth.outcome_mean(m, c1, c0, e) + derived_rng(seed, rep, 4).standard_normal(n)
     return Dataset(c0=c0[:, None], e=e, c1=c1, m=m, y=y)
 
 
@@ -129,7 +103,11 @@ def draw_dataset(n: int, seed: int, *, rep: int = 0) -> Dataset:
 
 
 class _Truth:
-    """Population quantities of the generating process (all vectorized)."""
+    """Population quantities of the generating process (all vectorized).
+
+    The means are the structural equations ``draw_dataset`` draws from; they
+    take the treatment ``e`` as a level (0 or 1) or as one value per record.
+    """
 
     @staticmethod
     def _c0(c0):
@@ -140,28 +118,20 @@ class _Truth:
         """P(E = 1 | c0)."""
         return _expit(E_COEF[0] + E_COEF[1] * self._c0(c0))
 
-    def c1_mean(self, c0, e: int) -> np.ndarray:
+    def c1_mean(self, c0, e) -> np.ndarray:
         c0 = self._c0(c0)
-        out = C1_INTERCEPT + np.outer(c0, C1_ON_C0)
-        if e:
-            out = out + C1_ON_E + np.outer(c0, C1_ON_C0E)
-        return out
+        return C1_INTERCEPT + np.outer(c0, C1_ON_C0) + np.outer(e, C1_ON_E) + np.outer(c0 * e, C1_ON_C0E)
 
-    def m_mean(self, c1, c0, e: int) -> np.ndarray:
+    def m_mean(self, c1, c0, e) -> np.ndarray:
         c0 = self._c0(c0)
         c1 = np.asarray(c1, dtype=float)
-        slope = M_ON_C1 + (M_ON_EC1 if e else 0.0)
-        return M_INTERCEPT + M_ON_C0 * c0 + M_ON_E * e + c1 @ slope
+        return M_INTERCEPT + M_ON_C0 * c0 + M_ON_E * e + c1 @ M_ON_C1 + e * (c1 @ M_ON_EC1)
 
-    def outcome_mean(self, m, c1, c0, e: int) -> np.ndarray:
+    def outcome_mean(self, m, c1, c0, e) -> np.ndarray:
         c0 = self._c0(c0)
-        return (
-            Y_INTERCEPT
-            + Y_ON_C0 * c0
-            + Y_ON_E * e
-            + np.asarray(c1) @ Y_ON_C1
-            + (Y_ON_M + Y_ON_EM * e) * np.asarray(m)
-        )
+        c1 = np.asarray(c1, dtype=float)
+        m = np.asarray(m, dtype=float)
+        return Y_INTERCEPT + Y_ON_C0 * c0 + Y_ON_E * e + c1 @ Y_ON_C1 + Y_ON_M * m + Y_ON_EM * e * m
 
     def b(self, m, c1, c0) -> np.ndarray:
         return self.outcome_mean(m, c1, c0, 0)
@@ -173,7 +143,7 @@ class _Truth:
         c1_bar = self.c1_mean(c0, 0)
         return self.b_prime(c1_bar, c0)
 
-    def marginal_outcome(self, c0, e: int) -> np.ndarray:
+    def marginal_outcome(self, c0, e) -> np.ndarray:
         """E(Y | e, c0) by linear composition through the intermediates."""
         c1_bar = self.c1_mean(c0, e)
         m_bar = self.m_mean(c1_bar, c0, e)
@@ -290,6 +260,10 @@ def oracle_nested_mean_mc(
     """
     if n_draws < 1:
         raise SimulationError("n_draws must be at least 1")
+    if seed < 0 or stream < 0:
+        raise SimulationError(f"seed and stream must be non-negative integers, got seed={seed}, stream={stream}")
+    if mediator_level not in (0, 1):
+        raise SimulationError(f"mediator_level must be 0 or 1, got {mediator_level!r}")
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -102,6 +102,25 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_an_unusable_out_exits_2_before_any_replicate(self, below, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / below) if below else str(taken)
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
+        code = main(["simulate", "--regime", "int", "--n", "200", "--reps", "5", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+
+    @pytest.mark.parametrize("name", ["replicates_c.csv", "summary_c.csv"])
+    def test_an_output_file_taken_by_a_directory_exits_2_before_any_replicate(self, name, tmp_path, monkeypatch,
+                                                                             capsys):
+        (tmp_path / name).mkdir()
+        monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
+        code = main(["simulate", "--regime", "c", "--n", "200", "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {tmp_path}: {name} is a directory\n"
+
     def test_paper_scale_is_not_an_option(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli_mod, "run_monte_carlo", _no_study)
         with pytest.raises(SystemExit) as err:
@@ -304,6 +323,31 @@ class TestEstimateCommand:
                      "--estimator", estimator])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_an_unusable_out_exits_2_before_reading_data(self, below, study_csv, tmp_path, monkeypatch, capsys):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / below) if below else str(taken)
+        monkeypatch.setattr(cli_mod, "read_csv", no_read)
+        code = main(["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+
+    def test_an_output_file_taken_by_a_directory_exits_2_before_reading_data(self, study_csv, tmp_path,
+                                                                            monkeypatch, capsys):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        (tmp_path / "estimates.csv").mkdir()
+        monkeypatch.setattr(cli_mod, "read_csv", no_read)
+        code = main(["estimate", "--data", study_csv, "--comparison", "1", "--baseline", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {tmp_path}: estimates.csv is a directory\n"
 
     def test_print_models(self, study_csv, capsys):
         code = main([

@@ -362,7 +362,7 @@ class TestIrls:
             fit_glm_irls(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), Family.LOGIT)
 
 
-class TestFisherStep:
+class TestSolverGuard:
     def test_ill_conditioned_information_takes_the_qr_step(self, monkeypatch):
         # A covariate on a scale 1e7 times too small: cond(X'WX) is far above
         # 1 / CHOL_RCOND_MIN, yet the pivoted QR of sqrt(W) X keeps full rank.

@@ -86,6 +86,44 @@ class TestDrawDataset:
         with pytest.raises(SimulationError):
             draw_dataset(0, 1)
 
+    def test_draws_are_pinned(self):
+        # recorded values: existing draws must stay put when the generator
+        # grows (a new block takes a new stream); c1, m and y at rtol 1e-13,
+        # so that BLAS differences do not trip it
+        ds = draw_dataset(4, 9, rep=2)
+        assert ds.c0.tolist() == [[1.848149001750042], [0.9894720748366761], [1.9031986910613004],
+                                  [1.8948520796652921]]
+        assert ds.e.tolist() == [1, 1, 1, 1]
+        np.testing.assert_allclose(ds.c1, [
+            [3.393042055138136, 0.33387589571995235, 0.8157234205272856],
+            [2.139294113699922, 2.1755451296268817, 1.190757680912883],
+            [1.2308076768710707, 3.750592910942984, 0.06209250157198354],
+            [3.2237899493298863, 1.0870997039301487, 0.9662159878083486],
+        ], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ds.m, [1.4070090765309993, 1.5748820257653673, -0.2949571429574315,
+                                          1.082964986710834], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ds.y, [2.891120783574132, 3.336635826869108, 4.71989591655666,
+                                          1.910535169507193], rtol=1e-13, atol=0)
+
+    def test_a_stacked_chunk_row_is_pinned(self, monkeypatch):
+        # record 4 of replicate 2 (a baseline-arm record) in the stacked chunk a Monte Carlo run evaluates
+        stacks = []
+
+        def spy(ds, *args, **kwargs):
+            stacks.append(ds)
+            return evaluate(ds, *args, **kwargs)
+
+        monkeypatch.setattr(simulation_mod, "evaluate", spy)
+        run_monte_carlo(SimulationSpec(regime="int", n=200, replications=3, seed=4), estimators=("mle",))
+        ds = stacks[0]
+        assert ds.c1.shape == (3, 200, 3)
+        assert ds.c0[1, 3].tolist() == [1.9091791873038864]
+        assert ds.e[1, 3] == 0
+        np.testing.assert_allclose(ds.c1[1, 3], [1.990401632369218, -0.35146551800737547, 0.4381533348786307],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ds.m[1, 3], -1.6361120875733413, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ds.y[1, 3], 4.434412592700411, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("seed, rep", [(-1, 0), (0, -2)])
     def test_rejects_a_negative_seed_or_rep(self, seed, rep):
         with pytest.raises(SimulationError) as err:
@@ -105,6 +143,19 @@ class TestTruth:
     def test_baseline_mean_line(self):
         c0 = np.array([0.0, 1.0, 2.0])
         assert truth.marginal_outcome(c0, 0) == pytest.approx(2.005 + 1.591 * c0, abs=1e-12)
+
+    def test_per_record_treatment_is_each_arm_s_level(self):
+        # draw_dataset passes one treatment value per record; each arm's rows
+        # must be bitwise what the scalar level gives on those rows alone
+        ds = draw_dataset(1000, 3)
+        for level in (0, 1):
+            arm = ds.e == level
+            c0, c1, m = ds.c0[arm], ds.c1[arm], ds.m[arm]
+            assert 0 < arm.sum() < ds.n
+            assert np.array_equal(truth.c1_mean(ds.c0, ds.e)[arm], truth.c1_mean(c0, level))
+            assert np.array_equal(truth.m_mean(ds.c1, ds.c0, ds.e)[arm], truth.m_mean(c1, c0, level))
+            assert np.array_equal(truth.outcome_mean(ds.m, ds.c1, ds.c0, ds.e)[arm],
+                                  truth.outcome_mean(m, c1, c0, level))
 
     def test_inverted_propensity_coefficients_reproduce_density_ratios(self):
         # the coefficient expansions must match the analytic normal ratios
@@ -135,6 +186,18 @@ class TestOracles:
     def test_delta0_monte_carlo(self):
         est = oracle_delta0_mc(1_000_000, 3)
         assert abs(est.value - closed_form_delta0()) < 3 * est.se
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
+    def test_rejects_a_negative_seed_or_stream(self, seed, stream):
+        with pytest.raises(SimulationError) as err:
+            oracle_nested_mean_mc(1000, seed, mediator_level=1, stream=stream)
+        assert str(err.value) == f"seed and stream must be non-negative integers, got seed={seed}, stream={stream}"
+
+    @pytest.mark.parametrize("level", [2, -1, 0.5])
+    def test_rejects_a_mediator_level_outside_0_and_1(self, level):
+        with pytest.raises(SimulationError) as err:
+            oracle_nested_mean_mc(1000, 1, mediator_level=level)
+        assert str(err.value) == f"mediator_level must be 0 or 1, got {level!r}"
 
     def test_collapse_to_baseline_mean(self):
         a = oracle_nested_mean_mc(200_000, 9, mediator_level=0, stream=1)
