@@ -24,8 +24,6 @@ from .glm import (
     NonConvergenceError,
     RankDeficiencyError,
     fit_glm,
-    fit_glm_irls,
-    fit_ols,
     predict_mean,
 )
 from .nuisance import (

@@ -30,6 +30,7 @@ from .nuisance import (
     StabilizeFlags,
     WorkingModelSet,
     c1_mean_role,
+    _clip_error,
     _compose_linear,
     _reject,
     _tagged,
@@ -40,6 +41,7 @@ from .nuisance import (
 __all__ = [
     "BETA_KINDS",
     "DELTA_KINDS",
+    "SCALES",
     "DEFAULT_DELTA_FOR",
     "EstimationError",
     "Analysis",
@@ -61,6 +63,7 @@ __all__ = [
 
 BETA_KINDS = ("mle", "a", "b", "mr", "mr_seq")
 DELTA_KINDS = ("gformula", "ipw", "aipw")
+SCALES = ("mean_difference", "log_risk_ratio")
 
 # Default pairing of the baseline-mean estimator with each contrast estimator.
 DEFAULT_DELTA_FOR = {
@@ -311,9 +314,11 @@ class Analysis:
 
     ``pairs`` holds (contrast estimator, baseline-mean estimator) pairs, one
     of ``BETA_KINDS`` with one of ``DELTA_KINDS`` or ``None`` for the
-    contrast mean alone.  ``scale`` is ``combine_effect``'s, and
-    ``stabilize`` and ``clip`` are ``compute_components``', with its
-    defaults: no stabilization and the ``DEFAULT_CLIP`` clip.
+    contrast mean alone.  ``scale`` is ``combine_effect``'s, one of
+    ``SCALES``, and ``stabilize`` and ``clip`` are ``compute_components``',
+    with its defaults: no stabilization and the ``DEFAULT_CLIP`` clip.  A
+    malformed analysis is refused when it is made, before any model is
+    fitted.
     """
 
     working_set: WorkingModelSet
@@ -322,6 +327,24 @@ class Analysis:
     scale: str = "mean_difference"
     stabilize: StabilizeFlags = StabilizeFlags()
     clip: tuple[float, float] | None = DEFAULT_CLIP
+
+    def __post_init__(self):
+        if not self.pairs:
+            raise EstimationError("an analysis needs at least one (beta, delta) pair")
+        for pair in self.pairs:
+            try:
+                kind, delta_kind = pair
+            except (TypeError, ValueError):
+                raise EstimationError(f"{pair!r} is not a (beta, delta) pair") from None
+            if kind not in BETA_KINDS:
+                raise EstimationError(f"unknown estimator {kind!r}; expected one of {BETA_KINDS}")
+            if delta_kind is not None and delta_kind not in DELTA_KINDS:
+                raise EstimationError(f"unknown delta estimator {delta_kind!r}; expected one of {DELTA_KINDS}")
+        if self.scale not in SCALES:
+            raise EstimationError(f"unknown effect scale {self.scale!r}; expected one of {SCALES}")
+        error = _clip_error(self.clip)
+        if error:
+            raise EstimationError(error)
 
 
 @dataclass(frozen=True)

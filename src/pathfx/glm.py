@@ -16,8 +16,8 @@ at its end, and the rule moves neither with n nor with a column's units.
 A fit whose score vanishes stops when max|score| < ``DEFAULT_TOL``; on
 separated responses (``_separation``) it raises ``NonConvergenceError``
 naming the column whose coefficient diverges.
-``fit_ols`` and ``fit_glm_irls`` are the batch of one; ``fit_glm`` with
-``(B, n)`` weights fits a bootstrap chunk, and on a stack of designs
+``fit_glm`` is the one fit: a single fit runs as its batch of one,
+``(B, n)`` weights fit a bootstrap chunk, and a stack of designs
 ``(B, n, p)`` a chunk of Monte Carlo datasets.  ``_least_squares`` fits
 several gaussian responses on one design and weights from one system
 each.  One solver (``_solve``) takes every set of p x p systems
@@ -35,14 +35,17 @@ and otherwise from a Householder QR of sqrt(W) X with column pivoting
 with a NaN, an inf or an overflow in X'WX fails the guard and raises
 ``GlmError`` in place of the QR; least squares also checks its p
 coefficients, since a finite X'WX passes the guard whatever its right-hand
-side.  Least squares is one such solve; each Newton step is another.
+side.  Least squares is one such solve, whose rounding error grows with
+cond(sqrt(W) X) squared (up to about 1e-6 relative on near-collinear
+designs); each Newton step is another.
 Every per-replicate product, each Gram block included, is its own BLAS
 call of a fixed shape within a stacked matmul, never a row of one (B, n)
 matrix product, whose rounding depends on B: a replicate's fit depends
 only on its own weights, and is bitwise the single fit on them; a
 response's fit is bitwise its fit alone, whatever responses share its
 system.  Fits start from zero or from caller-supplied coefficients, which
-is how bootstrap replicates start from the point fit.
+is how bootstrap replicates start from the point fit: they need fewer
+iterations and stop by the same rules at the same maximum.
 
 The link functions are numpy code.  The logistic mean is formed from the
 exponential of the softplus log(1 + e^eta) = max(eta, 0) + log1p(e^-|eta|),
@@ -78,8 +81,6 @@ __all__ = [
     "GlmError",
     "RankDeficiencyError",
     "NonConvergenceError",
-    "fit_ols",
-    "fit_glm_irls",
     "fit_glm",
     "predict_mean",
 ]
@@ -200,7 +201,7 @@ class FittedGlm:
         return self.coef.ndim == 1 or ~np.isin(np.arange(len(self.coef)), list(self.errors))
 
 
-def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, *, batch: bool = False):
+def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):
     """Validated float arrays X, y and weights (None stays None).  A single
     fit takes X (n, p), y (n,) and weights (n,).  A batch takes a shared X
     (n, p) and y (n,) with (B, n) weights, or a stack of designs X (R, n, p)
@@ -208,7 +209,7 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, 
     inf, and that row's fit fails."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 and not (batch and X.ndim == 3):
+    if X.ndim not in (2, 3):
         raise GlmError("design matrix must be 2-dimensional, or a stack of such for a batch")
     n, p = X.shape[-2:]
     if y.shape != X.shape[:-1]:
@@ -217,15 +218,23 @@ def _as_matrix(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, 
         raise GlmError(f"need at least as many rows ({n}) as columns ({p})")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if batch and X.ndim == 2:  # a shared design: one weight row per replicate
+        single = X.ndim == 2 and weights.ndim < 2
+        if X.ndim == 2 and not single:  # a shared design: one weight row per replicate
             if weights.ndim != 2 or weights.shape[1] != n:
                 raise GlmError(f"weights have shape {weights.shape}, expected (B, {n})")
         elif weights.shape != y.shape:
             raise GlmError(f"weights have shape {weights.shape}, expected {y.shape}")
         # a batch row whose weights are not finite fails alone: its system is not finite
-        if not (batch or np.all(np.isfinite(weights))) or np.any(weights < 0):
+        if (single and not np.all(np.isfinite(weights))) or np.any(weights < 0):
             raise GlmError("weights must be finite and non-negative")
     return X, y, weights
+
+
+def _single(fit: FittedGlm) -> FittedGlm | GlmError:
+    """The single fit whose batch of one is ``fit``, or its ``GlmError``."""
+    if fit.errors:
+        return fit.errors[0]
+    return FittedGlm(fit.family, fit.coef[0], int(fit.iterations[0]), fit.design)
 
 
 def _check_rank(R: np.ndarray, piv: np.ndarray, labels=None) -> None:
@@ -360,10 +369,10 @@ def _least_squares(X, ys, weights=None, *, design: DesignSpec | None = None) -> 
     fit that fails is its ``GlmError`` in the list, in place of the fit; a
     batch fit's failed replicates are NaN, as in ``fit_glm``.
     """
-    batch = np.ndim(X) == 3 or np.ndim(weights) == 2
-    X, y, W = _as_matrix(X, ys[0], weights, batch=batch)
-    ys = [y] + [_as_matrix(X, y, batch=batch)[1] for y in ys[1:]]
-    if not batch:  # the batch of one
+    X, y, W = _as_matrix(X, ys[0], weights)
+    ys = [y] + [_as_matrix(X, y)[1] for y in ys[1:]]
+    single = X.ndim == 2 and (W is None or W.ndim == 1)
+    if single:  # the batch of one
         ys, W = [y[None] for y in ys], None if W is None else W[None]
     labels = design.labels if design is not None else None
     with np.errstate(all="ignore"):  # a right-hand side that is not finite fails in _solve
@@ -373,35 +382,9 @@ def _least_squares(X, ys, weights=None, *, design: DesignSpec | None = None) -> 
         # a finite X'WX passes the guard whatever its right-hand side
         for b in np.flatnonzero(~np.isfinite(coef).all(axis=1)):
             errors.setdefault(int(b), _not_finite())
-        if batch:
-            out.append(FittedGlm(Family.GAUSSIAN, coef, np.zeros(len(coef), dtype=int), design, errors))
-        else:
-            out.append(errors[0] if errors else FittedGlm(Family.GAUSSIAN, coef[0], 0, design))
+        fit = FittedGlm(Family.GAUSSIAN, coef, np.zeros(len(coef), dtype=int), design, errors)
+        out.append(_single(fit) if single else fit)
     return out
-
-
-def fit_ols(
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-    *,
-    design: DesignSpec | None = None,
-) -> FittedGlm:
-    """Weighted least squares; coefficients minimize the weighted RSS.
-
-    Solves the normal equations X'WX b = X'Wy with ``_solve``: from
-    the inverse of X'WX when its exact 1-norm reciprocal condition exceeds
-    ``CHOL_RCOND_MIN``, and otherwise from a Householder QR of sqrt(W) X
-    with column pivoting, so rank loss raises ``RankDeficiencyError``
-    naming the offending column.  The normal equations' rounding error
-    grows with cond(sqrt(W) X) squared, not with the condition itself as in
-    a QR solve: on near-collinear designs the coefficients can move by up to
-    about 1e-6 relative.  A system that is not finite raises ``GlmError``.
-    """
-    [fit] = _least_squares(X, [y], weights, design=design)
-    if isinstance(fit, GlmError):
-        raise fit
-    return fit
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on [0, 1), erfcx(x) = P(x) / Q(x)
@@ -838,59 +821,6 @@ def _start(start, p: int) -> np.ndarray:
     return coef
 
 
-def fit_glm_irls(
-    X: np.ndarray,
-    y: np.ndarray,
-    family: Family,
-    weights: np.ndarray | None = None,
-    *,
-    design: DesignSpec | None = None,
-    start: np.ndarray | None = None,
-) -> FittedGlm:
-    """Binomial fit by iteratively reweighted least squares (Newton steps).
-
-    Each step solves the information system X'WX, W the observed
-    information per row (for logit the expected one, so logit steps are
-    Fisher scoring; probit steps are Newton's, 3-6 where Fisher scoring
-    took 7-12), from its inverse when the exact 1-norm reciprocal condition
-    exceeds ``CHOL_RCOND_MIN``.  Otherwise the step comes from a Householder
-    QR of sqrt(W) X with column pivoting, W the expected information, whose
-    rank check raises ``RankDeficiencyError`` naming the offending column.
-    A fit converges within ``DEFAULT_MAX_ITER`` iterations when a step from
-    the inverse has a Newton decrement score' H^-1 score of at most
-    ``DECREMENT_RTOL`` times |log-likelihood| (that step is taken), or when
-    the largest absolute score component falls below ``DEFAULT_TOL``, which
-    is how fits whose score vanishes stop: separated ones, those stepping by
-    the QR fallback, and a start at the maximum.  Steps that lower
-    the log-likelihood are halved; running out of iterations raises
-    ``NonConvergenceError`` with the final score and coefficient norms.  So
-    does a vanished score on separated responses (``_separation``), whose
-    message names the column whose coefficient diverges: the rows with
-    positive weight whose information is below ``DEAD_INFO`` leave the
-    others' design rank deficient.  The logit
-    log-likelihood's log(1 + e^eta) is computed as max(eta, 0) +
-    log1p(e^-|eta|), and the mean from the same e^-|eta|; the probit terms
-    come from one Cephes erfcx per row (see the module docstring), with
-    log Phi finite for every finite eta.
-
-    Scoring starts from ``start`` (copied, never written to) or, when it is
-    None, from zero.  A bootstrap replicate started from the point fit's
-    coefficients needs fewer iterations and stops by the same rules at the
-    same maximum.  This is the batch of one of the scoring
-    that ``fit_glm`` runs over a ``(B, n)`` weight matrix.
-    """
-    if not family.is_binomial:
-        raise GlmError(f"fit_glm_irls fits binomial families only, got {family.value}; use fit_glm")
-    X, y, weights = _as_matrix(X, y, weights)
-    _check_binary(y)
-    prior = np.ones((1, X.shape[0])) if weights is None else weights[None]
-    coef, iterations, errors = _score_batch(X, y, family, prior, _start(start, X.shape[1]),
-                                            design.labels if design is not None else None)
-    if errors:
-        raise errors[0]
-    return FittedGlm(family, coef[0], int(iterations[0]), design)
-
-
 def _check_binary(y: np.ndarray) -> None:
     if not np.all((y >= 0) & (y <= 1)):  # NaN fails too
         raise GlmError("binomial families require responses in [0, 1]")
@@ -905,12 +835,23 @@ def fit_glm(
     design: DesignSpec | None = None,
     start: np.ndarray | None = None,
 ) -> FittedGlm:
-    """Fit any supported family (gaussian dispatches to the OLS path, which
-    is closed form and ignores ``start``).
+    """The engine's one fit: weighted least squares for a gaussian
+    ``family`` (``_least_squares``, closed form, ``start`` ignored), and
+    Newton steps on the binomial log-likelihood otherwise (``_score_batch``;
+    the module docstring gives the steps, the stops and the separation
+    test).  Least squares solves the normal equations X'WX b = X'Wy, whose
+    rounding error grows with cond(sqrt(W) X) squared, not with the
+    condition itself as in a QR solve: on near-collinear designs the
+    coefficients can move by up to about 1e-6 relative.  Scoring starts
+    from ``start`` (copied, never written to) or, when it is None, from
+    zero; a bootstrap replicate started from the point fit's coefficients
+    needs fewer iterations and stops by the same rules at the same maximum.
 
-    With ``(B, n)`` weights, one fit per weight row: the result's ``coef``
-    is ``(B, p)`` and its ``converged`` and ``iterations`` are ``(B,)``
-    arrays.  A stack of designs X ``(B, n, p)``, with y and weights (None
+    A single fit, X ``(n, p)`` with weights None or ``(n,)``, runs as its
+    batch of one; a failure raises its ``GlmError``, the one its batch of
+    one would hold in ``errors[0]``.  With ``(B, n)`` weights, one fit per
+    weight row: the result's ``coef`` is ``(B, p)`` and its ``converged``
+    and ``iterations`` are ``(B,)`` arrays.  A stack of designs X ``(B, n, p)``, with y and weights (None
     or given) ``(B, n)``, is such a batch whose replicate b fits its own
     X[b] and y[b] (a chunk of Monte Carlo datasets).  A replicate whose fit
     fails raises nothing; its coefficients are NaN, ``errors[b]`` is its
@@ -918,18 +859,32 @@ def fit_glm(
     replicate's separation test is its single fit's: a row is present when
     its weight is positive, whatever the weight.
     """
-    if np.ndim(X) == 2 and (weights is None or np.ndim(weights) < 2):
-        if family is Family.GAUSSIAN:
-            return fit_ols(X, y, weights, design=design)
-        return fit_glm_irls(X, y, family, weights, design=design, start=start)
     if family is Family.GAUSSIAN:
-        return _least_squares(X, [y], weights, design=design)[0]
-    X, y, W = _as_matrix(X, y, weights, batch=True)
-    _check_binary(y)
-    prior = np.ones(y.shape) if W is None else W
-    coef, iterations, errors = _score_batch(X, y, family, prior, _start(start, X.shape[-1]),
-                                            design.labels if design is not None else None)
-    return FittedGlm(family, coef, iterations, design, errors)
+        [fit] = _least_squares(X, [y], weights, design=design)
+    else:
+        X, y, W = _as_matrix(X, y, weights)
+        _check_binary(y)
+        prior = np.ones(y.shape) if W is None else W
+        single = prior.ndim == 1
+        coef, iterations, errors = _score_batch(X, y, family, prior[None] if single else prior,
+                                                _start(start, X.shape[-1]),
+                                                design.labels if design is not None else None)
+        fit = FittedGlm(family, coef, iterations, design, errors)
+        if single:
+            fit = _single(fit)
+    if isinstance(fit, GlmError):
+        raise fit
+    return fit
+
+
+# Nothing in the package calls these two: benchmarks/tracing.py wraps their
+# names until it is re-pointed at the fit itself (ROADMAP items 1 and 12).
+def fit_ols(X, y, weights=None, *, design=None):
+    return fit_glm(X, y, Family.GAUSSIAN, weights, design=design)
+
+
+def fit_glm_irls(*args, **kwargs):
+    return fit_glm(*args, **kwargs)
 
 
 def predict_mean(fit: FittedGlm, X: np.ndarray) -> np.ndarray | float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,6 +56,16 @@ def derived_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _require_integers(error: type[Exception], **values) -> None:
+    """Raise ``error`` for a value that is not an integer (``operator.index``
+    takes numpy's integers, and refuses a float that would be truncated)."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BootstrapSpec:
     kind: str = "nonparametric"  # or "wild_exp1"
@@ -65,6 +76,7 @@ class BootstrapSpec:
     def __post_init__(self):
         if self.kind not in ("nonparametric", "wild_exp1"):
             raise InferenceError(f"unknown bootstrap kind {self.kind!r}")
+        _require_integers(InferenceError, replicates=self.replicates, seed=self.seed)
         if self.replicates < 2:
             raise InferenceError("bootstrap needs at least 2 replicates")
         if self.seed < 0:

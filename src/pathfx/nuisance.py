@@ -73,6 +73,20 @@ ROLE_PROP_C1_IN_M_RATIO = "prop_c1_in_m_ratio"
 
 DEFAULT_CLIP = (1e-6, 1.0 - 1e-6)
 
+
+def _clip_error(clip) -> str | None:
+    """Why ``clip`` is neither None nor a pair (lo, hi) with 0 < lo < hi < 1, or None."""
+    if clip is None:
+        return None
+    try:
+        lo, hi = clip
+        if 0.0 < lo < hi < 1.0:
+            return None
+    except (TypeError, ValueError):
+        pass
+    return f"clip must be None or (lo, hi) with 0 < lo < hi < 1, got {clip!r}"
+
+
 _PROP_ROLES = (
     ROLE_PROP_BASE,
     ROLE_PROP_C1,
@@ -674,7 +688,11 @@ def compute_components(
     and clip count a leading replicate axis.
     ``failures`` holds each failed replicate's first message in evaluation
     order: the fits', positivity and stabilization, then the estimators'.
+    A ``clip`` other than None or (lo, hi) with 0 < lo < hi < 1 is refused.
     """
+    error = _clip_error(clip)
+    if error:
+        raise NuisanceError(error)
     coding, weights = fits.coding, fits.weights
     diagnostics: dict = {"clip_counts": {}}
     failures = dict(fits.failures)

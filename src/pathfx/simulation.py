@@ -9,8 +9,9 @@ block as its mean plus unit normals, and the closed forms, the oracles and
 the truth components read the same means.  All draws come from Philox
 counter-based generators keyed on ``(seed, replicate, variable-block)``;
 normals use numpy's ziggurat.  Every truth quantity (target values, nested
-means, density ratios, inverted propensity coefficients) is derived
-symbolically from the equation constants rather than hard-coded.
+means, density ratios) is derived from the equation constants rather than
+hard-coded, and the inverted propensities' coefficients are solved from the
+truth's own log-odds.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, DesignSpec, PairCoding, TreatmentPair
+from .core import Dataset, DesignSpec, PairCoding, TreatmentPair, build_design_matrix
 from .estimators import BETA_KINDS, Analysis, evaluate
 from .glm import Family, _expit
-from .inference import derived_rng, mc_t_test, _run_chunked
+from .inference import derived_rng, mc_t_test, _require_integers, _run_chunked
 from .nuisance import (
     ROLE_MARGINAL,
     ROLE_MEDIATOR,
@@ -86,6 +87,7 @@ class SimulationError(RuntimeError):
 
 def draw_dataset(n: int, seed: int, *, rep: int = 0) -> Dataset:
     """One synthetic dataset of size ``n``; deterministic in ``(seed, rep)``."""
+    _require_integers(SimulationError, n=n, seed=seed, rep=rep)
     if n < 1:
         raise SimulationError("n must be at least 1")
     if seed < 0 or rep < 0:
@@ -114,9 +116,13 @@ class _Truth:
         c0 = np.asarray(c0, dtype=float)
         return c0[:, 0] if c0.ndim == 2 else c0
 
+    def propensity_logit(self, c0) -> np.ndarray:
+        """logit P(E = 1 | c0)."""
+        return E_COEF[0] + E_COEF[1] * self._c0(c0)
+
     def propensity(self, c0) -> np.ndarray:
         """P(E = 1 | c0)."""
-        return _expit(E_COEF[0] + E_COEF[1] * self._c0(c0))
+        return _expit(self.propensity_logit(c0))
 
     def c1_mean(self, c0, e) -> np.ndarray:
         c0 = self._c0(c0)
@@ -164,58 +170,43 @@ class _Truth:
         quad = ((c1 - nu0) ** 2 - (c1 - nu1) ** 2).sum(axis=1)
         return np.exp(0.5 * quad)
 
-    # -- inverted propensity representations -------------------------------
-    # Both follow from Bayes' rule applied to the normal intermediate laws,
-    # so the logistic working designs below are exactly correct and their
-    # population coefficients are available in closed form.
+    # -- inverted propensities ----------------------------------------------
+    # By Bayes' rule each is the propensity's log-odds plus the log density
+    # ratios of the intermediates it conditions on.  Both are quadratics that
+    # the correct logistic working designs span exactly, so their
+    # population coefficients are solved on those designs.
+
+    def prop_c1_log_odds(self, c1, c0) -> np.ndarray:
+        """logit P(E=1 | c1, c0)."""
+        return self.propensity_logit(c0) + np.log(self.c1_ratio(c1, c0))
+
+    def prop_m_log_odds(self, m, c1, c0) -> np.ndarray:
+        """logit P(E=1 | m, c1, c0)."""
+        return self.prop_c1_log_odds(c1, c0) + np.log(self.m_ratio(m, c1, c0))
 
     def prop_c1_coef(self) -> np.ndarray:
         """Coefficients of logit P(E=1 | c1, c0) on the ``prop_c1`` design."""
-        const = E_COEF[0]
-        lin = E_COEF[1]
-        quad = 0.0
-        c1_coef = np.empty(D1)
-        c0c1_coef = np.empty(D1)
-        for j in range(D1):
-            aj, bj, cj, dj = C1_INTERCEPT[j], C1_ON_C0[j], C1_ON_E[j], C1_ON_C0E[j]
-            # (nu1 - nu0) = cj + dj c0; (nu1 + nu0)/2 = aj + cj/2 + (bj + dj/2) c0
-            c1_coef[j] = cj
-            c0c1_coef[j] = dj
-            const -= cj * (aj + cj / 2.0)
-            lin -= cj * (bj + dj / 2.0) + dj * (aj + cj / 2.0)
-            quad -= dj * (bj + dj / 2.0)
-        return np.concatenate([[const, lin, quad], c1_coef, c0c1_coef])
+        return self._coef_on(PROP_C1_CORRECT, lambda ds: self.prop_c1_log_odds(ds.c1, ds.c0))
 
     def prop_m_coef(self) -> np.ndarray:
         """Coefficients of logit P(E=1 | m, c1, c0) on the ``prop_m`` design."""
-        base = self.prop_c1_coef()
-        const, lin, quad = base[0], base[1], base[2]
-        c1_coef = base[3 : 3 + D1].copy()
-        c0c1_coef = base[3 + D1 :].copy()
-        # log f(m|c1,1,c0) - log f(m|c1,0,c0) = dmu * m - dmu * (mu0 + dmu/2)
-        # with dmu = M_ON_E + M_ON_EC1 . c1 (only the first component enters).
-        q = M_ON_EC1[0]
-        mid_const = M_INTERCEPT + M_ON_E / 2.0
-        mid_c0 = M_ON_C0
-        mid_c1 = M_ON_C1 + M_ON_EC1 / 2.0
-        m_coef = M_ON_E
-        c11m_coef = q
-        const -= M_ON_E * mid_const
-        lin -= M_ON_E * mid_c0
-        c1_coef -= M_ON_E * mid_c1
-        c1_coef[0] -= q * mid_const
-        c0c1_coef[0] -= q * mid_c0
-        c11sq_coef = -q * mid_c1[0]
-        c11c12_coef = -q * mid_c1[1]
-        c11c13_coef = -q * mid_c1[2]
-        return np.concatenate(
-            [
-                [const, lin, quad],
-                c1_coef,
-                c0c1_coef,
-                [c11sq_coef, c11c12_coef, c11c13_coef, m_coef, c11m_coef],
-            ]
-        )
+        return self._coef_on(PROP_M_CORRECT, lambda ds: self.prop_m_log_odds(ds.m, ds.c1, ds.c0))
+
+    @staticmethod
+    def _coef_on(design: str, log_odds) -> np.ndarray:
+        """The coefficients of ``log_odds(dataset)`` on ``design``, solved by
+        least squares at the 64 records of ``draw_dataset(64, 0)``, over
+        four times the columns of either design.  A residual above 1e-9 of
+        the largest |log-odds| means that the log-odds lie outside the
+        design's span: ``SimulationError``."""
+        ds = draw_dataset(64, 0)
+        X = build_design_matrix(ds, DesignSpec.parse(design))
+        target = log_odds(ds)
+        coef = np.linalg.lstsq(X, target, rcond=None)[0]
+        residual = np.abs(X @ coef - target).max()
+        if residual > 1e-9 * np.abs(target).max():
+            raise SimulationError(f"the log-odds lie outside the span of {design!r} (residual {residual:.3e})")
+        return coef
 
 
 truth = _Truth()
@@ -258,6 +249,7 @@ def oracle_nested_mean_mc(
     draws from its equation at ``mediator_level`` given those covariates;
     the outcome equation runs at the baseline level with that mediator.
     """
+    _require_integers(SimulationError, n_draws=n_draws, seed=seed, stream=stream)
     if n_draws < 1:
         raise SimulationError("n_draws must be at least 1")
     if seed < 0 or stream < 0:
@@ -448,6 +440,7 @@ def run_monte_carlo(
     models = working_models_for(spec.regime)
     coding = PairCoding(pair=TreatmentPair(1, 0))
     kinds = tuple(estimators)
+    _require_integers(SimulationError, n=spec.n, replications=spec.replications, seed=spec.seed)
     if spec.n < 1:
         raise SimulationError(f"n must be at least 1, got {spec.n}")
     if spec.replications < 2:

@@ -34,7 +34,7 @@ from pathfx.estimators import (
     evaluate,
     influence_values,
 )
-from pathfx.glm import Family, fit_glm_irls, fit_ols, predict_mean
+from pathfx.glm import Family, fit_glm, predict_mean
 from pathfx.inference import BootstrapSpec, bootstrap, mle_sandwich_variance
 from pathfx.nuisance import (
     NuisanceFunctions,
@@ -112,11 +112,7 @@ def _fit_on_draw(design_text, family, response_role, n=100_000, seed=301):
         y = ds.c1[:, int(response_role[3:]) - 1]
     else:
         y = ds.e.astype(float)
-    if family is Family.GAUSSIAN:
-        fit = fit_ols(X, y, design=design)
-    else:
-        fit = fit_glm_irls(X, y, family, design=design)
-    return fit
+    return fit_glm(X, y, family, design=design)
 
 
 def _mean_fn(fit, e_value):
@@ -263,7 +259,7 @@ def test_criterion_5_glm_engine():
     X = rng.standard_normal((50, 4))
     y = rng.standard_normal(50)
     oracle = np.linalg.solve(X.T @ X, X.T @ y)
-    assert np.max(np.abs(fit_ols(X, y).coef - oracle)) < 1e-10
+    assert np.max(np.abs(fit_glm(X, y, Family.GAUSSIAN).coef - oracle)) < 1e-10
 
     n = 500
     Xl = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
@@ -272,14 +268,14 @@ def test_criterion_5_glm_engine():
     for _ in range(60):
         mu = expit(Xl @ beta)
         beta = beta + np.linalg.solve(Xl.T @ (Xl * (mu * (1 - mu))[:, None]), Xl.T @ (yl - mu))
-    assert np.max(np.abs(fit_glm_irls(Xl, yl, Family.LOGIT).coef - beta)) < 1e-8
+    assert np.max(np.abs(fit_glm(Xl, yl, Family.LOGIT).coef - beta)) < 1e-8
 
     y10 = np.array([1.0] * 3 + [0.0] * 7)
-    fit = fit_glm_irls(np.ones((10, 1)), y10, Family.LOGIT)
+    fit = fit_glm(np.ones((10, 1)), y10, Family.LOGIT)
     assert abs(fit.coef[0] - math.log(0.3 / 0.7)) < 1e-12
 
     y55 = np.array([1.0] * 5 + [0.0] * 5)
-    assert abs(fit_glm_irls(np.ones((10, 1)), y55, Family.PROBIT).coef[0]) < 1e-12
+    assert abs(fit_glm(np.ones((10, 1)), y55, Family.PROBIT).coef[0]) < 1e-12
     print("\nACCEPTANCE 5 PASS: OLS 1e-10, logistic 1e-8, intercept closed forms exact")
 
 

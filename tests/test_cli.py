@@ -1117,7 +1117,7 @@ import sys
 sys.modules["scipy"] = None
 import numpy as np
 from pathfx import DesignSpec, Family, RankDeficiencyError, build_design_matrix, dataset_from_arrays
-from pathfx import draw_dataset, fit_glm_irls, mc_t_test, write_csv
+from pathfx import draw_dataset, fit_glm, mc_t_test, write_csv
 from pathfx.cli import main
 
 work = sys.argv[1]
@@ -1135,7 +1135,7 @@ ds = draw_dataset(200, 2)
 flat = dataset_from_arrays(np.full_like(ds.c0, 0.5), ds.e, ds.c1, ds.m, ds.y)
 design = DesignSpec.parse("1, c0_1, c1_1")
 try:
-    fit_glm_irls(build_design_matrix(flat, design), (ds.m > 0).astype(float), Family.PROBIT, design=design)
+    fit_glm(build_design_matrix(flat, design), (ds.m > 0).astype(float), Family.PROBIT, design=design)
 except RankDeficiencyError as exc:
     print("rank", exc)
 print("scipy modules", sorted(name for name in sys.modules if name.startswith("scipy.")))

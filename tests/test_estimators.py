@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pathfx.estimators as estimators_mod
+import pathfx.nuisance as nuisance_mod
 from pathfx.core import Dataset, DesignSpec, PairCoding, TreatmentPair, dataset_from_arrays, recode_pair, wmean
 from pathfx.estimators import (
     BETA_KINDS,
@@ -263,10 +265,10 @@ class TestDeltas:
             rng.standard_normal((n, 3)), rng.standard_normal(n), rng.standard_normal(n),
         )
         from pathfx.core import DesignSpec, build_design_matrix
-        from pathfx.glm import fit_ols, predict_mean
+        from pathfx.glm import fit_glm, predict_mean
 
         spec = DesignSpec.parse("1, c0_1")
-        fit = fit_ols(build_design_matrix(ds, spec), ds.y, design=spec)
+        fit = fit_glm(build_design_matrix(ds, spec), ds.y, Family.GAUSSIAN, design=spec)
         y0 = np.asarray(predict_mean(fit, build_design_matrix(ds, spec)))
         assert float(y0.mean()) == pytest.approx(float(ds.y.mean()), abs=1e-10)
 
@@ -538,6 +540,27 @@ class TestEvaluate:
             assert np.isnan(values[1, seq]), field
             assert np.isfinite(np.delete(values[1], [seq, len(self.PAIRS) - 1])).all(), field
         assert np.isfinite(batch.beta[[0, 2]]).all()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"clip": (0.9, 0.1)}, "clip must be None or (lo, hi) with 0 < lo < hi < 1, got (0.9, 0.1)"),
+        ({"clip": (0.0, 1.0)}, "clip must be None or (lo, hi) with 0 < lo < hi < 1, got (0.0, 1.0)"),
+        ({"clip": (-1, 2)}, "clip must be None or (lo, hi) with 0 < lo < hi < 1, got (-1, 2)"),
+        ({"pairs": ()}, "an analysis needs at least one (beta, delta) pair"),
+        ({"pairs": (("foo", None),)}, "unknown estimator 'foo'"),
+        ({"pairs": (("mr", "bar"),)}, "unknown delta estimator 'bar'"),
+        ({"pairs": (("mle",),)}, "('mle',) is not a (beta, delta) pair"),
+        ({"scale": "ratio"}, "unknown effect scale 'ratio'"),
+    ], ids=["clip-reversed", "clip-0-1", "clip-outside", "no-pairs", "unknown-beta", "unknown-delta",
+            "not-a-pair", "unknown-scale"])
+    def test_a_malformed_analysis_is_refused_before_any_fit(self, change, message, monkeypatch):
+        fits = []
+        monkeypatch.setattr(nuisance_mod, "fit_glm", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(nuisance_mod, "_least_squares", lambda *args, **kwargs: fits.append(args))
+        ds = draw_dataset(300, 1)
+        analysis = Analysis(working_models_for("int").working_set, (("mr", None),))
+        with pytest.raises(EstimationError, match=re.escape(message)):
+            evaluate(ds, replace(analysis, **change), CODING)
+        assert fits == []
 
     def test_pairs_that_share_a_baseline_mean_compute_it_once(self, monkeypatch):
         calls = []

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.special import erfcx, expit, log_ndtr, ndtr, stdtrit
 
+import pathfx
 import pathfx.glm as glm_mod
 import pathfx.inference as inference_mod
 from pathfx.core import DesignSpec, build_design_matrix, dataset_from_arrays
@@ -20,8 +23,6 @@ from pathfx.glm import (
     NonConvergenceError,
     RankDeficiencyError,
     fit_glm,
-    fit_glm_irls,
-    fit_ols,
     predict_mean,
 )
 from pathfx.simulation import draw_dataset, working_models_for
@@ -199,12 +200,12 @@ def _fallback_fixtures():
 
 class TestOls:
     def test_intercept_only_is_mean(self):
-        fit = fit_ols(np.ones((3, 1)), np.array([2.0, 4.0, 6.0]))
+        fit = fit_glm(np.ones((3, 1)), np.array([2.0, 4.0, 6.0]), Family.GAUSSIAN)
         assert fit.coef == pytest.approx([4.0], abs=1e-14)
 
     def test_exact_line(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        fit = fit_ols(X, np.array([1.0, 3.0, 5.0]))
+        fit = fit_glm(X, np.array([1.0, 3.0, 5.0]), Family.GAUSSIAN)
         assert fit.coef == pytest.approx([1.0, 2.0], abs=1e-12)
 
     def test_matches_normal_equations(self):
@@ -212,7 +213,7 @@ class TestOls:
         X = rng.standard_normal((50, 4))
         y = rng.standard_normal(50)
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
-        fit = fit_ols(X, y)
+        fit = fit_glm(X, y, Family.GAUSSIAN)
         assert np.max(np.abs(fit.coef - oracle)) < 1e-10
 
     def test_weighted_matches_oracle(self):
@@ -221,7 +222,7 @@ class TestOls:
         y = rng.standard_normal(40)
         w = rng.uniform(0.1, 2.0, 40)
         oracle = np.linalg.solve(X.T @ (X * w[:, None]), X.T @ (w * y))
-        fit = fit_ols(X, y, w)
+        fit = fit_glm(X, y, Family.GAUSSIAN, w)
         assert np.max(np.abs(fit.coef - oracle)) < 1e-10
 
     def test_rank_deficiency_names_column(self):
@@ -229,24 +230,24 @@ class TestOls:
         X = rng.standard_normal((30, 3))
         X = np.column_stack([X, X[:, 1]])  # duplicate column 1 as column 3
         with pytest.raises(RankDeficiencyError) as err:
-            fit_ols(X, rng.standard_normal(30))
+            fit_glm(X, rng.standard_normal(30), Family.GAUSSIAN)
         assert err.value.column in (1, 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GlmError, match="length"):
-            fit_ols(np.ones((3, 1)), np.ones(4))
+            fit_glm(np.ones((3, 1)), np.ones(4), Family.GAUSSIAN)
 
 
 class TestIrls:
     def test_intercept_only_logit(self):
         y = np.array([1.0] * 3 + [0.0] * 7)
-        fit = fit_glm_irls(np.ones((10, 1)), y, Family.LOGIT)
+        fit = fit_glm(np.ones((10, 1)), y, Family.LOGIT)
         assert fit.converged
         assert abs(fit.coef[0] - math.log(0.3 / 0.7)) < 1e-12
 
     def test_intercept_only_probit_balanced(self):
         y = np.array([1.0] * 5 + [0.0] * 5)
-        fit = fit_glm_irls(np.ones((10, 1)), y, Family.PROBIT)
+        fit = fit_glm(np.ones((10, 1)), y, Family.PROBIT)
         assert fit.converged
         assert abs(fit.coef[0]) < 1e-12
 
@@ -257,7 +258,7 @@ class TestIrls:
         truth = np.array([0.3, -0.5, 0.8, 0.2])
         y = (rng.random(n) < expit(X @ truth)).astype(float)
         oracle = _logistic_newton_oracle(X, y)
-        fit = fit_glm_irls(X, y, Family.LOGIT)
+        fit = fit_glm(X, y, Family.LOGIT)
         assert np.max(np.abs(fit.coef - oracle)) < 1e-8
 
     def test_probit_matches_fisher_oracle(self):
@@ -265,7 +266,7 @@ class TestIrls:
         n = 500
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
         y = (rng.random(n) < ndtr(X @ np.array([-0.2, 0.4, 0.7, -0.3]))).astype(float)
-        fit = fit_glm_irls(X, y, Family.PROBIT)
+        fit = fit_glm(X, y, Family.PROBIT)
         assert np.max(np.abs(fit.coef - _probit_fisher_oracle(X, y))) < 1e-8
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
@@ -279,7 +280,7 @@ class TestIrls:
         y = (rng.random(n) < mean(X @ truth)).astype(float)
         w = rng.exponential(1.0, n)
         oracle = (_logistic_newton_oracle if family is Family.LOGIT else _probit_fisher_oracle)(X, y, w)
-        fit = fit_glm_irls(X, y, family, w)
+        fit = fit_glm(X, y, family, w)
         assert np.max(np.abs(fit.coef - oracle)) < 1e-8
 
     def test_weighted_all_ones_identical(self):
@@ -287,8 +288,8 @@ class TestIrls:
         n = 200
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         y = (rng.random(n) < 0.4).astype(float)
-        a = fit_glm_irls(X, y, Family.LOGIT)
-        b = fit_glm_irls(X, y, Family.LOGIT, np.ones(n))
+        a = fit_glm(X, y, Family.LOGIT)
+        b = fit_glm(X, y, Family.LOGIT, np.ones(n))
         assert np.max(np.abs(a.coef - b.coef)) < 1e-12
 
     def test_affine_recoding_leaves_predictions_unchanged(self):
@@ -298,21 +299,9 @@ class TestIrls:
         X = np.column_stack([np.ones(n), x])
         y = (rng.random(n) < expit(0.5 + x)).astype(float)
         X2 = np.column_stack([np.ones(n), 3.0 * x - 7.0])
-        p1 = predict_mean(fit_glm_irls(X, y, Family.LOGIT), X)
-        p2 = predict_mean(fit_glm_irls(X2, y, Family.LOGIT), X2)
+        p1 = predict_mean(fit_glm(X, y, Family.LOGIT), X)
+        p2 = predict_mean(fit_glm(X2, y, Family.LOGIT), X2)
         assert np.max(np.abs(p1 - p2)) < 1e-8
-
-    def test_gaussian_dispatch_matches_ols(self):
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((40, 3))
-        y = rng.standard_normal(40)
-        a = fit_glm(X, y, Family.GAUSSIAN)
-        b = fit_ols(X, y)
-        assert np.max(np.abs(a.coef - b.coef)) < 1e-12
-
-    def test_gaussian_is_rejected(self):
-        with pytest.raises(GlmError, match="binomial"):
-            fit_glm_irls(np.ones((5, 1)), np.zeros(5), Family.GAUSSIAN)
 
     def test_rank_deficiency_names_column(self):
         rng = np.random.default_rng(15)
@@ -320,7 +309,7 @@ class TestIrls:
         X = np.column_stack([np.ones(50), x, 2.0 * x])
         y = (rng.random(50) < 0.5).astype(float)
         with pytest.raises(RankDeficiencyError) as err:
-            fit_glm_irls(X, y, Family.LOGIT)
+            fit_glm(X, y, Family.LOGIT)
         assert err.value.column in (1, 2)
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT, Family.GAUSSIAN], ids=lambda f: f.name.lower())
@@ -343,7 +332,7 @@ class TestIrls:
         y = (x > 0).astype(float)
         X = np.column_stack([np.ones(40), x])
         with pytest.raises(NonConvergenceError) as err:
-            fit_glm_irls(X, y, Family.LOGIT)
+            fit_glm(X, y, Family.LOGIT)
         assert err.value.coef_norm > 1.0
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
@@ -353,13 +342,50 @@ class TestIrls:
         rng, X, y, _ = TestBatchFit._case(seed=22)
         monkeypatch.setattr(glm_mod, "DEFAULT_MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as err:
-            fit_glm_irls(X, y, family)
+            fit_glm(X, y, family)
         assert str(err.value).startswith("no convergence after 2 iterations: max|score|=")
         assert "separat" not in str(err.value)
 
     def test_binary_response_required(self):
         with pytest.raises(GlmError, match=r"\[0, 1\]"):
-            fit_glm_irls(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), Family.LOGIT)
+            fit_glm(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), Family.LOGIT)
+
+
+class TestOneFit:
+    """``fit_glm`` is the one fit: a single fit runs as its batch of one."""
+
+    def test_no_module_calls_the_delegations_and_pathfx_exports_neither(self):
+        names = {"fit_ols", "fit_glm_irls"}
+        calls = []
+        for path in sorted(pathlib.Path(pathfx.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "id", None) in names or getattr(func, "attr", None) in names:
+                        calls.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.ImportFrom) and names & {alias.name for alias in node.names}:
+                    calls.append(f"{path.name}:{node.lineno} (import)")
+        assert calls == []
+        assert not names & set(dir(pathfx))
+        assert not names & set(glm_mod.__all__)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("case", ["rank-deficient", "not-finite", "separated-logit", "separated-probit"])
+    def test_a_failed_single_fit_raises_its_batch_of_one_s_error(self, case, weighted):
+        rng = np.random.default_rng(72)
+        if case == "rank-deficient":
+            X = rng.standard_normal((30, 3))
+            X, y, family = np.column_stack([X, X[:, 1]]), rng.standard_normal(30), Family.GAUSSIAN
+        elif case == "not-finite":
+            (X, y), family = _nonfinite_case("inf-y"), Family.GAUSSIAN
+        else:
+            (X, y), family = TestBatchFit._quasi_separated(), Family[case.split("-")[1].upper()]
+        w = rng.exponential(1.0, len(y)) if weighted else None
+        want = fit_glm(X, y, family, np.ones((1, len(y))) if w is None else w[None]).errors[0]
+        with pytest.raises(GlmError) as err:
+            fit_glm(X, y, family, w)
+        assert type(err.value) is type(want)
+        assert str(err.value) == str(want)
 
 
 class TestSolverGuard:
@@ -382,7 +408,7 @@ class TestSolverGuard:
         inverse_steps = glm_mod._inverse_steps
         monkeypatch.setattr(glm_mod, "_inverse_steps", no_inverse_step)
         for family in (Family.LOGIT, Family.PROBIT):
-            fit = fit_glm_irls(X, y, family)
+            fit = fit_glm(X, y, family)
             reference = _qr_irls_reference(X, y, family)
             assert fit.converged
             assert np.max(np.abs(fit.coef - reference)) <= 1e-10 * np.max(np.abs(reference))
@@ -422,7 +448,7 @@ class TestSolverGuard:
             raise AssertionError("a well-conditioned step should not need QR")
 
         monkeypatch.setattr(glm_mod, "_pivoted_qr", no_qr)
-        assert fit_glm_irls(X, y, Family.LOGIT).converged
+        assert fit_glm(X, y, Family.LOGIT).converged
 
     def test_ill_conditioned_least_squares_takes_the_qr_step(self, monkeypatch):
         # the same badly scaled covariate as above, on a gaussian response
@@ -452,7 +478,7 @@ class TestSolverGuard:
         for weights, sw in ((None, np.ones(n)), (w, np.sqrt(w))):
             reference = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
             # measured gaps are below 6e-15 of each coefficient
-            np.testing.assert_allclose(fit_ols(X, y, weights).coef, reference, rtol=1e-10)
+            np.testing.assert_allclose(fit_glm(X, y, Family.GAUSSIAN, weights).coef, reference, rtol=1e-10)
         assert qr_calls == ["raw", "raw"]
 
     def test_well_conditioned_least_squares_takes_the_inverse_step(self, monkeypatch):
@@ -468,7 +494,7 @@ class TestSolverGuard:
         monkeypatch.setattr(glm_mod, "_pivoted_qr", no_qr)
         for weights, sw in ((None, np.ones(n)), (w, np.sqrt(w))):
             reference = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
-            np.testing.assert_allclose(fit_ols(X, y, weights).coef, reference, rtol=1e-10)
+            np.testing.assert_allclose(fit_glm(X, y, Family.GAUSSIAN, weights).coef, reference, rtol=1e-10)
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
     @pytest.mark.parametrize("case", _fallback_fixtures(), ids=lambda c: c[0])
@@ -482,7 +508,7 @@ class TestSolverGuard:
             # Newton solve.  Measured: <= 2.0e-16.
             with pytest.raises(NonConvergenceError):
                 _qr_irls_reference(X, y, family, w)
-            fit = fit_glm_irls(X, y, family, w)
+            fit = fit_glm(X, y, family, w)
             eta = _mp_newton_eta(X, y, family, w)
             assert np.max(np.abs(X @ fit.coef - eta)) <= 1e-10 * max(1.0, np.max(np.abs(eta)))
             return
@@ -490,9 +516,9 @@ class TestSolverGuard:
             reference = _qr_irls_reference(X, y, family, w)
         except GlmError as exc:
             with pytest.raises(type(exc)):
-                fit_glm_irls(X, y, family, w)
+                fit_glm(X, y, family, w)
             return
-        fit = fit_glm_irls(X, y, family, w)
+        fit = fit_glm(X, y, family, w)
         # Compare the fitted linear predictors, which the maximum determines.
         # On near-collinear-2 (cond(X'WX) 5e12) the score tolerance is the
         # score's rounding floor (no fit reaches 1e-11), so the coefficients
@@ -515,18 +541,18 @@ class TestWarmStart:
         rng = np.random.default_rng(7)
         prior = np.ones(n) if w is None else w
         try:
-            start = fit_glm_irls(X, y, family, rng.exponential(1.0, n) * prior).coef
+            start = fit_glm(X, y, family, rng.exponential(1.0, n) * prior).coef
         except GlmError:
             start = rng.normal(0.0, 0.5, p)
         try:
-            cold = fit_glm_irls(X, y, family, w)
+            cold = fit_glm(X, y, family, w)
         except GlmError as exc:
             with pytest.raises(type(exc)):
-                fit_glm_irls(X, y, family, w, start=start)
+                fit_glm(X, y, family, w, start=start)
             return
         # a log-likelihood this close to 0 leaves no row live, which raises
         assert glm_mod._binomial_terms(family, X @ cold.coef, y, prior)[0] <= -1e-9
-        warm = fit_glm_irls(X, y, family, w, start=start)
+        warm = fit_glm(X, y, family, w, start=start)
         assert warm.converged
         # Both fits stop within the score tolerance of one maximum, so the
         # fitted linear predictors agree closely; coefficients along a nearly
@@ -547,7 +573,7 @@ class TestWarmStart:
         ds = draw_dataset(1500, 1)
         X = build_design_matrix(ds, DesignSpec.parse(design))
         y = ds.e.astype(float)
-        point = fit_glm_irls(X, y, Family.PROBIT)
+        point = fit_glm(X, y, Family.PROBIT)
         assert point.iterations <= 7
         W = np.random.default_rng(8).exponential(1.0, (10, X.shape[0]))
         batch = fit_glm(X, y, Family.PROBIT, W, start=point.coef)
@@ -559,9 +585,9 @@ class TestWarmStart:
         n = 400
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = (rng.random(n) < expit(X @ np.array([0.3, 0.8, -0.5]))).astype(float)
-        cold = fit_glm_irls(X, y, Family.LOGIT)
+        cold = fit_glm(X, y, Family.LOGIT)
         start = cold.coef.copy()
-        warm = fit_glm_irls(X, y, Family.LOGIT, start=start)
+        warm = fit_glm(X, y, Family.LOGIT, start=start)
         assert warm.iterations == 0
         assert np.array_equal(warm.coef, cold.coef)
         # the fit froze its own copy, not the caller's array
@@ -585,14 +611,14 @@ class TestWarmStart:
         n = 300
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = (rng.random(n) < expit(X @ np.array([-0.2, 0.5, 0.4]))).astype(float)
-        start = fit_glm_irls(X, y, Family.LOGIT, rng.exponential(1.0, n)).coef
+        start = fit_glm(X, y, Family.LOGIT, rng.exponential(1.0, n)).coef
         assert not start.flags.writeable
         kept = start.copy()
-        fit = fit_glm_irls(X, y, Family.LOGIT, start=start)
+        fit = fit_glm(X, y, Family.LOGIT, start=start)
         assert np.array_equal(start, kept)
         assert not np.shares_memory(fit.coef, start)
         writable = kept.copy()
-        fit_glm_irls(X, y, Family.PROBIT, start=writable)
+        fit_glm(X, y, Family.PROBIT, start=writable)
         assert np.array_equal(writable, kept)
 
     def test_gaussian_ignores_start(self):
@@ -600,7 +626,7 @@ class TestWarmStart:
         X = np.column_stack([np.ones(60), rng.standard_normal(60)])
         y = X @ np.array([1.0, 2.0]) + rng.standard_normal(60)
         fit = fit_glm(X, y, Family.GAUSSIAN, start=np.array([5.0, 5.0]))
-        assert np.array_equal(fit.coef, fit_ols(X, y).coef)
+        assert np.array_equal(fit.coef, fit_glm(X, y, Family.GAUSSIAN).coef)
 
 
 class TestSeparationRule:
@@ -610,7 +636,7 @@ class TestSeparationRule:
         # median |eta| near 7, where every row's information is below DEAD_INFO
         _, X, y, w = next(case for case in _fallback_fixtures() if case[0] == name)
         with pytest.raises(NonConvergenceError, match="every row's fitted probability is at 0 or 1"):
-            fit_glm_irls(X, y, Family.PROBIT, w)
+            fit_glm(X, y, Family.PROBIT, w)
 
     def test_ordinary_fit_takes_no_qr(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -623,7 +649,7 @@ class TestSeparationRule:
 
         monkeypatch.setattr(glm_mod, "_pivoted_qr", no_qr)
         for family in (Family.LOGIT, Family.PROBIT):
-            assert fit_glm_irls(X, y, family).converged
+            assert fit_glm(X, y, family).converged
             assert fit_glm(X, y, family, rng.exponential(1.0, (3, n))).converged.all()
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
@@ -646,7 +672,7 @@ class TestSeparationRule:
 
         pivoted_qr = glm_mod._pivoted_qr
         monkeypatch.setattr(glm_mod, "_pivoted_qr", counted_qr)
-        fit = fit_glm_irls(X, y, family)
+        fit = fit_glm(X, y, family)
         info = glm_mod._binomial_terms(family, X @ fit.coef, y, np.ones(n))[2]
         assert (info[:3] < glm_mod.DEAD_INFO).all() and (info[3:] >= glm_mod.DEAD_INFO).all()
         assert qr_calls == [(n - 3, 2)]  # the rank test of the live rows, and nothing else
@@ -675,7 +701,7 @@ class TestDecrementStop:
         # test alone ran out of its 100 iterations
         X, ys = _cd4_fixture(100_000)
         y = ys[Family.PROBIT]
-        fit = fit_glm_irls(X, y, Family.PROBIT)
+        fit = fit_glm(X, y, Family.PROBIT)
         assert fit.iterations <= 6
         # at the maximum of an independent Fisher scoring; measured 5.8e-16
         eta = X @ _probit_fisher_oracle(X, y, iters=30)
@@ -684,7 +710,7 @@ class TestDecrementStop:
         batch = fit_glm(X, y, Family.PROBIT, W)
         assert batch.converged.all()
         for b in range(2):
-            single = fit_glm_irls(X, y, Family.PROBIT, W[b])
+            single = fit_glm(X, y, Family.PROBIT, W[b])
             assert np.array_equal(batch.coef[b], single.coef)
             assert batch.iterations[b] == single.iterations <= 6
 
@@ -697,7 +723,7 @@ class TestDecrementStop:
         calls = []
         terms = glm_mod._binomial_terms
         monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].shape) or terms(*a))
-        fit = fit_glm_irls(X, ds.e.astype(float), family)
+        fit = fit_glm(X, ds.e.astype(float), family)
         assert len(calls) == fit.iterations == 6
 
     def test_a_qr_fallback_fit_stops_on_the_score(self, monkeypatch):
@@ -713,7 +739,7 @@ class TestDecrementStop:
         monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].shape) or terms(*a))
         for family in (Family.LOGIT, Family.PROBIT):
             calls.clear()
-            fit = fit_glm_irls(X, y, family)
+            fit = fit_glm(X, y, family)
             assert len(calls) == fit.iterations + 1
             assert np.max(np.abs(_binomial_score(family, X, y, fit.coef))) < glm_mod.DEFAULT_TOL
 
@@ -728,7 +754,7 @@ class TestDecrementStop:
         terms = glm_mod._binomial_terms
         monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].shape) or terms(*a))
         with pytest.raises(NonConvergenceError) as err:
-            fit_glm_irls(X, y, family)
+            fit_glm(X, y, family)
         assert str(err.value).startswith("the responses are separated: the coefficient of column 1 diverges (after ")
         assert err.value.score_norm < glm_mod.DEFAULT_TOL
         assert len(calls) == err.value.iterations + 1
@@ -860,7 +886,7 @@ class TestBatchFit:
             for b in range(2):
                 drawn = W[b].astype(int)
                 try:
-                    want = fit_glm_irls(np.repeat(X, drawn, axis=0), np.repeat(y, drawn), family)
+                    want = fit_glm(np.repeat(X, drawn, axis=0), np.repeat(y, drawn), family)
                 except GlmError as exc:
                     assert not batch.converged[b] and np.isnan(batch.coef[b]).all()
                     verdicts.add(type(exc))
@@ -887,7 +913,7 @@ class TestBatchFit:
             assert str(errors[b]).split(" (")[0] == str(alone.value).split(" (")[0]
         kept = W[2].astype(int)
         with pytest.raises(RankDeficiencyError) as none_drawn:
-            fit_glm_irls(np.repeat(X, kept, axis=0), np.repeat(y, kept), Family.LOGIT)
+            fit_glm(np.repeat(X, kept, axis=0), np.repeat(y, kept), Family.LOGIT)
         assert type(errors[2]) is RankDeficiencyError and errors[2].column == none_drawn.value.column == 1
 
     def test_a_batch_with_a_fractional_weight_counts_each_row_once(self):
@@ -920,7 +946,7 @@ class TestBatchFit:
         X, y = self._quasi_separated()
         diverges = "the responses are separated: the coefficient of column 1 diverges"
         with pytest.raises(NonConvergenceError, match=diverges):
-            fit_glm_irls(X, y, family)
+            fit_glm(X, y, family)
         # a row of a whole-number batch (as a nonparametric replicate draws
         # the rows), a row of a fractional one, and a replicate of a stack:
         # each fails alone, with the single fit's message
@@ -938,7 +964,7 @@ class TestBatchFit:
         Xs, ys = np.array([X, X]), np.array([ordinary, y])
         stack = fit_glm(Xs, ys, family)
         assert list(stack.converged) == [True, False]
-        assert np.array_equal(stack.coef[0], fit_glm_irls(X, ordinary, family).coef)
+        assert np.array_equal(stack.coef[0], fit_glm(X, ordinary, family).coef)
         assert np.isnan(stack.coef[1]).all()
         _, _, errors = glm_mod._score_batch(Xs, ys, family, np.ones((2, 40)), np.zeros(2), None)
         assert list(errors) == [1] and diverges in str(errors[1])
@@ -1030,7 +1056,7 @@ class TestSharedSystem:
         fits = glm_mod._least_squares(X, [yg, 2.0 * yg], None)
         assert all(isinstance(fit, RankDeficiencyError) for fit in fits)
         with pytest.raises(RankDeficiencyError) as alone:
-            fit_ols(X, yg)
+            fit_glm(X, yg, Family.GAUSSIAN)
         assert str(fits[0]) == str(alone.value)
 
 
@@ -1046,7 +1072,7 @@ class TestLayout:
         y, w = rng.standard_normal(n), rng.exponential(1.0, n)
         tracemalloc.start()
         try:
-            fit_ols(X, y, w)
+            fit_glm(X, y, Family.GAUSSIAN, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1172,7 +1198,7 @@ class TestNonFiniteSystems:
     def test_least_squares_raises(self, kind, weighted):
         X, y = _nonfinite_case(kind)
         with pytest.raises(GlmError, match="is not finite"):
-            fit_ols(X, y, np.full(len(y), 2.0) if weighted else None)
+            fit_glm(X, y, Family.GAUSSIAN, np.full(len(y), 2.0) if weighted else None)
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
     @pytest.mark.parametrize("kind", ["nan-X", "overflow"])
@@ -1182,14 +1208,14 @@ class TestNonFiniteSystems:
         terms = glm_mod._binomial_terms
         monkeypatch.setattr(glm_mod, "_binomial_terms", lambda *a: calls.append(a[1].size) or terms(*a))
         with pytest.raises(GlmError, match="is not finite"):
-            fit_glm_irls(X, y, family)
+            fit_glm(X, y, family)
         assert np.count_nonzero(calls) == 1  # the start's terms, and no trial step
 
     def test_a_nan_binomial_response_is_refused(self):
         X, y = _nonfinite_case("nan-X")
         X[3, 1], y[3] = 0.5, np.nan
         with pytest.raises(GlmError, match=r"responses in \[0, 1\]"):
-            fit_glm_irls(X, y, Family.LOGIT)
+            fit_glm(X, y, Family.LOGIT)
 
     # (a binomial response outside [0, 1] is refused before any fit)
     @pytest.mark.parametrize("kind, family", [
@@ -1234,26 +1260,26 @@ class TestLogitTerms:
 
 class TestPredict:
     def test_gaussian(self):
-        fit = fit_ols(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.array([1.0, 3.0, 5.0]))
+        fit = fit_glm(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.array([1.0, 3.0, 5.0]), Family.GAUSSIAN)
         assert predict_mean(fit, np.array([1.0, 3.0])) == pytest.approx(7.0, abs=1e-12)
 
     def test_logit_at_zero(self):
         y = np.array([1.0] * 5 + [0.0] * 5)
-        fit = fit_glm_irls(np.ones((10, 1)), y, Family.LOGIT)
+        fit = fit_glm(np.ones((10, 1)), y, Family.LOGIT)
         assert predict_mean(fit, np.array([1.0])) == pytest.approx(0.5, abs=1e-12)
 
     def test_probit_against_independent_cdf(self):
         from dataclasses import replace
 
         y = np.array([1.0] * 5 + [0.0] * 5)
-        fit = fit_glm_irls(np.ones((10, 1)), y, Family.PROBIT)
+        fit = fit_glm(np.ones((10, 1)), y, Family.PROBIT)
         fit = replace(fit, coef=np.array([0.9, 0.3]))
         oracle = float(mpmath.ncdf(0.9))  # independent normal CDF
         assert predict_mean(fit, np.array([1.0, 0.0])) == pytest.approx(oracle, abs=1e-12)
         assert 0.81593 < oracle < 0.81595
 
     def test_length_mismatch(self):
-        fit = fit_ols(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
+        fit = fit_glm(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), Family.GAUSSIAN)
         with pytest.raises(GlmError, match="columns"):
             predict_mean(fit, np.array([1.0, 2.0]))
 
@@ -1264,7 +1290,7 @@ class TestScoreInformation:
         n = 400
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         y = (rng.random(n) < expit(0.2 + 0.5 * X[:, 1])).astype(float)
-        fit = fit_glm_irls(X, y, Family.LOGIT)
+        fit = fit_glm(X, y, Family.LOGIT)
         assert np.max(np.abs(_binomial_score(Family.LOGIT, X, y, fit.coef))) < 1e-10
 
     @pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT], ids=lambda f: f.name.lower())
@@ -1274,7 +1300,7 @@ class TestScoreInformation:
         n = 300
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = (rng.random(n) < expit(X @ np.array([0.1, 0.6, -0.4]))).astype(float)
-        fit = fit_glm_irls(X, y, family)
+        fit = fit_glm(X, y, family)
 
         def loglik(beta):
             eta = X @ beta

@@ -263,6 +263,16 @@ class TestBootstrap:
         with pytest.raises(InferenceError):
             BootstrapSpec(ci_level=1.5)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("replicates", 2.5), ("seed", np.float64(3.0))])
+    def test_a_non_integer_seed_or_replicate_count_is_refused(self, field, value):
+        with pytest.raises(InferenceError) as err:
+            BootstrapSpec(**{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_are_integers(self):
+        spec = BootstrapSpec(replicates=np.int64(20), seed=np.int32(3))
+        assert (spec.replicates, spec.seed) == (20, 3)
+
     def test_a_negative_seed_is_refused_before_any_replicate(self):
         with pytest.raises(InferenceError) as err:
             BootstrapSpec(kind="wild_exp1", replicates=5, seed=-1)

@@ -521,6 +521,17 @@ class TestComponents:
         assert comp.y0_marginal is not None
         assert "clip_count" in comp.diagnostics
 
+    @pytest.mark.parametrize("clip", [(0.9, 0.1), (0.0, 1.0), (-1, 2), (0.1,), "none"])
+    def test_a_malformed_clip_is_refused_before_any_prediction(self, clip, monkeypatch):
+        ds = draw_dataset(300, 1)
+        fits = fit_nuisances(ds, working_models_for("int").working_set, CODING)
+        predicted = []
+        monkeypatch.setattr(nuisance_mod, "predict_mean", lambda *args: predicted.append(args))
+        with pytest.raises(NuisanceError) as err:
+            compute_components(ds, fits, clip=clip)
+        assert str(err.value) == f"clip must be None or (lo, hi) with 0 < lo < hi < 1, got {clip!r}"
+        assert predicted == []
+
     def test_clip_count_covers_every_propensity_once(self):
         ds = draw_dataset(2000, 3)
         fits = fit_nuisances(ds, working_models_for("int").working_set, CODING)

@@ -10,7 +10,7 @@ import pathfx.inference as inference_mod
 import pathfx.simulation as simulation_mod
 from pathfx.core import DesignSpec, PairCoding, TreatmentPair
 from pathfx.estimators import BETA_KINDS, Analysis, evaluate
-from pathfx.glm import Family, fit_ols
+from pathfx.glm import Family, fit_glm
 from pathfx.nuisance import (
     ROLE_MEDIATOR,
     ROLE_OUTCOME,
@@ -75,7 +75,7 @@ class TestDrawDataset:
         from pathfx.core import build_design_matrix
 
         X = build_design_matrix(ds, spec)
-        fit = fit_ols(X, ds.y)
+        fit = fit_glm(X, ds.y, Family.GAUSSIAN)
         resid = ds.y - X @ fit.coef
         sigma2 = float(resid @ resid) / (n - X.shape[1])
         se = np.sqrt(sigma2 * np.diag(np.linalg.inv(X.T @ X)))
@@ -123,6 +123,17 @@ class TestDrawDataset:
                                    rtol=1e-13, atol=0)
         np.testing.assert_allclose(ds.m[1, 3], -1.6361120875733413, rtol=1e-13, atol=0)
         np.testing.assert_allclose(ds.y[1, 3], 4.434412592700411, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("field, value", [("n", 100.0), ("seed", 1.5), ("rep", 0.5)])
+    def test_rejects_a_non_integer(self, field, value):
+        # a float seed would otherwise be truncated, and draw seed 1's data
+        with pytest.raises(SimulationError) as err:
+            draw_dataset(**{"n": 100, "seed": 1, "rep": 0, field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_are_integers(self):
+        a, b = draw_dataset(np.int64(50), np.int32(1), rep=np.uint8(2)), draw_dataset(50, 1, rep=2)
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("c0", "e", "c1", "m", "y"))
 
     @pytest.mark.parametrize("seed, rep", [(-1, 0), (0, -2)])
     def test_rejects_a_negative_seed_or_rep(self, seed, rep):
@@ -176,6 +187,13 @@ class TestTruth:
         log_m_ratio = Xg @ truth.prop_m_coef() - Xl @ truth.prop_c1_coef()
         assert np.max(np.abs(log_m_ratio - np.log(truth.m_ratio(m, c1, c0)))) < 1e-10
 
+    def test_a_design_that_misses_the_log_odds_is_refused(self):
+        # PROP_C1_WRONG lacks c0_1^2 and the c0_1*c1_j terms of the exact log-odds
+        from pathfx.simulation import PROP_C1_WRONG
+
+        with pytest.raises(SimulationError, match=r"^the log-odds lie outside the span of '1, c0_1, c1_1, "):
+            truth._coef_on(PROP_C1_WRONG, lambda ds: truth.prop_c1_log_odds(ds.c1, ds.c0))
+
 
 class TestOracles:
     def test_beta0_monte_carlo(self):
@@ -186,6 +204,15 @@ class TestOracles:
     def test_delta0_monte_carlo(self):
         est = oracle_delta0_mc(1_000_000, 3)
         assert abs(est.value - closed_form_delta0()) < 3 * est.se
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("n_draws", {"n_draws": 1000.0, "seed": 1}), ("seed", {"n_draws": 1000, "seed": 1.5}),
+        ("stream", {"n_draws": 1000, "seed": 1, "stream": 0.5}),
+    ], ids=["n_draws", "seed", "stream"])
+    def test_rejects_a_non_integer(self, field, kwargs):
+        with pytest.raises(SimulationError) as err:
+            oracle_nested_mean_mc(mediator_level=1, **kwargs)
+        assert str(err.value) == f"{field} must be an integer, got {kwargs[field]!r}"
 
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
     def test_rejects_a_negative_seed_or_stream(self, seed, stream):
@@ -290,6 +317,17 @@ class TestMonteCarloRunner:
         with pytest.raises(SimulationError) as err:
             run_monte_carlo(SimulationSpec(regime="int", n=200, replications=replications, seed=1))
         assert str(err.value) == f"replications must be at least 2, got {replications}"
+
+    @pytest.mark.parametrize("field, value", [("n", 200.5), ("replications", 2.5), ("seed", 1.5)])
+    def test_a_non_integer_raises_before_any_replicate(self, field, value, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation_mod, "draw_dataset", no_draw)
+        spec = replace(SimulationSpec(regime="int", n=200, replications=3, seed=1), **{field: value})
+        with pytest.raises(SimulationError) as err:
+            run_monte_carlo(spec)
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
 
     def test_a_negative_seed_raises_before_any_replicate(self, monkeypatch):
         def no_draw(*args, **kwargs):
